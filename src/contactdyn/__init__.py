@@ -61,7 +61,6 @@ from .integrate import (
     AverageAccumulator,
     LangevinEnsembleStats,
     NoiseSpec,
-    StepUnderflowError,
     Trajectory,
     euler_maruyama_langevin,
     integrate_adaptive,

@@ -1,13 +1,17 @@
 """Trajectory generation and numerically careful time averaging.
 
-Steppers operate on flat state vectors through a right-hand-side callable
-``rhs(t, y) -> dy``; chart packing (which component is s, q, p, ...) is the
-caller's business and is recorded in the trajectory's ``layout``.  Three
-steppers are provided: classical fixed-step RK4, an embedded RK4(5) pair
-with cubic-Hermite dense output, and Euler-Maruyama for the harmonically
-trapped Langevin system (with a vectorized ensemble driver sharing the same
-arithmetic path, so single runs and ensemble members are bit-identical for
-matching seeds).
+The deterministic steppers hold one trajectory's state as a tuple of
+Python floats and advance it through a right-hand-side callable
+``rhs(t, y) -> dy``: `y` is a tuple of d floats and `dy` any length-d
+sequence of floats (a tuple from the catalog charts; an ndarray also works,
+since the steppers only iterate over it).  On 3- and 4-component states
+float arithmetic costs a fraction of numpy's per-call overhead.  Chart
+packing (which component is s, q, p, ...) is the caller's business and is
+recorded in the trajectory's ``layout``.  Three steppers are provided:
+classical fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense
+output, and Euler-Maruyama for the harmonically trapped Langevin system
+(with a vectorized ensemble driver sharing the same arithmetic path, so
+single runs and ensemble members are bit-identical for matching seeds).
 
 Averages use trapezoidal quadrature under compensated summation so that
 horizons of 10^5+ samples do not accumulate roundoff.
@@ -16,6 +20,8 @@ horizons of 10^5+ samples do not accumulate roundoff.
 from __future__ import annotations
 
 import math
+from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,7 +41,6 @@ __all__ = [
     "trapezoid_average",
     "time_average",
     "write_trajectory_csv",
-    "StepUnderflowError",
 ]
 
 # fixed-step samples are recorded every this many steps unless overridden
@@ -47,6 +52,8 @@ _SHRINK_MIN = 0.2
 _GROW_MAX = 5.0
 _UNDERFLOW_FRACTION = 1e-12   # abort when h < this fraction of the horizon
 
+# float arithmetic raises OverflowError / ZeroDivisionError where numpy
+# would return inf; either way the step has no usable derivative
 _FIELD_ERRORS = (
     NonFiniteError,
     DomainError,
@@ -54,10 +61,6 @@ _FIELD_ERRORS = (
     FloatingPointError,
     ZeroDivisionError,
 )
-
-
-class StepUnderflowError(RuntimeError):
-    """Adaptive step shrank below the underflow threshold (stiffness signal)."""
 
 
 @dataclass(frozen=True)
@@ -284,8 +287,15 @@ def time_average(traj: Trajectory, f, t0: float = 0.0, allow_aborted: bool = Fal
 # fixed-step RK4
 
 
+def _initial_state(y0: Sequence[float], layout: Sequence[str]) -> tuple:
+    y = np.asarray(y0, dtype=float)
+    if y.ndim != 1 or y.size != len(layout):
+        raise ValueError(f"y0 must be a flat vector of length {len(layout)}")
+    return tuple(y.tolist())
+
+
 def integrate_fixed(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, tuple], Sequence[float]],
     y0: Sequence[float],
     T: float,
     dt: float,
@@ -304,7 +314,7 @@ def integrate_fixed(
     Parameters
     ----------
     rhs : callable
-        (t, y) -> dy/dt as a flat ndarray.
+        (t, y) -> dy/dt; `y` is a tuple of floats, dy a length-d sequence.
     y0 : sequence of float
         Initial state, matching `layout`.
     T, dt : float
@@ -316,9 +326,7 @@ def integrate_fixed(
         raise ValueError("need 0 < dt <= T")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    y = np.asarray(y0, dtype=float).copy()
-    if y.ndim != 1 or y.size != len(layout):
-        raise ValueError(f"y0 must be a flat vector of length {len(layout)}")
+    y = _initial_state(y0, layout)
 
     n_full = int(math.floor(T / dt + 1e-12))
     rem = T - n_full * dt
@@ -326,39 +334,44 @@ def integrate_fixed(
         rem = 0.0
 
     times = [0.0]
-    states = [y.copy()]
+    states = array("d", y)  # samples, row after row
     aborted = False
     reason = ""
     t = 0.0
     n_steps = n_full + (1 if rem > 0 else 0)
-    for k in range(n_steps):
-        h = dt if k < n_full else rem
-        try:
-            with np.errstate(all="ignore"):
+    # an rhs computing in numpy overflows to inf/nan, which the finiteness
+    # test below catches, so its warnings are silenced
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            h = dt if k < n_full else rem
+            hh = 0.5 * h
+            h6 = h / 6.0
+            try:
                 k1 = rhs(t, y)
-                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-                k4 = rhs(t + h, y + h * k3)
-                y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except _FIELD_ERRORS as exc:
-            aborted, reason = True, f"field evaluation failed at t={t:.6g}: {exc}"
-            break
-        t_new = T if k == n_steps - 1 else (k + 1) * dt
-        if not np.isfinite(y_new).all():
-            aborted, reason = True, f"non-finite state at t={t_new:.6g}"
-            break
-        y, t = y_new, t_new
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            if t > times[-1]:
-                times.append(t)
-                states.append(y.copy())
+                k2 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k1)]))
+                k3 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k2)]))
+                k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+                y_new = tuple([a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+            except _FIELD_ERRORS as exc:
+                aborted, reason = True, f"field evaluation failed at t={t:.6g}: {exc}"
+                break
+            t_new = T if k == n_steps - 1 else (k + 1) * dt
+            if not all(map(math.isfinite, y_new)):
+                aborted, reason = True, f"non-finite state at t={t_new:.6g}"
+                break
+            y, t = y_new, t_new
+            if (k + 1) % sample_every == 0 or k == n_steps - 1:
+                if t > times[-1]:
+                    times.append(t)
+                    states.extend(y)
 
     info = dict(meta or {})
     info.setdefault("integrator", "rk4")
     info.update(dt=dt, T=T, sample_every=sample_every)
     return Trajectory(
         times=np.array(times),
-        states=np.array(states),
+        states=np.frombuffer(states).reshape(-1, len(layout)),
         layout=tuple(layout),
         meta=info,
         aborted=aborted,
@@ -369,31 +382,39 @@ def integrate_fixed(
 # ---------------------------------------------------------------------------
 # embedded RK4(5), Fehlberg coefficients, cubic Hermite dense output
 
-_C = np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2])
-_A = [
-    np.array([]),
-    np.array([1 / 4]),
-    np.array([3 / 32, 9 / 32]),
-    np.array([1932 / 2197, -7200 / 2197, 7296 / 2197]),
-    np.array([439 / 216, -8.0, 3680 / 513, -845 / 4104]),
-    np.array([-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40]),
-]
-_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-_ERR = np.array([1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55])
+_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
-def _hermite(theta: float, y0, d0, y1, d1, h: float):
+def _weighted_sum(coeffs, ks) -> list:
+    """Per component, coeffs[0]*ks[0][j] + coeffs[1]*ks[1][j] + ..., left to right."""
+    sums = [coeffs[0] * v for v in ks[0]]
+    for c, k in zip(coeffs[1:], ks[1:]):
+        sums = [s + c * v for s, v in zip(sums, k)]
+    return sums
+
+
+def _hermite(theta: float, y0, d0, y1, d1, h: float) -> tuple:
     t2, t3 = theta * theta, theta * theta * theta
-    return (
-        (2 * t3 - 3 * t2 + 1) * y0
-        + (t3 - 2 * t2 + theta) * h * d0
-        + (-2 * t3 + 3 * t2) * y1
-        + (t3 - t2) * h * d1
-    )
+    c0 = 2 * t3 - 3 * t2 + 1
+    c1 = (t3 - 2 * t2 + theta) * h
+    c2 = -2 * t3 + 3 * t2
+    c3 = (t3 - t2) * h
+    return tuple([c0 * a + c1 * b + c2 * c + c3 * d
+                  for a, b, c, d in zip(y0, d0, y1, d1)])
 
 
 def integrate_adaptive(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, tuple], Sequence[float]],
     y0: Sequence[float],
     T: float,
     rel_tol: float = 1e-8,
@@ -410,7 +431,8 @@ def integrate_adaptive(
     drives the controller h <- h * clip(0.9 err^(-1/5), 0.2, 5).  Samples
     are produced on a uniform grid of spacing `sample_interval` (default
     T/1000) by cubic Hermite interpolation using the stage-1 derivatives at
-    both step ends, plus the exact endpoint T.
+    both step ends, plus the exact endpoint T.  `rhs` follows the contract
+    of `integrate_fixed`.
 
     A step shrinking below 1e-12 * T aborts the trajectory (stiffness or
     singularity signal); evaluation failures shrink the step first and only
@@ -424,16 +446,15 @@ def integrate_adaptive(
         sample_interval = T / 1000.0
     if not (0 < sample_interval <= T):
         raise ValueError("need 0 < sample_interval <= T")
-    y = np.asarray(y0, dtype=float).copy()
-    if y.ndim != 1 or y.size != len(layout):
-        raise ValueError(f"y0 must be a flat vector of length {len(layout)}")
+    y = _initial_state(y0, layout)
+    d = len(y)
 
     h_min = _UNDERFLOW_FRACTION * T
     h = first_step if first_step is not None else min(T / 100.0, 1.0)
     h = min(h, T)
 
     times = [0.0]
-    states = [y.copy()]
+    states = array("d", y)  # samples, row after row
     next_sample = sample_interval
     t = 0.0
     aborted = False
@@ -441,70 +462,71 @@ def integrate_adaptive(
     n_accept = n_reject = 0
     d_left = None  # derivative at the left end of the current step
 
-    while t < T and not aborted:
-        h = min(h, T - t)
-        if h < h_min:
-            aborted, reason = True, (
-                f"step underflow at t={t:.6g} (h={h:.3e} < {h_min:.3e})"
-            )
-            break
-        try:
-            with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        while t < T and not aborted:
+            h = min(h, T - t)
+            if h < h_min:
+                aborted, reason = True, (
+                    f"step underflow at t={t:.6g} (h={h:.3e} < {h_min:.3e})"
+                )
+                break
+            try:
                 if d_left is None:
                     d_left = rhs(t, y)
                 k = [d_left]
                 for i in range(1, 6):
-                    yi = y + h * (np.stack(k, axis=0).T @ _A[i])
+                    yi = tuple([a + h * b for a, b in zip(y, _weighted_sum(_A[i], k))])
                     k.append(rhs(t + _C[i] * h, yi))
-                kmat = np.stack(k, axis=0)
-                y_new = y + h * (kmat.T @ _B4)
-                err_vec = h * (kmat.T @ _ERR)
-        except _FIELD_ERRORS as exc:
-            h *= _SHRINK_MIN
-            n_reject += 1
-            if h < h_min:
-                aborted, reason = True, (
-                    f"field evaluation failed at t={t:.6g} with no recoverable step: {exc}"
-                )
-            continue
-        if not np.isfinite(y_new).all():
-            h *= _SHRINK_MIN
-            n_reject += 1
-            continue
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-        if not math.isfinite(err):
-            h *= _SHRINK_MIN
-            n_reject += 1
-            continue
-        if err <= 1.0:
-            t_new = t + h
-            try:
-                d_right = rhs(t_new, y_new)
+                y_new = tuple([a + h * b for a, b in zip(y, _weighted_sum(_B4, k))])
+                err_vec = [h * b for b in _weighted_sum(_ERR, k)]
             except _FIELD_ERRORS as exc:
-                aborted, reason = True, (
-                    f"field evaluation failed at accepted state t={t_new:.6g}: {exc}"
-                )
-                break
-            # dense output over (t, t_new]
-            while next_sample <= t_new + 1e-14 * T and next_sample < T - 1e-14 * T:
-                theta = (next_sample - t) / h
-                ys = _hermite(theta, y, d_left, y_new, d_right, h)
-                if next_sample > times[-1]:
-                    times.append(next_sample)
-                    states.append(ys)
-                next_sample += sample_interval
-            y, t, d_left = y_new, t_new, d_right
-            n_accept += 1
-            if t >= T * (1.0 - 1e-14):
-                if T > times[-1]:
-                    times.append(T)
-                    states.append(y.copy())
-                break
-        else:
-            n_reject += 1
-        factor = _SAFETY * err ** (-0.2) if err > 0 else _GROW_MAX
-        h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
+                h *= _SHRINK_MIN
+                n_reject += 1
+                if h < h_min:
+                    aborted, reason = True, (
+                        f"field evaluation failed at t={t:.6g} with no recoverable step: {exc}"
+                    )
+                continue
+            if not all(map(math.isfinite, y_new)):
+                h *= _SHRINK_MIN
+                n_reject += 1
+                continue
+            sq = 0.0
+            for e, a, b in zip(err_vec, y, y_new):
+                r = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+                sq += r * r
+            err = math.sqrt(sq / d)
+            if not math.isfinite(err):
+                h *= _SHRINK_MIN
+                n_reject += 1
+                continue
+            if err <= 1.0:
+                t_new = t + h
+                try:
+                    d_right = rhs(t_new, y_new)
+                except _FIELD_ERRORS as exc:
+                    aborted, reason = True, (
+                        f"field evaluation failed at accepted state t={t_new:.6g}: {exc}"
+                    )
+                    break
+                # dense output over (t, t_new]
+                while next_sample <= t_new + 1e-14 * T and next_sample < T - 1e-14 * T:
+                    if next_sample > times[-1]:
+                        times.append(next_sample)
+                        states.extend(_hermite((next_sample - t) / h,
+                                               y, d_left, y_new, d_right, h))
+                    next_sample += sample_interval
+                y, t, d_left = y_new, t_new, d_right
+                n_accept += 1
+                if t >= T * (1.0 - 1e-14):
+                    if T > times[-1]:
+                        times.append(T)
+                        states.extend(y)
+                    break
+            else:
+                n_reject += 1
+            factor = _SAFETY * err ** (-0.2) if err > 0 else _GROW_MAX
+            h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
 
     info = dict(meta or {})
     info.setdefault("integrator", "rkf45")
@@ -518,7 +540,7 @@ def integrate_adaptive(
     )
     return Trajectory(
         times=np.array(times),
-        states=np.array(states),
+        states=np.frombuffer(states).reshape(-1, len(layout)),
         layout=tuple(layout),
         meta=info,
         aborted=aborted,
@@ -725,6 +747,28 @@ def langevin_ensemble(
 # ---------------------------------------------------------------------------
 # CSV export
 
+_CSV_BLOCK_ROWS = 8192
+
+
+def write_csv(path_or_file, names: Sequence[str], rows: np.ndarray) -> None:
+    """Write a header of `names` and one line per row, every number as %.17g.
+
+    17 significant digits round-trip every double, so the file reproduces
+    `rows` exactly.  `path_or_file` is a path or an open text stream.  Rows
+    are formatted and written in blocks, so memory stays flat in the row
+    count.
+    """
+    template = ",".join(["%.17g"] * len(names))
+    if hasattr(path_or_file, "write"):
+        target = nullcontext(path_or_file)
+    else:
+        target = open(path_or_file, "w", encoding="utf-8", newline="\n")
+    with target as out:
+        out.write(",".join(names) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
+            out.write("\n".join([template % tuple(row) for row in block]) + "\n")
+
 
 def write_trajectory_csv(traj: Trajectory, path, observables: dict | None = None) -> None:
     """Write `t,<components>,<observables>` rows with 17 significant digits.
@@ -737,16 +781,6 @@ def write_trajectory_csv(traj: Trajectory, path, observables: dict | None = None
         if len(vals) != traj.n_samples:
             raise ValueError(f"observable '{name}' has {len(vals)} values, "
                              f"expected {traj.n_samples}")
-    header = ",".join(["t", *traj.layout, *obs.keys()])
-    lines = [header]
-    for i in range(traj.n_samples):
-        fields = [f"{traj.times[i]:.17g}"]
-        fields += [f"{v:.17g}" for v in traj.states[i]]
-        fields += [f"{float(vals[i]):.17g}" for vals in obs.values()]
-        lines.append(",".join(fields))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    rows = np.column_stack([traj.times, traj.states,
+                            *(np.asarray(vals, dtype=float) for vals in obs.values())])
+    write_csv(path, ["t", *traj.layout, *obs.keys()], rows)

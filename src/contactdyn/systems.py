@@ -157,16 +157,19 @@ class VirialTermBinding:
 class Chart:
     """One runnable picture of a system.
 
-    rhs is None for stochastic charts (their stepper is dedicated); terms,
-    G and rate are everything a report needs: G evaluates the virial
-    observable along samples, rate evaluates its pointwise flow derivative
-    X(G), and sum(sign*term) == rate_scale * X(G) holds identically.
+    rhs(t, y) is the closed-form field the steppers advance: it takes the
+    state as a tuple of floats in `layout` order and returns the
+    derivatives as a tuple of floats.  Stochastic charts have no rhs (None;
+    their stepper is dedicated).  terms, G and rate are everything a report
+    needs: G evaluates the virial observable along samples, rate evaluates
+    its pointwise flow derivative X(G), and sum(sign*term) == rate_scale *
+    X(G) holds identically.
     """
 
     kind: str
     layout: tuple
     x0: np.ndarray
-    rhs: Callable[[float, np.ndarray], np.ndarray] | None
+    rhs: Callable[[float, tuple], tuple] | None
     terms: tuple
     G: Callable[[Trajectory], np.ndarray] | None
     rate: Callable[[Trajectory], np.ndarray] | None
@@ -263,19 +266,19 @@ def _build_damped(params):
 
     def rhs_h(t, y):
         s, q, p = y
-        return np.array([
+        return (
             p * p / (2 * m) - mw2 * q * q / 2 - gamma * s,
             p / m,
             -(mw2 * q + gamma * p),
-        ])
+        )
 
     def rhs_l(t, y):
         q, qdot, s = y
-        return np.array([
+        return (
             qdot,
             -(omega * omega * q + gamma * qdot),
             m * qdot * qdot / 2 - mw2 * q * q / 2 - gamma * s,
-        ])
+        )
 
     def col(traj, name):
         return traj.column(name)
@@ -366,22 +369,23 @@ def _build_parachute(params):
     def rhs_h(t, y):
         s, q, p = y
         u = (p - 2 * lam * s) / m
-        pot = (m * g / (2 * lam)) * (np.exp(2 * lam * q) - 1.0)
-        return np.array([
+        e = math.exp(2 * lam * q)
+        pot = (m * g / (2 * lam)) * (e - 1.0)
+        return (
             p * u - (m * u * u / 2 + pot),
             u,
-            -m * g * np.exp(2 * lam * q) + 2 * lam * p * u,
-        ])
+            -m * g * e + 2 * lam * p * u,
+        )
 
     def rhs_l(t, y):
         q, qdot, s = y
-        return np.array([
+        return (
             qdot,
             lam * qdot * qdot - g,
             m * qdot * qdot / 2
-            - (m * g / (2 * lam)) * (np.exp(2 * lam * q) - 1.0)
+            - (m * g / (2 * lam)) * (math.exp(2 * lam * q) - 1.0)
             + 2 * lam * qdot * s,
-        ])
+        )
 
     def u_of(tr):
         return (tr.column("p[0]") - 2 * lam * tr.column("s")) / m
@@ -463,13 +467,13 @@ def _build_forced(params):
 
     def rhs(t, y):
         tt, s, q, p = y
-        drive = F0 * np.cos(W * tt)
-        return np.array([
+        drive = F0 * math.cos(W * tt)
+        return (
             1.0,
             p * p / (2 * m) - mw2 * q * q / 2 - gamma * s + q * drive,
             p / m,
             -(mw2 * q - drive) - gamma * p,
-        ])
+        )
 
     def drive_term(tr):
         q, p = tr.column("q[0]"), tr.column("p[0]")
@@ -572,20 +576,20 @@ def _build_gierer_meinhardt(params):
         z, x, yv = y
         if not (B + yv > 0):
             raise DomainError(f"state y={yv:g} violates B + y > 0 (B={B:g})")
-        return np.array([
-            A * (yv / (B + yv) - np.log(B + yv)) + D * x * x / 2 - (C + K) * z,
+        return (
+            A * (yv / (B + yv) - math.log(B + yv)) + D * x * x / 2 - (C + K) * z,
             A / (B + yv) - C * x,
             D * x - K * yv,
-        ])
+        )
 
     def rhs_planar(t, y):
         x, yv = y
         if not (B + yv > 0):
             raise DomainError(f"state y={yv:g} violates B + y > 0 (B={B:g})")
-        return np.array([
+        return (
             A / (B + yv) - C * x,
             D * x - K * yv,
-        ])
+        )
 
     def terms_for(xcol, ycol):
         return (
@@ -688,7 +692,7 @@ def conformal_projection_check(spec: SystemSpec, point) -> PlanarProjection:
     A, B, C, D, K = (spec.params[k] for k in ("A", "B", "C", "D", "K"))
     if not (B + yv > 0):
         raise DomainError(f"point y={yv:g} violates B + y > 0 (B={B:g})")
-    planar = spec.chart("planar").rhs(0.0, np.array([x, yv]))
+    planar = np.asarray(spec.chart("planar").rhs(0.0, (x, yv)))
     v = contact_vector_field(spec.hamiltonian, DarbouxPoint(s=z, q=[x], p=[yv]))
     projected = np.array([v.dq[0], v.dp[0]])
     z_rate = float(v.ds)

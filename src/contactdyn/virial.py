@@ -38,7 +38,7 @@ from .herglotz import (
     apply_lagrangian_field,
     check_lagrangian_partials,
 )
-from .integrate import Trajectory, langevin_ensemble, trapezoid_average
+from .integrate import Trajectory, langevin_ensemble, trapezoid_average, write_csv
 from .systems import SystemSpec
 
 __all__ = [
@@ -665,12 +665,5 @@ def write_running_averages(
     columns.append(("theorem_residual", signed_sum))
     columns.append(("boundary", (g_vals[after] - g0) / (t_w[1:] - t0)))
 
-    header = ",".join(name for name, _ in columns)
-    rows = np.column_stack([vals for _, vals in columns])
-    body = "\n".join(",".join(format(v, ".17g") for v in row) for row in rows)
-    text = header + "\n" + body + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    write_csv(path_or_file, [name for name, _ in columns],
+              np.column_stack([vals for _, vals in columns]))

@@ -8,6 +8,10 @@ import pytest
 
 from contactdyn.core import contact_vector_field
 from contactdyn.integrate import (
+    _A,
+    _B4,
+    _C,
+    _ERR,
     AverageAccumulator,
     NoiseSpec,
     Trajectory,
@@ -19,6 +23,7 @@ from contactdyn.integrate import (
     trapezoid_average,
     write_trajectory_csv,
 )
+from contactdyn.systems import make_system
 
 from conftest import damped_oscillator_h, parachute_h
 
@@ -154,6 +159,103 @@ class TestAdaptive:
         rhs = contact_rhs(damped_oscillator_h())
         with pytest.raises(ValueError):
             integrate_adaptive(rhs, [0.0, 1.0, 0.0], T=1.0, rel_tol=0.0, layout=LAYOUT_SQP)
+
+
+def reference_rk4(rhs, y0, n_steps, dt):
+    """RK4 on numpy arrays, the array formula integrate_fixed reproduces on floats."""
+    def f(t, y):
+        return np.asarray(rhs(t, y), dtype=float)
+
+    y, t, states = np.asarray(y0, dtype=float), 0.0, [np.asarray(y0, dtype=float)]
+    for k in range(n_steps):
+        h = dt
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t + h, y + h * k3)
+        y, t = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (k + 1) * dt
+        states.append(y)
+    return np.array(states)
+
+
+def reference_rkf45(rhs, y0, T, rel_tol, abs_tol, sample_interval):
+    """RKF45 with Hermite dense output on numpy arrays, stage sums as matrix products."""
+    def f(t, y):
+        return np.asarray(rhs(t, y), dtype=float)
+
+    y, t, h = np.asarray(y0, dtype=float), 0.0, min(T / 100.0, 1.0)
+    states, next_sample, n_acc, n_rej = [y], sample_interval, 0, 0
+    d_left = f(t, y)
+    while t < T:
+        h = min(h, T - t)
+        k = [d_left]
+        for i in range(1, 6):
+            k.append(f(t + _C[i] * h, y + h * (np.stack(k).T @ np.array(_A[i]))))
+        kmat = np.stack(k)
+        y_new = y + h * (kmat.T @ np.array(_B4))
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean((h * (kmat.T @ np.array(_ERR)) / scale) ** 2)))
+        if err <= 1.0:
+            d_right = f(t + h, y_new)
+            while next_sample <= t + h + 1e-14 * T and next_sample < T - 1e-14 * T:
+                th = (next_sample - t) / h
+                t2, t3 = th * th, th * th * th
+                states.append((2 * t3 - 3 * t2 + 1) * y + (t3 - 2 * t2 + th) * h * d_left
+                              + (-2 * t3 + 3 * t2) * y_new + (t3 - t2) * h * d_right)
+                next_sample += sample_interval
+            y, t, d_left, n_acc = y_new, t + h, d_right, n_acc + 1
+            if t >= T * (1.0 - 1e-14):
+                states.append(y)
+                break
+        else:
+            n_rej += 1
+        h *= min(5.0, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 5.0))
+    return np.array(states), n_acc, n_rej
+
+
+class TestFloatStepping:
+    """The float loops against numpy-array references, and their abort paths."""
+
+    @pytest.mark.parametrize("system, chart", [("forced_oscillator", "extended"),
+                                               ("damped_oscillator", "hamiltonian")])
+    def test_rk4_bit_identical_to_array_formula(self, system, chart):
+        c = make_system(system).chart(chart)
+        traj = integrate_fixed(c.rhs, c.x0, T=2.0, dt=1e-3, layout=c.layout,
+                               sample_every=1)
+        ref = reference_rk4(c.rhs, c.x0, 2000, 1e-3)
+        assert traj.n_samples == 2001
+        assert np.array_equal(traj.states, ref)
+
+    def test_rkf45_matches_array_formula(self):
+        c = make_system("damped_oscillator").chart("lagrangian")
+        traj = integrate_adaptive(c.rhs, c.x0, 50.0, 1e-8, 1e-10, layout=c.layout,
+                                  sample_interval=1e-2)
+        ref, n_acc, n_rej = reference_rkf45(c.rhs, c.x0, 50.0, 1e-8, 1e-10, 1e-2)
+        assert (traj.meta["n_accepted"], traj.meta["n_rejected"]) == (n_acc, n_rej)
+        assert n_rej > 0
+        assert traj.states.shape == ref.shape
+        np.testing.assert_allclose(traj.states, ref, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("blowup", [lambda q: math.exp(1000.0 + q),
+                                        lambda q: 1.0 / (q - q)],
+                             ids=["overflow", "zero-division"])
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
+    def test_float_errors_abort_with_valid_prefix(self, blowup, adaptive):
+        # q' = 1 until q reaches 0.5, where float arithmetic raises instead of
+        # returning inf
+        def rhs(t, y):
+            return (1.0 if y[0] < 0.5 else blowup(y[0]),)
+
+        if adaptive:
+            traj = integrate_adaptive(rhs, [0.0], T=2.0, layout=("q",),
+                                      sample_interval=0.01)
+        else:
+            traj = integrate_fixed(rhs, [0.0], T=2.0, dt=1e-3, layout=("q",))
+        assert traj.aborted
+        assert "failed" in traj.abort_reason
+        assert traj.n_samples >= 2
+        assert traj.times[-1] < 0.5 + 1e-9
+        np.testing.assert_allclose(traj.states[:, 0], traj.times, atol=1e-12)
 
 
 class TestVolumeContraction:

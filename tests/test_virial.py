@@ -346,6 +346,7 @@ def test_three_particle_damped_balance():
         return mw2 * q + eps * q * np.dot(q, q)
 
     def rhs(t, y):
+        y = np.asarray(y)
         q, p = y[1:4], y[4:7]
         V = mw2 * np.dot(q, q) / 2 + eps * np.dot(q, q) ** 2 / 4
         return np.concatenate((
