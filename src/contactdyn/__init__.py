@@ -58,7 +58,6 @@ from .herglotz import (
     regularity_estimate,
 )
 from .integrate import (
-    AverageAccumulator,
     LangevinEnsembleStats,
     NoiseSpec,
     Trajectory,
@@ -66,7 +65,6 @@ from .integrate import (
     integrate_adaptive,
     integrate_fixed,
     langevin_ensemble,
-    time_average,
     trapezoid_average,
     write_trajectory_csv,
 )

@@ -28,11 +28,10 @@ from pathlib import Path
 
 import yaml
 
-from .core import DarbouxPoint, check_partials
+from .core import DarbouxPoint, NonFiniteError, check_partials
 from .extended import ExtendedPoint, check_partials_extended
 from .herglotz import LagrangianPoint, check_lagrangian_partials
 from .integrate import (
-    NoiseSpec,
     euler_maruyama_langevin,
     integrate_adaptive,
     integrate_fixed,
@@ -40,6 +39,7 @@ from .integrate import (
 )
 from .systems import ParameterError, SYSTEM_NAMES, UnknownSystemError, catalog_schema, make_system
 from .virial import (
+    _fmt,
     ensemble_report,
     report_text,
     virial_report,
@@ -190,12 +190,6 @@ def build_config(args) -> ExperimentConfig:
 # shared pipeline pieces
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def _make_spec(cfg: ExperimentConfig):
     try:
         return make_system(cfg.system, **cfg.params)
@@ -228,19 +222,20 @@ def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
     )
 
 
+def _noise(cfg: ExperimentConfig, spec):
+    """The system's noise, reseeded when the config sets a seed."""
+    return spec.noise if cfg.seed is None else replace(spec.noise, seed=cfg.seed)
+
+
 def _simulate_stochastic(cfg: ExperimentConfig, spec, chart):
-    noise = spec.noise
-    if cfg.seed is not None:
-        noise = NoiseSpec(m=noise.m, gamma=noise.gamma, k_BT=noise.k_BT,
-                          seed=cfg.seed)
+    noise = _noise(cfg, spec)
     x0 = chart.x0
     meta = {"system": spec.name, "chart": spec.default_chart,
             "integrator": "euler-maruyama", "dt": cfg.dt, "seed": noise.seed}
-    traj = euler_maruyama_langevin(
+    return euler_maruyama_langevin(
         spec.params["omega"], noise, (x0[1], x0[2], x0[3]), cfg.T, cfg.dt,
         sample_every=cfg.sample_every, meta=meta,
     )
-    return traj, noise
 
 
 def _preamble(cfg: ExperimentConfig, command: str, seed=None) -> list[str]:
@@ -267,6 +262,15 @@ def _write_report_file(path: Path, report, preamble: list[str]) -> None:
         fh.write(report_text(report))
 
 
+def _abort(outdir: Path, what: str, reason: str, at: str = "") -> int:
+    """Leave abort.txt next to the run's artifacts and return EXIT_ABORT."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    note = outdir / "abort.txt"
+    note.write_text(f"aborted{at}: {reason}\n", encoding="utf-8")
+    print(f"{what} aborted: {reason} (see {note})", file=sys.stderr)
+    return EXIT_ABORT
+
+
 def _identity_gate(report, tol: float) -> int:
     residual = abs(report.residual_exact)
     if residual > tol:
@@ -285,26 +289,20 @@ def _run_and_report(cfg: ExperimentConfig, command: str, write_trajectory: bool)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if chart.rhs is None:  # stochastic chart: dedicated stepper, no pathwise rate
-        traj, noise = _simulate_stochastic(cfg, spec, chart)
-        write_trajectory_csv(traj, outdir / "trajectory.csv")
-        print(f"wrote {outdir / 'trajectory.csv'} ({traj.n_samples} samples)")
-        print("stochastic system: use `ensemble` for the averaged-rate report")
-        return EXIT_OK
-
-    traj = _integrate(cfg, spec, chart_name, chart)
-    if write_trajectory or traj.aborted:
+    stochastic = chart.rhs is None  # dedicated stepper, no pathwise rate
+    if stochastic:
+        traj = _simulate_stochastic(cfg, spec, chart)
+    else:
+        traj = _integrate(cfg, spec, chart_name, chart)
+    if write_trajectory or stochastic or traj.aborted:
         write_trajectory_csv(traj, outdir / "trajectory.csv")
         print(f"wrote {outdir / 'trajectory.csv'} ({traj.n_samples} samples)")
     if traj.aborted:
-        note = outdir / "abort.txt"
-        note.write_text(
-            f"aborted at t = {_fmt(float(traj.times[-1]))}: {traj.abort_reason}\n",
-            encoding="utf-8",
-        )
-        print(f"integration aborted: {traj.abort_reason} (see {note})",
-              file=sys.stderr)
-        return EXIT_ABORT
+        return _abort(outdir, "integration", traj.abort_reason,
+                      f" at t = {_fmt(float(traj.times[-1]))}")
+    if stochastic:
+        print("stochastic system: use `ensemble` for the averaged-rate report")
+        return EXIT_OK
 
     report = virial_report(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
     _write_report_file(outdir / "report.txt", report,
@@ -351,16 +349,15 @@ def cmd_ensemble(args) -> int:
         raise ConfigError(
             f"'{spec.name}' is deterministic; `ensemble` needs a stochastic system"
         )
-    noise = spec.noise
-    if cfg.seed is not None:
-        noise = NoiseSpec(m=noise.m, gamma=noise.gamma, k_BT=noise.k_BT,
-                          seed=cfg.seed)
+    noise = _noise(cfg, spec)
+    outdir = Path(cfg.out)
     try:
         report = ensemble_report(spec, cfg.n_traj, cfg.T, cfg.dt, noise=noise,
                                  residual_tol=cfg.identity_tol)
+    except NonFiniteError as exc:
+        return _abort(outdir, "ensemble", str(exc))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_report_file(outdir / "report.txt", report,
                        _preamble(cfg, "ensemble", seed=noise.seed))

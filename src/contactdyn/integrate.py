@@ -32,14 +32,12 @@ from .core import NonFiniteError, DomainError
 __all__ = [
     "Trajectory",
     "NoiseSpec",
-    "AverageAccumulator",
     "LangevinEnsembleStats",
     "integrate_fixed",
     "integrate_adaptive",
     "euler_maruyama_langevin",
     "langevin_ensemble",
     "trapezoid_average",
-    "time_average",
     "write_trajectory_csv",
 ]
 
@@ -153,88 +151,6 @@ class NoiseSpec:
         return math.sqrt(2.0 * self.m * self.gamma * self.k_BT)
 
 
-def _neumaier(total: float, comp: float, x: float) -> tuple[float, float]:
-    t = total + x
-    if abs(total) >= abs(x):
-        comp += (total - t) + x
-    else:
-        comp += (x - t) + total
-    return t, comp
-
-
-class AverageAccumulator:
-    """Streaming trapezoidal time average with compensated summation.
-
-    Feed (t, value) samples in increasing t; `average` is the running
-    integral divided by the elapsed window.  Accumulators over adjacent
-    windows merge associatively: the merge inserts the connecting trapezoid
-    between the left window's last sample and the right window's first.
-    """
-
-    __slots__ = ("_sum", "_comp", "t_first", "v_first", "t_last", "v_last", "count")
-
-    def __init__(self):
-        self._sum = 0.0
-        self._comp = 0.0
-        self.t_first = None
-        self.v_first = None
-        self.t_last = None
-        self.v_last = None
-        self.count = 0
-
-    def add(self, t: float, value: float) -> None:
-        t, value = float(t), float(value)
-        if self.count == 0:
-            self.t_first, self.v_first = t, value
-        else:
-            dt = t - self.t_last
-            if dt <= 0:
-                raise ValueError("samples must arrive in strictly increasing time")
-            self._sum, self._comp = _neumaier(
-                self._sum, self._comp, dt * 0.5 * (value + self.v_last)
-            )
-        self.t_last, self.v_last = t, value
-        self.count += 1
-
-    @property
-    def elapsed(self) -> float:
-        return 0.0 if self.count == 0 else self.t_last - self.t_first
-
-    @property
-    def integral(self) -> float:
-        return self._sum + self._comp
-
-    @property
-    def average(self) -> float:
-        if self.count == 0:
-            raise ValueError("no samples accumulated")
-        if self.elapsed == 0.0:
-            return self.v_last
-        return self.integral / self.elapsed
-
-    def merge(self, other: "AverageAccumulator") -> "AverageAccumulator":
-        """Combine with an accumulator over the adjacent later window."""
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            return other
-        if other.t_first < self.t_last:
-            raise ValueError("windows overlap; merge expects adjacent windows")
-        out = AverageAccumulator()
-        out.t_first, out.v_first = self.t_first, self.v_first
-        out.t_last, out.v_last = other.t_last, other.v_last
-        out.count = self.count + other.count
-        total, comp = _neumaier(self._sum, self._comp, other._sum)
-        total, comp = _neumaier(total, comp, other._comp)
-        gap = other.t_first - self.t_last
-        if gap > 0:
-            total, comp = _neumaier(
-                total, comp, gap * 0.5 * (self.v_last + other.v_first)
-            )
-        out._sum, out._comp = total, comp
-        return out
-
-
 def trapezoid_average(times: np.ndarray, values: np.ndarray, t0: float = 0.0) -> float:
     """Trapezoidal time average of sampled values over [max(t0, start), end].
 
@@ -263,24 +179,6 @@ def trapezoid_average(times: np.ndarray, values: np.ndarray, t0: float = 0.0) ->
     dts = np.diff(times)
     contributions = dts * 0.5 * (values[1:] + values[:-1])
     return math.fsum(contributions.tolist()) / (times[-1] - times[0])
-
-
-def time_average(traj: Trajectory, f, t0: float = 0.0, allow_aborted: bool = False) -> float:
-    """Trapezoidal time average of an observable along a trajectory.
-
-    ``f`` is either an ndarray of per-sample values or a callable
-    ``f(t, state_row) -> float`` applied to every sample.  Aborted
-    trajectories are rejected unless `allow_aborted` is set.
-    """
-    if traj.aborted and not allow_aborted:
-        raise ValueError(f"trajectory aborted ({traj.abort_reason}); average skipped")
-    if callable(f):
-        values = np.array(
-            [f(t, row) for t, row in zip(traj.times, traj.states)], dtype=float
-        )
-    else:
-        values = np.asarray(f, dtype=float)
-    return trapezoid_average(traj.times, values, t0=t0)
 
 
 # ---------------------------------------------------------------------------
@@ -706,20 +604,28 @@ def euler_maruyama_langevin(
 
     The trajectory's meta carries `stats`, the realized horizon averages
     including the Ito noise-virial integral (1/T)∫ q dW, which downstream
-    reports need and cannot rebuild from samples.
+    reports need and cannot rebuild from samples.  A run that diverges is
+    truncated at its last finite sample and returned with ``aborted=True``,
+    as `integrate_fixed` does.
     """
     stats, recorded = _langevin_core(
         omega, noise, x0, T, dt, n_traj=1, sample_every=sample_every
     )
     times, rows = recorded
+    finite = np.isfinite(rows).all(axis=1)
+    aborted = not finite.all()
+    n_finite = int(finite.argmin()) if aborted else len(rows)
+    reason = f"non-finite state at t={times[n_finite]:.6g}" if aborted else ""
     info = dict(meta or {})
     info.setdefault("integrator", "euler-maruyama")
     info.update(dt=dt, T=T, seed=noise.seed, sample_every=sample_every, stats=stats)
     return Trajectory(
-        times=times,
-        states=rows,
+        times=times[:n_finite],
+        states=rows[:n_finite],
         layout=("t", "s", "q[0]", "p[0]"),
         meta=info,
+        aborted=aborted,
+        abort_reason=reason,
     )
 
 

@@ -5,8 +5,8 @@ chart Lagrangian, extended time-dependent Hamiltonian — whichever apply),
 fast closed-form right-hand sides per chart, default initial states, and
 the signed term decomposition its averaged-rate report uses.  Analytic
 partials are run through the finite-difference oracle once at construction
-at the default state, so a catalog system cannot be built with a wrong
-gradient.
+at the default state, and the terms are checked against the flow rate of
+G, so a catalog system cannot be built with a wrong gradient or term.
 
 Charts and layouts
 ------------------
@@ -20,7 +20,8 @@ Term decompositions satisfy  sum_i sign_i * term_i(state) ==
 rate_scale * X(G)(state)  pointwise, where G is the chart's virial
 observable; the scale matches how each balance is conventionally written
 (energies carry 1/2, the quadratic-drag form is unscaled, the
-activator-inhibitor form is divided by A).
+activator-inhibitor form is divided by A).  Reports take the signed term
+sum over rate_scale as the rate of G.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import (
     DomainError,
     ScalarField,
     check_partials,
+    compare_derivative,
     contact_vector_field,
 )
 from .extended import (
@@ -160,10 +162,11 @@ class Chart:
     rhs(t, y) is the closed-form field the steppers advance: it takes the
     state as a tuple of floats in `layout` order and returns the
     derivatives as a tuple of floats.  Stochastic charts have no rhs (None;
-    their stepper is dedicated).  terms, G and rate are everything a report
-    needs: G evaluates the virial observable along samples, rate evaluates
-    its pointwise flow derivative X(G), and sum(sign*term) == rate_scale *
-    X(G) holds identically.
+    their stepper is dedicated).  terms, G and rate_scale are everything a
+    report needs: G evaluates the virial observable along samples, and
+    sum(sign*term) == rate_scale * X(G) holds identically, so the signed
+    term sum over rate_scale is the flow rate X(G).  make_system checks
+    that identity for every chart with an rhs.
     """
 
     kind: str
@@ -172,7 +175,6 @@ class Chart:
     rhs: Callable[[float, tuple], tuple] | None
     terms: tuple
     G: Callable[[Trajectory], np.ndarray] | None
-    rate: Callable[[Trajectory], np.ndarray] | None
     rate_scale: float = 1.0
 
     def __post_init__(self):
@@ -233,6 +235,32 @@ def _oracle_or_raise(report, what: str) -> None:
         bad = ", ".join(c.label for c in report.failures())
         raise ParameterError(
             f"analytic partials of {what} failed the finite-difference oracle ({bad})"
+        )
+
+
+def _check_term_sum(system: str, chart_name: str, chart: Chart) -> None:
+    """Check sum(sign * term) == rate_scale * dG/dt at one probe state.
+
+    The probe is x0 plus small positive offsets: generic (at x0, p = 0 and
+    the kinetic and friction terms vanish) and inside the chart's domain
+    wherever x0 is.  dG/dt is the central difference of G along the chart's
+    rhs, exact up to rounding for the bilinear G of every catalog chart.
+    """
+    x = chart.x0 + 0.05 * np.arange(1, chart.x0.size + 1)
+    where = f"terms of '{system}' chart '{chart_name}' at the probe state {x.tolist()}"
+    try:
+        f = np.asarray(chart.rhs(0.0, tuple(x.tolist())), dtype=float)
+        eps = 1e-3 / max(1.0, float(np.max(np.abs(f))))
+        probe = Trajectory(times=[-eps, 0.0, eps],
+                           states=[x - eps * f, x, x + eps * f], layout=chart.layout)
+        g = chart.G(probe)
+        term_sum = math.fsum(float(b.sign * b.values(probe)[1]) for b in chart.terms)
+    except (ArithmeticError, ValueError) as exc:
+        raise ParameterError(f"{where} cannot be evaluated: {exc}") from exc
+    scaled_rate = chart.rate_scale * (g[2] - g[0]) / (2 * eps)
+    if not compare_derivative(term_sum, scaled_rate)[1]:
+        raise ParameterError(
+            f"{where} sum to {term_sum!r}, not rate_scale * dG/dt = {scaled_rate!r}"
         )
 
 
@@ -297,9 +325,6 @@ def _build_damped(params):
                               lambda tr: gamma * col(tr, "q[0]") * col(tr, "p[0]") / 2),
         ),
         G=lambda tr: col(tr, "q[0]") * col(tr, "p[0]"),
-        rate=lambda tr: (col(tr, "p[0]") ** 2 / m
-                         - mw2 * col(tr, "q[0]") ** 2
-                         - gamma * col(tr, "q[0]") * col(tr, "p[0]")),
         rate_scale=0.5,
     )
     chart_l = Chart(
@@ -316,9 +341,6 @@ def _build_damped(params):
                               lambda tr: m * gamma * col(tr, "q[0]") * col(tr, "qdot[0]") / 2),
         ),
         G=lambda tr: m * col(tr, "qdot[0]") * col(tr, "q[0]"),
-        rate=lambda tr: (m * col(tr, "qdot[0]") ** 2
-                         - mw2 * col(tr, "q[0]") ** 2
-                         - m * gamma * col(tr, "q[0]") * col(tr, "qdot[0]")),
         rate_scale=0.5,
     )
     _oracle_or_raise(check_partials(h, DarbouxPoint(0.0, [1.0], [0.0])), h.name)
@@ -406,10 +428,6 @@ def _build_parachute(params):
                               * tr.column("p[0]") * u_of(tr)),
         ),
         G=lambda tr: tr.column("q[0]") * tr.column("p[0]"),
-        rate=lambda tr: (tr.column("p[0]") * u_of(tr)
-                         - m * g * tr.column("q[0]")
-                         * np.exp(2 * lam * tr.column("q[0]"))
-                         + 2 * lam * tr.column("q[0]") * tr.column("p[0]") * u_of(tr)),
         rate_scale=1.0,
     )
     chart_l = Chart(
@@ -427,9 +445,6 @@ def _build_parachute(params):
                               * tr.column("qdot[0]") ** 2 / 2),
         ),
         G=lambda tr: m * tr.column("qdot[0]") * tr.column("q[0]"),
-        rate=lambda tr: (m * tr.column("qdot[0]") ** 2
-                         + m * tr.column("q[0]")
-                         * (lam * tr.column("qdot[0]") ** 2 - g)),
         rate_scale=0.5,
     )
     _oracle_or_raise(check_partials(h, DarbouxPoint(0.0, [0.0], [0.0])), h.name)
@@ -492,11 +507,6 @@ def _build_forced(params):
             VirialTermBinding("drive_friction", +1, drive_term),
         ),
         G=lambda tr: tr.column("q[0]") * tr.column("p[0]"),
-        rate=lambda tr: (tr.column("p[0]") ** 2 / m
-                         - mw2 * tr.column("q[0]") ** 2
-                         + tr.column("q[0]")
-                         * (F0 * np.cos(W * tr.column("t"))
-                            - gamma * tr.column("p[0]"))),
         rate_scale=0.5,
     )
     _oracle_or_raise(
@@ -534,7 +544,6 @@ def _build_brownian(params):
             # function; reports assemble it from there
         ),
         G=lambda tr: tr.column("q[0]") * tr.column("p[0]"),
-        rate=None,
         rate_scale=0.5,
     )
     return SystemSpec(
@@ -605,10 +614,6 @@ def _build_gierer_meinhardt(params):
     def G_xy(tr):
         return tr.column("x") * tr.column("y")
 
-    def rate_xy(tr):
-        x, yv = tr.column("x"), tr.column("y")
-        return A * yv / (B + yv) + D * x**2 - (C + K) * x * yv
-
     chart_contact = Chart(
         kind="contact",
         layout=("z", "x", "y"),
@@ -616,7 +621,6 @@ def _build_gierer_meinhardt(params):
         rhs=rhs_contact,
         terms=terms_for("x", "y"),
         G=G_xy,
-        rate=rate_xy,
         rate_scale=1.0 / A,
     )
     chart_planar = Chart(
@@ -626,7 +630,6 @@ def _build_gierer_meinhardt(params):
         rhs=rhs_planar,
         terms=terms_for("x", "y"),
         G=G_xy,
-        rate=rate_xy,
         rate_scale=1.0 / A,
     )
     _oracle_or_raise(check_partials(h, DarbouxPoint(0.0, [0.2], [0.2])), h.name)
@@ -658,7 +661,11 @@ def make_system(name: str, **params) -> SystemSpec:
     returned spec is immutable and safe to share.
     """
     values = _validate_params(name, params)
-    return _BUILDERS[name](values)
+    spec = _BUILDERS[name](values)
+    for chart_name, chart in spec.charts.items():
+        if chart.rhs is not None:
+            _check_term_sum(name, chart_name, chart)
+    return spec
 
 
 # ---------------------------------------------------------------------------

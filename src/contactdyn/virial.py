@@ -9,10 +9,12 @@ exactly — that identity holds for every run and is reported as
 hypothesis failure instead of misreporting the residual as numerical
 error.
 
-Reports come in two flavors: deterministic (one trajectory, exact rate
-along samples) and ensemble (Langevin statistics with standard-error
-bars; the identity is asserted only in expectation because pathwise rates
-carry the unmodeled quadratic variation of the noise).
+Reports come in two flavors: deterministic (one trajectory) and ensemble
+(Langevin statistics with standard-error bars; the identity is asserted
+only in expectation because pathwise rates carry the unmodeled quadratic
+variation of the noise).  Both take the averaged rate of the chart's G as
+the signed term sum over rate_scale, so ``residual_exact`` also checks the
+terms; a custom model G gets its rate from the system's models.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .core import (
     DarbouxPoint,
+    NonFiniteError,
     ScalarField,
     apply_field_to_observable,
     check_partials,
@@ -303,14 +306,32 @@ def _term_entries(terms, traj):
     return entries
 
 
-def _resolve_chart(system: SystemSpec, traj: Trajectory):
-    for name, chart in system.charts.items():
-        if tuple(chart.layout) == tuple(traj.layout):
-            return name, chart
-    raise ValueError(
-        f"trajectory layout {tuple(traj.layout)} matches no chart of "
-        f"'{system.name}' (have {[tuple(c.layout) for c in system.charts.values()]})"
-    )
+def _window_inputs(system: SystemSpec, traj: Trajectory, terms, G, t0: float):
+    """The chart matching the trajectory's layout, term entries, G values.
+
+    `terms` and `G` default to the chart's own; t0 must lie in the span.
+    """
+    for chart_name, chart in system.charts.items():
+        if chart.layout == traj.layout:
+            break
+    else:
+        raise ValueError(
+            f"trajectory layout {traj.layout} matches no chart of "
+            f"'{system.name}' (have {[c.layout for c in system.charts.values()]})"
+        )
+    times = traj.times
+    if not (times[0] <= t0 < times[-1]):
+        raise ValueError(
+            f"t0={t0:g} must lie inside the recorded span [{times[0]:g}, {times[-1]:g})"
+        )
+    entries = _term_entries(chart.terms if terms is None else terms, traj)
+    if G is None:
+        if chart.G is None:
+            raise ValueError(f"chart '{chart_name}' binds no observable G")
+        g_vals = np.asarray(chart.G(traj), dtype=float)
+    else:
+        g_vals = _values_along(traj, G)
+    return chart_name, chart, entries, g_vals
 
 
 def _rate_for_custom_G(system: SystemSpec, traj: Trajectory, G) -> np.ndarray:
@@ -368,41 +389,26 @@ def virial_report(
 ) -> VirialReport:
     """Assemble the averaged-rate report of one deterministic trajectory.
 
-    Defaults to the term decomposition, observable, and rate bound to the
-    chart the trajectory was produced in (matched by layout).  Custom
-    `terms` (VirialTerm) and a custom model `G` are accepted; a custom G's
-    rate is evaluated through the system's attached models, keeping the
-    boundary identity exact.  `t0` starts the averaging window late to skip
+    Defaults to the term decomposition and observable bound to the chart
+    the trajectory was produced in (matched by layout); the chart's signed
+    term sum over rate_scale is the rate of its G.  Custom `terms`
+    (VirialTerm) and a custom model `G` are accepted; a custom G's rate is
+    evaluated through the system's attached models, keeping the boundary
+    identity exact.  `t0` starts the averaging window late to skip
     transients.
     """
     if traj.aborted:
         raise ValueError(
             f"trajectory aborted ({traj.abort_reason}); no report assembled"
         )
-    chart_name, chart = _resolve_chart(system, traj)
+    chart_name, chart, entries, g_vals = _window_inputs(system, traj, terms, G, t0)
+    if G is None and chart.rhs is None:
+        raise ValueError(
+            f"chart '{chart_name}' has no pathwise rate; use ensemble_report"
+        )
     times = traj.times
     t_end = float(times[-1])
-    if not (times[0] <= t0 < t_end):
-        raise ValueError(
-            f"t0={t0:g} must lie inside the recorded span [{times[0]:g}, {t_end:g})"
-        )
     window = t_end - t0
-
-    used_terms = chart.terms if terms is None else tuple(terms)
-    entries = _term_entries(used_terms, traj)
-
-    if G is None:
-        if chart.G is None:
-            raise ValueError(f"chart '{chart_name}' binds no observable G")
-        g_vals = np.asarray(chart.G(traj), dtype=float)
-        if chart.rate is None:
-            raise ValueError(
-                f"chart '{chart_name}' has no pathwise rate; use ensemble_report"
-            )
-        rate_vals = np.asarray(chart.rate(traj), dtype=float)
-    else:
-        g_vals = _values_along(traj, G)
-        rate_vals = _rate_for_custom_G(system, traj, G)
 
     term_avgs = tuple(
         float(trapezoid_average(times, vals, t0=t0)) for _, _, vals in entries
@@ -410,7 +416,14 @@ def virial_report(
     theorem_residual = math.fsum(
         sign * avg for (_, sign, _), avg in zip(entries, term_avgs)
     )
-    rate_avg = float(trapezoid_average(times, rate_vals, t0=t0))
+    if G is not None:
+        rate_avg = float(trapezoid_average(
+            times, _rate_for_custom_G(system, traj, G), t0=t0))
+    elif terms is None:
+        rate_avg = theorem_residual / chart.rate_scale
+    else:
+        rate_avg = math.fsum(b.sign * trapezoid_average(times, b.values(traj), t0=t0)
+                             for b in chart.terms) / chart.rate_scale
     g0 = float(np.interp(t0, times, g_vals))
     gT = float(g_vals[-1])
     boundary = (gT - g0) / window
@@ -464,7 +477,8 @@ def ensemble_report(
     can accumulate, so custom `terms`/`G` are rejected.  The boundary
     identity is exact only in expectation here: pathwise rates carry the
     quadratic variation of the noise, so tests gate residuals at 3 sigma
-    rather than at integrator tolerance.
+    rather than at integrator tolerance.  Diverged members are dropped;
+    NonFiniteError is raised when fewer than two remain.
     """
     if system.noise is None and noise is None:
         raise ValueError(
@@ -497,7 +511,7 @@ def ensemble_report(
               & np.isfinite(boundary_i))
     n_dropped = int(n_traj - finite.sum())
     if finite.sum() < 2:
-        raise ValueError(
+        raise NonFiniteError(
             f"{n_dropped} of {n_traj} trajectories diverged; no ensemble left"
         )
     ke, pe, drive, boundary_i = (a[finite] for a in (ke, pe, drive, boundary_i))
@@ -635,15 +649,8 @@ def write_running_averages(
     (signed sum), and the running boundary term (G(t) - G(t0)) / (t - t0).
     Rows start at the first sample past t0.
     """
-    chart_name, chart = _resolve_chart(system, traj)
-    used_terms = chart.terms if terms is None else tuple(terms)
-    entries = _term_entries(used_terms, traj)
-    g_vals = (np.asarray(chart.G(traj), dtype=float) if G is None
-              else _values_along(traj, G))
-
+    _, _, entries, g_vals = _window_inputs(system, traj, terms, G, t0)
     times = traj.times
-    if not (times[0] <= t0 < times[-1]):
-        raise ValueError("t0 must lie inside the recorded span")
     after = times > t0
     t_w = np.concatenate([[t0], times[after]])
     g0 = float(np.interp(t0, times, g_vals))

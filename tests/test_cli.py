@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from contactdyn.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
@@ -150,6 +151,19 @@ def test_simulate_brownian_trajectory_only(tmp_path, capsys):
     assert "ensemble" in capsys.readouterr().out
 
 
+def test_simulate_brownian_divergence_exits_3(tmp_path, capsys):
+    # omega * dt = 2 makes Euler-Maruyama unstable: the run overflows
+    out = tmp_path / "run"
+    code = run("simulate", "--system", "brownian_oscillator", "-p", "omega=2000",
+               "--T", "2", "--out", str(out))
+    assert code == EXIT_ABORT
+    assert "aborted at t" in (out / "abort.txt").read_text(encoding="utf-8")
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert 1 < len(rows) < 2001
+    assert np.isfinite(rows).all()
+    assert "aborted" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # virial
 
@@ -231,6 +245,16 @@ def test_ensemble_seed_changes_output(tmp_path):
 def test_ensemble_rejects_deterministic_system(tmp_path):
     assert run("ensemble", "--system", "parachute", "--n-traj", "8",
                "--T", "10", "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+def test_ensemble_all_diverged_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run("ensemble", "--system", "brownian_oscillator", "-p", "omega=2000",
+               "--n-traj", "4", "--T", "2", "--out", str(out))
+    assert code == EXIT_ABORT
+    assert "4 of 4 trajectories diverged" in (out / "abort.txt").read_text(encoding="utf-8")
+    assert not (out / "report.txt").exists()
+    assert "config error" not in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,12 @@ from contactdyn.integrate import (
     _B4,
     _C,
     _ERR,
-    AverageAccumulator,
     NoiseSpec,
     Trajectory,
     euler_maruyama_langevin,
     integrate_adaptive,
     integrate_fixed,
     langevin_ensemble,
-    time_average,
     trapezoid_average,
     write_trajectory_csv,
 )
@@ -352,59 +350,24 @@ class TestAveraging:
         times = np.linspace(0.0, 7.3, 1001)
         assert trapezoid_average(times, np.full(1001, 4.2)) == pytest.approx(4.2, rel=1e-14)
 
-    def test_accumulator_constant(self):
-        acc = AverageAccumulator()
-        for t in np.linspace(0.0, 3.0, 500):
-            acc.add(t, -2.5)
-        assert acc.average == pytest.approx(-2.5, rel=1e-14)
-
-    def test_accumulator_merge_matches_single_pass(self):
-        rng = np.random.default_rng(0)
-        times = np.sort(rng.uniform(0, 10, 400))
-        values = rng.normal(size=400)
-        whole = AverageAccumulator()
-        left, right = AverageAccumulator(), AverageAccumulator()
-        for t, v in zip(times, values):
-            whole.add(t, v)
-            (left if t < 5.0 else right).add(t, v)
-        merged = left.merge(right)
-        assert merged.average == pytest.approx(whole.average, rel=1e-13)
-        assert merged.count == whole.count
-
     def test_odd_function_over_period(self):
         rhs = contact_rhs(damped_oscillator_h(gamma=0.0))
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
                                layout=LAYOUT_SQP, sample_every=1)
-        assert time_average(traj, traj.states[:, 1]) == pytest.approx(0.0, abs=1e-8)
+        assert trapezoid_average(traj.times, traj.states[:, 1]) == pytest.approx(0.0, abs=1e-8)
 
     def test_quadratic_over_period(self):
         rhs = contact_rhs(damped_oscillator_h(gamma=0.0))
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
                                layout=LAYOUT_SQP, sample_every=1)
-        assert time_average(traj, traj.states[:, 1] ** 2) == pytest.approx(0.5, abs=1e-6)
+        assert trapezoid_average(traj.times, traj.states[:, 1] ** 2) == pytest.approx(
+            0.5, abs=1e-6)
 
     def test_window_start_interpolates(self):
         times = np.array([0.0, 1.0, 2.0, 3.0])
         values = np.array([0.0, 1.0, 2.0, 3.0])  # v = t
         # over [0.5, 3]: mean of t = 1.75
         assert trapezoid_average(times, values, t0=0.5) == pytest.approx(1.75, rel=1e-14)
-
-    def test_aborted_rejected_by_default(self):
-        def rhs(t, y):
-            return np.array([y[0] ** 2])
-
-        traj = integrate_fixed(rhs, [1.0], T=2.0, dt=1e-3, layout=("q",))
-        with pytest.raises(ValueError, match="aborted"):
-            time_average(traj, traj.states[:, 0])
-        # explicit override still works on the valid prefix
-        val = time_average(traj, traj.states[:, 0], allow_aborted=True)
-        assert math.isfinite(val)
-
-    def test_callable_observable(self):
-        times = np.array([0.0, 1.0, 2.0])
-        states = np.array([[1.0], [2.0], [3.0]])
-        traj = Trajectory(times=times, states=states, layout=("q",))
-        assert time_average(traj, lambda t, row: row[0]) == pytest.approx(2.0)
 
     def test_window_beyond_data_rejected(self):
         with pytest.raises(ValueError):

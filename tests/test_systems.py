@@ -13,6 +13,7 @@ from contactdyn.systems import (
     SYSTEM_NAMES,
     ParameterError,
     UnknownSystemError,
+    VirialTermBinding,
     catalog_schema,
     conformal_projection_check,
     make_system,
@@ -337,10 +338,6 @@ def test_parachute_acceleration_reduction():
 # term decompositions: sum(sign * term) == rate_scale * X(G) pointwise
 
 
-def _make_test_trajectory(chart, T=3.0, dt=1e-2):
-    return integrate_fixed(chart.rhs, chart.x0, T=T, dt=dt, layout=chart.layout)
-
-
 @pytest.mark.parametrize(
     "name, chart_name",
     [
@@ -353,13 +350,26 @@ def _make_test_trajectory(chart, T=3.0, dt=1e-2):
         ("gierer_meinhardt", "planar"),
     ],
 )
-def test_term_sum_equals_scaled_rate(name, chart_name):
-    spec = make_system(name)
-    chart = spec.chart(chart_name)
-    traj = _make_test_trajectory(chart)
-    lhs = sum(b.sign * b.values(traj) for b in chart.terms)
-    rhs = chart.rate_scale * chart.rate(traj)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+def test_term_sum_equals_scaled_rate(name, chart_name, monkeypatch):
+    # make_system checks the identity at a probe state: scaling any one term
+    # of the chart by 1.01 must fail the build, naming the chart
+    import contactdyn.systems as systems_mod
+
+    chart = make_system(name).chart(chart_name)
+    original = systems_mod.Chart
+    for i in range(len(chart.terms)):
+        def sabotaged(**kw):
+            if kw["kind"] == chart.kind:
+                terms = list(kw["terms"])
+                b = terms[i]
+                terms[i] = VirialTermBinding(b.name, b.sign,
+                                             lambda tr, f=b.values: 1.01 * f(tr))
+                kw["terms"] = terms
+            return original(**kw)
+
+        monkeypatch.setattr(systems_mod, "Chart", sabotaged)
+        with pytest.raises(ParameterError, match=f"chart '{chart_name}'"):
+            make_system(name)
 
 
 @pytest.mark.parametrize(
@@ -371,14 +381,15 @@ def test_term_sum_equals_scaled_rate(name, chart_name):
     ],
 )
 def test_rate_matches_finite_difference_of_G(name, chart_name):
-    # X(G) along the flow is dG/dt: check the bound rate against a centered
-    # difference of G over the integrated trajectory
+    # X(G) along the flow is dG/dt: check the rate reports use, the signed
+    # term sum over rate_scale, against a centered difference of G over the
+    # integrated trajectory
     spec = make_system(name)
     chart = spec.chart(chart_name)
     traj = integrate_fixed(chart.rhs, chart.x0, T=2.0, dt=1e-3,
                            layout=chart.layout, sample_every=1)
     g = chart.G(traj)
-    rate = chart.rate(traj)
+    rate = sum(b.sign * b.values(traj) for b in chart.terms) / chart.rate_scale
     dgdt = np.gradient(g, traj.times)
     interior = slice(5, -5)
     # atol covers the centered-difference truncation ~ dt^2 |G'''| / 6,

@@ -376,13 +376,6 @@ def test_three_particle_damped_balance():
     def G(tr):
         return (cols(tr, qc) * cols(tr, pc)).sum(axis=0)
 
-    def rate(tr):
-        q, p = cols(tr, qc), cols(tr, pc)
-        q2 = (q**2).sum(axis=0)
-        return ((p**2).sum(axis=0) / m
-                - (mw2 * q2 + eps * q2**2)
-                - gamma * (q * p).sum(axis=0))
-
     chart = Chart(
         kind="hamiltonian",
         layout=layout,
@@ -394,7 +387,6 @@ def test_three_particle_damped_balance():
             VirialTermBinding("friction", -1, qp),
         ),
         G=G,
-        rate=rate,
         rate_scale=0.5,
     )
     spec = SystemSpec(
