@@ -204,8 +204,22 @@ def _resolve_chart(spec, cfg):
         raise ConfigError(str(exc)) from exc
 
 
+def _noise(cfg: ExperimentConfig, spec):
+    """The system's noise, reseeded when the config sets a seed."""
+    return spec.noise if cfg.seed is None else replace(spec.noise, seed=cfg.seed)
+
+
 def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
-    meta = {"system": spec.name, "chart": chart_name, "integrator": cfg.integrator}
+    meta = {"system": spec.name, "chart": chart_name}
+    if spec.noise is not None:
+        try:
+            return euler_maruyama_langevin(
+                chart, _noise(cfg, spec), cfg.T, cfg.dt,
+                sample_every=cfg.sample_every, meta=meta,
+            )
+        except ValueError as exc:  # step checks against T and gamma
+            raise ConfigError(str(exc)) from exc
+    meta["integrator"] = cfg.integrator
     if cfg.integrator == "rk4":
         meta.update({"dt": cfg.dt, "sample_every": cfg.sample_every})
         return integrate_fixed(
@@ -219,22 +233,6 @@ def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
     return integrate_adaptive(
         chart.rhs, chart.x0, cfg.T, cfg.rel_tol, cfg.abs_tol,
         layout=chart.layout, sample_interval=interval, meta=meta,
-    )
-
-
-def _noise(cfg: ExperimentConfig, spec):
-    """The system's noise, reseeded when the config sets a seed."""
-    return spec.noise if cfg.seed is None else replace(spec.noise, seed=cfg.seed)
-
-
-def _simulate_stochastic(cfg: ExperimentConfig, spec, chart):
-    noise = _noise(cfg, spec)
-    x0 = chart.x0
-    meta = {"system": spec.name, "chart": spec.default_chart,
-            "integrator": "euler-maruyama", "dt": cfg.dt, "seed": noise.seed}
-    return euler_maruyama_langevin(
-        spec.params["omega"], noise, (x0[1], x0[2], x0[3]), cfg.T, cfg.dt,
-        sample_every=cfg.sample_every, meta=meta,
     )
 
 
@@ -262,9 +260,18 @@ def _write_report_file(path: Path, report, preamble: list[str]) -> None:
         fh.write(report_text(report))
 
 
-def _abort(outdir: Path, what: str, reason: str, at: str = "") -> int:
-    """Leave abort.txt next to the run's artifacts and return EXIT_ABORT."""
+def _write_trajectory(outdir: Path, traj) -> None:
+    write_trajectory_csv(traj, outdir / "trajectory.csv")
+    print(f"wrote {outdir / 'trajectory.csv'} ({traj.n_samples} samples)")
+
+
+def _abort(outdir: Path, what: str, reason: str, traj=None) -> int:
+    """Leave abort.txt (and an aborted trajectory's valid prefix); return EXIT_ABORT."""
     outdir.mkdir(parents=True, exist_ok=True)
+    at = ""
+    if traj is not None:
+        _write_trajectory(outdir, traj)
+        at = f" at t = {_fmt(float(traj.times[-1]))}"
     note = outdir / "abort.txt"
     note.write_text(f"aborted{at}: {reason}\n", encoding="utf-8")
     print(f"{what} aborted: {reason} (see {note})", file=sys.stderr)
@@ -289,17 +296,12 @@ def _run_and_report(cfg: ExperimentConfig, command: str, write_trajectory: bool)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    stochastic = chart.rhs is None  # dedicated stepper, no pathwise rate
-    if stochastic:
-        traj = _simulate_stochastic(cfg, spec, chart)
-    else:
-        traj = _integrate(cfg, spec, chart_name, chart)
-    if write_trajectory or stochastic or traj.aborted:
-        write_trajectory_csv(traj, outdir / "trajectory.csv")
-        print(f"wrote {outdir / 'trajectory.csv'} ({traj.n_samples} samples)")
+    traj = _integrate(cfg, spec, chart_name, chart)
     if traj.aborted:
-        return _abort(outdir, "integration", traj.abort_reason,
-                      f" at t = {_fmt(float(traj.times[-1]))}")
+        return _abort(outdir, "integration", traj.abort_reason, traj)
+    stochastic = spec.noise is not None  # no pathwise rate to report
+    if write_trajectory or stochastic:
+        _write_trajectory(outdir, traj)
     if stochastic:
         print("stochastic system: use `ensemble` for the averaged-rate report")
         return EXIT_OK
@@ -437,15 +439,14 @@ def cmd_check_identity(args) -> int:
     cfg = build_config(args)
     spec = _make_spec(cfg)
     chart_name, chart = _resolve_chart(spec, cfg)
-    if chart.rhs is None:
+    if spec.noise is not None:
         raise ConfigError(
-            "check-identity needs a deterministic chart; the stochastic "
+            "check-identity needs a deterministic system; the stochastic "
             "identity is statistical (see `ensemble`)"
         )
     traj = _integrate(cfg, spec, chart_name, chart)
     if traj.aborted:
-        print(f"integration aborted: {traj.abort_reason}", file=sys.stderr)
-        return EXIT_ABORT
+        return _abort(Path(cfg.out), "integration", traj.abort_reason, traj)
     report = virial_report(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
     residual = abs(report.residual_exact)
     ok = residual <= cfg.identity_tol

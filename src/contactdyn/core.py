@@ -171,19 +171,18 @@ def constant_field(n: int, c: float, name: str = "") -> ScalarField:
     )
 
 
-def _check_dim(model: ScalarField, x: DarbouxPoint) -> None:
+def _check_dim(model, x) -> None:
+    """Model and point (of either chart) must share the dimension n."""
     if model.n != x.n:
         raise DimensionMismatchError(
             f"model '{model.name}' has n={model.n} but point has n={x.n}"
         )
 
 
-def _finite(value: float, what: str, model: ScalarField, x: DarbouxPoint) -> float:
+def _finite(value: float, what: str, model, x) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise NonFiniteError(
-            f"{what} of '{model.name}' is non-finite at s={x.s}, q={x.q}, p={x.p}"
-        )
+        raise NonFiniteError(f"{what} of '{model.name}' is non-finite at {x}")
     return value
 
 

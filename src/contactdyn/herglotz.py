@@ -25,7 +25,9 @@ from .core import (
     NonFiniteError,
     PartialsReport,
     _as_vector,
+    _check_dim,
     _checked,
+    _finite,
     central_difference,
 )
 
@@ -144,20 +146,6 @@ class LagrangianObservable:
     d_q: Callable[[LagrangianPoint], np.ndarray]
     d_qdot: Callable[[LagrangianPoint], np.ndarray]
     name: str = ""
-
-
-def _check_dim(model, z: LagrangianPoint) -> None:
-    if model.n != z.n:
-        raise DimensionMismatchError(
-            f"model '{model.name}' has n={model.n} but point has n={z.n}"
-        )
-
-
-def _finite(value: float, what: str, model, z) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise NonFiniteError(f"{what} of '{model.name}' is non-finite at {z}")
-    return value
 
 
 def energy_EL(L: LagrangianModel, z: LagrangianPoint) -> float:

@@ -9,12 +9,12 @@ float arithmetic costs a fraction of numpy's per-call overhead.  Chart
 packing (which component is s, q, p, ...) is the caller's business and is
 recorded in the trajectory's ``layout``.  Three steppers are provided:
 classical fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense
-output, and Euler-Maruyama for the harmonically trapped Langevin system
-(with a vectorized ensemble driver sharing the same arithmetic path, so
-single runs and ensemble members are bit-identical for matching seeds).
+output, and one Euler-Maruyama loop over a stochastic chart's drift and
+terms, shared by single runs and ensembles (members are bit-identical to
+single runs with matching seeds).
 
-Averages use trapezoidal quadrature under compensated summation so that
-horizons of 10^5+ samples do not accumulate roundoff.
+Deterministic averages use trapezoidal quadrature under compensated
+summation so that horizons of 10^5+ samples do not accumulate roundoff.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,7 +126,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Thermal-noise parameters for the trapped Langevin system.
+    """Thermal-noise parameters of a stochastic chart.
 
     The diffusion amplitude is sqrt(2 m gamma k_BT); k_BT = 0 is accepted
     and reduces the stepper to deterministic Euler.
@@ -447,155 +448,136 @@ def integrate_adaptive(
 
 
 # ---------------------------------------------------------------------------
-# Langevin stepper (harmonic trap) and vectorized ensemble
+# Euler-Maruyama over a stochastic chart, vectorized over members
+
+# member-steps recorded per block: bounds a block's memory whatever n_traj is
+_BLOCK_MEMBER_STEPS = 1 << 19
+# steps per partial sum of the term averages: roundoff grows with about
+# _SUM_STEPS + n_steps / _SUM_STEPS additions instead of n_steps
+_SUM_STEPS = 1024
 
 
 @dataclass(frozen=True)
 class LangevinEnsembleStats:
-    """Per-trajectory horizon averages from a Langevin ensemble run.
+    """Per-member horizon averages from an Euler-Maruyama run.
 
-    All arrays have length n_traj.  `noise_virial` is (1/T) * sum of
-    q * dW scaled by the noise amplitude — the Ito integral (1/T)∫q η dt
-    realized by the discretization, which no post-hoc resampling of states
-    can recover.
+    `term_averages[k, i]` is member i's trapezoid average over [0, T] of the
+    chart's k-th term.  `noise_virial` is (1/T) * sum of q * dW -- the Ito
+    integral (1/T)∫q η dt realized by the discretization, which no post-hoc
+    resampling of states can recover.  The other arrays have length n_traj.
     """
 
     n_traj: int
     T: float
     dt: float
     seed: int
-    avg_p2: np.ndarray
-    avg_q2: np.ndarray
-    avg_qp: np.ndarray
+    term_averages: np.ndarray
     noise_virial: np.ndarray
     G_initial: np.ndarray
     G_final: np.ndarray
-    s_final: np.ndarray
 
 
-def _langevin_core(
-    omega: float,
-    noise: NoiseSpec,
-    x0: Sequence[float],
-    T: float,
-    dt: float,
-    n_traj: int,
-    sample_every: int | None,
-):
-    """Vectorized Euler-Maruyama over n_traj independent noise streams.
+def _records(layout: tuple, states: np.ndarray) -> SimpleNamespace:
+    """Step-major block states as chart terms read them: column(name) is (steps, n_traj)."""
+    return SimpleNamespace(column=lambda name: states[:, layout.index(name)])
 
-    Single-trajectory and ensemble entry points both land here, so the
-    floating-point path (and hence every emitted number) is identical for
-    a given per-trajectory seed.  Per-trajectory generators are PCG64
-    streams seeded with seed XOR trajectory-index.
+
+def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
+                   sample_every: int | None):
+    """Euler-Maruyama over n_traj independent noise streams of one chart.
+
+    The drift is the chart's rhs, evaluated on per-member arrays.  Per step
+    the thermal force dW enters p, and -q*eta enters h, so s also gains
+    q * dW/dt.  Single runs and ensemble members share this path, so every
+    emitted number is identical for a given per-member seed.  Per-member
+    generators are PCG64 streams seeded with seed XOR member index.
+
+    Returns the stats and, when `sample_every` is set, the states of shape
+    (N, d, n_traj) at step 0, every sample_every-th step and T.
     """
-    m, gamma, kBT = noise.m, noise.gamma, noise.k_BT
+    if chart.layout != ("t", "s", "q[0]", "p[0]"):
+        raise ValueError(f"Euler-Maruyama steps (t, s, q[0], p[0]), not {chart.layout}")
     if not (T > 0 and 0 < dt <= T):
         raise ValueError("need T > 0 and 0 < dt <= T")
-    if gamma * dt >= 0.1:
+    if noise.gamma * dt >= 0.1:
         raise ValueError(
-            f"gamma*dt = {gamma * dt:.3g} >= 0.1: step too coarse for the damping rate"
+            f"gamma*dt = {noise.gamma * dt:.3g} >= 0.1: step too coarse for the damping rate"
         )
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError("T must be an integer number of Langevin steps (T = n*dt)")
 
-    s0, q0, p0 = (float(v) for v in x0)
-    q = np.full(n_traj, q0)
-    p = np.full(n_traj, p0)
-    s = np.full(n_traj, s0)
     amp = noise.amplitude * math.sqrt(dt)
-
     gens = [np.random.Generator(np.random.PCG64(noise.seed ^ i)) for i in range(n_traj)]
-
-    record = sample_every is not None
-    if record:
-        times = [0.0]
-        rows = [np.concatenate(([0.0], [s0], [q0], [p0]))] if n_traj == 1 else None
-
-    # trapezoid accumulators for the quadratic moments (vectorized Neumaier)
-    sum_p2 = np.zeros(n_traj)
-    comp_p2 = np.zeros(n_traj)
-    sum_q2 = np.zeros(n_traj)
-    comp_q2 = np.zeros(n_traj)
-    sum_qp = np.zeros(n_traj)
-    comp_qp = np.zeros(n_traj)
+    block = min(n_steps, max(1, _BLOCK_MEMBER_STEPS // n_traj))
+    rec = np.empty((block + 1, len(chart.layout), n_traj))
+    rec[0] = chart.x0[:, None]
+    t, s, q, p = 0.0, rec[0, 1], rec[0, 2], rec[0, 3]
+    G_initial = chart.G(_records(chart.layout, rec[:1]))[0]
+    samples = [rec[:1].copy()]
+    sums = np.zeros((len(chart.terms), n_traj))
+    partial = np.zeros_like(sums)
     noise_sum = np.zeros(n_traj)
-    prev_p2, prev_q2, prev_qp = p * p, q * q, q * p
 
-    def vadd(total, comp, x):
-        t = total + x
-        big = np.abs(total) >= np.abs(x)
-        comp += np.where(big, (total - t) + x, (x - t) + total)
-        return t, comp
-
-    block = max(1, min(n_steps, max(1, 10_000_000 // max(1, n_traj))))
     step = 0
     # stiff parameter choices blow up through inf/nan; callers detect that
-    # in the returned stats, so the arithmetic runs unwarned
+    # in the returned stats and samples, so the arithmetic runs unwarned
     with np.errstate(all="ignore"):
         while step < n_steps:
-            this_block = min(block, n_steps - step)
+            nb = min(block, n_steps - step)
             if amp > 0.0:
-                dW = np.stack(
-                    [g.standard_normal(this_block) for g in gens], axis=0
-                ) * amp
+                dW = np.stack([g.standard_normal(nb) for g in gens], axis=1) * amp
             else:
-                dW = np.zeros((n_traj, this_block))
-            for j in range(this_block):
-                dWj = dW[:, j]
-                eta_hat = dWj / dt
-                ds = (p * p / (2 * m) - m * omega**2 * q * q / 2
-                      - gamma * s + q * eta_hat)
-                dq = p / m
-                dp = -gamma * p - m * omega**2 * q
+                dW = np.zeros((nb, n_traj))
+            ks = np.arange(step + 1, step + nb + 1)
+            t_next = np.where(ks < n_steps, ks * dt, T)
+            rec[1:nb + 1, 0] = t_next[:, None]
+            for j, t_new in enumerate(t_next.tolist()):
+                dWj = dW[j]
+                _, ds, dq, dp = chart.rhs(t, (t, s, q, p))
                 noise_sum += q * dWj
-                s = s + dt * ds
-                q = q + dt * dq
-                p = p + dt * dp + dWj
-                cur_p2, cur_q2, cur_qp = p * p, q * q, q * p
-                sum_p2, comp_p2 = vadd(sum_p2, comp_p2, dt * 0.5 * (prev_p2 + cur_p2))
-                sum_q2, comp_q2 = vadd(sum_q2, comp_q2, dt * 0.5 * (prev_q2 + cur_q2))
-                sum_qp, comp_qp = vadd(sum_qp, comp_qp, dt * 0.5 * (prev_qp + cur_qp))
-                prev_p2, prev_q2, prev_qp = cur_p2, cur_q2, cur_qp
-                step += 1
-                if record and n_traj == 1 and (
-                    step % sample_every == 0 or step == n_steps
-                ):
-                    t_now = step * dt if step < n_steps else T
-                    if t_now > times[-1]:
-                        times.append(t_now)
-                        rows.append(np.array([t_now, s[0], q[0], p[0]]))
+                s = rec[j + 1, 1] = s + dt * (ds + q * (dWj / dt))
+                q = rec[j + 1, 2] = q + dt * dq
+                p = rec[j + 1, 3] = p + dt * dp + dWj
+                t = t_new
+            # trapezoid over the block, one row at a time and in partial
+            # sums over fixed step ranges, so that a member's sums do not
+            # depend on n_traj (which sets the block length)
+            block_states = _records(chart.layout, rec[:nb + 1])
+            vals = np.stack([b.values(block_states) for b in chart.terms], axis=1)
+            for k, row in zip(ks.tolist(), dt * 0.5 * (vals[:-1] + vals[1:])):
+                partial += row
+                if k % _SUM_STEPS == 0:
+                    sums += partial
+                    partial[:] = 0.0
+            if sample_every is not None:
+                samples.append(rec[1:nb + 1][(ks % sample_every == 0) | (ks == n_steps)])
+            rec[0] = rec[nb]
+            step += nb
 
     stats = LangevinEnsembleStats(
         n_traj=n_traj,
         T=T,
         dt=dt,
         seed=noise.seed,
-        avg_p2=(sum_p2 + comp_p2) / T,
-        avg_q2=(sum_q2 + comp_q2) / T,
-        avg_qp=(sum_qp + comp_qp) / T,
+        term_averages=(sums + partial) / T,
         noise_virial=noise_sum / T,
-        G_initial=np.full(n_traj, q0 * p0),
-        G_final=q * p,
-        s_final=s.copy(),
+        G_initial=G_initial,
+        G_final=chart.G(_records(chart.layout, rec[:1]))[0],
     )
-    if record and n_traj == 1:
-        return stats, (np.array(times), np.array(rows))
-    return stats, None
+    return stats, (np.concatenate(samples) if sample_every is not None else None)
 
 
 def euler_maruyama_langevin(
-    omega: float,
+    chart,
     noise: NoiseSpec,
-    x0: Sequence[float],
     T: float,
     dt: float,
     *,
     sample_every: int = DEFAULT_SAMPLE_EVERY,
     meta: dict | None = None,
 ) -> Trajectory:
-    """One realization of the harmonically trapped Langevin system.
+    """One realization of a stochastic chart with additive thermal noise.
 
     State layout (t, s, q, p).  Per step, with dW = amplitude*sqrt(dt)*N(0,1):
     p gains its Euler drift plus dW; the same realized increment divided by
@@ -608,46 +590,36 @@ def euler_maruyama_langevin(
     truncated at its last finite sample and returned with ``aborted=True``,
     as `integrate_fixed` does.
     """
-    stats, recorded = _langevin_core(
-        omega, noise, x0, T, dt, n_traj=1, sample_every=sample_every
-    )
-    times, rows = recorded
+    stats, samples = _langevin_core(chart, noise, T, dt, 1, sample_every)
+    rows = samples[:, :, 0]
     finite = np.isfinite(rows).all(axis=1)
     aborted = not finite.all()
     n_finite = int(finite.argmin()) if aborted else len(rows)
-    reason = f"non-finite state at t={times[n_finite]:.6g}" if aborted else ""
+    reason = f"non-finite state at t={rows[n_finite, 0]:.6g}" if aborted else ""
     info = dict(meta or {})
     info.setdefault("integrator", "euler-maruyama")
     info.update(dt=dt, T=T, seed=noise.seed, sample_every=sample_every, stats=stats)
     return Trajectory(
-        times=times[:n_finite],
+        times=rows[:n_finite, 0],
         states=rows[:n_finite],
-        layout=("t", "s", "q[0]", "p[0]"),
+        layout=chart.layout,
         meta=info,
         aborted=aborted,
         abort_reason=reason,
     )
 
 
-def langevin_ensemble(
-    omega: float,
-    noise: NoiseSpec,
-    x0: Sequence[float],
-    T: float,
-    dt: float,
-    n_traj: int,
-) -> LangevinEnsembleStats:
-    """Horizon averages for n_traj independent Langevin realizations.
+def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
+                      n_traj: int) -> LangevinEnsembleStats:
+    """Horizon averages for n_traj independent realizations of a stochastic chart.
 
-    Trajectory i uses the stream seeded with noise.seed XOR i; member i of
-    the returned arrays is bit-identical to the single-trajectory run with
-    that seed.  States are not stored; only the per-trajectory averages
-    needed by ensemble reports.
+    Member i uses the stream seeded with noise.seed XOR i; its entries in
+    the returned arrays are bit-identical to the single run with that seed.
+    Only the per-member averages that ensemble reports need are kept.
     """
     if n_traj < 1:
         raise ValueError("need n_traj >= 1")
-    stats, _ = _langevin_core(omega, noise, x0, T, dt, n_traj=n_traj, sample_every=None)
-    return stats
+    return _langevin_core(chart, noise, T, dt, n_traj, None)[0]
 
 
 # ---------------------------------------------------------------------------

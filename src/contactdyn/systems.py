@@ -3,16 +3,17 @@
 Each system bundles analytic models (Darboux-chart Hamiltonian, velocity-
 chart Lagrangian, extended time-dependent Hamiltonian — whichever apply),
 fast closed-form right-hand sides per chart, default initial states, and
-the signed term decomposition its averaged-rate report uses.  Analytic
-partials are run through the finite-difference oracle once at construction
-at the default state, and the terms are checked against the flow rate of
-G, so a catalog system cannot be built with a wrong gradient or term.
+the signed term decomposition its averaged-rate report uses (a Brownian
+rhs is the drift; its NoiseSpec adds the thermal force).  Analytic partials
+are run through the finite-difference oracle once at construction at the
+default state, and the terms are checked against the flow rate of G, so a
+catalog system cannot be built with a wrong gradient or term.
 
 Charts and layouts
 ------------------
 hamiltonian        (s, q[0], p[0])
 lagrangian         (q[0], qdot[0], s)
-extended           (t, s, q[0], p[0])
+extended           (t, s, q[0], p[0])   -- forced and Brownian oscillators
 contact  (activator-inhibitor)  (z, x, y)   -- z plays s, x plays q, y plays p
 planar   (activator-inhibitor)  (x, y)
 
@@ -161,18 +162,18 @@ class Chart:
 
     rhs(t, y) is the closed-form field the steppers advance: it takes the
     state as a tuple of floats in `layout` order and returns the
-    derivatives as a tuple of floats.  Stochastic charts have no rhs (None;
-    their stepper is dedicated).  terms, G and rate_scale are everything a
-    report needs: G evaluates the virial observable along samples, and
-    sum(sign*term) == rate_scale * X(G) holds identically, so the signed
-    term sum over rate_scale is the flow rate X(G).  make_system checks
-    that identity for every chart with an rhs.
+    derivatives as a tuple of floats; a stochastic chart's rhs is its drift,
+    which also evaluates on per-member arrays.  terms, G and rate_scale are
+    everything a report needs: G evaluates the virial observable along
+    samples, and sum(sign*term) == rate_scale * X(G) holds identically, so
+    the signed term sum over rate_scale is the flow rate X(G).  make_system
+    checks that identity for every chart.
     """
 
     kind: str
     layout: tuple
     x0: np.ndarray
-    rhs: Callable[[float, tuple], tuple] | None
+    rhs: Callable[[float, tuple], tuple]
     terms: tuple
     G: Callable[[Trajectory], np.ndarray] | None
     rate_scale: float = 1.0
@@ -526,22 +527,34 @@ def _build_forced(params):
 def _build_brownian(params):
     m, omega, gamma = params["m"], params["omega"], params["gamma"]
     kBT, seed = params["k_BT"], int(params["seed"])
-    mw2 = m * omega * omega
+    mw2 = m * omega**2
     noise = NoiseSpec(m=m, gamma=gamma, k_BT=kBT, seed=seed)
+
+    def drift(t, y):
+        # plain arithmetic: evaluates on floats and on per-member arrays
+        tt, s, q, p = y
+        return (
+            1.0,
+            p * p / (2 * m) - mw2 * q * q / 2 - gamma * s,
+            p / m,
+            -gamma * p - mw2 * q,
+        )
 
     chart = Chart(
         kind="stochastic-extended",
         layout=("t", "s", "q[0]", "p[0]"),
         x0=[0.0, 0.0, 1.0, 0.0],
-        rhs=None,  # stepped by the dedicated Euler-Maruyama routine
+        rhs=drift,
         terms=(
             VirialTermBinding("kinetic", +1,
                               lambda tr: tr.column("p[0]") ** 2 / (2 * m)),
             VirialTermBinding("potential", -1,
                               lambda tr: mw2 * tr.column("q[0]") ** 2 / 2),
-            # the noise part of the drive term lives in the realized Ito
-            # integral (trajectory meta / ensemble stats), not in any state
-            # function; reports assemble it from there
+            # the thermal force's share, q*eta/2, is the realized Ito
+            # integral of q dW; ensemble reports add it from the stepper
+            VirialTermBinding("drive_friction", +1,
+                              lambda tr: -gamma * tr.column("q[0]")
+                              * tr.column("p[0]") / 2),
         ),
         G=lambda tr: tr.column("q[0]") * tr.column("p[0]"),
         rate_scale=0.5,
@@ -663,8 +676,7 @@ def make_system(name: str, **params) -> SystemSpec:
     values = _validate_params(name, params)
     spec = _BUILDERS[name](values)
     for chart_name, chart in spec.charts.items():
-        if chart.rhs is not None:
-            _check_term_sum(name, chart_name, chart)
+        _check_term_sum(name, chart_name, chart)
     return spec
 
 

@@ -10,11 +10,11 @@ hypothesis failure instead of misreporting the residual as numerical
 error.
 
 Reports come in two flavors: deterministic (one trajectory) and ensemble
-(Langevin statistics with standard-error bars; the identity is asserted
-only in expectation because pathwise rates carry the unmodeled quadratic
-variation of the noise).  Both take the averaged rate of the chart's G as
-the signed term sum over rate_scale, so ``residual_exact`` also checks the
-terms; a custom model G gets its rate from the system's models.
+(the stochastic chart's terms with standard-error bars; the identity is
+asserted only in expectation because pathwise rates carry the unmodeled
+quadratic variation of the noise).  Both take the averaged rate of the
+chart's G as the signed term sum over rate_scale, so ``residual_exact`` also
+checks the terms; a custom model G gets its rate from the system's models.
 """
 
 from __future__ import annotations
@@ -401,11 +401,12 @@ def virial_report(
         raise ValueError(
             f"trajectory aborted ({traj.abort_reason}); no report assembled"
         )
-    chart_name, chart, entries, g_vals = _window_inputs(system, traj, terms, G, t0)
-    if G is None and chart.rhs is None:
+    if system.noise is not None:
         raise ValueError(
-            f"chart '{chart_name}' has no pathwise rate; use ensemble_report"
+            f"'{system.name}' is stochastic: its runs have no pathwise rate; "
+            "use ensemble_report"
         )
+    chart_name, chart, entries, g_vals = _window_inputs(system, traj, terms, G, t0)
     times = traj.times
     t_end = float(times[-1])
     window = t_end - t0
@@ -471,11 +472,12 @@ def ensemble_report(
 ) -> VirialReport:
     """Averaged-rate report of a Langevin ensemble, with error bars.
 
-    Term averages are ensemble means of per-trajectory horizon averages;
-    errors are standard errors over the ensemble.  The drive term is
-    assembled from the realized Ito noise integral, which only the stepper
-    can accumulate, so custom `terms`/`G` are rejected.  The boundary
-    identity is exact only in expectation here: pathwise rates carry the
+    Term averages are ensemble means of the per-member horizon averages of
+    the chart's own terms; errors are standard errors over the ensemble.
+    `drive_friction` gains rate_scale times the realized Ito noise integral,
+    which only the stepper can accumulate, so custom `terms`/`G` are
+    rejected.  The boundary identity is exact only in expectation here:
+    pathwise rates carry the
     quadratic variation of the noise, so tests gate residuals at 3 sigma
     rather than at integrator tolerance.  Diverged members are dropped;
     NonFiniteError is raised when fewer than two remain.
@@ -494,37 +496,28 @@ def ensemble_report(
     noise = noise if noise is not None else system.noise
     chart_name = system.default_chart
     chart = system.chart(chart_name)
-    x0 = chart.x0  # (t, s, q, p)
-    omega = system.params["omega"]
-    stats = langevin_ensemble(
-        omega, noise, (x0[1], x0[2], x0[3]), T, dt, n_traj
-    )
+    stats = langevin_ensemble(chart, noise, T, dt, n_traj)
 
-    m, gamma = noise.m, noise.gamma
-    mw2 = m * omega * omega
-    ke = stats.avg_p2 / (2 * m)
-    pe = mw2 * stats.avg_q2 / 2
-    drive = (stats.noise_virial - gamma * stats.avg_qp) / 2
+    names = tuple(b.name for b in chart.terms)
+    signs = tuple(b.sign for b in chart.terms)
+    per_member = stats.term_averages.copy()
+    per_member[names.index("drive_friction")] += chart.rate_scale * stats.noise_virial
     boundary_i = (stats.G_final - stats.G_initial) / T
 
-    finite = (np.isfinite(ke) & np.isfinite(pe) & np.isfinite(drive)
-              & np.isfinite(boundary_i))
+    finite = np.isfinite(per_member).all(axis=0) & np.isfinite(boundary_i)
     n_dropped = int(n_traj - finite.sum())
     if finite.sum() < 2:
         raise NonFiniteError(
             f"{n_dropped} of {n_traj} trajectories diverged; no ensemble left"
         )
-    ke, pe, drive, boundary_i = (a[finite] for a in (ke, pe, drive, boundary_i))
-    combo = ke - pe + drive
+    per_member, boundary_i = per_member[:, finite], boundary_i[finite]
+    combo = sum(sign * vals for sign, vals in zip(signs, per_member))
     n_eff = int(finite.sum())
 
     def mean_se(a):
-        se = float(np.std(a, ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
-        return float(np.mean(a)), se
+        return float(np.mean(a)), float(np.std(a, ddof=1) / math.sqrt(n_eff))
 
-    ke_m, ke_se = mean_se(ke)
-    pe_m, pe_se = mean_se(pe)
-    dr_m, dr_se = mean_se(drive)
+    term_stats = [mean_se(vals) for vals in per_member]
     res_m, res_se = mean_se(combo)
     b_m, b_se = mean_se(boundary_i)
 
@@ -534,7 +527,7 @@ def ensemble_report(
     meta = {
         "dt": dt,
         "seed": noise.seed,
-        "gamma": gamma,
+        "gamma": noise.gamma,
         "k_BT": noise.k_BT,
         "equipartition_target": noise.k_BT / 2,
         "n_dropped": n_dropped,
@@ -547,10 +540,10 @@ def ensemble_report(
         T=float(T),
         t0=0.0,
         window=float(T),
-        term_names=("kinetic", "potential", "drive_friction"),
-        term_signs=(+1, -1, +1),
-        term_averages=(ke_m, pe_m, dr_m),
-        term_errors=(ke_se, pe_se, dr_se),
+        term_names=names,
+        term_signs=signs,
+        term_averages=tuple(m for m, _ in term_stats),
+        term_errors=tuple(se for _, se in term_stats),
         theorem_residual=res_m,
         theorem_error=res_se,
         rate_average=rate_avg,

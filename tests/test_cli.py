@@ -164,6 +164,15 @@ def test_simulate_brownian_divergence_exits_3(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt, T", [("0.5", "2"), ("0.03", "1")])
+def test_simulate_brownian_bad_step_exits_2(tmp_path, capsys, dt, T):
+    # gamma*dt >= 0.1, and T not a whole number of steps
+    code = run("simulate", "--system", "brownian_oscillator", "--dt", dt,
+               "--T", T, "--out", str(tmp_path / "run"))
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # virial
 
@@ -293,6 +302,18 @@ def test_check_identity_breach_exits_4(capsys):
                "--identity-tol", "1e-18")
     assert code == EXIT_VERIFY
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_identity_abort_keeps_partial_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = run("check-identity", "--system", "gierer_meinhardt", "-p", "D=-50",
+               "--T", "10", "--dt", "0.01", "--out", str(out))
+    assert code == EXIT_ABORT
+    assert "aborted at t" in (out / "abort.txt").read_text(encoding="utf-8")
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert 1 < len(rows) < 1001
+    assert np.isfinite(rows).all()
+    assert "aborted" in capsys.readouterr().err
 
 
 def test_check_identity_rejects_stochastic():

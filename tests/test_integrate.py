@@ -2,10 +2,12 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import contactdyn.integrate as integrate_mod
 from contactdyn.core import contact_vector_field
 from contactdyn.integrate import (
     _A,
@@ -278,27 +280,29 @@ class TestVolumeContraction:
 
 
 class TestLangevin:
-    def spec(self, **kw):
-        args = dict(m=1.0, gamma=0.5, k_BT=1.0, seed=12345)
+    def system(self, **kw):
+        args = dict(gamma=0.5, k_BT=1.0, seed=12345)
         args.update(kw)
-        return NoiseSpec(**args)
+        spec = make_system("brownian_oscillator", **args)
+        return spec.chart(), spec.noise
 
     def test_seed_reproducibility(self):
-        a = euler_maruyama_langevin(1.0, self.spec(), (0.0, 1.0, 0.0), T=1.0, dt=1e-3)
-        b = euler_maruyama_langevin(1.0, self.spec(), (0.0, 1.0, 0.0), T=1.0, dt=1e-3)
+        chart, noise = self.system()
+        a = euler_maruyama_langevin(chart, noise, T=1.0, dt=1e-3)
+        b = euler_maruyama_langevin(chart, noise, T=1.0, dt=1e-3)
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_different_seed_differs(self):
-        a = euler_maruyama_langevin(1.0, self.spec(), (0.0, 1.0, 0.0), T=1.0, dt=1e-3)
-        c = euler_maruyama_langevin(1.0, self.spec(seed=999), (0.0, 1.0, 0.0), T=1.0, dt=1e-3)
+        chart, noise = self.system()
+        a = euler_maruyama_langevin(chart, noise, T=1.0, dt=1e-3)
+        c = euler_maruyama_langevin(chart, replace(noise, seed=999), T=1.0, dt=1e-3)
         assert not np.array_equal(a.states, c.states)
 
     def test_zero_noise_is_euler(self):
         m, omega, gamma, dt = 1.0, 1.0, 0.05, 1e-3
-        traj = euler_maruyama_langevin(
-            omega, self.spec(gamma=gamma, k_BT=0.0), (0.0, 1.0, 0.5), T=0.1, dt=dt,
-            sample_every=1,
-        )
+        chart, noise = self.system(gamma=gamma, k_BT=0.0)
+        chart = replace(chart, x0=[0.0, 0.0, 1.0, 0.5])
+        traj = euler_maruyama_langevin(chart, noise, T=0.1, dt=dt, sample_every=1)
         s, q, p = 0.0, 1.0, 0.5
         for i in range(1, traj.n_samples):
             ds = p * p / (2 * m) - m * omega**2 * q * q / 2 - gamma * s
@@ -307,33 +311,36 @@ class TestLangevin:
             assert traj.states[i, 2] == pytest.approx(q, rel=1e-14)
             assert traj.states[i, 3] == pytest.approx(p, rel=1e-14)
 
-    def test_ensemble_member_bit_matches_single_run(self):
-        spec = self.spec(seed=777)
-        stats = langevin_ensemble(1.0, spec, (0.0, 1.0, 0.0), T=2.0, dt=1e-3, n_traj=3)
+    def test_ensemble_member_bit_matches_single_run(self, monkeypatch):
+        # a short block makes the ensemble and the single runs cut their
+        # blocks at different steps
+        monkeypatch.setattr(integrate_mod, "_BLOCK_MEMBER_STEPS", 1500)
+        chart, noise = self.system(seed=777)
+        stats = langevin_ensemble(chart, noise, T=2.5, dt=1e-3, n_traj=3)
         for i in range(3):
-            single = euler_maruyama_langevin(
-                1.0, self.spec(seed=777 ^ i), (0.0, 1.0, 0.0), T=2.0, dt=1e-3
-            )
+            single = euler_maruyama_langevin(chart, replace(noise, seed=777 ^ i),
+                                             T=2.5, dt=1e-3)
             sstats = single.meta["stats"]
-            assert stats.avg_p2[i] == sstats.avg_p2[0]
-            assert stats.avg_q2[i] == sstats.avg_q2[0]
+            np.testing.assert_array_equal(stats.term_averages[:, i],
+                                          sstats.term_averages[:, 0])
             assert stats.noise_virial[i] == sstats.noise_virial[0]
             assert stats.G_final[i] == sstats.G_final[0]
 
     def test_equipartition_small_ensemble(self):
         # coarse 3-sigma style sanity check at modest cost; the full-size
         # ensemble lives in the acceptance suite
-        spec = self.spec(seed=2024)
-        stats = langevin_ensemble(1.0, spec, (0.0, 1.0, 0.0), T=50.0, dt=1e-3, n_traj=64)
-        ke = stats.avg_p2.mean() / 2.0
-        pe = stats.avg_q2.mean() / 2.0
+        chart, noise = self.system(seed=2024)
+        stats = langevin_ensemble(chart, noise, T=50.0, dt=1e-3, n_traj=64)
+        names = [b.name for b in chart.terms]
+        ke = stats.term_averages[names.index("kinetic")].mean()
+        pe = stats.term_averages[names.index("potential")].mean()
         assert ke == pytest.approx(0.5, rel=0.15)
         assert pe == pytest.approx(0.5, rel=0.15)
 
     def test_guard_on_coarse_step(self):
+        chart, noise = self.system(gamma=200.0)
         with pytest.raises(ValueError, match="gamma"):
-            euler_maruyama_langevin(1.0, self.spec(gamma=200.0), (0.0, 1.0, 0.0),
-                                    T=1.0, dt=1e-3)
+            euler_maruyama_langevin(chart, noise, T=1.0, dt=1e-3)
 
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):

@@ -91,7 +91,23 @@ def test_brownian_noise_spec():
     assert spec.noise is not None
     assert spec.noise.seed == 42
     assert spec.noise.amplitude == pytest.approx(math.sqrt(2 * 1.0 * 0.5 * 1.0))
-    assert spec.chart().rhs is None
+
+
+def test_brownian_drift_is_unforced_oscillator():
+    # the Brownian drift is the forced oscillator's field at F0 = 0, and it
+    # evaluates on per-member arrays exactly as on floats
+    params = dict(m=1.7, omega=0.8, gamma=0.3)
+    drift = make_system("brownian_oscillator", **params).chart().rhs
+    forced = make_system("forced_oscillator", F0=0.0, **params).chart().rhs
+    rng = np.random.default_rng(13)
+    states = rng.normal(size=(4, 40)) * 2
+    for y in states.T.tolist():
+        assert drift(y[0], tuple(y)) == pytest.approx(forced(y[0], tuple(y)),
+                                                      rel=1e-14, abs=1e-14)
+    on_arrays = drift(0.0, tuple(states))
+    for k in range(1, 4):
+        np.testing.assert_array_equal(
+            on_arrays[k], [drift(0.0, tuple(y))[k] for y in states.T.tolist()])
 
 
 def test_chart_lookup_errors():
@@ -346,6 +362,7 @@ def test_parachute_acceleration_reduction():
         ("parachute", "hamiltonian"),
         ("parachute", "lagrangian"),
         ("forced_oscillator", "extended"),
+        ("brownian_oscillator", "extended"),
         ("gierer_meinhardt", "contact"),
         ("gierer_meinhardt", "planar"),
     ],
