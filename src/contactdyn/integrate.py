@@ -2,16 +2,20 @@
 
 The deterministic steppers hold one trajectory's state as a tuple of
 Python floats and advance it through a right-hand-side callable
-``rhs(t, y) -> dy``: `y` is a tuple of d floats and `dy` any length-d
-sequence of floats (a tuple from the catalog charts; an ndarray also works,
-since the steppers only iterate over it).  On 3- and 4-component states
-float arithmetic costs a fraction of numpy's per-call overhead.  Chart
-packing (which component is s, q, p, ...) is the caller's business and is
-recorded in the trajectory's ``layout``.  Three steppers are provided:
-classical fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense
-output, and one Euler-Maruyama loop over a stochastic chart's drift and
-terms, shared by single runs and ensembles (members are bit-identical to
-single runs with matching seeds).
+``rhs(t, y) -> dy``: `y` is a tuple of d floats and `dy` exactly d floats
+(a tuple from the catalog charts; an ndarray also works, since the steppers
+only unpack it).  A result of any other length raises ValueError at the
+first evaluation.  On 3- and 4-component states float arithmetic costs a
+fraction of numpy's per-call overhead, so each scheme steps through a
+straight-line kernel, generated once per state width on the first call
+with that width, that unpacks the stages into scalars.  Chart packing
+(which component is s, q, p, ...) is the caller's business and is recorded
+in the trajectory's ``layout``.  Three steppers are provided: classical
+fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense output
+(the samples inside one accepted step are evaluated together in numpy),
+and one Euler-Maruyama loop over a stochastic chart's drift and terms,
+shared by single runs and ensembles (members are bit-identical to single
+runs with matching seeds).
 
 Deterministic averages use trapezoidal quadrature under compensated
 summation so that horizons of 10^5+ samples do not accumulate roundoff.
@@ -19,6 +23,7 @@ summation so that horizons of 10^5+ samples do not accumulate roundoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from contextlib import nullcontext
@@ -183,6 +188,83 @@ def trapezoid_average(times: np.ndarray, values: np.ndarray, t0: float = 0.0) ->
 
 
 # ---------------------------------------------------------------------------
+# straight-line step kernels, one per scheme and state width
+
+# Fehlberg RK4(5) coefficients
+_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
+_A = (
+    (),
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+
+
+@functools.cache
+def _step_kernel(scheme: str, d: int):
+    """One step of `scheme` on d-component float states, compiled on first use.
+
+    "rk4" gives step(rhs, t, y, h) -> y_new.  "rkf45" gives
+    step(rhs, t, y, h, k0, rel_tol, abs_tol) -> (y_new, err), where k0 is
+    rhs(t, y), y_new the 4th-order solution and err the RMS over components
+    of the embedded error estimate divided by abs_tol + rel_tol*max(|y|, |y_new|).
+
+    The generated source unpacks `y` and every stage's rhs result into d
+    scalars, so a result of another length raises ValueError naming the
+    expected count, and writes each component's arithmetic out in full.
+    The order of operations is that of the per-component formulas: RK4
+    stages are y + hh*k and the update y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4);
+    RKF45 sums c0*k0 + c1*k1 + ... left to right, zero coefficients
+    included, with every coefficient written as its repr, which round-trips.
+    """
+    def unpack(prefix):
+        return "".join(f"{prefix}{j}, " for j in range(d))
+
+    def vec(component):
+        return "(" + "".join(component(j) + ", " for j in range(d)) + ")"
+
+    def weighted(coeffs, j):
+        return " + ".join(f"{c!r} * k{i}_{j}" for i, c in enumerate(coeffs))
+
+    if scheme == "rk4":
+        lines = [
+            "def step(rhs, t, y, h):",
+            "    hh = 0.5 * h",
+            "    h6 = h / 6.0",
+            f"    {unpack('y')}= y",
+            f"    {unpack('k1_')}= rhs(t, y)",
+            f"    {unpack('k2_')}= rhs(t + hh, {vec(lambda j: f'y{j} + hh * k1_{j}')})",
+            f"    {unpack('k3_')}= rhs(t + hh, {vec(lambda j: f'y{j} + hh * k2_{j}')})",
+            f"    {unpack('k4_')}= rhs(t + h, {vec(lambda j: f'y{j} + h * k3_{j}')})",
+            "    return " + vec(
+                lambda j: f"y{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"),
+        ]
+    else:  # "rkf45"
+        lines = [
+            "def step(rhs, t, y, h, k0, rel_tol, abs_tol):",
+            f"    {unpack('y')}= y",
+            f"    {unpack('k0_')}= k0",
+        ]
+        for i in range(1, 6):
+            stage = vec(lambda j: f"y{j} + h * ({weighted(_A[i], j)})")
+            lines.append(f"    {unpack(f'k{i}_')}= rhs(t + {_C[i]!r} * h, {stage})")
+        for j in range(d):
+            lines.append(f"    n{j} = y{j} + h * ({weighted(_B4, j)})")
+        for j in range(d):
+            lines.append(f"    r{j} = h * ({weighted(_ERR, j)})"
+                         f" / (abs_tol + rel_tol * max(abs(y{j}), abs(n{j})))")
+        squares = " + ".join(f"r{j} * r{j}" for j in range(d))
+        lines.append(f"    return {vec(lambda j: f'n{j}')}, sqrt(({squares}) / {d})")
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(lines), f"<{scheme} step kernel, d={d}>", "exec"), namespace)
+    return namespace["step"]
+
+
+# ---------------------------------------------------------------------------
 # fixed-step RK4
 
 
@@ -213,7 +295,8 @@ def integrate_fixed(
     Parameters
     ----------
     rhs : callable
-        (t, y) -> dy/dt; `y` is a tuple of floats, dy a length-d sequence.
+        (t, y) -> dy/dt; `y` is a tuple of d floats and dy must hold exactly
+        d floats, else ValueError is raised at the first evaluation.
     y0 : sequence of float
         Initial state, matching `layout`.
     T, dt : float
@@ -232,6 +315,7 @@ def integrate_fixed(
     if rem < 1e-12 * dt:
         rem = 0.0
 
+    step = _step_kernel("rk4", len(y))
     times = [0.0]
     states = array("d", y)  # samples, row after row
     aborted = False
@@ -242,16 +326,8 @@ def integrate_fixed(
     # test below catches, so its warnings are silenced
     with np.errstate(all="ignore"):
         for k in range(n_steps):
-            h = dt if k < n_full else rem
-            hh = 0.5 * h
-            h6 = h / 6.0
             try:
-                k1 = rhs(t, y)
-                k2 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k1)]))
-                k3 = rhs(t + hh, tuple([a + hh * b for a, b in zip(y, k2)]))
-                k4 = rhs(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
-                y_new = tuple([a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                               for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+                y_new = step(rhs, t, y, dt if k < n_full else rem)
             except _FIELD_ERRORS as exc:
                 aborted, reason = True, f"field evaluation failed at t={t:.6g}: {exc}"
                 break
@@ -279,37 +355,24 @@ def integrate_fixed(
 
 
 # ---------------------------------------------------------------------------
-# embedded RK4(5), Fehlberg coefficients, cubic Hermite dense output
-
-_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
+# embedded RK4(5) with cubic Hermite dense output
 
 
-def _weighted_sum(coeffs, ks) -> list:
-    """Per component, coeffs[0]*ks[0][j] + coeffs[1]*ks[1][j] + ..., left to right."""
-    sums = [coeffs[0] * v for v in ks[0]]
-    for c, k in zip(coeffs[1:], ks[1:]):
-        sums = [s + c * v for s, v in zip(sums, k)]
-    return sums
+def _hermite_rows(times: list, t: float, h: float, y0, d0, y1, d1) -> np.ndarray:
+    """Cubic Hermite interpolants at `times` inside the step [t, t + h], one row each.
 
-
-def _hermite(theta: float, y0, d0, y1, d1, h: float) -> tuple:
+    y0, d0 and y1, d1 are the states and derivatives at the two step ends.
+    Every row is the per-component formula c0*y0 + c1*d0 + c2*y1 + c3*d1,
+    broadcast over the step's samples.
+    """
+    theta = ((np.array(times) - t) / h)[:, None]
     t2, t3 = theta * theta, theta * theta * theta
     c0 = 2 * t3 - 3 * t2 + 1
     c1 = (t3 - 2 * t2 + theta) * h
     c2 = -2 * t3 + 3 * t2
     c3 = (t3 - t2) * h
-    return tuple([c0 * a + c1 * b + c2 * c + c3 * d
-                  for a, b, c, d in zip(y0, d0, y1, d1)])
+    ends = np.array((y0, d0, y1, d1), dtype=float)
+    return c0 * ends[0] + c1 * ends[1] + c2 * ends[2] + c3 * ends[3]
 
 
 def integrate_adaptive(
@@ -330,8 +393,9 @@ def integrate_adaptive(
     drives the controller h <- h * clip(0.9 err^(-1/5), 0.2, 5).  Samples
     are produced on a uniform grid of spacing `sample_interval` (default
     T/1000) by cubic Hermite interpolation using the stage-1 derivatives at
-    both step ends, plus the exact endpoint T.  `rhs` follows the contract
-    of `integrate_fixed`.
+    both step ends, plus the exact endpoint T; the samples inside one
+    accepted step are evaluated together.  `rhs` follows the contract of
+    `integrate_fixed`.
 
     A step shrinking below 1e-12 * T aborts the trajectory (stiffness or
     singularity signal); evaluation failures shrink the step first and only
@@ -346,7 +410,7 @@ def integrate_adaptive(
     if not (0 < sample_interval <= T):
         raise ValueError("need 0 < sample_interval <= T")
     y = _initial_state(y0, layout)
-    d = len(y)
+    step = _step_kernel("rkf45", len(y))
 
     h_min = _UNDERFLOW_FRACTION * T
     h = first_step if first_step is not None else min(T / 100.0, 1.0)
@@ -355,6 +419,7 @@ def integrate_adaptive(
     times = [0.0]
     states = array("d", y)  # samples, row after row
     next_sample = sample_interval
+    sample_end = T - 1e-14 * T  # T itself is appended exactly, after the last step
     t = 0.0
     aborted = False
     reason = ""
@@ -372,12 +437,7 @@ def integrate_adaptive(
             try:
                 if d_left is None:
                     d_left = rhs(t, y)
-                k = [d_left]
-                for i in range(1, 6):
-                    yi = tuple([a + h * b for a, b in zip(y, _weighted_sum(_A[i], k))])
-                    k.append(rhs(t + _C[i] * h, yi))
-                y_new = tuple([a + h * b for a, b in zip(y, _weighted_sum(_B4, k))])
-                err_vec = [h * b for b in _weighted_sum(_ERR, k)]
+                y_new, err = step(rhs, t, y, h, d_left, rel_tol, abs_tol)
             except _FIELD_ERRORS as exc:
                 h *= _SHRINK_MIN
                 n_reject += 1
@@ -386,16 +446,7 @@ def integrate_adaptive(
                         f"field evaluation failed at t={t:.6g} with no recoverable step: {exc}"
                     )
                 continue
-            if not all(map(math.isfinite, y_new)):
-                h *= _SHRINK_MIN
-                n_reject += 1
-                continue
-            sq = 0.0
-            for e, a, b in zip(err_vec, y, y_new):
-                r = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
-                sq += r * r
-            err = math.sqrt(sq / d)
-            if not math.isfinite(err):
+            if not (all(map(math.isfinite, y_new)) and math.isfinite(err)):
                 h *= _SHRINK_MIN
                 n_reject += 1
                 continue
@@ -409,12 +460,15 @@ def integrate_adaptive(
                     )
                     break
                 # dense output over (t, t_new]
-                while next_sample <= t_new + 1e-14 * T and next_sample < T - 1e-14 * T:
+                n_before = len(times)
+                step_end = t_new + 1e-14 * T
+                while next_sample <= step_end and next_sample < sample_end:
                     if next_sample > times[-1]:
                         times.append(next_sample)
-                        states.extend(_hermite((next_sample - t) / h,
-                                               y, d_left, y_new, d_right, h))
                     next_sample += sample_interval
+                if len(times) > n_before:
+                    rows = _hermite_rows(times[n_before:], t, h, y, d_left, y_new, d_right)
+                    states.frombytes(rows.tobytes())
                 y, t, d_left = y_new, t_new, d_right
                 n_accept += 1
                 if t >= T * (1.0 - 1e-14):

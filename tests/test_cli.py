@@ -173,6 +173,15 @@ def test_simulate_brownian_bad_step_exits_2(tmp_path, capsys, dt, T):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+def test_simulate_step_exceeds_T_exits_2(tmp_path, capsys, integrator):
+    # the default dt (and with it rkf45's default sample interval) exceeds T
+    code = run("simulate", "--system", "damped_oscillator", "--integrator", integrator,
+               "--T", "0.0005", "--out", str(tmp_path / "run"))
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # virial
 

@@ -213,8 +213,75 @@ def reference_rkf45(rhs, y0, T, rel_tol, abs_tol, sample_interval):
     return np.array(states), n_acc, n_rej
 
 
+def _weighted_sum(coeffs, ks) -> list:
+    """Per component, coeffs[0]*ks[0][j] + coeffs[1]*ks[1][j] + ..., left to right."""
+    sums = [coeffs[0] * v for v in ks[0]]
+    for c, k in zip(coeffs[1:], ks[1:]):
+        sums = [s + c * v for s, v in zip(sums, k)]
+    return sums
+
+
+def _hermite(theta, y0, d0, y1, d1, h) -> tuple:
+    t2, t3 = theta * theta, theta * theta * theta
+    c0 = 2 * t3 - 3 * t2 + 1
+    c1 = (t3 - 2 * t2 + theta) * h
+    c2 = -2 * t3 + 3 * t2
+    c3 = (t3 - t2) * h
+    return tuple([c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(y0, d0, y1, d1)])
+
+
+def scalar_rkf45(rhs, y0, T, rel_tol, abs_tol, sample_interval):
+    """RKF45 on float tuples with one scalar Hermite call per sample.
+
+    Returns (times, states, n_accepted, n_rejected).  This is the loop the
+    straight-line kernels and the per-step numpy dense output replaced, so
+    their samples must equal these bit for bit.
+    """
+    y, t, h = tuple(float(v) for v in y0), 0.0, min(T / 100.0, 1.0)
+    times, states = [0.0], [y]
+    next_sample, n_acc, n_rej = sample_interval, 0, 0
+    d_left = rhs(t, y)
+    while t < T:
+        h = min(h, T - t)
+        k = [d_left]
+        for i in range(1, 6):
+            yi = tuple([a + h * b for a, b in zip(y, _weighted_sum(_A[i], k))])
+            k.append(rhs(t + _C[i] * h, yi))
+        y_new = tuple([a + h * b for a, b in zip(y, _weighted_sum(_B4, k))])
+        sq = 0.0
+        for e, a, b in zip(_weighted_sum(_ERR, k), y, y_new):
+            r = h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
+            sq += r * r
+        err = math.sqrt(sq / len(y))
+        if err <= 1.0:
+            t_new = t + h
+            d_right = rhs(t_new, y_new)
+            while next_sample <= t_new + 1e-14 * T and next_sample < T - 1e-14 * T:
+                if next_sample > times[-1]:
+                    times.append(next_sample)
+                    states.append(_hermite((next_sample - t) / h, y, d_left, y_new, d_right, h))
+                next_sample += sample_interval
+            y, t, d_left, n_acc = y_new, t_new, d_right, n_acc + 1
+            if t >= T * (1.0 - 1e-14):
+                times.append(T)
+                states.append(y)
+                break
+        else:
+            n_rej += 1
+        h *= min(5.0, max(0.2, 0.9 * err ** (-0.2) if err > 0 else 5.0))
+    return np.array(times), np.array(states), n_acc, n_rej
+
+
+def ring_rhs(d):
+    """y_j' = -0.1 y_j + y_{j-1} - y_{j+1} on a ring of d floats: damped waves."""
+    def rhs(t, y):
+        return tuple(-0.1 * y[j] + y[j - 1] - y[(j + 1) % d] for j in range(d))
+
+    return rhs
+
+
 class TestFloatStepping:
-    """The float loops against numpy-array references, and their abort paths."""
+    """The generated float kernels against array and scalar references, and their abort paths."""
 
     @pytest.mark.parametrize("system, chart", [("forced_oscillator", "extended"),
                                                ("damped_oscillator", "hamiltonian")])
@@ -256,6 +323,64 @@ class TestFloatStepping:
         assert traj.n_samples >= 2
         assert traj.times[-1] < 0.5 + 1e-9
         np.testing.assert_allclose(traj.states[:, 0], traj.times, atol=1e-12)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_rk4_every_kernel_width(self, d):
+        y0 = [math.cos(j) for j in range(d)]
+        traj = integrate_fixed(ring_rhs(d), y0, T=2.0, dt=1e-3, layout=[f"y{j}" for j in range(d)],
+                               sample_every=1)
+        assert np.array_equal(traj.states, reference_rk4(ring_rhs(d), y0, 2000, 1e-3))
+
+    @pytest.mark.parametrize("case", ["damped-lagrangian", "ring-1", "ring-2", "ring-7"])
+    def test_rkf45_dense_output_equals_scalar_loop(self, case):
+        if case == "damped-lagrangian":
+            c = make_system("damped_oscillator").chart("lagrangian")
+            rhs, y0, layout = c.rhs, c.x0, c.layout
+        else:
+            d = int(case.split("-")[1])
+            rhs, y0, layout = ring_rhs(d), [math.cos(j) for j in range(d)], [f"y{j}" for j in range(d)]
+        traj = integrate_adaptive(rhs, y0, 50.0, 1e-8, 1e-10, layout=layout,
+                                  sample_interval=1e-2)
+        times, states, n_acc, n_rej = scalar_rkf45(rhs, y0, 50.0, 1e-8, 1e-10, 1e-2)
+        assert (traj.meta["n_accepted"], traj.meta["n_rejected"]) == (n_acc, n_rej)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
+    def test_overflow_in_wide_kernel_aborts_with_valid_prefix(self, adaptive):
+        # seven components, q' = 1 in the last until it reaches 0.5, where
+        # math.exp overflows inside one of the kernel's stage evaluations
+        def rhs(t, y):
+            return (0.0,) * 6 + (1.0 if y[6] < 0.5 else math.exp(1000.0 + y[6]),)
+
+        layout, y0 = [f"y{j}" for j in range(7)], [0.0] * 7
+        if adaptive:
+            traj = integrate_adaptive(rhs, y0, T=2.0, layout=layout, sample_interval=0.01)
+        else:
+            traj = integrate_fixed(rhs, y0, T=2.0, dt=1e-3, layout=layout)
+        assert traj.aborted
+        assert "failed" in traj.abort_reason
+        assert traj.n_samples >= 2
+        assert traj.times[-1] < 0.5 + 1e-9
+        np.testing.assert_allclose(traj.states[:, 6], traj.times, atol=1e-12)
+        assert not traj.states[:, :6].any()
+
+    @pytest.mark.parametrize("returned", [2, 4], ids=["short", "long"])
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
+    def test_wrong_length_rhs_raises_at_first_evaluation(self, adaptive, returned):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (y[1], -y[0], 0.0, 5.0)[:returned]
+
+        with pytest.raises(ValueError, match=r"expected 3"):
+            if adaptive:
+                integrate_adaptive(rhs, [0.0, 1.0, 0.0], T=1.0, layout=LAYOUT_SQP)
+            else:
+                integrate_fixed(rhs, [0.0, 1.0, 0.0], T=1.0, dt=0.1, layout=LAYOUT_SQP)
+        assert len(calls) == 1
 
 
 class TestVolumeContraction:
