@@ -211,29 +211,33 @@ def _noise(cfg: ExperimentConfig, spec):
 
 def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
     meta = {"system": spec.name, "chart": chart_name}
-    try:  # the steppers check the step and the sampling against T (and gamma)
-        if spec.noise is not None:
+    if spec.noise is not None:
+        try:
             return euler_maruyama_langevin(
                 chart, _noise(cfg, spec), cfg.T, cfg.dt,
                 sample_every=cfg.sample_every, meta=meta,
             )
-        meta["integrator"] = cfg.integrator
-        if cfg.integrator == "rk4":
-            meta.update({"dt": cfg.dt, "sample_every": cfg.sample_every})
-            return integrate_fixed(
-                chart.rhs, chart.x0, cfg.T, cfg.dt,
-                layout=chart.layout, sample_every=cfg.sample_every, meta=meta,
-            )
-        # identity residuals are limited by trapezoid quadrature on the sample
-        # grid, so default adaptive sampling to the same density as the rk4 grid
-        interval = cfg.sample_interval if cfg.sample_interval is not None else cfg.dt
-        meta.update({"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol})
-        return integrate_adaptive(
-            chart.rhs, chart.x0, cfg.T, cfg.rel_tol, cfg.abs_tol,
-            layout=chart.layout, sample_interval=interval, meta=meta,
+        except ValueError as exc:  # step checks against T and gamma
+            raise ConfigError(str(exc)) from exc
+    meta["integrator"] = cfg.integrator
+    if cfg.integrator == "rk4":
+        if not (cfg.dt <= cfg.T):
+            raise ConfigError(f"dt={cfg.dt!r} must not exceed T={cfg.T!r}")
+        meta.update({"dt": cfg.dt, "sample_every": cfg.sample_every})
+        return integrate_fixed(
+            chart.rhs, chart.x0, cfg.T, cfg.dt,
+            layout=chart.layout, sample_every=cfg.sample_every, meta=meta,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # identity residuals are limited by trapezoid quadrature on the sample
+    # grid, so default adaptive sampling to the same density as the rk4 grid
+    interval = cfg.sample_interval if cfg.sample_interval is not None else cfg.dt
+    if not (interval <= cfg.T):
+        raise ConfigError(f"sample_interval={interval!r} (dt unless set) must not exceed T={cfg.T!r}")
+    meta.update({"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol})
+    return integrate_adaptive(
+        chart.rhs, chart.x0, cfg.T, cfg.rel_tol, cfg.abs_tol,
+        layout=chart.layout, sample_interval=interval, meta=meta,
+    )
 
 
 def _preamble(cfg: ExperimentConfig, command: str, seed=None) -> list[str]:

@@ -12,8 +12,8 @@ with that width, that unpacks the stages into scalars.  Chart packing
 (which component is s, q, p, ...) is the caller's business and is recorded
 in the trajectory's ``layout``.  Three steppers are provided: classical
 fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense output
-(the samples inside one accepted step are evaluated together in numpy),
-and one Euler-Maruyama loop over a stochastic chart's drift and terms,
+(each sample through a straight-line kernel of the same kind), and one
+Euler-Maruyama loop over a stochastic chart's drift and terms,
 shared by single runs and ensembles (members are bit-identical to single
 runs with matching seeds).
 
@@ -205,13 +205,16 @@ _ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 @functools.cache
-def _step_kernel(scheme: str, d: int):
-    """One step of `scheme` on d-component float states, compiled on first use.
+def _kernel(scheme: str, d: int):
+    """Straight-line float arithmetic of `scheme` on d-component states, compiled on first use.
 
     "rk4" gives step(rhs, t, y, h) -> y_new.  "rkf45" gives
     step(rhs, t, y, h, k0, rel_tol, abs_tol) -> (y_new, err), where k0 is
     rhs(t, y), y_new the 4th-order solution and err the RMS over components
     of the embedded error estimate divided by abs_tol + rel_tol*max(|y|, |y_new|).
+    "hermite" gives sample(theta, y0, d0, y1, d1, h) -> the cubic Hermite
+    interpolant at t + theta*h inside a step of length h, whose ends have
+    states y0, y1 and derivatives d0, d1.
 
     The generated source unpacks `y` and every stage's rhs result into d
     scalars, so a result of another length raises ValueError naming the
@@ -219,7 +222,8 @@ def _step_kernel(scheme: str, d: int):
     The order of operations is that of the per-component formulas: RK4
     stages are y + hh*k and the update y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4);
     RKF45 sums c0*k0 + c1*k1 + ... left to right, zero coefficients
-    included, with every coefficient written as its repr, which round-trips.
+    included, with every coefficient written as its repr, which round-trips;
+    a Hermite sample is w0*y0 + w1*d0 + w2*y1 + w3*d1.
     """
     def unpack(prefix):
         return "".join(f"{prefix}{j}, " for j in range(d))
@@ -230,7 +234,21 @@ def _step_kernel(scheme: str, d: int):
     def weighted(coeffs, j):
         return " + ".join(f"{c!r} * k{i}_{j}" for i, c in enumerate(coeffs))
 
-    if scheme == "rk4":
+    if scheme == "hermite":
+        lines = [
+            "def sample(theta, y0, d0, y1, d1, h):",
+            "    t2, t3 = theta * theta, theta * theta * theta",
+            "    w0 = 2 * t3 - 3 * t2 + 1",
+            "    w1 = (t3 - 2 * t2 + theta) * h",
+            "    w2 = -2 * t3 + 3 * t2",
+            "    w3 = (t3 - t2) * h",
+            f"    {unpack('a')}= y0",
+            f"    {unpack('b')}= d0",
+            f"    {unpack('c')}= y1",
+            f"    {unpack('e')}= d1",
+            "    return " + vec(lambda j: f"w0 * a{j} + w1 * b{j} + w2 * c{j} + w3 * e{j}"),
+        ]
+    elif scheme == "rk4":
         lines = [
             "def step(rhs, t, y, h):",
             "    hh = 0.5 * h",
@@ -260,8 +278,8 @@ def _step_kernel(scheme: str, d: int):
         squares = " + ".join(f"r{j} * r{j}" for j in range(d))
         lines.append(f"    return {vec(lambda j: f'n{j}')}, sqrt(({squares}) / {d})")
     namespace = {"sqrt": math.sqrt}
-    exec(compile("\n".join(lines), f"<{scheme} step kernel, d={d}>", "exec"), namespace)
-    return namespace["step"]
+    exec(compile("\n".join(lines), f"<{scheme} kernel, d={d}>", "exec"), namespace)
+    return namespace["sample" if scheme == "hermite" else "step"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +333,7 @@ def integrate_fixed(
     if rem < 1e-12 * dt:
         rem = 0.0
 
-    step = _step_kernel("rk4", len(y))
+    step = _kernel("rk4", len(y))
     times = [0.0]
     states = array("d", y)  # samples, row after row
     aborted = False
@@ -358,23 +376,6 @@ def integrate_fixed(
 # embedded RK4(5) with cubic Hermite dense output
 
 
-def _hermite_rows(times: list, t: float, h: float, y0, d0, y1, d1) -> np.ndarray:
-    """Cubic Hermite interpolants at `times` inside the step [t, t + h], one row each.
-
-    y0, d0 and y1, d1 are the states and derivatives at the two step ends.
-    Every row is the per-component formula c0*y0 + c1*d0 + c2*y1 + c3*d1,
-    broadcast over the step's samples.
-    """
-    theta = ((np.array(times) - t) / h)[:, None]
-    t2, t3 = theta * theta, theta * theta * theta
-    c0 = 2 * t3 - 3 * t2 + 1
-    c1 = (t3 - 2 * t2 + theta) * h
-    c2 = -2 * t3 + 3 * t2
-    c3 = (t3 - t2) * h
-    ends = np.array((y0, d0, y1, d1), dtype=float)
-    return c0 * ends[0] + c1 * ends[1] + c2 * ends[2] + c3 * ends[3]
-
-
 def integrate_adaptive(
     rhs: Callable[[float, tuple], Sequence[float]],
     y0: Sequence[float],
@@ -393,9 +394,8 @@ def integrate_adaptive(
     drives the controller h <- h * clip(0.9 err^(-1/5), 0.2, 5).  Samples
     are produced on a uniform grid of spacing `sample_interval` (default
     T/1000) by cubic Hermite interpolation using the stage-1 derivatives at
-    both step ends, plus the exact endpoint T; the samples inside one
-    accepted step are evaluated together.  `rhs` follows the contract of
-    `integrate_fixed`.
+    both step ends, plus the exact endpoint T.  `rhs` follows the contract
+    of `integrate_fixed`.
 
     A step shrinking below 1e-12 * T aborts the trajectory (stiffness or
     singularity signal); evaluation failures shrink the step first and only
@@ -410,7 +410,8 @@ def integrate_adaptive(
     if not (0 < sample_interval <= T):
         raise ValueError("need 0 < sample_interval <= T")
     y = _initial_state(y0, layout)
-    step = _step_kernel("rkf45", len(y))
+    step = _kernel("rkf45", len(y))
+    hermite = _kernel("hermite", len(y))
 
     h_min = _UNDERFLOW_FRACTION * T
     h = first_step if first_step is not None else min(T / 100.0, 1.0)
@@ -460,15 +461,13 @@ def integrate_adaptive(
                     )
                     break
                 # dense output over (t, t_new]
-                n_before = len(times)
                 step_end = t_new + 1e-14 * T
                 while next_sample <= step_end and next_sample < sample_end:
                     if next_sample > times[-1]:
                         times.append(next_sample)
+                        states.extend(hermite((next_sample - t) / h,
+                                              y, d_left, y_new, d_right, h))
                     next_sample += sample_interval
-                if len(times) > n_before:
-                    rows = _hermite_rows(times[n_before:], t, h, y, d_left, y_new, d_right)
-                    states.frombytes(rows.tobytes())
                 y, t, d_left = y_new, t_new, d_right
                 n_accept += 1
                 if t >= T * (1.0 - 1e-14):

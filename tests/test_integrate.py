@@ -234,8 +234,8 @@ def scalar_rkf45(rhs, y0, T, rel_tol, abs_tol, sample_interval):
     """RKF45 on float tuples with one scalar Hermite call per sample.
 
     Returns (times, states, n_accepted, n_rejected).  This is the loop the
-    straight-line kernels and the per-step numpy dense output replaced, so
-    their samples must equal these bit for bit.
+    straight-line step and Hermite kernels replaced, so their samples must
+    equal these bit for bit.
     """
     y, t, h = tuple(float(v) for v in y0), 0.0, min(T / 100.0, 1.0)
     times, states = [0.0], [y]
@@ -280,16 +280,25 @@ def ring_rhs(d):
     return rhs
 
 
+def problem(case):
+    """(rhs, y0, layout) of the catalog chart "<system>-<chart>" or of "ring-<d>"."""
+    name, variant = case.rsplit("-", 1)
+    if name == "ring":
+        d = int(variant)
+        return ring_rhs(d), [math.cos(j) for j in range(d)], [f"y{j}" for j in range(d)]
+    c = make_system(name).chart(variant)
+    return c.rhs, c.x0, c.layout
+
+
 class TestFloatStepping:
     """The generated float kernels against array and scalar references, and their abort paths."""
 
-    @pytest.mark.parametrize("system, chart", [("forced_oscillator", "extended"),
-                                               ("damped_oscillator", "hamiltonian")])
-    def test_rk4_bit_identical_to_array_formula(self, system, chart):
-        c = make_system(system).chart(chart)
-        traj = integrate_fixed(c.rhs, c.x0, T=2.0, dt=1e-3, layout=c.layout,
-                               sample_every=1)
-        ref = reference_rk4(c.rhs, c.x0, 2000, 1e-3)
+    @pytest.mark.parametrize("case", ["forced_oscillator-extended", "damped_oscillator-hamiltonian",
+                                      "ring-1", "ring-2", "ring-7"])
+    def test_rk4_bit_identical_to_array_formula(self, case):
+        rhs, y0, layout = problem(case)
+        traj = integrate_fixed(rhs, y0, T=2.0, dt=1e-3, layout=layout, sample_every=1)
+        ref = reference_rk4(rhs, y0, 2000, 1e-3)
         assert traj.n_samples == 2001
         assert np.array_equal(traj.states, ref)
 
@@ -303,43 +312,9 @@ class TestFloatStepping:
         assert traj.states.shape == ref.shape
         np.testing.assert_allclose(traj.states, ref, rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("blowup", [lambda q: math.exp(1000.0 + q),
-                                        lambda q: 1.0 / (q - q)],
-                             ids=["overflow", "zero-division"])
-    @pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
-    def test_float_errors_abort_with_valid_prefix(self, blowup, adaptive):
-        # q' = 1 until q reaches 0.5, where float arithmetic raises instead of
-        # returning inf
-        def rhs(t, y):
-            return (1.0 if y[0] < 0.5 else blowup(y[0]),)
-
-        if adaptive:
-            traj = integrate_adaptive(rhs, [0.0], T=2.0, layout=("q",),
-                                      sample_interval=0.01)
-        else:
-            traj = integrate_fixed(rhs, [0.0], T=2.0, dt=1e-3, layout=("q",))
-        assert traj.aborted
-        assert "failed" in traj.abort_reason
-        assert traj.n_samples >= 2
-        assert traj.times[-1] < 0.5 + 1e-9
-        np.testing.assert_allclose(traj.states[:, 0], traj.times, atol=1e-12)
-
-
-    @pytest.mark.parametrize("d", [1, 2, 7])
-    def test_rk4_every_kernel_width(self, d):
-        y0 = [math.cos(j) for j in range(d)]
-        traj = integrate_fixed(ring_rhs(d), y0, T=2.0, dt=1e-3, layout=[f"y{j}" for j in range(d)],
-                               sample_every=1)
-        assert np.array_equal(traj.states, reference_rk4(ring_rhs(d), y0, 2000, 1e-3))
-
-    @pytest.mark.parametrize("case", ["damped-lagrangian", "ring-1", "ring-2", "ring-7"])
+    @pytest.mark.parametrize("case", ["damped_oscillator-lagrangian", "ring-1", "ring-2", "ring-7"])
     def test_rkf45_dense_output_equals_scalar_loop(self, case):
-        if case == "damped-lagrangian":
-            c = make_system("damped_oscillator").chart("lagrangian")
-            rhs, y0, layout = c.rhs, c.x0, c.layout
-        else:
-            d = int(case.split("-")[1])
-            rhs, y0, layout = ring_rhs(d), [math.cos(j) for j in range(d)], [f"y{j}" for j in range(d)]
+        rhs, y0, layout = problem(case)
         traj = integrate_adaptive(rhs, y0, 50.0, 1e-8, 1e-10, layout=layout,
                                   sample_interval=1e-2)
         times, states, n_acc, n_rej = scalar_rkf45(rhs, y0, 50.0, 1e-8, 1e-10, 1e-2)
@@ -347,14 +322,19 @@ class TestFloatStepping:
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states, states)
 
+    @pytest.mark.parametrize("blowup, d", [
+        pytest.param(lambda q: math.exp(1000.0 + q), 1, id="overflow"),
+        pytest.param(lambda q: 1.0 / (q - q), 1, id="zero-division"),
+        pytest.param(lambda q: math.exp(1000.0 + q), 7, id="overflow-d7"),
+    ])
     @pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
-    def test_overflow_in_wide_kernel_aborts_with_valid_prefix(self, adaptive):
-        # seven components, q' = 1 in the last until it reaches 0.5, where
-        # math.exp overflows inside one of the kernel's stage evaluations
+    def test_float_errors_abort_with_valid_prefix(self, blowup, d, adaptive):
+        # q' = 1 in the last of d components until it reaches 0.5, where float
+        # arithmetic raises inside a kernel stage instead of returning inf
         def rhs(t, y):
-            return (0.0,) * 6 + (1.0 if y[6] < 0.5 else math.exp(1000.0 + y[6]),)
+            return (0.0,) * (d - 1) + (1.0 if y[-1] < 0.5 else blowup(y[-1]),)
 
-        layout, y0 = [f"y{j}" for j in range(7)], [0.0] * 7
+        layout, y0 = [f"y{j}" for j in range(d)], [0.0] * d
         if adaptive:
             traj = integrate_adaptive(rhs, y0, T=2.0, layout=layout, sample_interval=0.01)
         else:
@@ -363,8 +343,8 @@ class TestFloatStepping:
         assert "failed" in traj.abort_reason
         assert traj.n_samples >= 2
         assert traj.times[-1] < 0.5 + 1e-9
-        np.testing.assert_allclose(traj.states[:, 6], traj.times, atol=1e-12)
-        assert not traj.states[:, :6].any()
+        np.testing.assert_allclose(traj.states[:, -1], traj.times, atol=1e-12)
+        assert not traj.states[:, :-1].any()
 
     @pytest.mark.parametrize("returned", [2, 4], ids=["short", "long"])
     @pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
