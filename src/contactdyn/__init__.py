@@ -49,6 +49,7 @@ from .herglotz import (
     LagrangianObservable,
     LagrangianPoint,
     LagrangianTangent,
+    RCOND_MIN,
     RegularityError,
     apply_lagrangian_field,
     check_lagrangian_partials,

@@ -28,16 +28,21 @@ from pathlib import Path
 
 import yaml
 
-from .core import DarbouxPoint, NonFiniteError, check_partials
-from .extended import ExtendedPoint, check_partials_extended
-from .herglotz import LagrangianPoint, check_lagrangian_partials
+from .core import NonFiniteError
 from .integrate import (
     euler_maruyama_langevin,
     integrate_adaptive,
     integrate_fixed,
     write_trajectory_csv,
 )
-from .systems import ParameterError, SYSTEM_NAMES, UnknownSystemError, catalog_schema, make_system
+from .systems import (
+    ParameterError,
+    SYSTEM_NAMES,
+    UnknownSystemError,
+    _partials_reports,
+    catalog_schema,
+    make_system,
+)
 from .virial import (
     _fmt,
     ensemble_report,
@@ -386,28 +391,6 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _gradcheck_reports(spec):
-    """(label, PartialsReport) pairs for every analytic model of a spec."""
-    out = []
-    for chart in spec.charts.values():
-        if chart.kind in ("hamiltonian", "contact") and spec.hamiltonian is not None:
-            x0 = chart.x0
-            x = DarbouxPoint(s=x0[0], q=x0[1:2], p=x0[2:3])
-            out.append((spec.hamiltonian.name, check_partials(spec.hamiltonian, x)))
-        elif chart.kind == "lagrangian" and spec.lagrangian is not None:
-            x0 = chart.x0
-            z = LagrangianPoint(q=x0[0:1], qdot=x0[1:2], s=x0[2])
-            out.append((spec.lagrangian.name,
-                        check_lagrangian_partials(spec.lagrangian, z)))
-        elif chart.kind == "extended" and spec.extended is not None:
-            x0 = chart.x0
-            # probe away from t = 0 so the drive's time derivative is non-trivial
-            y = ExtendedPoint(t=0.3, base=DarbouxPoint(s=x0[1], q=x0[2:3], p=x0[3:4]))
-            out.append((spec.extended.name,
-                        check_partials_extended(spec.extended, y)))
-    return out
-
-
 def cmd_gradcheck(args) -> int:
     if getattr(args, "param", None) and not getattr(args, "system", None):
         raise ConfigError("--param needs --system (parameters are per-system)")
@@ -418,7 +401,7 @@ def cmd_gradcheck(args) -> int:
             spec = make_system(name, **_parse_param_flags(getattr(args, "param", None)))
         except (UnknownSystemError, ParameterError) as exc:
             raise ConfigError(str(exc)) from exc
-        reports = _gradcheck_reports(spec)
+        reports = _partials_reports(spec)
         if not reports:
             print(f"{name}: no analytic partials (stochastic stepper), skipped")
             continue

@@ -36,8 +36,11 @@ __all__ = [
     "divergence",
     "numerical_divergence",
     "check_partials",
+    "compare_derivative",
     "PartialCheck",
     "PartialsReport",
+    "REL_TOL",
+    "ABS_TOL",
 ]
 
 

@@ -28,7 +28,6 @@ import math
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -530,11 +529,6 @@ class LangevinEnsembleStats:
     G_final: np.ndarray
 
 
-def _records(layout: tuple, states: np.ndarray) -> SimpleNamespace:
-    """Step-major block states as chart terms read them: column(name) is (steps, n_traj)."""
-    return SimpleNamespace(column=lambda name: states[:, layout.index(name)])
-
-
 def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
                    sample_every: int | None):
     """Euler-Maruyama over n_traj independent noise streams of one chart.
@@ -566,7 +560,7 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     rec = np.empty((block + 1, len(chart.layout), n_traj))
     rec[0] = chart.x0[:, None]
     t, s, q, p = 0.0, rec[0, 1], rec[0, 2], rec[0, 3]
-    G_initial = chart.G(_records(chart.layout, rec[:1]))[0]
+    G_initial = chart.G(*rec[0])
     samples = [rec[:1].copy()]
     sums = np.zeros((len(chart.terms), n_traj))
     partial = np.zeros_like(sums)
@@ -596,8 +590,8 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
             # trapezoid over the block, one row at a time and in partial
             # sums over fixed step ranges, so that a member's sums do not
             # depend on n_traj (which sets the block length)
-            block_states = _records(chart.layout, rec[:nb + 1])
-            vals = np.stack([b.values(block_states) for b in chart.terms], axis=1)
+            block_states = rec[:nb + 1].transpose(1, 0, 2)
+            vals = np.stack([b.value(*block_states) for b in chart.terms], axis=1)
             for k, row in zip(ks.tolist(), dt * 0.5 * (vals[:-1] + vals[1:])):
                 partial += row
                 if k % _SUM_STEPS == 0:
@@ -616,7 +610,7 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         term_averages=(sums + partial) / T,
         noise_virial=noise_sum / T,
         G_initial=G_initial,
-        G_final=chart.G(_records(chart.layout, rec[:1]))[0],
+        G_final=chart.G(*rec[0]),
     )
     return stats, (np.concatenate(samples) if sample_every is not None else None)
 

@@ -4,10 +4,13 @@ Each system bundles analytic models (Darboux-chart Hamiltonian, velocity-
 chart Lagrangian, extended time-dependent Hamiltonian — whichever apply),
 fast closed-form right-hand sides per chart, default initial states, and
 the signed term decomposition its averaged-rate report uses (a Brownian
-rhs is the drift; its NoiseSpec adds the thermal force).  Analytic partials
-are run through the finite-difference oracle once at construction at the
-default state, and the terms are checked against the flow rate of G, so a
-catalog system cannot be built with a wrong gradient or term.
+rhs is the drift; its NoiseSpec adds the thermal force).  Every term and
+every G is a plain-arithmetic function of the state's components in layout
+order, ``value(*y)``, so the same code evaluates on floats and on
+equal-shape column arrays.  Analytic partials are run through the
+finite-difference oracle once at construction at each chart's default
+state, and the terms are checked against the flow rate of G, so a catalog
+system cannot be built with a wrong gradient or term.
 
 Charts and layouts
 ------------------
@@ -148,12 +151,15 @@ def catalog_schema() -> dict[str, tuple[ParameterSpec, ...]]:
 class VirialTermBinding:
     """One signed term of a system's averaged-rate balance.
 
-    `values` evaluates the term along a trajectory, vectorized over samples.
+    `value(*y)` takes the state's components in layout order and returns
+    the term; it is plain arithmetic, so it evaluates on floats and on
+    equal-shape column arrays alike (`value(*traj.states.T)` gives the term
+    at every sample).
     """
 
     name: str
     sign: int
-    values: Callable[[Trajectory], np.ndarray]
+    value: Callable[..., float]
 
 
 @dataclass(frozen=True)
@@ -164,10 +170,11 @@ class Chart:
     state as a tuple of floats in `layout` order and returns the
     derivatives as a tuple of floats; a stochastic chart's rhs is its drift,
     which also evaluates on per-member arrays.  terms, G and rate_scale are
-    everything a report needs: G evaluates the virial observable along
-    samples, and sum(sign*term) == rate_scale * X(G) holds identically, so
-    the signed term sum over rate_scale is the flow rate X(G).  make_system
-    checks that identity for every chart.
+    everything a report needs: G(*y), like each term's value(*y), takes the
+    state's components in layout order and evaluates on floats and on
+    column arrays alike, and sum(sign*term) == rate_scale * X(G) holds
+    identically, so the signed term sum over rate_scale is the flow rate
+    X(G).  make_system checks that identity for every chart.
     """
 
     kind: str
@@ -175,7 +182,7 @@ class Chart:
     x0: np.ndarray
     rhs: Callable[[float, tuple], tuple]
     terms: tuple
-    G: Callable[[Trajectory], np.ndarray] | None
+    G: Callable[..., float] | None
     rate_scale: float = 1.0
 
     def __post_init__(self):
@@ -231,12 +238,27 @@ def _validate_params(name: str, overrides: dict) -> dict:
     return values
 
 
-def _oracle_or_raise(report, what: str) -> None:
-    if not report.passed:
-        bad = ", ".join(c.label for c in report.failures())
-        raise ParameterError(
-            f"analytic partials of {what} failed the finite-difference oracle ({bad})"
-        )
+def _partials_reports(spec: SystemSpec) -> list:
+    """(label, PartialsReport) pairs for every analytic model of a spec.
+
+    Each model is probed at the default state of the chart it drives.
+    """
+    out = []
+    for chart in spec.charts.values():
+        x0 = chart.x0
+        if chart.kind in ("hamiltonian", "contact") and spec.hamiltonian is not None:
+            x = DarbouxPoint(s=x0[0], q=x0[1:2], p=x0[2:3])
+            out.append((spec.hamiltonian.name, check_partials(spec.hamiltonian, x)))
+        elif chart.kind == "lagrangian" and spec.lagrangian is not None:
+            z = LagrangianPoint(q=x0[0:1], qdot=x0[1:2], s=x0[2])
+            out.append((spec.lagrangian.name,
+                        check_lagrangian_partials(spec.lagrangian, z)))
+        elif chart.kind == "extended" and spec.extended is not None:
+            # probe away from t = 0 so the drive's time derivative is non-trivial
+            y = ExtendedPoint(t=0.3, base=DarbouxPoint(s=x0[1], q=x0[2:3], p=x0[3:4]))
+            out.append((spec.extended.name,
+                        check_partials_extended(spec.extended, y)))
+    return out
 
 
 def _check_term_sum(system: str, chart_name: str, chart: Chart) -> None:
@@ -248,17 +270,17 @@ def _check_term_sum(system: str, chart_name: str, chart: Chart) -> None:
     rhs, exact up to rounding for the bilinear G of every catalog chart.
     """
     x = chart.x0 + 0.05 * np.arange(1, chart.x0.size + 1)
-    where = f"terms of '{system}' chart '{chart_name}' at the probe state {x.tolist()}"
+    y = x.tolist()
+    where = f"terms of '{system}' chart '{chart_name}' at the probe state {y}"
     try:
-        f = np.asarray(chart.rhs(0.0, tuple(x.tolist())), dtype=float)
-        eps = 1e-3 / max(1.0, float(np.max(np.abs(f))))
-        probe = Trajectory(times=[-eps, 0.0, eps],
-                           states=[x - eps * f, x, x + eps * f], layout=chart.layout)
-        g = chart.G(probe)
-        term_sum = math.fsum(float(b.sign * b.values(probe)[1]) for b in chart.terms)
+        f = chart.rhs(0.0, tuple(y))
+        eps = 1e-3 / max(1.0, *map(abs, f))
+        g_minus = chart.G(*(a - eps * b for a, b in zip(y, f)))
+        g_plus = chart.G(*(a + eps * b for a, b in zip(y, f)))
+        term_sum = math.fsum(b.sign * b.value(*y) for b in chart.terms)
     except (ArithmeticError, ValueError) as exc:
         raise ParameterError(f"{where} cannot be evaluated: {exc}") from exc
-    scaled_rate = chart.rate_scale * (g[2] - g[0]) / (2 * eps)
+    scaled_rate = chart.rate_scale * (g_plus - g_minus) / (2 * eps)
     if not compare_derivative(term_sum, scaled_rate)[1]:
         raise ParameterError(
             f"{where} sum to {term_sum!r}, not rate_scale * dG/dt = {scaled_rate!r}"
@@ -309,23 +331,17 @@ def _build_damped(params):
             m * qdot * qdot / 2 - mw2 * q * q / 2 - gamma * s,
         )
 
-    def col(traj, name):
-        return traj.column(name)
-
     chart_h = Chart(
         kind="hamiltonian",
         layout=("s", "q[0]", "p[0]"),
         x0=[0.0, 1.0, 0.0],
         rhs=rhs_h,
         terms=(
-            VirialTermBinding("kinetic", +1,
-                              lambda tr: col(tr, "p[0]") ** 2 / (2 * m)),
-            VirialTermBinding("potential", -1,
-                              lambda tr: mw2 * col(tr, "q[0]") ** 2 / 2),
-            VirialTermBinding("friction_qp", -1,
-                              lambda tr: gamma * col(tr, "q[0]") * col(tr, "p[0]") / 2),
+            VirialTermBinding("kinetic", +1, lambda s, q, p: p * p / (2 * m)),
+            VirialTermBinding("potential", -1, lambda s, q, p: mw2 * (q * q) / 2),
+            VirialTermBinding("friction_qp", -1, lambda s, q, p: gamma * q * p / 2),
         ),
-        G=lambda tr: col(tr, "q[0]") * col(tr, "p[0]"),
+        G=lambda s, q, p: q * p,
         rate_scale=0.5,
     )
     chart_l = Chart(
@@ -334,19 +350,13 @@ def _build_damped(params):
         x0=[1.0, 0.0, 0.0],
         rhs=rhs_l,
         terms=(
-            VirialTermBinding("kinetic", +1,
-                              lambda tr: m * col(tr, "qdot[0]") ** 2 / 2),
-            VirialTermBinding("potential", -1,
-                              lambda tr: mw2 * col(tr, "q[0]") ** 2 / 2),
+            VirialTermBinding("kinetic", +1, lambda q, v, s: m * (v * v) / 2),
+            VirialTermBinding("potential", -1, lambda q, v, s: mw2 * (q * q) / 2),
             VirialTermBinding("friction_qqdot", -1,
-                              lambda tr: m * gamma * col(tr, "q[0]") * col(tr, "qdot[0]") / 2),
+                              lambda q, v, s: m * gamma * q * v / 2),
         ),
-        G=lambda tr: m * col(tr, "qdot[0]") * col(tr, "q[0]"),
+        G=lambda q, v, s: m * v * q,
         rate_scale=0.5,
-    )
-    _oracle_or_raise(check_partials(h, DarbouxPoint(0.0, [1.0], [0.0])), h.name)
-    _oracle_or_raise(
-        check_lagrangian_partials(L, LagrangianPoint([1.0], [0.0], 0.0)), L.name
     )
     return SystemSpec(
         name="damped_oscillator",
@@ -410,9 +420,6 @@ def _build_parachute(params):
             + 2 * lam * qdot * s,
         )
 
-    def u_of(tr):
-        return (tr.column("p[0]") - 2 * lam * tr.column("s")) / m
-
     chart_h = Chart(
         kind="hamiltonian",
         layout=("s", "q[0]", "p[0]"),
@@ -420,15 +427,13 @@ def _build_parachute(params):
         rhs=rhs_h,
         terms=(
             VirialTermBinding("p_velocity", +1,
-                              lambda tr: tr.column("p[0]") * u_of(tr)),
+                              lambda s, q, p: p * ((p - 2 * lam * s) / m)),
             VirialTermBinding("gravity_gradient", -1,
-                              lambda tr: m * g * tr.column("q[0]")
-                              * np.exp(2 * lam * tr.column("q[0]"))),
+                              lambda s, q, p: m * g * q * np.exp(2 * lam * q)),
             VirialTermBinding("drag_coupling", +1,
-                              lambda tr: 2 * lam * tr.column("q[0]")
-                              * tr.column("p[0]") * u_of(tr)),
+                              lambda s, q, p: 2 * lam * q * p * ((p - 2 * lam * s) / m)),
         ),
-        G=lambda tr: tr.column("q[0]") * tr.column("p[0]"),
+        G=lambda s, q, p: q * p,
         rate_scale=1.0,
     )
     chart_l = Chart(
@@ -437,20 +442,12 @@ def _build_parachute(params):
         x0=[0.0, 0.0, 0.0],
         rhs=rhs_l,
         terms=(
-            VirialTermBinding("kinetic", +1,
-                              lambda tr: m * tr.column("qdot[0]") ** 2 / 2),
-            VirialTermBinding("gravity", -1,
-                              lambda tr: m * g * tr.column("q[0]") / 2),
-            VirialTermBinding("drag", +1,
-                              lambda tr: m * lam * tr.column("q[0]")
-                              * tr.column("qdot[0]") ** 2 / 2),
+            VirialTermBinding("kinetic", +1, lambda q, v, s: m * (v * v) / 2),
+            VirialTermBinding("gravity", -1, lambda q, v, s: m * g * q / 2),
+            VirialTermBinding("drag", +1, lambda q, v, s: m * lam * q * (v * v) / 2),
         ),
-        G=lambda tr: m * tr.column("qdot[0]") * tr.column("q[0]"),
+        G=lambda q, v, s: m * v * q,
         rate_scale=0.5,
-    )
-    _oracle_or_raise(check_partials(h, DarbouxPoint(0.0, [0.0], [0.0])), h.name)
-    _oracle_or_raise(
-        check_lagrangian_partials(L, LagrangianPoint([0.0], [0.0], 0.0)), L.name
     )
     return SystemSpec(
         name="parachute",
@@ -491,28 +488,19 @@ def _build_forced(params):
             -(mw2 * q - drive) - gamma * p,
         )
 
-    def drive_term(tr):
-        q, p = tr.column("q[0]"), tr.column("p[0]")
-        return q * (F0 * np.cos(W * tr.column("t")) - gamma * p) / 2
-
     chart = Chart(
         kind="extended",
         layout=("t", "s", "q[0]", "p[0]"),
         x0=[0.0, 0.0, 1.0, 0.0],
         rhs=rhs,
         terms=(
-            VirialTermBinding("kinetic", +1,
-                              lambda tr: tr.column("p[0]") ** 2 / (2 * m)),
-            VirialTermBinding("potential", -1,
-                              lambda tr: mw2 * tr.column("q[0]") ** 2 / 2),
-            VirialTermBinding("drive_friction", +1, drive_term),
+            VirialTermBinding("kinetic", +1, lambda t, s, q, p: p * p / (2 * m)),
+            VirialTermBinding("potential", -1, lambda t, s, q, p: mw2 * (q * q) / 2),
+            VirialTermBinding("drive_friction", +1,
+                              lambda t, s, q, p: q * (F0 * np.cos(W * t) - gamma * p) / 2),
         ),
-        G=lambda tr: tr.column("q[0]") * tr.column("p[0]"),
+        G=lambda t, s, q, p: q * p,
         rate_scale=0.5,
-    )
-    _oracle_or_raise(
-        check_partials_extended(hx, ExtendedPoint(0.3, DarbouxPoint(0.0, [1.0], [0.0]))),
-        hx.name,
     )
     return SystemSpec(
         name="forced_oscillator",
@@ -546,17 +534,14 @@ def _build_brownian(params):
         x0=[0.0, 0.0, 1.0, 0.0],
         rhs=drift,
         terms=(
-            VirialTermBinding("kinetic", +1,
-                              lambda tr: tr.column("p[0]") ** 2 / (2 * m)),
-            VirialTermBinding("potential", -1,
-                              lambda tr: mw2 * tr.column("q[0]") ** 2 / 2),
+            VirialTermBinding("kinetic", +1, lambda t, s, q, p: p * p / (2 * m)),
+            VirialTermBinding("potential", -1, lambda t, s, q, p: mw2 * (q * q) / 2),
             # the thermal force's share, q*eta/2, is the realized Ito
             # integral of q dW; ensemble reports add it from the stepper
             VirialTermBinding("drive_friction", +1,
-                              lambda tr: -gamma * tr.column("q[0]")
-                              * tr.column("p[0]") / 2),
+                              lambda t, s, q, p: -gamma * q * p / 2),
         ),
-        G=lambda tr: tr.column("q[0]") * tr.column("p[0]"),
+        G=lambda t, s, q, p: q * p,
         rate_scale=0.5,
     )
     return SystemSpec(
@@ -613,26 +598,24 @@ def _build_gierer_meinhardt(params):
             D * x - K * yv,
         )
 
-    def terms_for(xcol, ycol):
-        return (
-            VirialTermBinding("saturation", +1,
-                              lambda tr: tr.column(ycol) / (B + tr.column(ycol))),
-            VirialTermBinding("self_activation", +1,
-                              lambda tr: (D / A) * tr.column(xcol) ** 2),
-            VirialTermBinding("cross_decay", -1,
-                              lambda tr: ((C + K) / A) * tr.column(xcol)
-                              * tr.column(ycol)),
-        )
+    # both layouts end in (x, y), so the charts share their terms and G
+    terms = (
+        VirialTermBinding("saturation", +1, lambda *zxy: zxy[-1] / (B + zxy[-1])),
+        VirialTermBinding("self_activation", +1,
+                          lambda *zxy: (D / A) * (zxy[-2] * zxy[-2])),
+        VirialTermBinding("cross_decay", -1,
+                          lambda *zxy: ((C + K) / A) * zxy[-2] * zxy[-1]),
+    )
 
-    def G_xy(tr):
-        return tr.column("x") * tr.column("y")
+    def G_xy(*zxy):
+        return zxy[-2] * zxy[-1]
 
     chart_contact = Chart(
         kind="contact",
         layout=("z", "x", "y"),
         x0=[0.0, 0.2, 0.2],
         rhs=rhs_contact,
-        terms=terms_for("x", "y"),
+        terms=terms,
         G=G_xy,
         rate_scale=1.0 / A,
     )
@@ -641,11 +624,10 @@ def _build_gierer_meinhardt(params):
         layout=("x", "y"),
         x0=[0.2, 0.2],
         rhs=rhs_planar,
-        terms=terms_for("x", "y"),
+        terms=terms,
         G=G_xy,
         rate_scale=1.0 / A,
     )
-    _oracle_or_raise(check_partials(h, DarbouxPoint(0.0, [0.2], [0.2])), h.name)
     return SystemSpec(
         name="gierer_meinhardt",
         params=params,
@@ -675,6 +657,12 @@ def make_system(name: str, **params) -> SystemSpec:
     """
     values = _validate_params(name, params)
     spec = _BUILDERS[name](values)
+    for label, report in _partials_reports(spec):
+        if not report.passed:
+            bad = ", ".join(c.label for c in report.failures())
+            raise ParameterError(
+                f"analytic partials of {label} failed the finite-difference oracle ({bad})"
+            )
     for chart_name, chart in spec.charts.items():
         _check_term_sum(name, chart_name, chart)
     return spec
@@ -708,9 +696,6 @@ def conformal_projection_check(spec: SystemSpec, point) -> PlanarProjection:
     if spec.name != "gierer_meinhardt":
         raise ParameterError("projection check applies to 'gierer_meinhardt' only")
     x, yv, z = (float(v) for v in point)
-    A, B, C, D, K = (spec.params[k] for k in ("A", "B", "C", "D", "K"))
-    if not (B + yv > 0):
-        raise DomainError(f"point y={yv:g} violates B + y > 0 (B={B:g})")
     planar = np.asarray(spec.chart("planar").rhs(0.0, (x, yv)))
     v = contact_vector_field(spec.hamiltonian, DarbouxPoint(s=z, q=[x], p=[yv]))
     projected = np.array([v.dq[0], v.dp[0]])
@@ -727,17 +712,17 @@ def z_equation_residual(spec: SystemSpec, traj: Trajectory) -> float:
     """Max deviation of the integrated z rate from its closed form along samples.
 
     Two independent routes to dz/dt — the generic Darboux-chart field of
-    the attached model and the closed-form combination
+    the attached model and the contact chart's closed-form rhs
     A(y/(B+y) - ln(B+y)) + D x^2/2 - (C+K) z — evaluated at every recorded
     sample of a contact-chart trajectory.
     """
     if spec.name != "gierer_meinhardt":
         raise ParameterError("z-equation residual applies to 'gierer_meinhardt' only")
-    A, B, C, D, K = (spec.params[k] for k in ("A", "B", "C", "D", "K"))
+    rhs = spec.chart("contact").rhs
     worst = 0.0
     for row in traj.states:
         z, x, yv = row
         v = contact_vector_field(spec.hamiltonian, DarbouxPoint(s=z, q=[x], p=[yv]))
-        closed = A * (yv / (B + yv) - math.log(B + yv)) + D * x * x / 2 - (C + K) * z
+        closed = rhs(0.0, tuple(row))[0]
         worst = max(worst, abs(v.ds - closed))
     return worst

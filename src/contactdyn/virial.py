@@ -42,7 +42,7 @@ from .herglotz import (
     check_lagrangian_partials,
 )
 from .integrate import Trajectory, langevin_ensemble, trapezoid_average, write_csv
-from .systems import SystemSpec
+from .systems import SystemSpec, VirialTermBinding
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -270,8 +270,6 @@ def _values_along(traj: Trajectory, obj) -> np.ndarray:
         if vals.shape != traj.times.shape:
             raise ValueError("precomputed values must match the sample count")
         return vals
-    if hasattr(obj, "values") and hasattr(obj, "sign"):
-        return np.asarray(obj.values(traj), dtype=float)
     if isinstance(obj, (ScalarField, LagrangianObservable)):
         unpack, family = _point_factory(traj.layout)
         want = "lagrangian" if isinstance(obj, LagrangianObservable) else "darboux"
@@ -293,15 +291,15 @@ def _values_along(traj: Trajectory, obj) -> np.ndarray:
 def _term_entries(terms, traj):
     entries = []
     for term in terms:
-        if hasattr(term, "values") and hasattr(term, "sign"):
+        if isinstance(term, VirialTermBinding):
             entries.append((term.name, int(term.sign),
-                            np.asarray(term.values(traj), dtype=float)))
+                            np.asarray(term.value(*traj.states.T), dtype=float)))
         elif isinstance(term, VirialTerm):
             entries.append((term.name, term.sign,
                             _values_along(traj, term.observable)))
         else:
             raise TypeError(
-                "terms must be VirialTerm or a system chart's term bindings"
+                "terms must be VirialTerm or VirialTermBinding"
             )
     return entries
 
@@ -328,7 +326,7 @@ def _window_inputs(system: SystemSpec, traj: Trajectory, terms, G, t0: float):
     if G is None:
         if chart.G is None:
             raise ValueError(f"chart '{chart_name}' binds no observable G")
-        g_vals = np.asarray(chart.G(traj), dtype=float)
+        g_vals = np.asarray(chart.G(*traj.states.T), dtype=float)
     else:
         g_vals = _values_along(traj, G)
     return chart_name, chart, entries, g_vals
@@ -392,7 +390,8 @@ def virial_report(
     Defaults to the term decomposition and observable bound to the chart
     the trajectory was produced in (matched by layout); the chart's signed
     term sum over rate_scale is the rate of its G.  Custom `terms`
-    (VirialTerm) and a custom model `G` are accepted; a custom G's rate is
+    (VirialTerm, or VirialTermBinding evaluated as value(*y) on the sample
+    columns) and a custom model `G` are accepted; a custom G's rate is
     evaluated through the system's attached models, keeping the boundary
     identity exact.  `t0` starts the averaging window late to skip
     transients.
@@ -423,8 +422,9 @@ def virial_report(
     elif terms is None:
         rate_avg = theorem_residual / chart.rate_scale
     else:
-        rate_avg = math.fsum(b.sign * trapezoid_average(times, b.values(traj), t0=t0)
-                             for b in chart.terms) / chart.rate_scale
+        rate_avg = math.fsum(
+            b.sign * trapezoid_average(times, b.value(*traj.states.T), t0=t0)
+            for b in chart.terms) / chart.rate_scale
     g0 = float(np.interp(t0, times, g_vals))
     gT = float(g_vals[-1])
     boundary = (gT - g0) / window

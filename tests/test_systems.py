@@ -353,20 +353,43 @@ def test_parachute_acceleration_reduction():
 # ---------------------------------------------------------------------------
 # term decompositions: sum(sign * term) == rate_scale * X(G) pointwise
 
+ALL_CHARTS = [
+    ("damped_oscillator", "hamiltonian"),
+    ("damped_oscillator", "lagrangian"),
+    ("parachute", "hamiltonian"),
+    ("parachute", "lagrangian"),
+    ("forced_oscillator", "extended"),
+    ("brownian_oscillator", "extended"),
+    ("gierer_meinhardt", "contact"),
+    ("gierer_meinhardt", "planar"),
+]
+# non-default parameters, so that no factor is an exact 1
+OFF_DEFAULT = {
+    "damped_oscillator": {"m": 1.7, "omega": 0.9, "gamma": 0.3},
+    "parachute": {"m": 1.7, "lam": 0.7},
+    "forced_oscillator": {"m": 1.7, "omega": 0.9, "gamma": 0.3},
+    "brownian_oscillator": {"m": 1.7, "omega": 0.9},
+    "gierer_meinhardt": {"A": 1.3, "C": 1.9, "D": 0.7},
+}
 
-@pytest.mark.parametrize(
-    "name, chart_name",
-    [
-        ("damped_oscillator", "hamiltonian"),
-        ("damped_oscillator", "lagrangian"),
-        ("parachute", "hamiltonian"),
-        ("parachute", "lagrangian"),
-        ("forced_oscillator", "extended"),
-        ("brownian_oscillator", "extended"),
-        ("gierer_meinhardt", "contact"),
-        ("gierer_meinhardt", "planar"),
-    ],
-)
+
+@pytest.mark.parametrize("name, chart_name", ALL_CHARTS)
+def test_terms_and_G_agree_on_floats_and_columns(name, chart_name):
+    # terms and G are plain arithmetic on the state's components: on one
+    # state's floats they must give, bit for bit, that state's entry of the
+    # evaluation on sample columns
+    chart = make_system(name, **OFF_DEFAULT[name]).chart(chart_name)
+    rng = np.random.default_rng(2000)
+    states = rng.uniform(-2.0, 2.0, (2000, len(chart.layout)))
+    if name == "gierer_meinhardt":
+        states[:, -1] = rng.uniform(-0.9, 2.0, 2000)  # the domain B + y > 0
+    fns = [b.value for b in chart.terms] + [chart.G]
+    columns = [f(*states.T) for f in fns]
+    for k, row in enumerate(states.tolist()):
+        assert [f(*row) for f in fns] == [c[k] for c in columns], row
+
+
+@pytest.mark.parametrize("name, chart_name", ALL_CHARTS)
 def test_term_sum_equals_scaled_rate(name, chart_name, monkeypatch):
     # make_system checks the identity at a probe state: scaling any one term
     # of the chart by 1.01 must fail the build, naming the chart
@@ -380,7 +403,7 @@ def test_term_sum_equals_scaled_rate(name, chart_name, monkeypatch):
                 terms = list(kw["terms"])
                 b = terms[i]
                 terms[i] = VirialTermBinding(b.name, b.sign,
-                                             lambda tr, f=b.values: 1.01 * f(tr))
+                                             lambda *y, f=b.value: 1.01 * f(*y))
                 kw["terms"] = terms
             return original(**kw)
 
@@ -405,8 +428,8 @@ def test_rate_matches_finite_difference_of_G(name, chart_name):
     chart = spec.chart(chart_name)
     traj = integrate_fixed(chart.rhs, chart.x0, T=2.0, dt=1e-3,
                            layout=chart.layout, sample_every=1)
-    g = chart.G(traj)
-    rate = sum(b.sign * b.values(traj) for b in chart.terms) / chart.rate_scale
+    g = chart.G(*traj.states.T)
+    rate = sum(b.sign * b.value(*traj.states.T) for b in chart.terms) / chart.rate_scale
     dgdt = np.gradient(g, traj.times)
     interior = slice(5, -5)
     # atol covers the centered-difference truncation ~ dt^2 |G'''| / 6,

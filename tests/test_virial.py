@@ -127,7 +127,7 @@ def test_boundary_term_damped_decays():
     for T in (100.0, 200.0):
         traj = integrate_fixed(chart.rhs, chart.x0, T=T, dt=1e-3,
                                layout=chart.layout)
-        b[T] = boundary_term(traj, chart.G(traj))
+        b[T] = boundary_term(traj, chart.G(*traj.states.T))
     assert abs(b[200.0]) < 1e-6
     assert abs(b[200.0]) <= abs(b[100.0])
 
@@ -356,25 +356,19 @@ def test_three_particle_damped_balance():
         ))
 
     layout = ("s", "q[0]", "q[1]", "q[2]", "p[0]", "p[1]", "p[2]")
-    qc = ["q[0]", "q[1]", "q[2]"]
-    pc = ["p[0]", "p[1]", "p[2]"]
 
-    def cols(tr, names):
-        return np.stack([tr.column(nm) for nm in names])
+    def ke(s, *qp):
+        return (np.stack(qp[3:]) ** 2).sum(axis=0) / (2 * m)
 
-    def ke(tr):
-        return (cols(tr, pc) ** 2).sum(axis=0) / (2 * m)
-
-    def q_gradV(tr):
-        q = cols(tr, qc)
-        q2 = (q**2).sum(axis=0)
+    def q_gradV(s, *qp):
+        q2 = (np.stack(qp[:3]) ** 2).sum(axis=0)
         return (mw2 * q2 + eps * q2**2) / 2
 
-    def qp(tr):
-        return gamma * (cols(tr, qc) * cols(tr, pc)).sum(axis=0) / 2
+    def friction(s, *qp):
+        return gamma * (np.stack(qp[:3]) * np.stack(qp[3:])).sum(axis=0) / 2
 
-    def G(tr):
-        return (cols(tr, qc) * cols(tr, pc)).sum(axis=0)
+    def G(s, *qp):
+        return (np.stack(qp[:3]) * np.stack(qp[3:])).sum(axis=0)
 
     chart = Chart(
         kind="hamiltonian",
@@ -384,7 +378,7 @@ def test_three_particle_damped_balance():
         terms=(
             VirialTermBinding("kinetic", +1, ke),
             VirialTermBinding("virial_of_potential", -1, q_gradV),
-            VirialTermBinding("friction", -1, qp),
+            VirialTermBinding("friction", -1, friction),
         ),
         G=G,
         rate_scale=0.5,
