@@ -39,6 +39,7 @@ from .systems import (
     ParameterError,
     SYSTEM_NAMES,
     UnknownSystemError,
+    _build,
     _partials_reports,
     catalog_schema,
     make_system,
@@ -398,7 +399,7 @@ def cmd_gradcheck(args) -> int:
     failed = False
     for name in names:
         try:
-            spec = make_system(name, **_parse_param_flags(getattr(args, "param", None)))
+            spec = _build(name, _parse_param_flags(getattr(args, "param", None)))
         except (UnknownSystemError, ParameterError) as exc:
             raise ConfigError(str(exc)) from exc
         reports = _partials_reports(spec)

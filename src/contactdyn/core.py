@@ -6,13 +6,16 @@ This module evaluates the basic objects of that picture at points:
 the contact Hamiltonian vector field, the Reeb derivative, the Lagrange
 (Jacobi) and Poisson brackets, and the field divergence.  A central
 finite-difference oracle (`check_partials`) guards every analytic
-derivative supplied by a model.
+derivative supplied by a model.  One routine takes every difference of
+that oracle, of its Lagrangian and extended-chart counterparts and of
+`numerical_divergence`: it perturbs one entry of a flat coordinate list
+by ``step * max(1, |entry|)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -310,31 +313,15 @@ def numerical_divergence(h: HamiltonianModel, x: DarbouxPoint, step: float = 1e-
     Independent oracle for `divergence`; agreement within ~1e-6 absolute is
     expected for well-scaled Hamiltonians.
     """
-    n = x.n
-    trace = 0.0
+    flat = _flat(x)
 
-    def shifted(coord: str, i: int, delta: float) -> DarbouxPoint:
-        if coord == "s":
-            return replace(x, s=x.s + delta)
-        arr = getattr(x, coord).copy()
-        arr[i] += delta
-        return replace(x, **{coord: arr})
+    def field(y):
+        v = contact_vector_field(h, _darboux(y))
+        return (v.ds, *v.dq, *v.dp)
 
-    # d(ds)/ds
-    hs = step * max(1.0, abs(x.s))
-    plus = contact_vector_field(h, shifted("s", 0, hs))
-    minus = contact_vector_field(h, shifted("s", 0, -hs))
-    trace += (plus.ds - minus.ds) / (2 * hs)
-    for i in range(n):
-        hq = step * max(1.0, abs(x.q[i]))
-        plus = contact_vector_field(h, shifted("q", i, hq))
-        minus = contact_vector_field(h, shifted("q", i, -hq))
-        trace += (plus.dq[i] - minus.dq[i]) / (2 * hq)
-        hp = step * max(1.0, abs(x.p[i]))
-        plus = contact_vector_field(h, shifted("p", i, hp))
-        minus = contact_vector_field(h, shifted("p", i, -hp))
-        trace += (plus.dp[i] - minus.dp[i]) / (2 * hp)
-    return trace
+    return sum(
+        _flat_difference(lambda y, k=k: field(y)[k], flat, k, step) for k in range(len(flat))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +393,48 @@ def _checked(label: str, analytic_fn, numeric_fn) -> PartialCheck:
     return PartialCheck(label, analytic, numeric, rel, ok)
 
 
+def _flat(x: DarbouxPoint) -> list:
+    """The coordinates (s, q, p) of a Darboux point as one flat list."""
+    return [x.s, *x.q, *x.p]
+
+
+def _darboux(y) -> DarbouxPoint:
+    """Inverse of `_flat`."""
+    n = (len(y) - 1) // 2
+    return DarbouxPoint(s=y[0], q=y[1:n + 1], p=y[n + 1:])
+
+
+def _flat_difference(f, x: list, index: int, step: float) -> float:
+    """Central difference of f along x[index], stepped by step * max(1, |x[index]|)."""
+    def along(v):
+        y = list(x)
+        y[index] = v
+        return f(y)
+
+    return central_difference(along, x[index], step * max(1.0, abs(x[index])))
+
+
+def _difference_checks(f, x: list, wanted, step: float) -> list[PartialCheck]:
+    """Compare analytic partials of f with central differences over flat coordinates.
+
+    f takes a list shaped like x; each (label, index, analytic) triple of
+    `wanted` checks the thunk `analytic()` against the difference of f along
+    x[index].  Failures to evaluate are recorded per check.
+    """
+    return [
+        _checked(label, analytic, lambda index=index: _flat_difference(f, x, index, step))
+        for label, index, analytic in wanted
+    ]
+
+
+def _components(name: str, offset: int, partial, point) -> list:
+    """`wanted` triples for the n entries of a vector partial, flat indices from offset."""
+    return [
+        (f"{name}[{i}]", offset + i, lambda i=i: np.asarray(partial(point), dtype=float)[i])
+        for i in range(point.n)
+    ]
+
+
 def check_partials(model: ScalarField, x: DarbouxPoint, step: float = 1e-5) -> PartialsReport:
     """Verify a model's analytic partials against central finite differences.
 
@@ -426,38 +455,10 @@ def check_partials(model: ScalarField, x: DarbouxPoint, step: float = 1e-5) -> P
     if step <= 0:
         raise ValueError("step must be positive")
     _check_dim(model, x)
-    checks: list[PartialCheck] = []
-
-    hs = step * max(1.0, abs(x.s))
-    checks.append(_checked(
-        "s",
-        lambda: model.d_s(x),
-        lambda: central_difference(lambda v: model.value(replace(x, s=v)), x.s, hs),
-    ))
-    for i in range(x.n):
-        hq = step * max(1.0, abs(x.q[i]))
-
-        def val_q(v, i=i):
-            arr = x.q.copy()
-            arr[i] = v
-            return model.value(replace(x, q=arr))
-
-        checks.append(_checked(
-            f"q[{i}]",
-            lambda i=i: np.asarray(model.d_q(x), dtype=float)[i],
-            lambda i=i, hq=hq: central_difference(lambda v, i=i: val_q(v, i), x.q[i], hq),
-        ))
-    for i in range(x.n):
-        hp = step * max(1.0, abs(x.p[i]))
-
-        def val_p(v, i=i):
-            arr = x.p.copy()
-            arr[i] = v
-            return model.value(replace(x, p=arr))
-
-        checks.append(_checked(
-            f"p[{i}]",
-            lambda i=i: np.asarray(model.d_p(x), dtype=float)[i],
-            lambda i=i, hp=hp: central_difference(lambda v, i=i: val_p(v, i), x.p[i], hp),
-        ))
+    wanted = [
+        ("s", 0, lambda: model.d_s(x)),
+        *_components("q", 1, model.d_q, x),
+        *_components("p", 1 + x.n, model.d_p, x),
+    ]
+    checks = _difference_checks(lambda y: model.value(_darboux(y)), _flat(x), wanted, step)
     return PartialsReport(name=model.name, checks=tuple(checks))

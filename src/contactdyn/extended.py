@@ -23,9 +23,11 @@ from .core import (
     ScalarField,
     TangentVector,
     _as_vector,
-    _checked,
-    central_difference,
-    check_partials,
+    _check_dim,
+    _components,
+    _darboux,
+    _difference_checks,
+    _flat,
     contact_vector_field,
 )
 
@@ -154,20 +156,21 @@ def check_partials_extended(
 ) -> PartialsReport:
     """Central-difference oracle for a time-dependent model, t included.
 
-    The t partial is checked directly; the (s, q, p) partials are delegated
-    to `contactdyn.core.check_partials` on the frozen-time snapshot, so the
-    pass rule (relative 1e-6, absolute fallback 1e-9) is identical across
-    charts.
+    The partials in (t, s, q, p) are checked over the same flat coordinates,
+    step rule and pass rule (relative 1e-6, absolute fallback 1e-9) as
+    `contactdyn.core.check_partials`, so the verdicts agree across charts.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    ht = step * max(1.0, abs(y.t))
-    t_check = _checked(
-        "t",
-        lambda: model.d_t(y),
-        lambda: central_difference(
-            lambda v: model.value(ExtendedPoint(v, y.base)), y.t, ht
-        ),
+    _check_dim(model, y)
+    wanted = [
+        ("t", 0, lambda: model.d_t(y)),
+        ("s", 1, lambda: model.d_s(y)),
+        *_components("q", 2, model.d_q, y),
+        *_components("p", 2 + y.n, model.d_p, y),
+    ]
+    checks = _difference_checks(
+        lambda v: model.value(ExtendedPoint(v[0], _darboux(v[1:]))),
+        [y.t, *_flat(y.base)], wanted, step,
     )
-    base = check_partials(frozen_time(model, y.t), y.base, step=step)
-    return PartialsReport(name=model.name, checks=(t_check, *base.checks))
+    return PartialsReport(name=model.name, checks=tuple(checks))

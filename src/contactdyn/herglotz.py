@@ -14,7 +14,7 @@ contact Hamiltonian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,9 @@ from .core import (
     _as_vector,
     _check_dim,
     _checked,
+    _components,
+    _difference_checks,
     _finite,
-    central_difference,
 )
 
 __all__ = [
@@ -263,85 +264,44 @@ def check_lagrangian_partials(
     if step <= 0:
         raise ValueError("step must be positive")
     _check_dim(L, z)
-    checks = []
+    n = z.n
+    flat = [z.s, *z.q, *z.qdot]   # flat indices: s 0, q 1..n, qdot n+1..2n
 
-    def at(q=None, qdot=None, s=None) -> LagrangianPoint:
-        return LagrangianPoint(
-            q=z.q if q is None else q,
-            qdot=z.qdot if qdot is None else qdot,
-            s=z.s if s is None else s,
-        )
+    def point(y) -> LagrangianPoint:
+        return LagrangianPoint(q=y[1:n + 1], qdot=y[n + 1:], s=y[0])
 
-    def bump(vec, i, v):
-        arr = vec.copy()
-        arr[i] = v
-        return arr
-
-    hs = step * max(1.0, abs(z.s))
-    checks.append(_checked(
-        "s",
-        lambda: L.d_s(z),
-        lambda: central_difference(lambda v: L.value(at(s=v)), z.s, hs),
-    ))
-    for i in range(z.n):
-        hq = step * max(1.0, abs(z.q[i]))
-        checks.append(_checked(
-            f"q[{i}]",
-            lambda i=i: np.asarray(L.d_q(z), dtype=float)[i],
-            lambda i=i, hq=hq: central_difference(
-                lambda v: L.value(at(q=bump(z.q, i, v))), z.q[i], hq
-            ),
-        ))
-    for i in range(z.n):
-        hv = step * max(1.0, abs(z.qdot[i]))
-        checks.append(_checked(
-            f"qdot[{i}]",
-            lambda i=i: np.asarray(L.d_qdot(z), dtype=float)[i],
-            lambda i=i, hv=hv: central_difference(
-                lambda v: L.value(at(qdot=bump(z.qdot, i, v))), z.qdot[i], hv
-            ),
-        ))
+    checks = _difference_checks(lambda y: L.value(point(y)), flat, [
+        ("s", 0, lambda: L.d_s(z)),
+        *_components("q", 1, L.d_q, z),
+        *_components("qdot", 1 + n, L.d_qdot, z),
+    ], step)
     if not callable(getattr(L, "w", None)):
         return PartialsReport(name=L.name, checks=tuple(checks))
-    # second partials: differentiate the analytic d_qdot
+
+    # second partials: differences of one component of the analytic d_qdot
+    def d_qdot(k: int):
+        return lambda y: np.asarray(L.d_qdot(point(y)), dtype=float)[k]
+
     W = np.asarray(L.w(z), dtype=float)
-    for i in range(z.n):
-        for j in range(z.n):
-            hv = step * max(1.0, abs(z.qdot[j]))
-            checks.append(_checked(
-                f"W[{i},{j}]",
-                lambda i=i, j=j: W[i, j],
-                lambda i=i, j=j, hv=hv: central_difference(
-                    lambda v: np.asarray(L.d_qdot(at(qdot=bump(z.qdot, j, v))), dtype=float)[i],
-                    z.qdot[j],
-                    hv,
-                ),
-            ))
+    for i in range(n):
+        for j in range(n):
+            checks += _difference_checks(d_qdot(i), flat, [
+                (f"W[{i},{j}]", 1 + n + j, lambda i=i, j=j: W[i, j])
+            ], step)
             checks.append(_checked(
                 f"W_sym[{i},{j}]",
                 lambda i=i, j=j: W[i, j],
                 lambda i=i, j=j: W[j, i],
             ))
     mixed_q = np.asarray(L.d2_q_qdot(z), dtype=float)
-    for j in range(z.n):
-        for k in range(z.n):
-            hq = step * max(1.0, abs(z.q[j]))
-            checks.append(_checked(
-                f"d2_q_qdot[{j},{k}]",
-                lambda j=j, k=k: mixed_q[j, k],
-                lambda j=j, k=k, hq=hq: central_difference(
-                    lambda v: np.asarray(L.d_qdot(at(q=bump(z.q, j, v))), dtype=float)[k],
-                    z.q[j],
-                    hq,
-                ),
-            ))
+    for j in range(n):
+        for k in range(n):
+            checks += _difference_checks(d_qdot(k), flat, [
+                (f"d2_q_qdot[{j},{k}]", 1 + j, lambda j=j, k=k: mixed_q[j, k])
+            ], step)
     mixed_s = np.asarray(L.d2_s_qdot(z), dtype=float)
-    for k in range(z.n):
-        checks.append(_checked(
-            f"d2_s_qdot[{k}]",
-            lambda k=k: mixed_s[k],
-            lambda k=k: central_difference(
-                lambda v: np.asarray(L.d_qdot(at(s=v)), dtype=float)[k], z.s, hs
-            ),
-        ))
+    for k in range(n):
+        checks += _difference_checks(d_qdot(k), flat, [
+            (f"d2_s_qdot[{k}]", 0, lambda k=k: mixed_s[k])
+        ], step)
     return PartialsReport(name=L.name, checks=tuple(checks))

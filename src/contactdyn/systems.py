@@ -40,6 +40,7 @@ from .core import (
     DarbouxPoint,
     DomainError,
     ScalarField,
+    central_difference,
     check_partials,
     compare_derivative,
     contact_vector_field,
@@ -275,12 +276,13 @@ def _check_term_sum(system: str, chart_name: str, chart: Chart) -> None:
     try:
         f = chart.rhs(0.0, tuple(y))
         eps = 1e-3 / max(1.0, *map(abs, f))
-        g_minus = chart.G(*(a - eps * b for a, b in zip(y, f)))
-        g_plus = chart.G(*(a + eps * b for a, b in zip(y, f)))
+        rate = central_difference(
+            lambda e: chart.G(*(a + e * b for a, b in zip(y, f))), 0.0, eps
+        )
         term_sum = math.fsum(b.sign * b.value(*y) for b in chart.terms)
     except (ArithmeticError, ValueError) as exc:
         raise ParameterError(f"{where} cannot be evaluated: {exc}") from exc
-    scaled_rate = chart.rate_scale * (g_plus - g_minus) / (2 * eps)
+    scaled_rate = chart.rate_scale * rate
     if not compare_derivative(term_sum, scaled_rate)[1]:
         raise ParameterError(
             f"{where} sum to {term_sum!r}, not rate_scale * dG/dt = {scaled_rate!r}"
@@ -648,15 +650,29 @@ _BUILDERS = {
 }
 
 
+def _build(name: str, params: dict) -> SystemSpec:
+    """Validate parameters and run the builder, without the build-time checks.
+
+    A builder that cannot evaluate at valid parameters (say, an overflow
+    of m * omega**2) raises ParameterError naming the system.
+    """
+    values = _validate_params(name, params)
+    try:
+        return _BUILDERS[name](values)
+    except (ArithmeticError, ValueError) as exc:
+        raise ParameterError(f"system '{name}' cannot be built from {values}: {exc}") from exc
+
+
 def make_system(name: str, **params) -> SystemSpec:
     """Build a catalog system, validating parameters against its schema.
 
     Unknown parameter names are rejected; constraint violations raise
-    ParameterError with the offending value and its constraint.  The
-    returned spec is immutable and safe to share.
+    ParameterError with the offending value and its constraint, as do
+    parameters at which the analytic partials fail the finite-difference
+    oracle or the terms miss the flow rate of G.  The returned spec is
+    immutable and safe to share.
     """
-    values = _validate_params(name, params)
-    spec = _BUILDERS[name](values)
+    spec = _build(name, params)
     for label, report in _partials_reports(spec):
         if not report.passed:
             bad = ", ".join(c.label for c in report.failures())

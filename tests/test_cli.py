@@ -300,6 +300,44 @@ def test_gradcheck_param_without_system():
     assert run("gradcheck", "-p", "lam=0.25") == EXIT_CONFIG
 
 
+def test_gradcheck_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a wrong partial is a verification failure for gradcheck, which names
+    # the failing coordinate, and a config error for the run commands
+    import contactdyn.systems as systems_mod
+
+    original = systems_mod.ScalarField
+
+    class Corrupted(original):
+        def __init__(self, **kw):
+            if kw.get("name") == "damped_oscillator.h":
+                good = kw["d_s"]
+                kw["d_s"] = lambda x: good(x) + 1.0
+            super().__init__(**kw)
+
+    monkeypatch.setattr(systems_mod, "ScalarField", Corrupted)
+    assert run("gradcheck", "--system", "damped_oscillator") == EXIT_VERIFY
+    captured = capsys.readouterr()
+    assert "damped_oscillator.h: 3 checks" in captured.out
+    assert "  s: analytic" in captured.err
+    assert "gradcheck: FAIL" in captured.err
+    assert run("simulate", "--system", "damped_oscillator", "--T", "1",
+               "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "finite-difference oracle (s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("ensemble", "--system", "brownian_oscillator", "-p", "m=1e300",
+     "-p", "omega=1e300", "--n-traj", "4", "--T", "1"),
+    ("ensemble", "--system", "brownian_oscillator", "-p", "m=1e200",
+     "-p", "gamma=1e200", "-p", "k_BT=1e10", "--n-traj", "4", "--T", "1"),
+    ("simulate", "--system", "damped_oscillator", "-p", "m=6.9e-103",
+     "-p", "omega=1.14e173", "-p", "gamma=8.26e-119", "--T", "1"),
+], ids=["overflow", "noise_amplitude", "probe_step_underflow"])
+def test_unbuildable_parameters_exit_2(argv, tmp_path, capsys):
+    assert run(*argv, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_check_identity_pass(capsys):
     assert run("check-identity", "--system", "damped_oscillator",
                "--T", "10") == EXIT_OK

@@ -275,6 +275,16 @@ class TestDivergence:
                 x = random_point(rng, 1, scale=1.0)
                 assert numerical_divergence(h, x) == pytest.approx(divergence(h, x), abs=1e-6)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_jacobian_trace_coupled(self, n):
+        # random quadratics couple every coordinate pair, so pairing a field
+        # component with the wrong coordinate changes the trace
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            h = random_quadratic_observable(rng, n)
+            x = random_point(rng, n, scale=1.0)
+            assert numerical_divergence(h, x) == pytest.approx(divergence(h, x), abs=1e-6)
+
 
 class TestCheckPartials:
     def test_damped_passes(self):
@@ -327,6 +337,31 @@ class TestCheckPartials:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             check_partials(damped_oscillator_h(), pt(0.0, 1.0, 2.0), step=0.0)
+
+    def test_labels_and_indices_at_n2(self):
+        rng = np.random.default_rng(8)
+        h = random_quadratic_observable(rng, 2)
+        x = random_point(rng, 2)
+        report = check_partials(h, x)
+        assert [c.label for c in report.checks] == ["s", "q[0]", "q[1]", "p[0]", "p[1]"]
+        assert report.passed, report.failures()
+        corrupted = ScalarField(
+            n=2,
+            value=h.value,
+            d_s=h.d_s,
+            d_q=h.d_q,
+            d_p=lambda x: h.d_p(x) + np.array([0.0, 1.0]),
+            name="corrupted",
+        )
+        assert [c.label for c in check_partials(corrupted, x).failures()] == ["p[1]"]
+
+    def test_dimension_checked_before_evaluation(self):
+        def never(x):
+            raise AssertionError("evaluated")
+
+        model = ScalarField(n=2, value=never, d_s=never, d_q=never, d_p=never)
+        with pytest.raises(DimensionMismatchError):
+            check_partials(model, pt(0.0, 1.0, 2.0))
 
 
 class TestTangentVector:

@@ -21,6 +21,7 @@ from conftest import (
     free_particle_h,
     parachute_h,
     random_point,
+    random_quadratic_observable,
 )
 
 
@@ -134,6 +135,44 @@ class TestCheckPartialsExtended:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             check_partials_extended(forced_oscillator_h(), ept(0.0, 0.0, 1.0, 2.0), step=-1.0)
+
+    def test_labels_and_indices_at_n2(self):
+        rng = np.random.default_rng(12)
+        h = random_quadratic_observable(rng, 2)
+
+        def drive(y):
+            return math.cos(1.3 * y.t)
+
+        hx = TimeDependentHamiltonianModel(
+            n=2,
+            value=lambda y: h.value(y.base) * drive(y),
+            d_t=lambda y: -1.3 * h.value(y.base) * math.sin(1.3 * y.t),
+            d_s=lambda y: h.d_s(y.base) * drive(y),
+            d_q=lambda y: h.d_q(y.base) * drive(y),
+            d_p=lambda y: h.d_p(y.base) * drive(y),
+            name="driven",
+        )
+        y = ExtendedPoint(t=0.4, base=random_point(rng, 2))
+        report = check_partials_extended(hx, y)
+        assert [c.label for c in report.checks] == ["t", "s", "q[0]", "q[1]", "p[0]", "p[1]"]
+        assert report.passed, report.failures()
+        bad = TimeDependentHamiltonianModel(
+            n=2, value=hx.value, d_t=hx.d_t, d_s=hx.d_s,
+            d_q=lambda y: hx.d_q(y) + np.array([0.0, 1.0]), d_p=hx.d_p, name="bad_q1",
+        )
+        assert [c.label for c in check_partials_extended(bad, y).failures()] == ["q[1]"]
+
+    def test_dimension_checked_before_evaluation(self):
+        from contactdyn.core import DimensionMismatchError
+
+        def never(y):
+            raise AssertionError("evaluated")
+
+        model = TimeDependentHamiltonianModel(
+            n=2, value=never, d_t=never, d_s=never, d_q=never, d_p=never
+        )
+        with pytest.raises(DimensionMismatchError):
+            check_partials_extended(model, ept(0.0, 0.0, 1.0, 2.0))
 
 
 def _alpha_of_field(h, y, v):

@@ -327,6 +327,40 @@ class TestOracle:
         with pytest.raises(ValueError):
             check_lagrangian_partials(damped_oscillator_L(), lpt(0.0, 0.0, 0.0), step=0.0)
 
+    def test_labels_and_indices_at_n2(self):
+        # distinct entries in every block, so a misplaced index shows
+        M = np.array([[2.0, 0.3], [0.3, 1.0]])
+        A = np.array([[0.5, -1.2], [0.7, 0.1]])   # L has qdot . A q
+        b = np.array([0.4, -0.9])                 # L has s * (qdot . b)
+
+        def model(d2_q_qdot):
+            return LagrangianModel(
+                n=2,
+                value=lambda z: 0.5 * float(z.qdot @ M @ z.qdot) + float(z.qdot @ A @ z.q)
+                + z.s * float(z.qdot @ b) - 0.25 * z.s ** 2,
+                d_s=lambda z: float(z.qdot @ b) - 0.5 * z.s,
+                d_q=lambda z: A.T @ z.qdot,
+                d_qdot=lambda z: M @ z.qdot + A @ z.q + z.s * b,
+                w=lambda z: M,
+                d2_q_qdot=d2_q_qdot,
+                d2_s_qdot=lambda z: b,
+                name="coupled",
+            )
+
+        z = LagrangianPoint(q=np.array([0.3, -0.8]), qdot=np.array([1.1, 0.6]), s=0.7)
+        report = check_lagrangian_partials(model(lambda z: A.T), z)
+        assert [c.label for c in report.checks] == [
+            "s", "q[0]", "q[1]", "qdot[0]", "qdot[1]",
+            "W[0,0]", "W_sym[0,0]", "W[0,1]", "W_sym[0,1]",
+            "W[1,0]", "W_sym[1,0]", "W[1,1]", "W_sym[1,1]",
+            "d2_q_qdot[0,0]", "d2_q_qdot[0,1]", "d2_q_qdot[1,0]", "d2_q_qdot[1,1]",
+            "d2_s_qdot[0]", "d2_s_qdot[1]",
+        ]
+        assert report.passed, report.failures()
+        corrupted = A.T + np.array([[0.0, 0.0], [1.0, 0.0]])
+        report = check_lagrangian_partials(model(lambda z: corrupted), z)
+        assert [c.label for c in report.failures()] == ["d2_q_qdot[1,0]"]
+
 
 def test_point_validation():
     from contactdyn.core import DimensionMismatchError, NonFiniteError

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactdyn.core import DarbouxPoint, DomainError, contact_vector_field
 from contactdyn.extended import ExtendedPoint, evolution_field
@@ -84,6 +86,38 @@ def test_every_system_builds_with_defaults():
         assert spec.default_chart in spec.charts
         for chart in spec.charts.values():
             assert len(chart.x0) == len(chart.layout)
+
+
+# every value its constraint admits, from subnormal to the largest float
+_BY_CONSTRAINT = {
+    "> 0": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ">= 0": st.floats(min_value=0.0, allow_infinity=False),
+    "64-bit integer": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+}
+
+
+def _parameter_values(name):
+    return st.fixed_dictionaries({
+        p.name: _BY_CONSTRAINT.get(
+            p.constraint, st.floats(allow_nan=False, allow_infinity=False).filter(p.check)
+        )
+        for p in catalog_schema()[name]
+    })
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_make_system_builds_or_raises_parameter_error(name):
+    @settings(derandomize=True, deadline=None)
+    @given(_parameter_values(name))
+    def builds_or_refuses(params):
+        try:
+            spec = make_system(name, **params)
+        except ParameterError:
+            return
+        assert spec.name == name
+
+    builds_or_refuses()
 
 
 def test_brownian_noise_spec():
