@@ -40,7 +40,6 @@ from .systems import (
     SYSTEM_NAMES,
     UnknownSystemError,
     _build,
-    _partials_reports,
     catalog_schema,
     make_system,
 )
@@ -399,10 +398,9 @@ def cmd_gradcheck(args) -> int:
     failed = False
     for name in names:
         try:
-            spec = _build(name, _parse_param_flags(getattr(args, "param", None)))
+            _, reports = _build(name, _parse_param_flags(getattr(args, "param", None)))
         except (UnknownSystemError, ParameterError) as exc:
             raise ConfigError(str(exc)) from exc
-        reports = _partials_reports(spec)
         if not reports:
             print(f"{name}: no analytic partials (stochastic stepper), skipped")
             continue

@@ -15,7 +15,10 @@ fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense output
 (each sample through a straight-line kernel of the same kind), and one
 Euler-Maruyama loop over a stochastic chart's drift and terms,
 shared by single runs and ensembles (members are bit-identical to single
-runs with matching seeds).
+runs with matching seeds).  It keeps each member's term averages as
+running trapezoid sums and stores no block of states, so an ensemble needs
+O(n_traj) memory plus a fixed noise buffer whatever the horizon, and a
+single run O(samples kept).
 
 Deterministic averages use trapezoidal quadrature under compensated
 summation so that horizons of 10^5+ samples do not accumulate roundoff.
@@ -502,8 +505,9 @@ def integrate_adaptive(
 # ---------------------------------------------------------------------------
 # Euler-Maruyama over a stochastic chart, vectorized over members
 
-# member-steps recorded per block: bounds a block's memory whatever n_traj is
-_BLOCK_MEMBER_STEPS = 1 << 19
+# member-steps of noise drawn per block: each of the two noise buffers holds
+# this many doubles, whatever n_traj and T are
+_NOISE_MEMBER_STEPS = 1 << 19
 # steps per partial sum of the term averages: roundoff grows with about
 # _SUM_STEPS + n_steps / _SUM_STEPS additions instead of n_steps
 _SUM_STEPS = 1024
@@ -517,6 +521,7 @@ class LangevinEnsembleStats:
     chart's k-th term.  `noise_virial` is (1/T) * sum of q * dW -- the Ito
     integral (1/T)∫q η dt realized by the discretization, which no post-hoc
     resampling of states can recover.  The other arrays have length n_traj.
+    All of them are running sums kept while stepping; no states are stored.
     """
 
     n_traj: int
@@ -537,7 +542,16 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     the thermal force dW enters p, and -q*eta enters h, so s also gains
     q * dW/dt.  Single runs and ensemble members share this path, so every
     emitted number is identical for a given per-member seed.  Per-member
-    generators are PCG64 streams seeded with seed XOR member index.
+    generators are PCG64 streams seeded with seed XOR member index; each
+    fills its row of one noise buffer per block of steps, and a stream's
+    numbers do not depend on the block length.
+
+    The term averages are running trapezoid sums: after each step every
+    term is evaluated once on the new member arrays, and
+    (dt/2) * (previous + current) is added to a partial sum that is folded
+    into the total every _SUM_STEPS steps, so a member's sums do not depend
+    on n_traj.  Memory is O(n_traj) plus the two noise buffers of
+    _NOISE_MEMBER_STEPS doubles each, whatever T is.
 
     Returns the stats and, when `sample_every` is set, the states of shape
     (N, d, n_traj) at step 0, every sample_every-th step and T.
@@ -556,15 +570,27 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
 
     amp = noise.amplitude * math.sqrt(dt)
     gens = [np.random.Generator(np.random.PCG64(noise.seed ^ i)) for i in range(n_traj)]
-    block = min(n_steps, max(1, _BLOCK_MEMBER_STEPS // n_traj))
-    rec = np.empty((block + 1, len(chart.layout), n_traj))
-    rec[0] = chart.x0[:, None]
-    t, s, q, p = 0.0, rec[0, 1], rec[0, 2], rec[0, 3]
-    G_initial = chart.G(*rec[0])
-    samples = [rec[:1].copy()]
-    sums = np.zeros((len(chart.terms), n_traj))
-    partial = np.zeros_like(sums)
+    block = min(n_steps, max(1, _NOISE_MEMBER_STEPS // n_traj))
+    raw = np.empty((n_traj, block))  # one generator's draws per row
+    dW = np.zeros((block, n_traj))   # one step's increments per row
+    values = [b.value for b in chart.terms]
+    t0, t = chart.x0[0], 0.0
+    s, q, p = (np.full(n_traj, v) for v in chart.x0[1:])
+    G_initial = chart.G(np.full(n_traj, t0), s, q, p)
+    kept = None
+    if sample_every is not None:
+        # step 0, every sample_every-th step and T
+        kept = np.empty((1 + -(-n_steps // sample_every), len(chart.layout), n_traj))
+        kept[0] = chart.x0[:, None]
+        n_kept = 1
+    prev = np.empty((len(values), n_traj))  # term values at the last state
+    cur = np.empty_like(prev)
+    for k, value in enumerate(values):
+        prev[k] = value(t0, s, q, p)
+    sums = np.zeros_like(prev)
+    partial = np.zeros_like(prev)
     noise_sum = np.zeros(n_traj)
+    half_dt = dt * 0.5
 
     step = 0
     # stiff parameter choices blow up through inf/nan; callers detect that
@@ -573,34 +599,31 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         while step < n_steps:
             nb = min(block, n_steps - step)
             if amp > 0.0:
-                dW = np.stack([g.standard_normal(nb) for g in gens], axis=1) * amp
-            else:
-                dW = np.zeros((nb, n_traj))
-            ks = np.arange(step + 1, step + nb + 1)
-            t_next = np.where(ks < n_steps, ks * dt, T)
-            rec[1:nb + 1, 0] = t_next[:, None]
-            for j, t_new in enumerate(t_next.tolist()):
-                dWj = dW[j]
+                for g, row in zip(gens, raw):
+                    g.standard_normal(out=row[:nb])
+                np.multiply(raw[:, :nb].T, amp, out=dW[:nb])
+            for dWj in dW[:nb]:
+                step += 1
                 _, ds, dq, dp = chart.rhs(t, (t, s, q, p))
                 noise_sum += q * dWj
-                s = rec[j + 1, 1] = s + dt * (ds + q * (dWj / dt))
-                q = rec[j + 1, 2] = q + dt * dq
-                p = rec[j + 1, 3] = p + dt * dp + dWj
-                t = t_new
-            # trapezoid over the block, one row at a time and in partial
-            # sums over fixed step ranges, so that a member's sums do not
-            # depend on n_traj (which sets the block length)
-            block_states = rec[:nb + 1].transpose(1, 0, 2)
-            vals = np.stack([b.value(*block_states) for b in chart.terms], axis=1)
-            for k, row in zip(ks.tolist(), dt * 0.5 * (vals[:-1] + vals[1:])):
-                partial += row
-                if k % _SUM_STEPS == 0:
+                s = s + dt * (ds + q * (dWj / dt))
+                q = q + dt * dq
+                p = p + dt * dp + dWj
+                t = step * dt if step < n_steps else T
+                for k, value in enumerate(values):
+                    cur[k] = value(t, s, q, p)
+                # partial += (dt/2) * (prev + cur), then cur becomes prev
+                np.add(prev, cur, out=prev)
+                prev *= half_dt
+                partial += prev
+                prev, cur = cur, prev
+                if step % _SUM_STEPS == 0:
                     sums += partial
                     partial[:] = 0.0
-            if sample_every is not None:
-                samples.append(rec[1:nb + 1][(ks % sample_every == 0) | (ks == n_steps)])
-            rec[0] = rec[nb]
-            step += nb
+                if kept is not None and (step % sample_every == 0 or step == n_steps):
+                    sample = kept[n_kept]
+                    sample[0], sample[1], sample[2], sample[3] = t, s, q, p
+                    n_kept += 1
 
     stats = LangevinEnsembleStats(
         n_traj=n_traj,
@@ -610,9 +633,9 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         term_averages=(sums + partial) / T,
         noise_virial=noise_sum / T,
         G_initial=G_initial,
-        G_final=chart.G(*rec[0]),
+        G_final=chart.G(np.full(n_traj, t), s, q, p),
     )
-    return stats, (np.concatenate(samples) if sample_every is not None else None)
+    return stats, kept
 
 
 def euler_maruyama_langevin(
@@ -633,9 +656,10 @@ def euler_maruyama_langevin(
 
     The trajectory's meta carries `stats`, the realized horizon averages
     including the Ito noise-virial integral (1/T)∫ q dW, which downstream
-    reports need and cannot rebuild from samples.  A run that diverges is
-    truncated at its last finite sample and returned with ``aborted=True``,
-    as `integrate_fixed` does.
+    reports need and cannot rebuild from samples.  Only the kept samples
+    (step 0, every `sample_every`-th step and T) are stored.  A run that
+    diverges is truncated at its last finite sample and returned with
+    ``aborted=True``, as `integrate_fixed` does.
     """
     stats, samples = _langevin_core(chart, noise, T, dt, 1, sample_every)
     rows = samples[:, :, 0]
@@ -662,7 +686,8 @@ def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
 
     Member i uses the stream seeded with noise.seed XOR i; its entries in
     the returned arrays are bit-identical to the single run with that seed.
-    Only the per-member averages that ensemble reports need are kept.
+    Only the per-member running sums that ensemble reports need are kept:
+    memory is O(n_traj) plus a fixed noise buffer, whatever T is.
     """
     if n_traj < 1:
         raise ValueError("need n_traj >= 1")

@@ -273,13 +273,16 @@ def _check_term_sum(system: str, chart_name: str, chart: Chart) -> None:
     x = chart.x0 + 0.05 * np.arange(1, chart.x0.size + 1)
     y = x.tolist()
     where = f"terms of '{system}' chart '{chart_name}' at the probe state {y}"
+    # a term in numpy scalars overflows to inf or nan, which fails the
+    # comparison by itself, so numpy's warnings are silenced as in _build
     try:
-        f = chart.rhs(0.0, tuple(y))
-        eps = 1e-3 / max(1.0, *map(abs, f))
-        rate = central_difference(
-            lambda e: chart.G(*(a + e * b for a, b in zip(y, f))), 0.0, eps
-        )
-        term_sum = math.fsum(b.sign * b.value(*y) for b in chart.terms)
+        with np.errstate(all="ignore"):
+            f = chart.rhs(0.0, tuple(y))
+            eps = 1e-3 / max(1.0, *map(abs, f))
+            rate = central_difference(
+                lambda e: chart.G(*(a + e * b for a, b in zip(y, f))), 0.0, eps
+            )
+            term_sum = math.fsum(b.sign * b.value(*y) for b in chart.terms)
     except (ArithmeticError, ValueError) as exc:
         raise ParameterError(f"{where} cannot be evaluated: {exc}") from exc
     scaled_rate = chart.rate_scale * rate
@@ -650,17 +653,25 @@ _BUILDERS = {
 }
 
 
-def _build(name: str, params: dict) -> SystemSpec:
-    """Validate parameters and run the builder, without the build-time checks.
+def _build(name: str, params: dict) -> tuple[SystemSpec, list]:
+    """Validate parameters, run the builder and the partials oracle.
 
-    A builder that cannot evaluate at valid parameters (say, an overflow
-    of m * omega**2) raises ParameterError naming the system.
+    Returns the spec and its `_partials_reports`, which make_system turns
+    into a ParameterError and gradcheck prints.  A builder that cannot
+    evaluate at valid parameters (say, an overflow of m * omega**2) raises
+    ParameterError naming the system.  numpy's floating-point warnings are
+    silenced: at extreme parameters a model overflows to inf or nan, which
+    fails the oracle by itself.
     """
     values = _validate_params(name, params)
-    try:
-        return _BUILDERS[name](values)
-    except (ArithmeticError, ValueError) as exc:
-        raise ParameterError(f"system '{name}' cannot be built from {values}: {exc}") from exc
+    with np.errstate(all="ignore"):
+        try:
+            spec = _BUILDERS[name](values)
+        except (ArithmeticError, ValueError) as exc:
+            raise ParameterError(
+                f"system '{name}' cannot be built from {values}: {exc}"
+            ) from exc
+        return spec, _partials_reports(spec)
 
 
 def make_system(name: str, **params) -> SystemSpec:
@@ -672,8 +683,8 @@ def make_system(name: str, **params) -> SystemSpec:
     oracle or the terms miss the flow rate of G.  The returned spec is
     immutable and safe to share.
     """
-    spec = _build(name, params)
-    for label, report in _partials_reports(spec):
+    spec, reports = _build(name, params)
+    for label, report in reports:
         if not report.passed:
             bad = ", ".join(c.label for c in report.failures())
             raise ParameterError(

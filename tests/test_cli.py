@@ -1,6 +1,7 @@
 """Command-line runner: configs, overrides, artifacts, exit codes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -336,6 +337,20 @@ def test_gradcheck_failure_exits_4(tmp_path, capsys, monkeypatch):
 def test_unbuildable_parameters_exit_2(argv, tmp_path, capsys):
     assert run(*argv, "--out", str(tmp_path)) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_extreme_parameters_exit_2_without_numpy_warnings(tmp_path, capsys):
+    # the forced model's kinetic term overflows at m = 1e-320; the build
+    # refuses the system without printing numpy's RuntimeWarnings first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("simulate", "--system", "forced_oscillator", "-p", "m=1e-320",
+                   "--T", "1", "--out", str(tmp_path))
+    assert code == EXIT_CONFIG
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_check_identity_pass(capsys):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from contactdyn.integrate import (
     Trajectory,
     euler_maruyama_langevin,
     integrate_adaptive,
+    _SUM_STEPS,
     integrate_fixed,
     langevin_ensemble,
     trapezoid_average,
@@ -272,6 +274,64 @@ def scalar_rkf45(rhs, y0, T, rel_tol, abs_tol, sample_interval):
     return np.array(times), np.array(states), n_acc, n_rej
 
 
+# member-steps per block of the block-record reference below
+_REFERENCE_BLOCK_MEMBER_STEPS = 1 << 19
+
+
+def block_record_langevin(chart, noise, T, dt, n_traj, sample_every):
+    """Euler-Maruyama that records blocks of states and averages them afterwards.
+
+    Returns (term_averages, noise_virial, G_initial, G_final, samples).
+    This is the loop that the running trapezoid sums replaced: it keeps a
+    (block + 1, d, n_traj) record of every state, evaluates the terms on
+    the whole block and adds its trapezoid rows one at a time, so the
+    stepper's stats must equal these bit for bit.
+    """
+    n_steps = int(round(T / dt))
+    amp = noise.amplitude * math.sqrt(dt)
+    gens = [np.random.Generator(np.random.PCG64(noise.seed ^ i)) for i in range(n_traj)]
+    block = min(n_steps, max(1, _REFERENCE_BLOCK_MEMBER_STEPS // n_traj))
+    rec = np.empty((block + 1, len(chart.layout), n_traj))
+    rec[0] = chart.x0[:, None]
+    t, s, q, p = 0.0, rec[0, 1], rec[0, 2], rec[0, 3]
+    G_initial = chart.G(*rec[0])
+    samples = [rec[:1].copy()]
+    sums = np.zeros((len(chart.terms), n_traj))
+    partial = np.zeros_like(sums)
+    noise_sum = np.zeros(n_traj)
+    step = 0
+    with np.errstate(all="ignore"):
+        while step < n_steps:
+            nb = min(block, n_steps - step)
+            if amp > 0.0:
+                dW = np.stack([g.standard_normal(nb) for g in gens], axis=1) * amp
+            else:
+                dW = np.zeros((nb, n_traj))
+            ks = np.arange(step + 1, step + nb + 1)
+            t_next = np.where(ks < n_steps, ks * dt, T)
+            rec[1:nb + 1, 0] = t_next[:, None]
+            for j, t_new in enumerate(t_next.tolist()):
+                dWj = dW[j]
+                _, ds, dq, dp = chart.rhs(t, (t, s, q, p))
+                noise_sum += q * dWj
+                s = rec[j + 1, 1] = s + dt * (ds + q * (dWj / dt))
+                q = rec[j + 1, 2] = q + dt * dq
+                p = rec[j + 1, 3] = p + dt * dp + dWj
+                t = t_new
+            block_states = rec[:nb + 1].transpose(1, 0, 2)
+            vals = np.stack([b.value(*block_states) for b in chart.terms], axis=1)
+            for k, row in zip(ks.tolist(), dt * 0.5 * (vals[:-1] + vals[1:])):
+                partial += row
+                if k % _SUM_STEPS == 0:
+                    sums += partial
+                    partial[:] = 0.0
+            samples.append(rec[1:nb + 1][(ks % sample_every == 0) | (ks == n_steps)])
+            rec[0] = rec[nb]
+            step += nb
+    return ((sums + partial) / T, noise_sum / T, G_initial, chart.G(*rec[0]),
+            np.concatenate(samples))
+
+
 def ring_rhs(d):
     """y_j' = -0.1 y_j + y_{j-1} - y_{j+1} on a ring of d floats: damped waves."""
     def rhs(t, y):
@@ -417,9 +477,10 @@ class TestLangevin:
             assert traj.states[i, 3] == pytest.approx(p, rel=1e-14)
 
     def test_ensemble_member_bit_matches_single_run(self, monkeypatch):
-        # a short block makes the ensemble and the single runs cut their
-        # blocks at different steps
-        monkeypatch.setattr(integrate_mod, "_BLOCK_MEMBER_STEPS", 1500)
+        # a short noise buffer makes the ensemble (500 steps a block) and
+        # the single runs (1500) cut their noise blocks at different steps;
+        # T = 2.5 crosses two partial-sum flushes
+        monkeypatch.setattr(integrate_mod, "_NOISE_MEMBER_STEPS", 1500)
         chart, noise = self.system(seed=777)
         stats = langevin_ensemble(chart, noise, T=2.5, dt=1e-3, n_traj=3)
         for i in range(3):
@@ -430,6 +491,46 @@ class TestLangevin:
                                           sstats.term_averages[:, 0])
             assert stats.noise_virial[i] == sstats.noise_virial[0]
             assert stats.G_final[i] == sstats.G_final[0]
+
+    @pytest.mark.parametrize("n_traj, T, noise_steps, params", [
+        (1, 2.5, 700, {}),
+        (3, 2.5, 1000, {}),
+        (1000, 0.6, None, {}),
+        (3, 1.5, 1000, {"k_BT": 0.0}),
+        (4, 1.0, 900, {"omega": 2000.0}),
+    ], ids=["n1", "n3", "n1000", "k_BT0", "diverging"])
+    def test_running_sums_bit_match_block_records(self, monkeypatch, n_traj, T,
+                                                  noise_steps, params):
+        # every case ends inside a noise block (steps = blocks * length +
+        # rest): 2500 = 3 * 700 + 400, 2500 = 7 * 333 + 169, 600 = 524 + 76
+        # at the default buffer, 1500 = 4 * 333 + 168, 1000 = 4 * 225 + 100
+        if noise_steps is not None:
+            monkeypatch.setattr(integrate_mod, "_NOISE_MEMBER_STEPS", noise_steps)
+        chart, noise = self.system(seed=4242, **params)
+        stats, samples = integrate_mod._langevin_core(chart, noise, T, 1e-3, n_traj, 7)
+        *expected, expected_samples = block_record_langevin(chart, noise, T, 1e-3,
+                                                            n_traj, 7)
+        got = (stats.term_averages, stats.noise_virial, stats.G_initial, stats.G_final)
+        for name, a, b in zip(("term_averages", "noise_virial", "G_initial", "G_final"),
+                              got, expected):
+            assert np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(samples, expected_samples, equal_nan=True)
+        if "omega" in params:
+            assert not np.isfinite(stats.G_final).any()
+
+    def test_ensemble_memory_is_noise_buffers_plus_per_member(self):
+        # numpy reports its buffers to tracemalloc; the two noise buffers
+        # hold at most _NOISE_MEMBER_STEPS doubles each, and the rest
+        # (generators, member arrays, sums) is a few kB per member
+        chart, noise = self.system(k_BT=0.5, seed=5)
+        n_traj = 1000
+        tracemalloc.start()
+        try:
+            langevin_ensemble(chart, noise, T=1.0, dt=1e-3, n_traj=n_traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * integrate_mod._NOISE_MEMBER_STEPS + 4096 * n_traj
 
     def test_equipartition_small_ensemble(self):
         # coarse 3-sigma style sanity check at modest cost; the full-size

@@ -105,7 +105,7 @@ def _parameter_values(name):
     })
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 def test_make_system_builds_or_raises_parameter_error(name):
     @settings(derandomize=True, deadline=None)
