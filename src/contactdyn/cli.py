@@ -188,6 +188,8 @@ def build_config(args) -> ExperimentConfig:
         raise ConfigError("sample_interval must be positive")
     if cfg.n_traj < 2:
         raise ConfigError("n_traj must be >= 2")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     return cfg
 
 
@@ -401,9 +403,6 @@ def cmd_gradcheck(args) -> int:
             _, reports = _build(name, _parse_param_flags(getattr(args, "param", None)))
         except (UnknownSystemError, ParameterError) as exc:
             raise ConfigError(str(exc)) from exc
-        if not reports:
-            print(f"{name}: no analytic partials (stochastic stepper), skipped")
-            continue
         for label, rep in reports:
             status = "PASS" if rep.passed else "FAIL"
             print(f"{label}: {len(rep.checks)} checks, "

@@ -159,6 +159,27 @@ class NoiseSpec:
         return math.sqrt(2.0 * self.m * self.gamma * self.k_BT)
 
 
+def _trapezoid_window(times: np.ndarray, values: np.ndarray, t0: float):
+    """The samples over [max(t0, start), end] and their trapezoid contributions.
+
+    Returns the window's times, the values at those times and the
+    contributions dt * 0.5 * (left + right) of its intervals; t0 must not
+    lie past the final sample.  If t0 falls between samples the window
+    starts at t0 with the linear interpolant's value, so shifting the window
+    start does not quantize to the sample grid.
+    """
+    if t0 > times[0]:
+        i = int(np.searchsorted(times, t0, side="left"))
+        if times[i] > t0:
+            w = (t0 - times[i - 1]) / (times[i] - times[i - 1])
+            v0 = (1 - w) * values[i - 1] + w * values[i]
+            times = np.concatenate(([t0], times[i:]))
+            values = np.concatenate(([v0], values[i:]))
+        else:
+            times, values = times[i:], values[i:]
+    return times, values, np.diff(times) * 0.5 * (values[1:] + values[:-1])
+
+
 def trapezoid_average(times: np.ndarray, values: np.ndarray, t0: float = 0.0) -> float:
     """Trapezoidal time average of sampled values over [max(t0, start), end].
 
@@ -173,19 +194,9 @@ def trapezoid_average(times: np.ndarray, values: np.ndarray, t0: float = 0.0) ->
         raise ValueError("times and values must be equal-length and non-empty")
     if t0 > times[-1]:
         raise ValueError(f"window start {t0} lies beyond the final sample {times[-1]}")
-    if t0 > times[0]:
-        i = int(np.searchsorted(times, t0, side="left"))
-        if times[i] > t0:
-            w = (t0 - times[i - 1]) / (times[i] - times[i - 1])
-            v0 = (1 - w) * values[i - 1] + w * values[i]
-            times = np.concatenate(([t0], times[i:]))
-            values = np.concatenate(([v0], values[i:]))
-        else:
-            times, values = times[i:], values[i:]
+    times, values, contributions = _trapezoid_window(times, values, t0)
     if times.size == 1:
         return float(values[0])
-    dts = np.diff(times)
-    contributions = dts * 0.5 * (values[1:] + values[:-1])
     return math.fsum(contributions.tolist()) / (times[-1] - times[0])
 
 
@@ -387,7 +398,6 @@ def integrate_adaptive(
     *,
     layout: Sequence[str],
     sample_interval: float | None = None,
-    first_step: float | None = None,
     meta: dict | None = None,
 ) -> Trajectory:
     """Embedded Runge-Kutta 4(5) with proportional step control.
@@ -416,8 +426,7 @@ def integrate_adaptive(
     hermite = _kernel("hermite", len(y))
 
     h_min = _UNDERFLOW_FRACTION * T
-    h = first_step if first_step is not None else min(T / 100.0, 1.0)
-    h = min(h, T)
+    h = min(T / 100.0, 1.0)
 
     times = [0.0]
     states = array("d", y)  # samples, row after row
@@ -538,10 +547,11 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
                    sample_every: int | None):
     """Euler-Maruyama over n_traj independent noise streams of one chart.
 
-    The drift is the chart's rhs, evaluated on per-member arrays.  Per step
-    the thermal force dW enters p, and -q*eta enters h, so s also gains
-    q * dW/dt.  Single runs and ensemble members share this path, so every
-    emitted number is identical for a given per-member seed.  Per-member
+    The chart's layout is (s, q[0], p[0]) and its rhs is the drift,
+    evaluated on per-member arrays; time is the loop's own variable.  Per
+    step the thermal force dW enters p, and -q*eta enters h, so s also
+    gains q * dW/dt.  Single runs and ensemble members share this path, so
+    every emitted number is identical for a given per-member seed.  Per-member
     generators are PCG64 streams seeded with seed XOR member index; each
     fills its row of one noise buffer per block of steps, and a stream's
     numbers do not depend on the block length.
@@ -553,11 +563,11 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     on n_traj.  Memory is O(n_traj) plus the two noise buffers of
     _NOISE_MEMBER_STEPS doubles each, whatever T is.
 
-    Returns the stats and, when `sample_every` is set, the states of shape
-    (N, d, n_traj) at step 0, every sample_every-th step and T.
+    Returns the stats and, when `sample_every` is set, the times (N,) and
+    states (N, 3, n_traj) at step 0, every sample_every-th step and T.
     """
-    if chart.layout != ("t", "s", "q[0]", "p[0]"):
-        raise ValueError(f"Euler-Maruyama steps (t, s, q[0], p[0]), not {chart.layout}")
+    if chart.layout != ("s", "q[0]", "p[0]"):
+        raise ValueError(f"Euler-Maruyama steps (s, q[0], p[0]), not {chart.layout}")
     if not (T > 0 and 0 < dt <= T):
         raise ValueError("need T > 0 and 0 < dt <= T")
     if noise.gamma * dt >= 0.1:
@@ -574,19 +584,21 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     raw = np.empty((n_traj, block))  # one generator's draws per row
     dW = np.zeros((block, n_traj))   # one step's increments per row
     values = [b.value for b in chart.terms]
-    t0, t = chart.x0[0], 0.0
-    s, q, p = (np.full(n_traj, v) for v in chart.x0[1:])
-    G_initial = chart.G(np.full(n_traj, t0), s, q, p)
-    kept = None
+    t = 0.0
+    s, q, p = (np.full(n_traj, v) for v in chart.x0)
+    G_initial = chart.G(s, q, p)
+    samples = None
     if sample_every is not None:
         # step 0, every sample_every-th step and T
-        kept = np.empty((1 + -(-n_steps // sample_every), len(chart.layout), n_traj))
+        n_samples = 1 + -(-n_steps // sample_every)
+        kept_times = np.zeros(n_samples)
+        kept = np.empty((n_samples, len(chart.layout), n_traj))
         kept[0] = chart.x0[:, None]
-        n_kept = 1
+        samples, n_kept = (kept_times, kept), 1
     prev = np.empty((len(values), n_traj))  # term values at the last state
     cur = np.empty_like(prev)
     for k, value in enumerate(values):
-        prev[k] = value(t0, s, q, p)
+        prev[k] = value(s, q, p)
     sums = np.zeros_like(prev)
     partial = np.zeros_like(prev)
     noise_sum = np.zeros(n_traj)
@@ -604,14 +616,14 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
                 np.multiply(raw[:, :nb].T, amp, out=dW[:nb])
             for dWj in dW[:nb]:
                 step += 1
-                _, ds, dq, dp = chart.rhs(t, (t, s, q, p))
+                ds, dq, dp = chart.rhs(t, (s, q, p))
                 noise_sum += q * dWj
                 s = s + dt * (ds + q * (dWj / dt))
                 q = q + dt * dq
                 p = p + dt * dp + dWj
                 t = step * dt if step < n_steps else T
                 for k, value in enumerate(values):
-                    cur[k] = value(t, s, q, p)
+                    cur[k] = value(s, q, p)
                 # partial += (dt/2) * (prev + cur), then cur becomes prev
                 np.add(prev, cur, out=prev)
                 prev *= half_dt
@@ -620,9 +632,9 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
                 if step % _SUM_STEPS == 0:
                     sums += partial
                     partial[:] = 0.0
-                if kept is not None and (step % sample_every == 0 or step == n_steps):
-                    sample = kept[n_kept]
-                    sample[0], sample[1], sample[2], sample[3] = t, s, q, p
+                if samples is not None and (step % sample_every == 0 or step == n_steps):
+                    kept_times[n_kept] = t
+                    kept[n_kept, 0], kept[n_kept, 1], kept[n_kept, 2] = s, q, p
                     n_kept += 1
 
     stats = LangevinEnsembleStats(
@@ -633,9 +645,9 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         term_averages=(sums + partial) / T,
         noise_virial=noise_sum / T,
         G_initial=G_initial,
-        G_final=chart.G(np.full(n_traj, t), s, q, p),
+        G_final=chart.G(s, q, p),
     )
-    return stats, kept
+    return stats, samples
 
 
 def euler_maruyama_langevin(
@@ -649,8 +661,9 @@ def euler_maruyama_langevin(
 ) -> Trajectory:
     """One realization of a stochastic chart with additive thermal noise.
 
-    State layout (t, s, q, p).  Per step, with dW = amplitude*sqrt(dt)*N(0,1):
-    p gains its Euler drift plus dW; the same realized increment divided by
+    State layout (s, q[0], p[0]), the chart's; the sample times come from
+    the stepping loop.  Per step, with dW = amplitude*sqrt(dt)*N(0,1): p
+    gains its Euler drift plus dW; the same realized increment divided by
     dt stands in for the noise in the s equation (left-point q); q and s
     advance by Euler drift.  Identical seed => bit-identical trajectory.
 
@@ -661,17 +674,17 @@ def euler_maruyama_langevin(
     diverges is truncated at its last finite sample and returned with
     ``aborted=True``, as `integrate_fixed` does.
     """
-    stats, samples = _langevin_core(chart, noise, T, dt, 1, sample_every)
+    stats, (times, samples) = _langevin_core(chart, noise, T, dt, 1, sample_every)
     rows = samples[:, :, 0]
     finite = np.isfinite(rows).all(axis=1)
     aborted = not finite.all()
     n_finite = int(finite.argmin()) if aborted else len(rows)
-    reason = f"non-finite state at t={rows[n_finite, 0]:.6g}" if aborted else ""
+    reason = f"non-finite state at t={times[n_finite]:.6g}" if aborted else ""
     info = dict(meta or {})
     info.setdefault("integrator", "euler-maruyama")
     info.update(dt=dt, T=T, seed=noise.seed, sample_every=sample_every, stats=stats)
     return Trajectory(
-        times=rows[:n_finite, 0],
+        times=times[:n_finite],
         states=rows[:n_finite],
         layout=chart.layout,
         meta=info,

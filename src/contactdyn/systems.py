@@ -3,22 +3,23 @@
 Each system bundles analytic models (Darboux-chart Hamiltonian, velocity-
 chart Lagrangian, extended time-dependent Hamiltonian — whichever apply),
 fast closed-form right-hand sides per chart, default initial states, and
-the signed term decomposition its averaged-rate report uses (a Brownian
-rhs is the drift; its NoiseSpec adds the thermal force).  Every term and
-every G is a plain-arithmetic function of the state's components in layout
-order, ``value(*y)``, so the same code evaluates on floats and on
-equal-shape column arrays.  Analytic partials are run through the
-finite-difference oracle once at construction at each chart's default
-state, and the terms are checked against the flow rate of G, so a catalog
-system cannot be built with a wrong gradient or term.
+the signed term decomposition its averaged-rate report uses.  The Brownian
+oscillator is the damped oscillator's Hamiltonian chart and model with its
+own drive_friction term; its rhs is the drift, and its NoiseSpec adds the
+thermal force.  Every term and every G is a plain-arithmetic function of
+the state's components in layout order, ``value(*y)``, so the same code
+evaluates on floats and on equal-shape column arrays.  Analytic partials
+are run through the finite-difference oracle once at construction at each
+chart's default state, and the terms are checked against the flow rate of
+G, so a catalog system cannot be built with a wrong gradient or term.
 
 Charts and layouts
 ------------------
-hamiltonian        (s, q[0], p[0])
+hamiltonian        (s, q[0], p[0])      -- damped, parachute, Brownian oscillators
 lagrangian         (q[0], qdot[0], s)
-extended           (t, s, q[0], p[0])   -- forced and Brownian oscillators
+extended           (t, s, q[0], p[0])   -- forced oscillator
 contact  (activator-inhibitor)  (z, x, y)   -- z plays s, x plays q, y plays p
-planar   (activator-inhibitor)  (x, y)
+planar   (activator-inhibitor)  (x, y)      -- the (x, y) part of the contact field
 
 Term decompositions satisfy  sum_i sign_i * term_i(state) ==
 rate_scale * X(G)(state)  pointwise, where G is the chart's virial
@@ -31,7 +32,7 @@ sum over rate_scale as the rate of G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -100,8 +101,8 @@ def _finite(v):
     return math.isfinite(v)
 
 
-def _integer(v):
-    return float(v).is_integer() and abs(v) < 2**63
+def _nonnegative_integer(v):
+    return v >= 0 and float(v).is_integer()
 
 
 _SCHEMAS: dict[str, tuple[ParameterSpec, ...]] = {
@@ -127,7 +128,8 @@ _SCHEMAS: dict[str, tuple[ParameterSpec, ...]] = {
         ParameterSpec("omega", 1.0, "> 0", _positive, "trap frequency"),
         ParameterSpec("gamma", 0.5, "> 0", _positive, "friction rate"),
         ParameterSpec("k_BT", 1.0, ">= 0", _nonnegative, "thermal energy"),
-        ParameterSpec("seed", 0.0, "64-bit integer", _integer, "noise stream seed"),
+        ParameterSpec("seed", 0.0, "non-negative integer", _nonnegative_integer,
+                      "noise stream seed"),
     ),
     "gierer_meinhardt": (
         ParameterSpec("A", 1.0, "finite, != 0", lambda v: _finite(v) and v != 0,
@@ -518,43 +520,33 @@ def _build_forced(params):
 
 
 def _build_brownian(params):
-    m, omega, gamma = params["m"], params["omega"], params["gamma"]
-    kBT, seed = params["k_BT"], int(params["seed"])
-    mw2 = m * omega**2
-    noise = NoiseSpec(m=m, gamma=gamma, k_BT=kBT, seed=seed)
-
-    def drift(t, y):
-        # plain arithmetic: evaluates on floats and on per-member arrays
-        tt, s, q, p = y
-        return (
-            1.0,
-            p * p / (2 * m) - mw2 * q * q / 2 - gamma * s,
-            p / m,
-            -gamma * p - mw2 * q,
-        )
-
+    gamma = params["gamma"]
+    damped = _build_damped(params)
+    h = damped.charts["hamiltonian"]
+    kinetic, potential, _ = h.terms
     chart = Chart(
-        kind="stochastic-extended",
-        layout=("t", "s", "q[0]", "p[0]"),
-        x0=[0.0, 0.0, 1.0, 0.0],
-        rhs=drift,
+        kind=h.kind,
+        layout=h.layout,
+        x0=h.x0,
+        rhs=h.rhs,
         terms=(
-            VirialTermBinding("kinetic", +1, lambda t, s, q, p: p * p / (2 * m)),
-            VirialTermBinding("potential", -1, lambda t, s, q, p: mw2 * (q * q) / 2),
+            kinetic,
+            potential,
             # the thermal force's share, q*eta/2, is the realized Ito
             # integral of q dW; ensemble reports add it from the stepper
-            VirialTermBinding("drive_friction", +1,
-                              lambda t, s, q, p: -gamma * q * p / 2),
+            VirialTermBinding("drive_friction", +1, lambda s, q, p: -gamma * q * p / 2),
         ),
-        G=lambda t, s, q, p: q * p,
-        rate_scale=0.5,
+        G=h.G,
+        rate_scale=h.rate_scale,
     )
     return SystemSpec(
         name="brownian_oscillator",
         params=params,
-        charts={"extended": chart},
-        default_chart="extended",
-        noise=noise,
+        charts={"hamiltonian": chart},
+        default_chart="hamiltonian",
+        hamiltonian=replace(damped.hamiltonian, name="brownian_oscillator.h"),
+        noise=NoiseSpec(m=params["m"], gamma=gamma, k_BT=params["k_BT"],
+                        seed=int(params["seed"])),
         description="harmonically trapped particle in a thermal bath (Langevin)",
     )
 
@@ -586,8 +578,7 @@ def _build_gierer_meinhardt(params):
 
     def rhs_contact(t, y):
         z, x, yv = y
-        if not (B + yv > 0):
-            raise DomainError(f"state y={yv:g} violates B + y > 0 (B={B:g})")
+        _domain(yv)
         return (
             A * (yv / (B + yv) - math.log(B + yv)) + D * x * x / 2 - (C + K) * z,
             A / (B + yv) - C * x,
@@ -595,13 +586,9 @@ def _build_gierer_meinhardt(params):
         )
 
     def rhs_planar(t, y):
+        # the contact field's (x, y) part does not depend on z
         x, yv = y
-        if not (B + yv > 0):
-            raise DomainError(f"state y={yv:g} violates B + y > 0 (B={B:g})")
-        return (
-            A / (B + yv) - C * x,
-            D * x - K * yv,
-        )
+        return rhs_contact(t, (0.0, x, yv))[1:]
 
     # both layouts end in (x, y), so the charts share their terms and G
     terms = (
@@ -714,9 +701,10 @@ def conformal_projection_check(spec: SystemSpec, point) -> PlanarProjection:
 
     The contact Hamiltonian equals the planar one plus (C+K) * z, so the
     (x, y) components of the two fields agree identically; this evaluates
-    both routes (analytic planar formulas vs the generic Darboux-chart
-    field of the attached model) and reports the max |difference|, along
-    with the z equation's right-hand side at the point.
+    both routes (the planar chart's rhs, which takes the contact chart's
+    closed form, vs the generic Darboux-chart field of the attached model)
+    and reports the max |difference|, along with the z equation's
+    right-hand side at the point.
 
     Raises DomainError when y <= -B.
     """

@@ -41,7 +41,13 @@ from .herglotz import (
     apply_lagrangian_field,
     check_lagrangian_partials,
 )
-from .integrate import Trajectory, langevin_ensemble, trapezoid_average, write_csv
+from .integrate import (
+    Trajectory,
+    _trapezoid_window,
+    langevin_ensemble,
+    trapezoid_average,
+    write_csv,
+)
 from .systems import SystemSpec, VirialTermBinding
 
 __all__ = [
@@ -425,7 +431,7 @@ def virial_report(
         rate_avg = math.fsum(
             b.sign * trapezoid_average(times, b.value(*traj.states.T), t0=t0)
             for b in chart.terms) / chart.rate_scale
-    g0 = float(np.interp(t0, times, g_vals))
+    g0 = float(_trapezoid_window(times, g_vals, t0)[1][0])
     gT = float(g_vals[-1])
     boundary = (gT - g0) / window
     verdict, growth_rate = growth_verdict(times, g_vals, t0, residual_tol)
@@ -465,8 +471,6 @@ def ensemble_report(
     T: float,
     dt: float,
     noise=None,
-    terms=None,
-    G=None,
     *,
     residual_tol: float = RESIDUAL_TOL,
 ) -> VirialReport:
@@ -475,21 +479,15 @@ def ensemble_report(
     Term averages are ensemble means of the per-member horizon averages of
     the chart's own terms; errors are standard errors over the ensemble.
     `drive_friction` gains rate_scale times the realized Ito noise integral,
-    which only the stepper can accumulate, so custom `terms`/`G` are
-    rejected.  The boundary identity is exact only in expectation here:
-    pathwise rates carry the
-    quadratic variation of the noise, so tests gate residuals at 3 sigma
-    rather than at integrator tolerance.  Diverged members are dropped;
+    which only the stepper can accumulate.  The boundary identity is exact
+    only in expectation here: pathwise rates carry the quadratic variation
+    of the noise, so tests gate residuals at 3 sigma rather than at
+    integrator tolerance.  Diverged members are dropped;
     NonFiniteError is raised when fewer than two remain.
     """
     if system.noise is None and noise is None:
         raise ValueError(
             f"'{system.name}' is deterministic; use virial_report on a trajectory"
-        )
-    if terms is not None or G is not None:
-        raise ValueError(
-            "ensemble reports use the decomposition fixed by the realized "
-            "noise statistics; custom terms are a deterministic-report feature"
         )
     if n_traj < 2:
         raise ValueError("an ensemble needs n_traj >= 2")
@@ -640,30 +638,21 @@ def write_running_averages(
 
     Columns: t, one running average per term, the running theorem residual
     (signed sum), and the running boundary term (G(t) - G(t0)) / (t - t0).
-    Rows start at the first sample past t0.
+    Rows start at the first sample past t0.  The window and its trapezoid
+    contributions are the report's, summed cumulatively.
     """
     _, _, entries, g_vals = _window_inputs(system, traj, terms, G, t0)
-    times = traj.times
-    after = times > t0
-    t_w = np.concatenate([[t0], times[after]])
-    g0 = float(np.interp(t0, times, g_vals))
-
-    def running_avg(vals):
-        v0 = np.interp(t0, times, vals)
-        v_w = np.concatenate([[v0], vals[after]])
-        cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (v_w[1:] + v_w[:-1]) * np.diff(t_w))]
-        )
-        return cum[1:] / (t_w[1:] - t0)
+    t_w, g_w, _ = _trapezoid_window(traj.times, g_vals, t0)
+    elapsed = t_w[1:] - t_w[0]
 
     columns = [("t", t_w[1:])]
-    signed_sum = np.zeros(len(t_w) - 1)
+    signed_sum = np.zeros(len(elapsed))
     for name, sign, vals in entries:
-        avg = running_avg(vals)
+        avg = np.cumsum(_trapezoid_window(traj.times, vals, t0)[2]) / elapsed
         signed_sum = signed_sum + sign * avg
         columns.append((f"avg[{name}]", avg))
     columns.append(("theorem_residual", signed_sum))
-    columns.append(("boundary", (g_vals[after] - g0) / (t_w[1:] - t0)))
+    columns.append(("boundary", (g_w[1:] - g_w[0]) / elapsed))
 
     write_csv(path_or_file, [name for name, _ in columns],
               np.column_stack([vals for _, vals in columns]))

@@ -1,35 +1,19 @@
-"""Shared test helpers: small analytic models and random polynomial observables."""
+"""Shared test helpers: catalog systems at explicit parameters, small analytic
+models and random polynomial observables."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from contactdyn.core import DarbouxPoint, ScalarField
+from contactdyn.systems import _BUILDERS, make_system
 
-
-def damped_oscillator_h(m=1.0, omega=1.0, gamma=0.1) -> ScalarField:
-    """h = p^2/2m + m w^2 q^2/2 + gamma s, one degree of freedom."""
-    return ScalarField(
-        n=1,
-        value=lambda x: x.p[0] ** 2 / (2 * m) + m * omega**2 * x.q[0] ** 2 / 2 + gamma * x.s,
-        d_s=lambda x: gamma,
-        d_q=lambda x: np.array([m * omega**2 * x.q[0]]),
-        d_p=lambda x: np.array([x.p[0] / m]),
-        name="damped_oscillator",
-    )
-
-
-def parachute_h(m=1.0, g=10.0, lam=0.5) -> ScalarField:
-    """h = (p - 2 lam s)^2/2m + (m g/2 lam)(e^{2 lam q} - 1)."""
-    return ScalarField(
-        n=1,
-        value=lambda x: (x.p[0] - 2 * lam * x.s) ** 2 / (2 * m)
-        + (m * g / (2 * lam)) * (np.exp(2 * lam * x.q[0]) - 1.0),
-        d_s=lambda x: -2 * lam * (x.p[0] - 2 * lam * x.s) / m,
-        d_q=lambda x: np.array([m * g * np.exp(2 * lam * x.q[0])]),
-        d_p=lambda x: np.array([(x.p[0] - 2 * lam * x.s) / m]),
-        name="parachute",
-    )
+DAMPED = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=0.1)
+PARACHUTE = make_system("parachute", m=1.0, g=10.0, lam=0.5)
+FORCED = make_system("forced_oscillator", m=1.0, omega=1.0, gamma=0.1, F0=1.0, Omega=2.0)
+# the conservative limit gamma = 0 lies outside the schema (gamma > 0), so the
+# catalog's own builder makes it, past make_system's validation
+UNDAMPED = _BUILDERS["damped_oscillator"]({"m": 1.0, "omega": 1.0, "gamma": 0.0})
 
 
 def free_particle_h(m=1.0) -> ScalarField:
@@ -40,60 +24,6 @@ def free_particle_h(m=1.0) -> ScalarField:
         d_q=lambda x: np.zeros(1),
         d_p=lambda x: np.array([x.p[0] / m]),
         name="free_particle",
-    )
-
-
-def damped_oscillator_L(m=1.0, omega=1.0, gamma=0.1):
-    """L = m qdot^2/2 - m w^2 q^2/2 - gamma s."""
-    from contactdyn.herglotz import LagrangianModel
-
-    return LagrangianModel(
-        n=1,
-        value=lambda z: m * z.qdot[0] ** 2 / 2 - m * omega**2 * z.q[0] ** 2 / 2 - gamma * z.s,
-        d_s=lambda z: -gamma,
-        d_q=lambda z: np.array([-m * omega**2 * z.q[0]]),
-        d_qdot=lambda z: np.array([m * z.qdot[0]]),
-        w=lambda z: np.array([[m]]),
-        d2_q_qdot=lambda z: np.zeros((1, 1)),
-        d2_s_qdot=lambda z: np.zeros(1),
-        name="damped_oscillator_L",
-    )
-
-
-def parachute_L(m=1.0, g=10.0, lam=0.5):
-    """L = m qdot^2/2 - (m g/2 lam)(e^{2 lam q} - 1) + 2 lam qdot s."""
-    from contactdyn.herglotz import LagrangianModel
-
-    return LagrangianModel(
-        n=1,
-        value=lambda z: m * z.qdot[0] ** 2 / 2
-        - (m * g / (2 * lam)) * (np.exp(2 * lam * z.q[0]) - 1.0)
-        + 2 * lam * z.qdot[0] * z.s,
-        d_s=lambda z: 2 * lam * z.qdot[0],
-        d_q=lambda z: np.array([-m * g * np.exp(2 * lam * z.q[0])]),
-        d_qdot=lambda z: np.array([m * z.qdot[0] + 2 * lam * z.s]),
-        w=lambda z: np.array([[m]]),
-        d2_q_qdot=lambda z: np.zeros((1, 1)),
-        d2_s_qdot=lambda z: np.array([2 * lam]),
-        name="parachute_L",
-    )
-
-
-def forced_oscillator_h(m=1.0, omega=1.0, gamma=0.1, f0=1.0, big_omega=2.0):
-    """h = p^2/2m + m w^2 q^2/2 + gamma s - q F0 cos(W t), on the extended space."""
-    from contactdyn.extended import TimeDependentHamiltonianModel
-
-    return TimeDependentHamiltonianModel(
-        n=1,
-        value=lambda y: y.base.p[0] ** 2 / (2 * m)
-        + m * omega**2 * y.base.q[0] ** 2 / 2
-        + gamma * y.base.s
-        - y.base.q[0] * f0 * np.cos(big_omega * y.t),
-        d_t=lambda y: y.base.q[0] * f0 * big_omega * np.sin(big_omega * y.t),
-        d_s=lambda y: gamma,
-        d_q=lambda y: np.array([m * omega**2 * y.base.q[0] - f0 * np.cos(big_omega * y.t)]),
-        d_p=lambda y: np.array([y.base.p[0] / m]),
-        name="forced_oscillator",
     )
 
 

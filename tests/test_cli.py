@@ -153,9 +153,10 @@ def test_simulate_brownian_trajectory_only(tmp_path, capsys):
 
 
 def test_simulate_brownian_divergence_exits_3(tmp_path, capsys):
-    # omega * dt = 2 makes Euler-Maruyama unstable: the run overflows
+    # omega * dt = 2 makes Euler-Maruyama unstable: the run overflows; a
+    # small m keeps m*omega^2 where the build-time oracle resolves the model
     out = tmp_path / "run"
-    code = run("simulate", "--system", "brownian_oscillator", "-p", "omega=2000",
+    code = run("simulate", "--system", "brownian_oscillator", "-p", "omega=2000", "-p", "m=1e-6",
                "--T", "2", "--out", str(out))
     assert code == EXIT_ABORT
     assert "aborted at t" in (out / "abort.txt").read_text(encoding="utf-8")
@@ -172,6 +173,18 @@ def test_simulate_brownian_bad_step_exits_2(tmp_path, capsys, dt, T):
                "--T", T, "--out", str(tmp_path / "run"))
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--system", "brownian_oscillator", "-p", "seed=-5"),
+    ("ensemble", "--system", "brownian_oscillator", "--n-traj", "4", "--seed", "-3"),
+], ids=["param", "flag"])
+def test_negative_seed_exits_2_naming_seed(tmp_path, capsys, argv):
+    code = run(*argv, "--T", "1", "--out", str(tmp_path / "run"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
@@ -269,7 +282,7 @@ def test_ensemble_rejects_deterministic_system(tmp_path):
 def test_ensemble_all_diverged_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     code = run("ensemble", "--system", "brownian_oscillator", "-p", "omega=2000",
-               "--n-traj", "4", "--T", "2", "--out", str(out))
+               "-p", "m=1e-6", "--n-traj", "4", "--T", "2", "--out", str(out))
     assert code == EXIT_ABORT
     assert "4 of 4 trajectories diverged" in (out / "abort.txt").read_text(encoding="utf-8")
     assert not (out / "report.txt").exists()
@@ -285,9 +298,10 @@ def test_gradcheck_all(capsys):
     out = capsys.readouterr().out
     assert "all partials PASS" in out
     for label in ("damped_oscillator.h", "damped_oscillator.L", "parachute.h",
-                  "parachute.L", "forced_oscillator.h", "gierer_meinhardt.h"):
+                  "parachute.L", "forced_oscillator.h", "brownian_oscillator.h",
+                  "gierer_meinhardt.h"):
         assert label in out
-    assert "stochastic stepper" in out
+    assert "skipped" not in out
 
 
 def test_gradcheck_single_system(capsys):

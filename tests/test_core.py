@@ -25,9 +25,9 @@ from contactdyn.core import (
 )
 
 from conftest import (
-    damped_oscillator_h,
+    DAMPED,
+    PARACHUTE,
     free_particle_h,
-    parachute_h,
     random_point,
     random_quadratic_observable,
 )
@@ -106,20 +106,20 @@ class TestContactVectorField:
         assert v.dp[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_damped_oscillator(self):
-        v = contact_vector_field(damped_oscillator_h(), pt(0.0, 1.0, 2.0))
+        v = contact_vector_field(DAMPED.hamiltonian, pt(0.0, 1.0, 2.0))
         assert v.ds == pytest.approx(1.5, abs=1e-14)
         assert v.dq[0] == pytest.approx(2.0, abs=1e-14)
         assert v.dp[0] == pytest.approx(-1.2, abs=1e-14)
 
     def test_parachute_free_fall_onset(self):
-        v = contact_vector_field(parachute_h(), pt(0.0, 0.0, 0.0))
+        v = contact_vector_field(PARACHUTE.hamiltonian, pt(0.0, 0.0, 0.0))
         assert v.ds == pytest.approx(0.0, abs=1e-14)
         assert v.dq[0] == pytest.approx(0.0, abs=1e-14)
         assert v.dp[0] == pytest.approx(-10.0, abs=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            contact_vector_field(damped_oscillator_h(), DarbouxPoint(0.0, np.zeros(2), np.zeros(2)))
+            contact_vector_field(DAMPED.hamiltonian, DarbouxPoint(0.0, np.zeros(2), np.zeros(2)))
 
     def test_non_finite_partial_raises(self):
         bad = ScalarField(
@@ -136,7 +136,7 @@ class TestContactVectorField:
     def test_eta_pairing(self):
         # ds - p.dq on the field equals -h (defining condition of the field)
         rng = np.random.default_rng(7)
-        for h in (damped_oscillator_h(), parachute_h(), free_particle_h()):
+        for h in (DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()):
             for _ in range(20):
                 x = random_point(rng, 1)
                 v = contact_vector_field(h, x)
@@ -149,10 +149,10 @@ class TestReebDerivative:
         assert reeb_derivative(free_particle_h(), pt(0.3, 0.7, -1.1)) == 0.0
 
     def test_damped(self):
-        assert reeb_derivative(damped_oscillator_h(), pt(5.0, -3.0, 2.0)) == pytest.approx(0.1)
+        assert reeb_derivative(DAMPED.hamiltonian, pt(5.0, -3.0, 2.0)) == pytest.approx(0.1)
 
     def test_parachute(self):
-        assert reeb_derivative(parachute_h(), pt(0.0, 0.0, 1.0)) == pytest.approx(-1.0)
+        assert reeb_derivative(PARACHUTE.hamiltonian, pt(0.0, 0.0, 1.0)) == pytest.approx(-1.0)
 
 
 class TestBrackets:
@@ -172,7 +172,7 @@ class TestBrackets:
         assert lagrange_bracket(s_observable(), q_observable(), pt(0.0, 1.0, 2.0)) == pytest.approx(-1.0)
 
     def test_poisson_G_with_damped(self):
-        val = poisson_bracket(virial_G(), damped_oscillator_h(), pt(0.0, 1.0, 2.0))
+        val = poisson_bracket(virial_G(), DAMPED.hamiltonian, pt(0.0, 1.0, 2.0))
         assert val == pytest.approx(3.0)
 
     def test_poisson_p_free(self):
@@ -213,7 +213,7 @@ class TestBrackets:
     def test_virial_bracket_collapses_to_poisson(self):
         # for G = q.p the s-terms cancel identically, any h, any x
         rng = np.random.default_rng(17)
-        systems = [damped_oscillator_h(), parachute_h(), free_particle_h()]
+        systems = [DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()]
         for h in systems:
             for _ in range(30):
                 x = random_point(rng, 1)
@@ -225,7 +225,7 @@ class TestBrackets:
 class TestApplyField:
     def test_constant_annihilated(self):
         rng = np.random.default_rng(3)
-        for h in (damped_oscillator_h(), parachute_h(), free_particle_h()):
+        for h in (DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()):
             for _ in range(10):
                 x = random_point(rng, 1)
                 assert apply_field_to_observable(h, constant_field(1, 1.0), x) == pytest.approx(
@@ -233,12 +233,12 @@ class TestApplyField:
                 )
 
     def test_virial_rate_damped(self):
-        val = apply_field_to_observable(damped_oscillator_h(), virial_G(), pt(0.0, 1.0, 2.0))
+        val = apply_field_to_observable(DAMPED.hamiltonian, virial_G(), pt(0.0, 1.0, 2.0))
         assert val == pytest.approx(2.8)
 
     def test_hamiltonian_not_conserved(self):
         # X_h(h) = -h dh/ds; at (0,1,2) the damped oscillator gives -0.25
-        h = damped_oscillator_h()
+        h = DAMPED.hamiltonian
         x = pt(0.0, 1.0, 2.0)
         val = apply_field_to_observable(h, h, x)
         assert val == pytest.approx(-0.25, rel=1e-12)
@@ -247,7 +247,7 @@ class TestApplyField:
     def test_matches_directional_derivative(self):
         # X_h(f) must equal <grad f, X_h> for arbitrary observables
         rng = np.random.default_rng(23)
-        for h in (damped_oscillator_h(), parachute_h(), free_particle_h()):
+        for h in (DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()):
             for _ in range(40):
                 x = random_point(rng, 1)
                 f = random_quadratic_observable(rng, 1)
@@ -263,14 +263,14 @@ class TestDivergence:
     def test_damped(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            assert divergence(damped_oscillator_h(), random_point(rng, 1)) == pytest.approx(-0.2)
+            assert divergence(DAMPED.hamiltonian, random_point(rng, 1)) == pytest.approx(-0.2)
 
     def test_parachute(self):
-        assert divergence(parachute_h(), pt(0.0, 0.0, 1.0)) == pytest.approx(2.0)
+        assert divergence(PARACHUTE.hamiltonian, pt(0.0, 0.0, 1.0)) == pytest.approx(2.0)
 
     def test_matches_jacobian_trace(self):
         rng = np.random.default_rng(5)
-        for h in (damped_oscillator_h(), parachute_h(), free_particle_h()):
+        for h in (DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()):
             for _ in range(10):
                 x = random_point(rng, 1, scale=1.0)
                 assert numerical_divergence(h, x) == pytest.approx(divergence(h, x), abs=1e-6)
@@ -288,16 +288,16 @@ class TestDivergence:
 
 class TestCheckPartials:
     def test_damped_passes(self):
-        report = check_partials(damped_oscillator_h(), pt(0.0, 1.0, 2.0), step=1e-5)
+        report = check_partials(DAMPED.hamiltonian, pt(0.0, 1.0, 2.0), step=1e-5)
         assert report.passed
         assert report.max_rel_error < 1e-6
 
     def test_parachute_passes(self):
-        report = check_partials(parachute_h(), pt(0.0, 1.0, 1.0), step=1e-5)
+        report = check_partials(PARACHUTE.hamiltonian, pt(0.0, 1.0, 1.0), step=1e-5)
         assert report.passed
 
     def test_corrupted_partial_flagged(self):
-        h = damped_oscillator_h()
+        h = DAMPED.hamiltonian
         corrupted = ScalarField(
             n=1,
             value=h.value,
@@ -336,7 +336,7 @@ class TestCheckPartials:
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
-            check_partials(damped_oscillator_h(), pt(0.0, 1.0, 2.0), step=0.0)
+            check_partials(DAMPED.hamiltonian, pt(0.0, 1.0, 2.0), step=0.0)
 
     def test_labels_and_indices_at_n2(self):
         rng = np.random.default_rng(8)

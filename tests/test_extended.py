@@ -14,12 +14,13 @@ from contactdyn.extended import (
     frozen_time,
     lift_autonomous,
 )
+from contactdyn.systems import make_system
 
 from conftest import (
-    damped_oscillator_h,
-    forced_oscillator_h,
+    DAMPED,
+    FORCED,
+    PARACHUTE,
     free_particle_h,
-    parachute_h,
     random_point,
     random_quadratic_observable,
 )
@@ -33,7 +34,7 @@ def ept(t, s, q, p):
 
 class TestEvolutionField:
     def test_forced_at_t0(self):
-        v = evolution_field(forced_oscillator_h(), ept(0.0, 0.0, 1.0, 2.0))
+        v = evolution_field(FORCED.extended, ept(0.0, 0.0, 1.0, 2.0))
         assert v.dt == 1.0
         assert v.ds == pytest.approx(2.5, abs=1e-14)
         assert v.dq[0] == pytest.approx(2.0, abs=1e-14)
@@ -41,7 +42,7 @@ class TestEvolutionField:
 
     def test_forcing_node_at_quarter_period(self):
         # cos(2 * pi/4) = 0: instantaneously the autonomous damped field
-        v = evolution_field(forced_oscillator_h(), ept(math.pi / 4, 0.0, 1.0, 2.0))
+        v = evolution_field(FORCED.extended, ept(math.pi / 4, 0.0, 1.0, 2.0))
         assert v.dt == 1.0
         assert v.ds == pytest.approx(1.5, abs=1e-14)
         assert v.dq[0] == pytest.approx(2.0, abs=1e-14)
@@ -49,8 +50,9 @@ class TestEvolutionField:
 
     def test_zero_amplitude_reduces_to_damped(self):
         rng = np.random.default_rng(2)
-        h_off = forced_oscillator_h(f0=0.0)
-        h_auto = damped_oscillator_h()
+        h_off = make_system("forced_oscillator", m=1.0, omega=1.0, gamma=0.1, F0=0.0,
+                            Omega=2.0).extended
+        h_auto = DAMPED.hamiltonian
         for _ in range(20):
             x = random_point(rng, 1)
             t = float(rng.uniform(-5, 5))
@@ -63,7 +65,7 @@ class TestEvolutionField:
 
     def test_lift_autonomous_bit_identical(self):
         rng = np.random.default_rng(4)
-        for h in (damped_oscillator_h(), parachute_h(), free_particle_h()):
+        for h in (DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()):
             lifted = lift_autonomous(h)
             for _ in range(10):
                 x = random_point(rng, 1)
@@ -74,13 +76,13 @@ class TestEvolutionField:
 
     def test_dt_always_one(self):
         rng = np.random.default_rng(6)
-        h = forced_oscillator_h()
+        h = FORCED.extended
         for _ in range(25):
             y = ExtendedPoint(float(rng.uniform(-10, 10)), random_point(rng, 1))
             assert evolution_field(h, y).dt == 1.0
 
     def test_spatial_view(self):
-        v = evolution_field(forced_oscillator_h(), ept(0.0, 0.0, 1.0, 2.0))
+        v = evolution_field(FORCED.extended, ept(0.0, 0.0, 1.0, 2.0))
         w = v.spatial()
         assert (w.ds, w.dq[0], w.dp[0]) == (v.ds, v.dq[0], v.dp[0])
 
@@ -96,7 +98,7 @@ class TestExtendedPoint:
 
 class TestFrozenTime:
     def test_snapshot_matches_direct_evaluation(self):
-        h = forced_oscillator_h()
+        h = FORCED.extended
         t = 0.3
         snap = frozen_time(h, t)
         rng = np.random.default_rng(8)
@@ -112,13 +114,13 @@ class TestFrozenTime:
 class TestCheckPartialsExtended:
     def test_forced_passes(self):
         for t in (0.0, 0.7, 2.5):
-            report = check_partials_extended(forced_oscillator_h(), ept(t, 0.2, 1.0, 2.0))
+            report = check_partials_extended(FORCED.extended, ept(t, 0.2, 1.0, 2.0))
             assert report.passed, report.failures()
             labels = [c.label for c in report.checks]
             assert labels == ["t", "s", "q[0]", "p[0]"]
 
     def test_corrupted_time_partial_flagged(self):
-        h = forced_oscillator_h()
+        h = FORCED.extended
         bad = TimeDependentHamiltonianModel(
             n=1,
             value=h.value,
@@ -134,7 +136,7 @@ class TestCheckPartialsExtended:
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
-            check_partials_extended(forced_oscillator_h(), ept(0.0, 0.0, 1.0, 2.0), step=-1.0)
+            check_partials_extended(FORCED.extended, ept(0.0, 0.0, 1.0, 2.0), step=-1.0)
 
     def test_labels_and_indices_at_n2(self):
         rng = np.random.default_rng(12)
@@ -202,9 +204,9 @@ class TestStructureConditions:
 
     def models(self):
         return [
-            forced_oscillator_h(),
-            lift_autonomous(damped_oscillator_h()),
-            lift_autonomous(parachute_h()),
+            FORCED.extended,
+            lift_autonomous(DAMPED.hamiltonian),
+            lift_autonomous(PARACHUTE.hamiltonian),
         ]
 
     def test_alpha_annihilates_field(self):
@@ -247,7 +249,7 @@ class TestStructureConditions:
 
     def test_time_component_matches_zeta_form_when_autonomous(self):
         rng = np.random.default_rng(16)
-        h = lift_autonomous(damped_oscillator_h())
+        h = lift_autonomous(DAMPED.hamiltonian)
         for _ in range(25):
             y = ExtendedPoint(float(rng.uniform(-4, 4)), random_point(rng, 1))
             v = evolution_field(h, y)

@@ -19,7 +19,7 @@ from contactdyn.herglotz import (
     regularity_estimate,
 )
 
-from conftest import damped_oscillator_L, damped_oscillator_h, parachute_L, parachute_h
+from conftest import DAMPED, PARACHUTE, UNDAMPED
 
 
 def lpt(q, qdot, s):
@@ -57,22 +57,22 @@ class TestEnergy:
             assert energy_EL(L, z) == pytest.approx(z.qdot[0] ** 2 / 2, rel=1e-14)
 
     def test_damped_oscillator(self):
-        assert energy_EL(damped_oscillator_L(), lpt(1.0, 2.0, 0.0)) == pytest.approx(2.5)
+        assert energy_EL(DAMPED.lagrangian, lpt(1.0, 2.0, 0.0)) == pytest.approx(2.5)
 
     def test_parachute(self):
         # the qdot-s cross term drops out of the energy
-        assert energy_EL(parachute_L(), lpt(0.0, 1.0, 3.0)) == pytest.approx(0.5)
+        assert energy_EL(PARACHUTE.lagrangian, lpt(0.0, 1.0, 3.0)) == pytest.approx(0.5)
 
 
 class TestLagrangianField:
     def test_damped_oscillator(self):
-        v = lagrangian_field(damped_oscillator_L(), lpt(1.0, 2.0, 0.0))
+        v = lagrangian_field(DAMPED.lagrangian, lpt(1.0, 2.0, 0.0))
         assert v.ds == pytest.approx(1.5, abs=1e-14)
         assert v.dq[0] == pytest.approx(2.0, abs=1e-14)
         assert v.dqdot[0] == pytest.approx(-1.2, abs=1e-14)
 
     def test_parachute_release(self):
-        v = lagrangian_field(parachute_L(), lpt(0.0, 0.0, 0.0))
+        v = lagrangian_field(PARACHUTE.lagrangian, lpt(0.0, 0.0, 0.0))
         assert v.ds == pytest.approx(0.0, abs=1e-14)
         assert v.dq[0] == pytest.approx(0.0, abs=1e-14)
         assert v.dqdot[0] == pytest.approx(-10.0, abs=1e-13)
@@ -81,7 +81,7 @@ class TestLagrangianField:
         # the exponential and s-coupling terms cancel: qddot = lam qdot^2 - g
         # at every state, not just the release point
         rng = np.random.default_rng(1)
-        L = parachute_L()
+        L = PARACHUTE.lagrangian
         lam, g = 0.5, 10.0
         for _ in range(20):
             z = random_lpoint(rng, scale=1.0)
@@ -89,14 +89,14 @@ class TestLagrangianField:
             assert v.dqdot[0] == pytest.approx(lam * z.qdot[0] ** 2 - g, rel=1e-11, abs=1e-11)
 
     def test_undamped_limit(self):
-        v = lagrangian_field(damped_oscillator_L(gamma=0.0), lpt(1.0, 0.0, 0.0))
+        v = lagrangian_field(UNDAMPED.lagrangian, lpt(1.0, 0.0, 0.0))
         assert v.ds == pytest.approx(-0.5)
         assert v.dq[0] == 0.0
         assert v.dqdot[0] == pytest.approx(-1.0)
 
     def test_ds_is_lagrangian_value(self):
         rng = np.random.default_rng(2)
-        for L in (damped_oscillator_L(), parachute_L()):
+        for L in (DAMPED.lagrangian, PARACHUTE.lagrangian):
             for _ in range(15):
                 z = random_lpoint(rng)
                 assert lagrangian_field(L, z).ds == pytest.approx(L.value(z), rel=1e-14)
@@ -129,7 +129,7 @@ class TestLagrangianField:
 
 class TestRegularity:
     def test_scalar_estimate(self):
-        assert regularity_estimate(damped_oscillator_L(), lpt(0.0, 0.0, 0.0)) == 1.0
+        assert regularity_estimate(DAMPED.lagrangian, lpt(0.0, 0.0, 0.0)) == 1.0
 
     def test_cubic_kinetic_singular_at_rest(self):
         L = LagrangianModel(
@@ -169,20 +169,20 @@ class TestRegularity:
 
 class TestLegendre:
     def test_damped(self):
-        x = legendre_map(damped_oscillator_L(), lpt(1.0, 2.0, 0.0))
+        x = legendre_map(DAMPED.lagrangian, lpt(1.0, 2.0, 0.0))
         assert (x.s, x.q[0], x.p[0]) == (0.0, 1.0, 2.0)
 
     def test_parachute_shifted_momentum(self):
-        x = legendre_map(parachute_L(), lpt(0.0, 1.0, 3.0))
+        x = legendre_map(PARACHUTE.lagrangian, lpt(0.0, 1.0, 3.0))
         assert (x.s, x.q[0], x.p[0]) == (3.0, 0.0, 4.0)
         # image value of the Hamiltonian equals the energy on the source side
-        assert parachute_h().value(x) == pytest.approx(0.5)
+        assert PARACHUTE.hamiltonian.value(x) == pytest.approx(0.5)
 
     def test_hamiltonian_matches_energy(self):
         rng = np.random.default_rng(5)
         pairs = [
-            (damped_oscillator_L(), damped_oscillator_h()),
-            (parachute_L(), parachute_h()),
+            (DAMPED.lagrangian, DAMPED.hamiltonian),
+            (PARACHUTE.lagrangian, PARACHUTE.hamiltonian),
         ]
         for L, h in pairs:
             for _ in range(30):
@@ -197,8 +197,8 @@ class TestLegendre:
 
         rng = np.random.default_rng(6)
         pairs = [
-            (damped_oscillator_L(), damped_oscillator_h()),
-            (parachute_L(), parachute_h()),
+            (DAMPED.lagrangian, DAMPED.hamiltonian),
+            (PARACHUTE.lagrangian, PARACHUTE.hamiltonian),
         ]
         for L, h in pairs:
             for _ in range(20):
@@ -214,8 +214,8 @@ class TestLegendre:
 
         rng = np.random.default_rng(7)
         pairs = [
-            (damped_oscillator_L(), damped_oscillator_h()),
-            (parachute_L(), parachute_h()),
+            (DAMPED.lagrangian, DAMPED.hamiltonian),
+            (PARACHUTE.lagrangian, PARACHUTE.hamiltonian),
         ]
         for L, h in pairs:
             for _ in range(15):
@@ -246,7 +246,7 @@ class TestReebFieldOfVelocityChart:
         # contraction a_i(xi_L) = 0 where a_i is the differential of dL/dqdot_i
         # restricted to (s, qdot), which is what the two-form pairing needs.
         rng = np.random.default_rng(8)
-        for L in (damped_oscillator_L(), parachute_L()):
+        for L in (DAMPED.lagrangian, PARACHUTE.lagrangian):
             for _ in range(10):
                 z = random_lpoint(rng)
                 W = np.asarray(L.w(z), dtype=float)
@@ -257,7 +257,7 @@ class TestReebFieldOfVelocityChart:
 
     def test_parachute_reeb_velocity_component(self):
         z = lpt(0.0, 1.0, 0.0)
-        L = parachute_L()
+        L = PARACHUTE.lagrangian
         W = np.asarray(L.w(z), dtype=float)
         mixed_s = np.asarray(L.d2_s_qdot(z), dtype=float)
         xi_qdot = -np.linalg.solve(W, mixed_s)
@@ -267,7 +267,7 @@ class TestReebFieldOfVelocityChart:
 class TestApplyLagrangianField:
     def test_virial_product_rate(self):
         # G = m q qdot on the damped oscillator: X_L(G) = m qdot^2 + m q qddot
-        L = damped_oscillator_L()
+        L = DAMPED.lagrangian
         G = LagrangianObservable(
             n=1,
             value=lambda z: z.q[0] * z.qdot[0],
@@ -285,13 +285,13 @@ class TestApplyLagrangianField:
 class TestOracle:
     def test_catalog_lagrangians_pass(self):
         rng = np.random.default_rng(9)
-        for L in (damped_oscillator_L(), parachute_L()):
+        for L in (DAMPED.lagrangian, PARACHUTE.lagrangian):
             for _ in range(5):
                 report = check_lagrangian_partials(L, random_lpoint(rng))
                 assert report.passed, report.failures()
 
     def test_corrupt_mixed_partial_flagged(self):
-        L = parachute_L()
+        L = PARACHUTE.lagrangian
         bad = LagrangianModel(
             n=1,
             value=L.value,
@@ -325,7 +325,7 @@ class TestOracle:
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
-            check_lagrangian_partials(damped_oscillator_L(), lpt(0.0, 0.0, 0.0), step=0.0)
+            check_lagrangian_partials(DAMPED.lagrangian, lpt(0.0, 0.0, 0.0), step=0.0)
 
     def test_labels_and_indices_at_n2(self):
         # distinct entries in every block, so a misplaced index shows

@@ -27,7 +27,7 @@ from contactdyn.integrate import (
 )
 from contactdyn.systems import make_system
 
-from conftest import damped_oscillator_h, parachute_h
+from conftest import DAMPED, PARACHUTE, UNDAMPED
 
 LAYOUT_SQP = ("s", "q[0]", "p[0]")
 
@@ -45,7 +45,7 @@ def contact_rhs(h):
 
 class TestFixedStep:
     def test_harmonic_one_period(self):
-        rhs = contact_rhs(damped_oscillator_h(gamma=0.0))
+        rhs = contact_rhs(UNDAMPED.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3, layout=LAYOUT_SQP)
         assert not traj.aborted
         assert traj.t_final == pytest.approx(2 * math.pi, abs=1e-12)
@@ -53,7 +53,7 @@ class TestFixedStep:
         assert traj.states[-1, 2] == pytest.approx(0.0, abs=1e-9)
 
     def test_fourth_order_convergence(self):
-        rhs = contact_rhs(damped_oscillator_h(gamma=0.0))
+        rhs = contact_rhs(UNDAMPED.hamiltonian)
         errs = []
         for dt in (0.1, 0.05):
             traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=dt,
@@ -68,7 +68,8 @@ class TestFixedStep:
         # above gamma/2 (it reaches ~1.0526 E0 for gamma = 0.1), so the bound
         # here is 1.06 rather than 1.05
         gamma = 0.1
-        rhs = contact_rhs(damped_oscillator_h(gamma=gamma))
+        spec = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=gamma)
+        rhs = contact_rhs(spec.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=40.0, dt=1e-3, layout=LAYOUT_SQP)
         q, p = traj.states[:, 1], traj.states[:, 2]
         energy = 0.5 * (p**2 + q**2)
@@ -77,19 +78,19 @@ class TestFixedStep:
         assert energy[-1] < 0.5 * math.exp(-gamma * 39.0)
 
     def test_parachute_terminal_velocity(self):
-        rhs = contact_rhs(parachute_h())
+        rhs = contact_rhs(PARACHUTE.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 0.0, 0.0], T=20.0, dt=1e-3, layout=LAYOUT_SQP)
         s, p = traj.states[-1, 0], traj.states[-1, 2]
         velocity = (p - 2 * 0.5 * s) / 1.0
         assert velocity == pytest.approx(-math.sqrt(10.0 / 0.5), abs=1e-4)
 
     def test_final_partial_step_lands_on_T(self):
-        rhs = contact_rhs(damped_oscillator_h())
+        rhs = contact_rhs(DAMPED.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=1.0005, dt=1e-3, layout=LAYOUT_SQP)
         assert traj.t_final == 1.0005
 
     def test_sampling_stride(self):
-        rhs = contact_rhs(damped_oscillator_h())
+        rhs = contact_rhs(DAMPED.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=1.0, dt=0.01,
                                layout=LAYOUT_SQP, sample_every=10)
         np.testing.assert_allclose(np.diff(traj.times), 0.1, rtol=1e-12)
@@ -107,7 +108,7 @@ class TestFixedStep:
         assert np.isfinite(traj.states).all()
 
     def test_parameter_validation(self):
-        rhs = contact_rhs(damped_oscillator_h())
+        rhs = contact_rhs(DAMPED.hamiltonian)
         with pytest.raises(ValueError):
             integrate_fixed(rhs, [0.0, 1.0, 0.0], T=-1.0, dt=1e-3, layout=LAYOUT_SQP)
         with pytest.raises(ValueError):
@@ -119,7 +120,7 @@ class TestFixedStep:
 
 class TestAdaptive:
     def test_matches_fixed_on_harmonic(self):
-        rhs = contact_rhs(damped_oscillator_h(gamma=0.0))
+        rhs = contact_rhs(UNDAMPED.hamiltonian)
         fixed = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
                                 layout=LAYOUT_SQP)
         adaptive = integrate_adaptive(rhs, [0.0, 1.0, 0.0], T=2 * math.pi,
@@ -128,12 +129,12 @@ class TestAdaptive:
         np.testing.assert_allclose(adaptive.states[-1], fixed.states[-1], atol=1e-8)
 
     def test_endpoint_exact(self):
-        rhs = contact_rhs(damped_oscillator_h())
+        rhs = contact_rhs(DAMPED.hamiltonian)
         traj = integrate_adaptive(rhs, [0.0, 1.0, 0.0], T=10.0, layout=LAYOUT_SQP)
         assert traj.t_final == 10.0
 
     def test_dense_output_grid(self):
-        rhs = contact_rhs(damped_oscillator_h(gamma=0.0))
+        rhs = contact_rhs(UNDAMPED.hamiltonian)
         traj = integrate_adaptive(rhs, [0.0, 1.0, 0.0], T=5.0, rel_tol=1e-9,
                                   abs_tol=1e-11, layout=LAYOUT_SQP, sample_interval=0.1)
         # uniform grid plus exact endpoint; interpolation follows cos t closely
@@ -152,13 +153,13 @@ class TestAdaptive:
         assert traj.times[-1] < 10.0
 
     def test_rejection_counters_recorded(self):
-        rhs = contact_rhs(damped_oscillator_h())
+        rhs = contact_rhs(DAMPED.hamiltonian)
         traj = integrate_adaptive(rhs, [0.0, 1.0, 0.0], T=10.0, layout=LAYOUT_SQP)
         assert traj.meta["n_accepted"] > 0
         assert traj.meta["n_rejected"] >= 0
 
     def test_tolerance_validation(self):
-        rhs = contact_rhs(damped_oscillator_h())
+        rhs = contact_rhs(DAMPED.hamiltonian)
         with pytest.raises(ValueError):
             integrate_adaptive(rhs, [0.0, 1.0, 0.0], T=1.0, rel_tol=0.0, layout=LAYOUT_SQP)
 
@@ -281,21 +282,23 @@ _REFERENCE_BLOCK_MEMBER_STEPS = 1 << 19
 def block_record_langevin(chart, noise, T, dt, n_traj, sample_every):
     """Euler-Maruyama that records blocks of states and averages them afterwards.
 
-    Returns (term_averages, noise_virial, G_initial, G_final, samples).
-    This is the loop that the running trapezoid sums replaced: it keeps a
-    (block + 1, d, n_traj) record of every state, evaluates the terms on
-    the whole block and adds its trapezoid rows one at a time, so the
-    stepper's stats must equal these bit for bit.
+    Returns (term_averages, noise_virial, G_initial, G_final, sample_times,
+    samples).  This is the loop that the running trapezoid sums replaced: it
+    keeps a (block + 1, 3, n_traj) record of every (s, q, p) state and a
+    (block + 1,) record of its times, evaluates the terms on the whole block
+    and adds its trapezoid rows one at a time, so the stepper's stats must
+    equal these bit for bit.
     """
     n_steps = int(round(T / dt))
     amp = noise.amplitude * math.sqrt(dt)
     gens = [np.random.Generator(np.random.PCG64(noise.seed ^ i)) for i in range(n_traj)]
     block = min(n_steps, max(1, _REFERENCE_BLOCK_MEMBER_STEPS // n_traj))
     rec = np.empty((block + 1, len(chart.layout), n_traj))
+    rec_t = np.zeros(block + 1)
     rec[0] = chart.x0[:, None]
-    t, s, q, p = 0.0, rec[0, 1], rec[0, 2], rec[0, 3]
+    t, s, q, p = 0.0, rec[0, 0], rec[0, 1], rec[0, 2]
     G_initial = chart.G(*rec[0])
-    samples = [rec[:1].copy()]
+    samples, sample_times = [rec[:1].copy()], [rec_t[:1].copy()]
     sums = np.zeros((len(chart.terms), n_traj))
     partial = np.zeros_like(sums)
     noise_sum = np.zeros(n_traj)
@@ -309,14 +312,14 @@ def block_record_langevin(chart, noise, T, dt, n_traj, sample_every):
                 dW = np.zeros((nb, n_traj))
             ks = np.arange(step + 1, step + nb + 1)
             t_next = np.where(ks < n_steps, ks * dt, T)
-            rec[1:nb + 1, 0] = t_next[:, None]
+            rec_t[1:nb + 1] = t_next
             for j, t_new in enumerate(t_next.tolist()):
                 dWj = dW[j]
-                _, ds, dq, dp = chart.rhs(t, (t, s, q, p))
+                ds, dq, dp = chart.rhs(t, (s, q, p))
                 noise_sum += q * dWj
-                s = rec[j + 1, 1] = s + dt * (ds + q * (dWj / dt))
-                q = rec[j + 1, 2] = q + dt * dq
-                p = rec[j + 1, 3] = p + dt * dp + dWj
+                s = rec[j + 1, 0] = s + dt * (ds + q * (dWj / dt))
+                q = rec[j + 1, 1] = q + dt * dq
+                p = rec[j + 1, 2] = p + dt * dp + dWj
                 t = t_new
             block_states = rec[:nb + 1].transpose(1, 0, 2)
             vals = np.stack([b.value(*block_states) for b in chart.terms], axis=1)
@@ -325,11 +328,13 @@ def block_record_langevin(chart, noise, T, dt, n_traj, sample_every):
                 if k % _SUM_STEPS == 0:
                     sums += partial
                     partial[:] = 0.0
-            samples.append(rec[1:nb + 1][(ks % sample_every == 0) | (ks == n_steps)])
+            kept = (ks % sample_every == 0) | (ks == n_steps)
+            samples.append(rec[1:nb + 1][kept])
+            sample_times.append(rec_t[1:nb + 1][kept])
             rec[0] = rec[nb]
             step += nb
     return ((sums + partial) / T, noise_sum / T, G_initial, chart.G(*rec[0]),
-            np.concatenate(samples))
+            np.concatenate(sample_times), np.concatenate(samples))
 
 
 def ring_rhs(d):
@@ -427,7 +432,8 @@ class TestVolumeContraction:
     def test_box_contraction_matches_divergence(self):
         # det of the flow-map Jacobian after time T equals exp(-(n+1) gamma T)
         gamma, T = 0.1, 5.0
-        rhs = contact_rhs(damped_oscillator_h(gamma=gamma))
+        spec = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=gamma)
+        rhs = contact_rhs(spec.hamiltonian)
         x0 = np.array([0.0, 1.0, 0.0])
 
         def flow(x):
@@ -466,15 +472,15 @@ class TestLangevin:
     def test_zero_noise_is_euler(self):
         m, omega, gamma, dt = 1.0, 1.0, 0.05, 1e-3
         chart, noise = self.system(gamma=gamma, k_BT=0.0)
-        chart = replace(chart, x0=[0.0, 0.0, 1.0, 0.5])
+        chart = replace(chart, x0=[0.0, 1.0, 0.5])
         traj = euler_maruyama_langevin(chart, noise, T=0.1, dt=dt, sample_every=1)
         s, q, p = 0.0, 1.0, 0.5
         for i in range(1, traj.n_samples):
             ds = p * p / (2 * m) - m * omega**2 * q * q / 2 - gamma * s
             s, q, p = s + dt * ds, q + dt * (p / m), p + dt * (-gamma * p - m * omega**2 * q)
-            assert traj.states[i, 1] == pytest.approx(s, rel=1e-14, abs=1e-300)
-            assert traj.states[i, 2] == pytest.approx(q, rel=1e-14)
-            assert traj.states[i, 3] == pytest.approx(p, rel=1e-14)
+            assert traj.states[i, 0] == pytest.approx(s, rel=1e-14, abs=1e-300)
+            assert traj.states[i, 1] == pytest.approx(q, rel=1e-14)
+            assert traj.states[i, 2] == pytest.approx(p, rel=1e-14)
 
     def test_ensemble_member_bit_matches_single_run(self, monkeypatch):
         # a short noise buffer makes the ensemble (500 steps a block) and
@@ -497,7 +503,7 @@ class TestLangevin:
         (3, 2.5, 1000, {}),
         (1000, 0.6, None, {}),
         (3, 1.5, 1000, {"k_BT": 0.0}),
-        (4, 1.0, 900, {"omega": 2000.0}),
+        (4, 1.0, 900, {"omega": 2000.0, "m": 1e-6}),
     ], ids=["n1", "n3", "n1000", "k_BT0", "diverging"])
     def test_running_sums_bit_match_block_records(self, monkeypatch, n_traj, T,
                                                   noise_steps, params):
@@ -507,13 +513,15 @@ class TestLangevin:
         if noise_steps is not None:
             monkeypatch.setattr(integrate_mod, "_NOISE_MEMBER_STEPS", noise_steps)
         chart, noise = self.system(seed=4242, **params)
-        stats, samples = integrate_mod._langevin_core(chart, noise, T, 1e-3, n_traj, 7)
-        *expected, expected_samples = block_record_langevin(chart, noise, T, 1e-3,
-                                                            n_traj, 7)
+        stats, (times, samples) = integrate_mod._langevin_core(chart, noise, T, 1e-3,
+                                                               n_traj, 7)
+        *expected, expected_times, expected_samples = block_record_langevin(
+            chart, noise, T, 1e-3, n_traj, 7)
         got = (stats.term_averages, stats.noise_virial, stats.G_initial, stats.G_final)
         for name, a, b in zip(("term_averages", "noise_virial", "G_initial", "G_final"),
                               got, expected):
             assert np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(times, expected_times)
         assert np.array_equal(samples, expected_samples, equal_nan=True)
         if "omega" in params:
             assert not np.isfinite(stats.G_final).any()
@@ -564,13 +572,13 @@ class TestAveraging:
         assert trapezoid_average(times, np.full(1001, 4.2)) == pytest.approx(4.2, rel=1e-14)
 
     def test_odd_function_over_period(self):
-        rhs = contact_rhs(damped_oscillator_h(gamma=0.0))
+        rhs = contact_rhs(UNDAMPED.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
                                layout=LAYOUT_SQP, sample_every=1)
         assert trapezoid_average(traj.times, traj.states[:, 1]) == pytest.approx(0.0, abs=1e-8)
 
     def test_quadratic_over_period(self):
-        rhs = contact_rhs(damped_oscillator_h(gamma=0.0))
+        rhs = contact_rhs(UNDAMPED.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
                                layout=LAYOUT_SQP, sample_every=1)
         assert trapezoid_average(traj.times, traj.states[:, 1] ** 2) == pytest.approx(
@@ -605,7 +613,7 @@ class TestTrajectoryType:
 
 class TestCsv:
     def test_round_trip_17_digits(self):
-        rhs = contact_rhs(damped_oscillator_h())
+        rhs = contact_rhs(DAMPED.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=0.5, dt=1e-3, layout=LAYOUT_SQP)
         buf = io.StringIO()
         write_trajectory_csv(traj, buf, observables={"energy": traj.states[:, 2] ** 2})
@@ -617,7 +625,7 @@ class TestCsv:
         np.testing.assert_array_equal(parsed[:, 4], traj.states[:, 2] ** 2)
 
     def test_deterministic_bytes(self):
-        rhs = contact_rhs(damped_oscillator_h())
+        rhs = contact_rhs(DAMPED.hamiltonian)
         outs = []
         for _ in range(2):
             traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=0.5, dt=1e-3, layout=LAYOUT_SQP)

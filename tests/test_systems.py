@@ -22,8 +22,6 @@ from contactdyn.systems import (
     z_equation_residual,
 )
 
-from conftest import damped_oscillator_h, parachute_h
-
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -72,6 +70,7 @@ def test_unknown_parameter_rejected():
         ("brownian_oscillator", {"seed": 0.5}),
         ("gierer_meinhardt", {"A": 0.0}),
         ("gierer_meinhardt", {"B": float("inf")}),
+        ("brownian_oscillator", {"seed": -1}),
     ],
 )
 def test_constraint_violations(name, bad):
@@ -92,7 +91,7 @@ def test_every_system_builds_with_defaults():
 _BY_CONSTRAINT = {
     "> 0": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     ">= 0": st.floats(min_value=0.0, allow_infinity=False),
-    "64-bit integer": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    "non-negative integer": st.integers(min_value=0, max_value=2**64 - 1),
 }
 
 
@@ -128,105 +127,31 @@ def test_brownian_noise_spec():
 
 
 def test_brownian_drift_is_unforced_oscillator():
-    # the Brownian drift is the forced oscillator's field at F0 = 0, and it
-    # evaluates on per-member arrays exactly as on floats
+    # the Brownian drift is the forced oscillator's (s, q, p) field at F0 = 0,
+    # and it evaluates on per-member arrays exactly as on floats
     params = dict(m=1.7, omega=0.8, gamma=0.3)
     drift = make_system("brownian_oscillator", **params).chart().rhs
     forced = make_system("forced_oscillator", F0=0.0, **params).chart().rhs
     rng = np.random.default_rng(13)
     states = rng.normal(size=(4, 40)) * 2
     for y in states.T.tolist():
-        assert drift(y[0], tuple(y)) == pytest.approx(forced(y[0], tuple(y)),
-                                                      rel=1e-14, abs=1e-14)
-    on_arrays = drift(0.0, tuple(states))
-    for k in range(1, 4):
+        assert drift(y[0], tuple(y[1:])) == pytest.approx(forced(y[0], tuple(y))[1:],
+                                                          rel=1e-14, abs=1e-14)
+    on_arrays = drift(0.0, tuple(states[1:]))
+    for k in range(3):
         np.testing.assert_array_equal(
-            on_arrays[k], [drift(0.0, tuple(y))[k] for y in states.T.tolist()])
+            on_arrays[k], [drift(0.0, tuple(y[1:]))[k] for y in states.T.tolist()])
+
+
+def test_negative_seed_rejected_naming_the_parameter():
+    with pytest.raises(ParameterError, match="seed=-1"):
+        make_system("brownian_oscillator", seed=-1)
 
 
 def test_chart_lookup_errors():
     spec = make_system("damped_oscillator")
     with pytest.raises(ParameterError, match="charts"):
         spec.chart("planar")
-
-
-# ---------------------------------------------------------------------------
-# fast right-hand sides agree with the generic field machinery
-
-
-def _generic_hamiltonian_rhs(h):
-    def rhs(t, y):
-        v = contact_vector_field(h, DarbouxPoint(s=y[0], q=y[1:2], p=y[2:3]))
-        return np.array([v.ds, v.dq[0], v.dp[0]])
-
-    return rhs
-
-
-def test_damped_rhs_matches_generic_field():
-    spec = make_system("damped_oscillator", m=1.3, omega=0.7, gamma=0.2)
-    generic = _generic_hamiltonian_rhs(spec.hamiltonian)
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        y = rng.normal(size=3) * 2
-        np.testing.assert_allclose(
-            spec.chart("hamiltonian").rhs(0.0, y), generic(0.0, y),
-            rtol=1e-13, atol=1e-13,
-        )
-
-
-def test_parachute_rhs_matches_generic_field():
-    spec = make_system("parachute", m=2.0, g=9.8, lam=0.3)
-    generic = _generic_hamiltonian_rhs(spec.hamiltonian)
-    rng = np.random.default_rng(12)
-    for _ in range(25):
-        y = rng.normal(size=3)
-        np.testing.assert_allclose(
-            spec.chart("hamiltonian").rhs(0.0, y), generic(0.0, y),
-            rtol=1e-12, atol=1e-12,
-        )
-
-
-def test_lagrangian_rhs_matches_generic_field():
-    for name, kw in [("damped_oscillator", {}), ("parachute", {"lam": 0.4})]:
-        spec = make_system(name, **kw)
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            y = rng.normal(size=3)
-            z = LagrangianPoint(q=y[0:1], qdot=y[1:2], s=y[2])
-            v = lagrangian_field(spec.lagrangian, z)
-            np.testing.assert_allclose(
-                spec.chart("lagrangian").rhs(0.0, y),
-                [v.dq[0], v.dqdot[0], v.ds],
-                rtol=1e-12, atol=1e-12,
-            )
-
-
-def test_forced_rhs_matches_generic_field():
-    spec = make_system("forced_oscillator")
-    rng = np.random.default_rng(14)
-    for _ in range(25):
-        y = rng.normal(size=4)
-        ext = ExtendedPoint(t=y[0], base=DarbouxPoint(s=y[1], q=y[2:3], p=y[3:4]))
-        v = evolution_field(spec.extended, ext)
-        np.testing.assert_allclose(
-            spec.chart("extended").rhs(0.0, y),
-            [v.dt, v.ds, v.dq[0], v.dp[0]],
-            rtol=1e-12, atol=1e-12,
-        )
-
-
-def test_gm_contact_rhs_matches_generic_field():
-    spec = make_system("gierer_meinhardt")
-    rng = np.random.default_rng(15)
-    for _ in range(25):
-        z, x = rng.normal(size=2)
-        yv = rng.uniform(-0.8, 3.0)  # keeps B + y > 0
-        v = contact_vector_field(spec.hamiltonian, DarbouxPoint(s=z, q=[x], p=[yv]))
-        np.testing.assert_allclose(
-            spec.chart("contact").rhs(0.0, np.array([z, x, yv])),
-            [v.ds, v.dq[0], v.dp[0]],
-            rtol=1e-12, atol=1e-12,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -243,22 +168,24 @@ def test_damped_field_frozen_value():
 
 
 def test_damped_matches_reference_construction():
-    spec = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=0.1)
-    ref = damped_oscillator_h()
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        x = DarbouxPoint(rng.normal(), rng.normal(size=1), rng.normal(size=1))
-        assert spec.hamiltonian.value(x) == pytest.approx(ref.value(x), abs=1e-14)
-        assert spec.hamiltonian.d_s(x) == pytest.approx(ref.d_s(x), abs=1e-14)
+    # h = p^2/2m + m w^2 q^2/2 + gamma s at m = w = 1, gamma = 0.1
+    h = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=0.1).hamiltonian
+    x = DarbouxPoint(0.5, [1.5], [-2.0])
+    assert h.value(x) == pytest.approx(3.175, abs=1e-14)
+    assert h.d_s(x) == pytest.approx(0.1, abs=1e-14)
+    np.testing.assert_allclose(h.d_q(x), [1.5], atol=1e-14)
+    np.testing.assert_allclose(h.d_p(x), [-2.0], atol=1e-14)
 
 
 def test_parachute_matches_reference_construction():
-    spec = make_system("parachute", m=1.0, g=10.0, lam=0.5)
-    ref = parachute_h()
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        x = DarbouxPoint(rng.normal(), rng.normal(size=1), rng.normal(size=1))
-        assert spec.hamiltonian.value(x) == pytest.approx(ref.value(x), abs=1e-12)
+    # h = (p - 2 lam s)^2/2m + (m g/2 lam)(e^{2 lam q} - 1) at m = 1, g = 10,
+    # lam = 0.5: 0.125 + 10 (e^0.3 - 1) at (s, q, p) = (0.5, 0.3, 1)
+    h = make_system("parachute", m=1.0, g=10.0, lam=0.5).hamiltonian
+    x = DarbouxPoint(0.5, [0.3], [1.0])
+    assert h.value(x) == pytest.approx(3.623588075760032, abs=1e-12)
+    assert h.d_s(x) == pytest.approx(-0.5, abs=1e-14)
+    np.testing.assert_allclose(h.d_q(x), [13.498588075760033], atol=1e-12)
+    np.testing.assert_allclose(h.d_p(x), [0.5], atol=1e-14)
 
 
 def test_forced_drive_vanishes_at_zero_amplitude():
@@ -393,7 +320,7 @@ ALL_CHARTS = [
     ("parachute", "hamiltonian"),
     ("parachute", "lagrangian"),
     ("forced_oscillator", "extended"),
-    ("brownian_oscillator", "extended"),
+    ("brownian_oscillator", "hamiltonian"),
     ("gierer_meinhardt", "contact"),
     ("gierer_meinhardt", "planar"),
 ]
@@ -405,6 +332,57 @@ OFF_DEFAULT = {
     "brownian_oscillator": {"m": 1.7, "omega": 0.9},
     "gierer_meinhardt": {"A": 1.3, "C": 1.9, "D": 0.7},
 }
+
+
+# charts whose system carries a model of their field
+MODEL_CHARTS = [c for c in ALL_CHARTS if c != ("gierer_meinhardt", "planar")]
+_POSITIVE = st.floats(0.25, 4.0)
+# moderate draws: the closed forms must match the generic fields to
+# rounding, away from overflow and from the activator-inhibitor pole
+_MODERATE = {
+    "damped_oscillator": {"m": _POSITIVE, "omega": _POSITIVE, "gamma": _POSITIVE},
+    "parachute": {"m": _POSITIVE, "g": st.floats(1.0, 20.0), "lam": st.floats(0.1, 1.0)},
+    "forced_oscillator": {"m": _POSITIVE, "omega": _POSITIVE, "gamma": _POSITIVE,
+                          "F0": st.floats(0.0, 4.0), "Omega": _POSITIVE},
+    "brownian_oscillator": {"m": _POSITIVE, "omega": _POSITIVE, "gamma": _POSITIVE,
+                            "k_BT": st.floats(0.0, 4.0)},
+    "gierer_meinhardt": {"A": st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),
+                         "B": st.floats(0.0, 2.0),
+                         **{k: st.floats(-2.0, 2.0) for k in "CDK"}},
+}
+
+
+def _generic_field(spec, kind, y):
+    """The generic field of the system's model for a chart `kind`, in layout order."""
+    if kind == "lagrangian":
+        v = lagrangian_field(spec.lagrangian, LagrangianPoint(q=y[0:1], qdot=y[1:2], s=y[2]))
+        return [v.dq[0], v.dqdot[0], v.ds]
+    if kind == "extended":
+        base = DarbouxPoint(s=y[1], q=y[2:3], p=y[3:4])
+        v = evolution_field(spec.extended, ExtendedPoint(t=y[0], base=base))
+        return [v.dt, v.ds, v.dq[0], v.dp[0]]
+    v = contact_vector_field(spec.hamiltonian, DarbouxPoint(s=y[0], q=y[1:2], p=y[2:3]))
+    return [v.ds, v.dq[0], v.dp[0]]
+
+
+@pytest.mark.parametrize("name, chart_name", MODEL_CHARTS)
+def test_rhs_matches_generic_field(name, chart_name):
+    # every closed-form chart rhs, the one Euler-Maruyama steps included,
+    # is the field its system's model generates, at drawn parameters
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(st.fixed_dictionaries(_MODERATE[name]),
+           st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+    def agrees(params, coords):
+        spec = make_system(name, **params)
+        chart = spec.chart(chart_name)
+        y = np.array(coords[:len(chart.layout)])
+        if name == "gierer_meinhardt":
+            y[-1] = 0.05 + abs(y[-1]) - params["B"]  # the domain B + y > 0
+        generic = _generic_field(spec, chart.kind, y)
+        np.testing.assert_allclose(chart.rhs(0.0, tuple(y.tolist())), generic,
+                                   rtol=1e-12, atol=1e-12 * max(1.0, *map(abs, generic)))
+
+    agrees()
 
 
 @pytest.mark.parametrize("name, chart_name", ALL_CHARTS)
