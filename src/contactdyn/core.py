@@ -9,12 +9,13 @@ finite-difference oracle (`check_partials`) guards every analytic
 derivative supplied by a model.  One routine takes every difference of
 that oracle, of its Lagrangian and extended-chart counterparts and of
 `numerical_divergence`: it perturbs one entry of a flat coordinate list
-by ``step * max(1, |entry|)``.
+by ``step * max(1, |entry|)`` and bounds the quotient's roundoff.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -320,7 +321,8 @@ def numerical_divergence(h: HamiltonianModel, x: DarbouxPoint, step: float = 1e-
         return (v.ds, *v.dq, *v.dp)
 
     return sum(
-        _flat_difference(lambda y, k=k: field(y)[k], flat, k, step) for k in range(len(flat))
+        _flat_difference(lambda y, k=k: field(y)[k], flat, k, step)[0]
+        for k in range(len(flat))
     )
 
 
@@ -330,6 +332,7 @@ def numerical_divergence(h: HamiltonianModel, x: DarbouxPoint, step: float = 1e-
 
 REL_TOL = 1e-6    # flag any relative error above this
 ABS_TOL = 1e-9    # absolute fallback near zero
+ROUNDOFF = 4 * sys.float_info.epsilon   # relative accuracy trusted of one value
 
 
 @dataclass(frozen=True)
@@ -364,12 +367,17 @@ class PartialsReport:
         return [c for c in self.checks if not c.ok]
 
 
-def compare_derivative(analytic: float, numeric: float) -> tuple[float, bool]:
-    """Relative error and pass verdict under the rel-1e-6 / abs-1e-9 rule."""
+def compare_derivative(analytic: float, numeric: float,
+                       roundoff: float = 0.0) -> tuple[float, bool]:
+    """Relative error and pass verdict under the rel-1e-6 / abs-1e-9 rule.
+
+    ``roundoff`` is the numeric value's own rounding error bound; a finite
+    difference within it of the analytic value passes too.
+    """
     diff = abs(analytic - numeric)
     scale = max(abs(analytic), abs(numeric))
     rel = diff / scale if scale > 0 else 0.0
-    ok = diff <= ABS_TOL or rel <= REL_TOL
+    ok = math.isfinite(diff) and (diff <= max(ABS_TOL, roundoff) or rel <= REL_TOL)
     return rel, ok
 
 
@@ -379,17 +387,18 @@ def central_difference(f: Callable[[float], float], t0: float, step: float) -> f
 
 
 def _checked(label: str, analytic_fn, numeric_fn) -> PartialCheck:
+    """One comparison; numeric_fn returns (numeric value, its roundoff bound)."""
     try:
         analytic = float(analytic_fn())
     except Exception as exc:  # evaluation failure reported, not fatal
         return PartialCheck(label, math.nan, math.nan, math.inf, False,
                             note=f"analytic evaluation failed: {exc}")
     try:
-        numeric = float(numeric_fn())
+        numeric, roundoff = map(float, numeric_fn())
     except Exception as exc:
         return PartialCheck(label, analytic, math.nan, math.inf, False,
                             note=f"perturbed evaluation failed: {exc}")
-    rel, ok = compare_derivative(analytic, numeric)
+    rel, ok = compare_derivative(analytic, numeric, roundoff)
     return PartialCheck(label, analytic, numeric, rel, ok)
 
 
@@ -404,14 +413,23 @@ def _darboux(y) -> DarbouxPoint:
     return DarbouxPoint(s=y[0], q=y[1:n + 1], p=y[n + 1:])
 
 
-def _flat_difference(f, x: list, index: int, step: float) -> float:
-    """Central difference of f along x[index], stepped by step * max(1, |x[index]|)."""
+def _flat_difference(f, x: list, index: int, step: float) -> tuple[float, float]:
+    """Central difference of f along x[index] and a bound on its roundoff.
+
+    x[index] is stepped by h = step * max(1, |x[index]|).  Each value of f
+    is trusted to ROUNDOFF of its magnitude, so the quotient carries up to
+    ROUNDOFF * (|f(x+h)| + |f(x-h)|) / (2h) of rounding error, which is
+    larger than any fixed tolerance where f is large next to its partial.
+    """
+    h = step * max(1.0, abs(x[index]))
+
     def along(v):
         y = list(x)
         y[index] = v
         return f(y)
 
-    return central_difference(along, x[index], step * max(1.0, abs(x[index])))
+    hi, lo = along(x[index] + h), along(x[index] - h)
+    return (hi - lo) / (2.0 * h), ROUNDOFF * (abs(hi) + abs(lo)) / (2.0 * h)
 
 
 def _difference_checks(f, x: list, wanted, step: float) -> list[PartialCheck]:
@@ -439,8 +457,9 @@ def check_partials(model: ScalarField, x: DarbouxPoint, step: float = 1e-5) -> P
     """Verify a model's analytic partials against central finite differences.
 
     Each coordinate is perturbed by ``step * max(1, |coordinate|)``.  A
-    partial is flagged when its relative error exceeds 1e-6 (absolute
-    fallback 1e-9 near zero).  Evaluation failures at perturbed points are
+    partial is flagged when its relative error exceeds 1e-6 and its
+    absolute error exceeds both 1e-9 and the difference's roundoff bound
+    (see `_flat_difference`).  Evaluation failures at perturbed points are
     recorded per-coordinate instead of aborting the report.
 
     Parameters

@@ -157,7 +157,7 @@ def check_partials_extended(
     """Central-difference oracle for a time-dependent model, t included.
 
     The partials in (t, s, q, p) are checked over the same flat coordinates,
-    step rule and pass rule (relative 1e-6, absolute fallback 1e-9) as
+    step rule and pass rule (relative 1e-6, absolute 1e-9 or roundoff) as
     `contactdyn.core.check_partials`, so the verdicts agree across charts.
     """
     if step <= 0:

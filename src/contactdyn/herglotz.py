@@ -255,7 +255,8 @@ def check_lagrangian_partials(
 
     First partials of the value and second partials (rows of W, mixed
     q-qdot and s-qdot blocks, differentiating the analytic d_qdot) are each
-    compared under the shared rel-1e-6 / abs-1e-9 rule.  W asymmetry is
+    compared under the shared rule of `contactdyn.core.check_partials`
+    (rel 1e-6, abs 1e-9 or the difference's roundoff).  W asymmetry is
     reported as its own check (analytic W[i,j] against W[j,i]).
 
     First-order observables (no w / mixed-second-derivative callables) get
@@ -291,7 +292,7 @@ def check_lagrangian_partials(
             checks.append(_checked(
                 f"W_sym[{i},{j}]",
                 lambda i=i, j=j: W[i, j],
-                lambda i=i, j=j: W[j, i],
+                lambda i=i, j=j: (W[j, i], 0.0),
             ))
     mixed_q = np.asarray(L.d2_q_qdot(z), dtype=float)
     for j in range(n):

@@ -19,7 +19,7 @@ hamiltonian        (s, q[0], p[0])      -- damped, parachute, Brownian oscillato
 lagrangian         (q[0], qdot[0], s)
 extended           (t, s, q[0], p[0])   -- forced oscillator
 contact  (activator-inhibitor)  (z, x, y)   -- z plays s, x plays q, y plays p
-planar   (activator-inhibitor)  (x, y)      -- the (x, y) part of the contact field
+planar   (activator-inhibitor)  (x, y)
 
 Term decompositions satisfy  sum_i sign_i * term_i(state) ==
 rate_scale * X(G)(state)  pointwise, where G is the chart's virial
@@ -576,9 +576,12 @@ def _build_gierer_meinhardt(params):
         name="gierer_meinhardt.h",
     )
 
+    # each chart states its field in closed form with the domain check
+    # inline: deriving one from the other costs a call per evaluation
     def rhs_contact(t, y):
         z, x, yv = y
-        _domain(yv)
+        if not (B + yv > 0):
+            raise DomainError(f"state y={yv:g} violates B + y > 0 (B={B:g})")
         return (
             A * (yv / (B + yv) - math.log(B + yv)) + D * x * x / 2 - (C + K) * z,
             A / (B + yv) - C * x,
@@ -586,9 +589,13 @@ def _build_gierer_meinhardt(params):
         )
 
     def rhs_planar(t, y):
-        # the contact field's (x, y) part does not depend on z
         x, yv = y
-        return rhs_contact(t, (0.0, x, yv))[1:]
+        if not (B + yv > 0):
+            raise DomainError(f"state y={yv:g} violates B + y > 0 (B={B:g})")
+        return (
+            A / (B + yv) - C * x,
+            D * x - K * yv,
+        )
 
     # both layouts end in (x, y), so the charts share their terms and G
     terms = (
@@ -701,10 +708,9 @@ def conformal_projection_check(spec: SystemSpec, point) -> PlanarProjection:
 
     The contact Hamiltonian equals the planar one plus (C+K) * z, so the
     (x, y) components of the two fields agree identically; this evaluates
-    both routes (the planar chart's rhs, which takes the contact chart's
-    closed form, vs the generic Darboux-chart field of the attached model)
-    and reports the max |difference|, along with the z equation's
-    right-hand side at the point.
+    both routes (analytic planar formulas vs the generic Darboux-chart
+    field of the attached model) and reports the max |difference|, along
+    with the z equation's right-hand side at the point.
 
     Raises DomainError when y <= -B.
     """

@@ -153,10 +153,9 @@ def test_simulate_brownian_trajectory_only(tmp_path, capsys):
 
 
 def test_simulate_brownian_divergence_exits_3(tmp_path, capsys):
-    # omega * dt = 2 makes Euler-Maruyama unstable: the run overflows; a
-    # small m keeps m*omega^2 where the build-time oracle resolves the model
+    # omega * dt = 2 makes Euler-Maruyama unstable: the run overflows
     out = tmp_path / "run"
-    code = run("simulate", "--system", "brownian_oscillator", "-p", "omega=2000", "-p", "m=1e-6",
+    code = run("simulate", "--system", "brownian_oscillator", "-p", "omega=2000",
                "--T", "2", "--out", str(out))
     assert code == EXIT_ABORT
     assert "aborted at t" in (out / "abort.txt").read_text(encoding="utf-8")
@@ -282,7 +281,7 @@ def test_ensemble_rejects_deterministic_system(tmp_path):
 def test_ensemble_all_diverged_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     code = run("ensemble", "--system", "brownian_oscillator", "-p", "omega=2000",
-               "-p", "m=1e-6", "--n-traj", "4", "--T", "2", "--out", str(out))
+               "--n-traj", "4", "--T", "2", "--out", str(out))
     assert code == EXIT_ABORT
     assert "4 of 4 trajectories diverged" in (out / "abort.txt").read_text(encoding="utf-8")
     assert not (out / "report.txt").exists()

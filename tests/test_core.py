@@ -23,6 +23,7 @@ from contactdyn.core import (
     poisson_bracket,
     reeb_derivative,
 )
+from contactdyn.systems import make_system
 
 from conftest import (
     DAMPED,
@@ -313,6 +314,28 @@ class TestCheckPartials:
         # analytic 2 vs numeric 1, normalised by max(|2|, |1|, 1)
         (check,) = report.failures()
         assert check.rel_error == pytest.approx(0.5, rel=0.1)
+
+    def test_roundoff_of_a_large_value_passes(self):
+        # h ~ m*omega^2*q^2/2 = 2e6 at the probe, so the differences carry
+        # ~eps*|h|/step of roundoff, above 1e-6 of the s partial gamma = 0.1;
+        # the partials are exact, so the model builds and passes
+        h = make_system("damped_oscillator", omega=2000.0, gamma=0.1).hamiltonian
+        report = check_partials(h, pt(0.0, 1.0, 0.0))
+        assert report.passed
+        assert report.max_rel_error > 1e-6
+
+    def test_roundoff_allowance_still_flags_a_wrong_partial(self):
+        h = make_system("damped_oscillator", omega=2000.0, gamma=0.1).hamiltonian
+        corrupted = ScalarField(
+            n=1,
+            value=h.value,
+            d_s=lambda x: 1.01 * h.d_s(x),  # 1% off
+            d_q=h.d_q,
+            d_p=h.d_p,
+            name="corrupted",
+        )
+        report = check_partials(corrupted, pt(0.0, 1.0, 0.0))
+        assert {c.label for c in report.failures()} == {"s"}
 
     def test_evaluation_failure_reported_not_fatal(self):
         def value(x):

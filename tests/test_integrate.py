@@ -503,7 +503,7 @@ class TestLangevin:
         (3, 2.5, 1000, {}),
         (1000, 0.6, None, {}),
         (3, 1.5, 1000, {"k_BT": 0.0}),
-        (4, 1.0, 900, {"omega": 2000.0, "m": 1e-6}),
+        (4, 1.0, 900, {"omega": 2000.0}),
     ], ids=["n1", "n3", "n1000", "k_BT0", "diverging"])
     def test_running_sums_bit_match_block_records(self, monkeypatch, n_traj, T,
                                                   noise_steps, params):

@@ -352,6 +352,12 @@ _MODERATE = {
 }
 
 
+# the damped field's closed form agrees with the generic field to 1e-13,
+# the other charts' to 1e-12
+_FIELD_TOL = {("damped_oscillator", "hamiltonian"): 1e-13,
+              ("brownian_oscillator", "hamiltonian"): 1e-13}
+
+
 def _generic_field(spec, kind, y):
     """The generic field of the system's model for a chart `kind`, in layout order."""
     if kind == "lagrangian":
@@ -379,8 +385,10 @@ def test_rhs_matches_generic_field(name, chart_name):
         if name == "gierer_meinhardt":
             y[-1] = 0.05 + abs(y[-1]) - params["B"]  # the domain B + y > 0
         generic = _generic_field(spec, chart.kind, y)
+        tol = _FIELD_TOL.get((name, chart_name), 1e-12)
+        # drawn parameters scale the field, so atol scales with it
         np.testing.assert_allclose(chart.rhs(0.0, tuple(y.tolist())), generic,
-                                   rtol=1e-12, atol=1e-12 * max(1.0, *map(abs, generic)))
+                                   rtol=tol, atol=tol * max(1.0, *map(abs, generic)))
 
     agrees()
 

@@ -466,7 +466,7 @@ def test_ensemble_zero_noise_degenerates_to_deterministic():
 
 
 def test_ensemble_all_diverged():
-    spec = make_system("brownian_oscillator", omega=2000.0, m=1e-6)
+    spec = make_system("brownian_oscillator", omega=2000.0)
     with pytest.raises(ValueError, match="diverged"):
         ensemble_report(spec, n_traj=2, T=2.0, dt=1e-3)
 
