@@ -87,7 +87,6 @@ from .virial import (
     GROWTH_FACTOR,
     RESIDUAL_TOL,
     VirialReport,
-    VirialTerm,
     boundary_term,
     ensemble_report,
     growth_verdict,

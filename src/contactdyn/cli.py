@@ -362,6 +362,11 @@ def cmd_ensemble(args) -> int:
         raise ConfigError(
             f"'{spec.name}' is deterministic; `ensemble` needs a stochastic system"
         )
+    if cfg.t0 != 0:
+        raise ConfigError(
+            f"t0={cfg.t0!r}: `ensemble` averages over the whole horizon [0, T] "
+            "and takes no window start"
+        )
     noise = _noise(cfg, spec)
     outdir = Path(cfg.out)
     try:

@@ -258,9 +258,6 @@ def check_lagrangian_partials(
     compared under the shared rule of `contactdyn.core.check_partials`
     (rel 1e-6, abs 1e-9 or the difference's roundoff).  W asymmetry is
     reported as its own check (analytic W[i,j] against W[j,i]).
-
-    First-order observables (no w / mixed-second-derivative callables) get
-    the first-partial checks only.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -276,8 +273,6 @@ def check_lagrangian_partials(
         *_components("q", 1, L.d_q, z),
         *_components("qdot", 1 + n, L.d_qdot, z),
     ], step)
-    if not callable(getattr(L, "w", None)):
-        return PartialsReport(name=L.name, checks=tuple(checks))
 
     # second partials: differences of one component of the analytic d_qdot
     def d_qdot(k: int):

@@ -164,6 +164,10 @@ class VirialTermBinding:
     sign: int
     value: Callable[..., float]
 
+    def __post_init__(self):
+        if self.sign not in (-1, +1):
+            raise ValueError(f"term '{self.name}': sign must be +1 or -1, got {self.sign}")
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -185,7 +189,7 @@ class Chart:
     x0: np.ndarray
     rhs: Callable[[float, tuple], tuple]
     terms: tuple
-    G: Callable[..., float] | None
+    G: Callable[..., float]
     rate_scale: float = 1.0
 
     def __post_init__(self):

@@ -12,9 +12,10 @@ error.
 Reports come in two flavors: deterministic (one trajectory) and ensemble
 (the stochastic chart's terms with standard-error bars; the identity is
 asserted only in expectation because pathwise rates carry the unmodeled
-quadratic variation of the noise).  Both take the averaged rate of the
-chart's G as the signed term sum over rate_scale, so ``residual_exact`` also
-checks the terms; a custom model G gets its rate from the system's models.
+quadratic variation of the noise).  Both read only the chart: its G and
+the averaged rate of G as the signed term sum over rate_scale, so
+``residual_exact`` also checks the terms.  A custom balance is a chart of
+its own, with its terms and G, inside a SystemSpec.
 """
 
 from __future__ import annotations
@@ -29,18 +30,10 @@ from .core import (
     DarbouxPoint,
     NonFiniteError,
     ScalarField,
-    apply_field_to_observable,
-    check_partials,
     poisson_bracket,
     reeb_derivative,
 )
-from .extended import frozen_time
-from .herglotz import (
-    LagrangianObservable,
-    LagrangianPoint,
-    apply_lagrangian_field,
-    check_lagrangian_partials,
-)
+from .herglotz import LagrangianObservable
 from .integrate import (
     Trajectory,
     _trapezoid_window,
@@ -48,12 +41,11 @@ from .integrate import (
     trapezoid_average,
     write_csv,
 )
-from .systems import SystemSpec, VirialTermBinding
+from .systems import SystemSpec
 
 __all__ = [
     "RESIDUAL_TOL",
     "GROWTH_FACTOR",
-    "VirialTerm",
     "VirialReport",
     "virial_observable",
     "virial_rate",
@@ -73,55 +65,6 @@ __all__ = [
 # margin.
 RESIDUAL_TOL = 1e-8
 GROWTH_FACTOR = 100.0
-
-
-@dataclass(frozen=True)
-class VirialTerm:
-    """One signed term on the left side of an averaged-rate balance.
-
-    `observable` is a Darboux-chart model, a velocity-chart model, or a
-    plain callable ``f(t, state_row) -> float``.  Model observables have
-    their analytic partials spot-checked against finite differences at a
-    generic probe point, so a term with a wrong gradient cannot enter a
-    report silently.
-    """
-
-    name: str
-    observable: object
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, +1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        obs = self.observable
-        if isinstance(obs, ScalarField):
-            n = obs.n
-            probe = DarbouxPoint(
-                0.25,
-                [1.0 + i / 7.0 for i in range(n)],
-                [0.5 - i / 9.0 for i in range(n)],
-            )
-            report = check_partials(obs, probe)
-        elif isinstance(obs, LagrangianObservable):
-            n = obs.n
-            probe = LagrangianPoint(
-                [1.0 + i / 7.0 for i in range(n)],
-                [0.5 - i / 9.0 for i in range(n)],
-                0.25,
-            )
-            report = check_lagrangian_partials(obs, probe)
-        elif callable(obs):
-            return
-        else:
-            raise TypeError(
-                "observable must be a chart model or a callable f(t, row)"
-            )
-        if not report.passed:
-            bad = ", ".join(c.label for c in report.failures())
-            raise ValueError(
-                f"term '{self.name}': analytic partials failed the "
-                f"finite-difference oracle ({bad})"
-            )
 
 
 def virial_observable(n: int, masses: Sequence[float] | None = None):
@@ -171,8 +114,14 @@ def virial_rate(h: ScalarField, x: DarbouxPoint):
 
 
 def boundary_term(traj: Trajectory, G) -> float:
-    """(G(final) - G(initial)) / elapsed over the whole trajectory."""
-    values = _values_along(traj, G)
+    """(G(final) - G(initial)) / elapsed over the whole trajectory.
+
+    `G` is a chart's G(*y), evaluated on the sample columns, or the array of
+    G's values at the samples.
+    """
+    values = np.asarray(G(*traj.states.T) if callable(G) else G, dtype=float)
+    if values.shape != traj.times.shape:
+        raise ValueError("G values must match the sample count")
     elapsed = traj.times[-1] - traj.times[0]
     if elapsed <= 0:
         raise ValueError("trajectory spans no time; boundary term undefined")
@@ -245,75 +194,14 @@ class VirialReport:
 
 
 # ---------------------------------------------------------------------------
-# evaluating observables along trajectories
+# the chart's terms and G along a trajectory
 
 
-def _point_factory(layout):
-    """Row-unpacker for a trajectory layout, plus the chart family it implies."""
-    names = tuple(layout)
-    if names == ("z", "x", "y"):
-        # activator-inhibitor contact chart: z plays s, x plays q, y plays p
-        return (lambda t, row: DarbouxPoint(s=row[0], q=row[1:2], p=row[2:3]),
-                "darboux")
-    qs = [i for i, nm in enumerate(names) if nm.startswith("q[")]
-    qdots = [i for i, nm in enumerate(names) if nm.startswith("qdot[")]
-    ps = [i for i, nm in enumerate(names) if nm.startswith("p[")]
-    if qdots and "s" in names:
-        s_i = names.index("s")
-        return (lambda t, row: LagrangianPoint(q=row[qs], qdot=row[qdots], s=row[s_i]),
-                "lagrangian")
-    if ps and "s" in names:
-        s_i = names.index("s")
-        return (lambda t, row: DarbouxPoint(s=row[s_i], q=row[qs], p=row[ps]),
-                "darboux")
-    raise ValueError(f"layout {names} carries no recognizable chart structure")
+def _window(system: SystemSpec, traj: Trajectory, t0: float):
+    """The chart matching the trajectory's layout, and its terms and G at every sample.
 
-
-def _values_along(traj: Trajectory, obj) -> np.ndarray:
-    """Evaluate a term observable / G at every recorded sample."""
-    if isinstance(obj, np.ndarray):
-        vals = np.asarray(obj, dtype=float)
-        if vals.shape != traj.times.shape:
-            raise ValueError("precomputed values must match the sample count")
-        return vals
-    if isinstance(obj, (ScalarField, LagrangianObservable)):
-        unpack, family = _point_factory(traj.layout)
-        want = "lagrangian" if isinstance(obj, LagrangianObservable) else "darboux"
-        if family != want:
-            raise ValueError(
-                f"{type(obj).__name__} observable cannot be evaluated on a "
-                f"{family}-chart trajectory"
-            )
-        return np.array(
-            [obj.value(unpack(t, row)) for t, row in zip(traj.times, traj.states)]
-        )
-    if callable(obj):
-        return np.array(
-            [obj(t, row) for t, row in zip(traj.times, traj.states)], dtype=float
-        )
-    raise TypeError(f"cannot evaluate {type(obj).__name__} along a trajectory")
-
-
-def _term_entries(terms, traj):
-    entries = []
-    for term in terms:
-        if isinstance(term, VirialTermBinding):
-            entries.append((term.name, int(term.sign),
-                            np.asarray(term.value(*traj.states.T), dtype=float)))
-        elif isinstance(term, VirialTerm):
-            entries.append((term.name, term.sign,
-                            _values_along(traj, term.observable)))
-        else:
-            raise TypeError(
-                "terms must be VirialTerm or VirialTermBinding"
-            )
-    return entries
-
-
-def _window_inputs(system: SystemSpec, traj: Trajectory, terms, G, t0: float):
-    """The chart matching the trajectory's layout, term entries, G values.
-
-    `terms` and `G` default to the chart's own; t0 must lie in the span.
+    Returns (chart name, chart, one value array per chart term, G values);
+    t0 must lie in the recorded span.
     """
     for chart_name, chart in system.charts.items():
         if chart.layout == traj.layout:
@@ -328,46 +216,9 @@ def _window_inputs(system: SystemSpec, traj: Trajectory, terms, G, t0: float):
         raise ValueError(
             f"t0={t0:g} must lie inside the recorded span [{times[0]:g}, {times[-1]:g})"
         )
-    entries = _term_entries(chart.terms if terms is None else terms, traj)
-    if G is None:
-        if chart.G is None:
-            raise ValueError(f"chart '{chart_name}' binds no observable G")
-        g_vals = np.asarray(chart.G(*traj.states.T), dtype=float)
-    else:
-        g_vals = _values_along(traj, G)
-    return chart_name, chart, entries, g_vals
-
-
-def _rate_for_custom_G(system: SystemSpec, traj: Trajectory, G) -> np.ndarray:
-    """Exact flow rate of a model observable along recorded samples."""
-    unpack, family = _point_factory(traj.layout)
-    names = tuple(traj.layout)
-    if isinstance(G, LagrangianObservable):
-        if system.lagrangian is None:
-            raise ValueError(f"'{system.name}' has no velocity-chart model")
-        return np.array(
-            [apply_lagrangian_field(system.lagrangian, G, unpack(t, row))
-             for t, row in zip(traj.times, traj.states)]
-        )
-    if not isinstance(G, ScalarField):
-        raise TypeError(
-            "custom G must be a chart model with partials; plain callables "
-            "admit no exact rate"
-        )
-    if names and names[0] == "t":
-        if system.extended is None:
-            raise ValueError(f"'{system.name}' has no extended-space model")
-        out = np.empty(len(traj.times))
-        for k, (t, row) in enumerate(zip(traj.times, traj.states)):
-            h_now = frozen_time(system.extended, row[0])
-            out[k] = apply_field_to_observable(h_now, G, unpack(t, row))
-        return out
-    if system.hamiltonian is None:
-        raise ValueError(f"'{system.name}' has no Darboux-chart model")
-    return np.array(
-        [apply_field_to_observable(system.hamiltonian, G, unpack(t, row))
-         for t, row in zip(traj.times, traj.states)]
-    )
+    columns = traj.states.T
+    term_vals = [np.asarray(b.value(*columns), dtype=float) for b in chart.terms]
+    return chart_name, chart, term_vals, np.asarray(chart.G(*columns), dtype=float)
 
 
 def _scalar_meta(source: dict) -> dict:
@@ -384,22 +235,15 @@ def _scalar_meta(source: dict) -> dict:
 def virial_report(
     system: SystemSpec,
     traj: Trajectory,
-    terms=None,
-    G=None,
     *,
     t0: float = 0.0,
     residual_tol: float = RESIDUAL_TOL,
-    extra_meta: dict | None = None,
 ) -> VirialReport:
     """Assemble the averaged-rate report of one deterministic trajectory.
 
-    Defaults to the term decomposition and observable bound to the chart
-    the trajectory was produced in (matched by layout); the chart's signed
-    term sum over rate_scale is the rate of its G.  Custom `terms`
-    (VirialTerm, or VirialTermBinding evaluated as value(*y) on the sample
-    columns) and a custom model `G` are accepted; a custom G's rate is
-    evaluated through the system's attached models, keeping the boundary
-    identity exact.  `t0` starts the averaging window late to skip
+    Reads the terms and G of the chart the trajectory was produced in
+    (matched by layout); the chart's signed term sum over rate_scale is the
+    rate of its G.  `t0` starts the averaging window late to skip
     transients.
     """
     if traj.aborted:
@@ -411,26 +255,20 @@ def virial_report(
             f"'{system.name}' is stochastic: its runs have no pathwise rate; "
             "use ensemble_report"
         )
-    chart_name, chart, entries, g_vals = _window_inputs(system, traj, terms, G, t0)
+    chart_name, chart, term_vals, g_vals = _window(system, traj, t0)
     times = traj.times
     t_end = float(times[-1])
     window = t_end - t0
 
+    names = tuple(b.name for b in chart.terms)
+    signs = tuple(int(b.sign) for b in chart.terms)
     term_avgs = tuple(
-        float(trapezoid_average(times, vals, t0=t0)) for _, _, vals in entries
+        float(trapezoid_average(times, vals, t0=t0)) for vals in term_vals
     )
     theorem_residual = math.fsum(
-        sign * avg for (_, sign, _), avg in zip(entries, term_avgs)
+        sign * avg for sign, avg in zip(signs, term_avgs)
     )
-    if G is not None:
-        rate_avg = float(trapezoid_average(
-            times, _rate_for_custom_G(system, traj, G), t0=t0))
-    elif terms is None:
-        rate_avg = theorem_residual / chart.rate_scale
-    else:
-        rate_avg = math.fsum(
-            b.sign * trapezoid_average(times, b.value(*traj.states.T), t0=t0)
-            for b in chart.terms) / chart.rate_scale
+    rate_avg = theorem_residual / chart.rate_scale
     g0 = float(_trapezoid_window(times, g_vals, t0)[1][0])
     gT = float(g_vals[-1])
     boundary = (gT - g0) / window
@@ -438,8 +276,6 @@ def virial_report(
 
     meta = _scalar_meta(traj.meta)
     meta.update({f"param.{k}": v for k, v in system.params.items()})
-    if extra_meta:
-        meta.update(_scalar_meta(extra_meta))
 
     return VirialReport(
         system=system.name,
@@ -447,8 +283,8 @@ def virial_report(
         T=t_end,
         t0=float(t0),
         window=window,
-        term_names=tuple(name for name, _, _ in entries),
-        term_signs=tuple(sign for _, sign, _ in entries),
+        term_names=names,
+        term_signs=signs,
         term_averages=term_avgs,
         term_errors=None,
         theorem_residual=theorem_residual,
@@ -630,8 +466,6 @@ def write_running_averages(
     system: SystemSpec,
     traj: Trajectory,
     path_or_file,
-    terms=None,
-    G=None,
     t0: float = 0.0,
 ) -> None:
     """CSV of per-term running averages vs horizon, for convergence plots.
@@ -641,16 +475,16 @@ def write_running_averages(
     Rows start at the first sample past t0.  The window and its trapezoid
     contributions are the report's, summed cumulatively.
     """
-    _, _, entries, g_vals = _window_inputs(system, traj, terms, G, t0)
+    _, chart, term_vals, g_vals = _window(system, traj, t0)
     t_w, g_w, _ = _trapezoid_window(traj.times, g_vals, t0)
     elapsed = t_w[1:] - t_w[0]
 
     columns = [("t", t_w[1:])]
     signed_sum = np.zeros(len(elapsed))
-    for name, sign, vals in entries:
+    for b, vals in zip(chart.terms, term_vals):
         avg = np.cumsum(_trapezoid_window(traj.times, vals, t0)[2]) / elapsed
-        signed_sum = signed_sum + sign * avg
-        columns.append((f"avg[{name}]", avg))
+        signed_sum = signed_sum + int(b.sign) * avg
+        columns.append((f"avg[{b.name}]", avg))
     columns.append(("theorem_residual", signed_sum))
     columns.append(("boundary", (g_w[1:] - g_w[0]) / elapsed))
 

@@ -278,6 +278,24 @@ def test_ensemble_rejects_deterministic_system(tmp_path):
                "--T", "10", "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_ensemble_t0_exits_2_naming_t0(tmp_path, capsys, source):
+    # the ensemble averages over [0, T]; a window start would be silently dropped
+    out = tmp_path / "run"
+    argv = ["ensemble", "--system", "brownian_oscillator", "--T", "1",
+            "--n-traj", "4", "--out", str(out)]
+    if source == "flag":
+        argv += ["--t0", "0.5"]
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("t0: 0.5\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert run(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "t0" in err
+    assert not out.exists()
+
+
 def test_ensemble_all_diverged_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     code = run("ensemble", "--system", "brownian_oscillator", "-p", "omega=2000",

@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from contactdyn.core import DarbouxPoint, ScalarField, apply_field_to_observable
+from contactdyn.core import DarbouxPoint, apply_field_to_observable
 from contactdyn.herglotz import LagrangianPoint, legendre_map
 from contactdyn.integrate import Trajectory, NoiseSpec, integrate_fixed
 from contactdyn.systems import Chart, SystemSpec, VirialTermBinding, make_system
 from contactdyn.virial import (
-    VirialTerm,
     boundary_term,
     ensemble_report,
     growth_verdict,
@@ -108,7 +107,7 @@ def test_virial_rate_equals_flow_derivative():
 
 def test_boundary_term_periodic_orbit():
     h = UNDAMPED.hamiltonian
-    spec = make_system("damped_oscillator")  # only for the chart layout
+    chart = make_system("damped_oscillator").chart()  # only for its G = q p
 
     def rhs(t, y):
         s, q, p = y
@@ -116,7 +115,7 @@ def test_boundary_term_periodic_orbit():
 
     traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
                            layout=("s", "q[0]", "p[0]"))
-    assert abs(boundary_term(traj, virial_observable(1))) < 1e-8
+    assert abs(boundary_term(traj, chart.G)) < 1e-8
     assert h.d_s(DarbouxPoint(0.0, [1.0], [0.0])) == 0.0
 
 
@@ -127,7 +126,7 @@ def test_boundary_term_damped_decays():
     for T in (100.0, 200.0):
         traj = integrate_fixed(chart.rhs, chart.x0, T=T, dt=1e-3,
                                layout=chart.layout)
-        b[T] = boundary_term(traj, chart.G(*traj.states.T))
+        b[T] = boundary_term(traj, chart.G)
     assert abs(b[200.0]) < 1e-6
     assert abs(b[200.0]) <= abs(b[100.0])
 
@@ -137,15 +136,17 @@ def test_boundary_term_parachute_growth():
     chart = spec.chart("lagrangian")
     traj = integrate_fixed(chart.rhs, chart.x0, T=200.0, dt=1e-3,
                            layout=chart.layout)
-    b = boundary_term(traj, virial_observable(1, masses=[1.0]))
+    b = boundary_term(traj, chart.G)
     assert b == pytest.approx(20.0, rel=0.01)
+    # an array of G values at the samples is taken as is
+    assert boundary_term(traj, chart.G(*traj.states.T)) == b
 
 
 def test_boundary_term_zero_span():
     traj = Trajectory(times=[0.0], states=[[0.0, 1.0, 0.0]],
                       layout=("s", "q[0]", "p[0]"))
     with pytest.raises(ValueError, match="spans no time"):
-        boundary_term(traj, virial_observable(1))
+        boundary_term(traj, make_system("damped_oscillator").chart().G)
 
 
 # ---------------------------------------------------------------------------
@@ -283,55 +284,36 @@ def test_gierer_meinhardt_report_at_fixed_point():
 def test_custom_observable_and_terms():
     # half-square observable G = q^2/2 depends on q alone, so its exact
     # rate along the flow is q qdot = q p / m (no Reeb correction: the
-    # {G,h}_PB - G xi(h) form is special to p-degree-1 observables)
-    spec = make_system("damped_oscillator")
+    # {G,h}_PB - G xi(h) form is special to p-degree-1 observables); a
+    # custom balance is a chart of its own, inside a SystemSpec
+    spec = make_system("damped_oscillator")  # m = 1
     chart = spec.chart()
+    half_square = Chart(
+        kind="hamiltonian",
+        layout=chart.layout,
+        x0=chart.x0,
+        rhs=chart.rhs,
+        terms=(VirialTermBinding("rate", +1, lambda s, q, p: q * p),),
+        G=lambda s, q, p: q * q / 2,
+        rate_scale=1.0,
+    )
+    custom = SystemSpec(
+        name="half_square",
+        params=spec.params,
+        charts={"hamiltonian": half_square},
+        default_chart="hamiltonian",
+    )
     traj = integrate_fixed(chart.rhs, chart.x0, T=20.0, dt=1e-3,
                            layout=chart.layout, sample_every=1)
-    G = ScalarField(
-        n=1,
-        value=lambda x: x.q[0] ** 2 / 2,
-        d_s=lambda x: 0.0,
-        d_q=lambda x: np.array([x.q[0]]),
-        d_p=lambda x: np.array([0.0]),
-        name="half_square",
-    )
-    rate_obs = ScalarField(
-        n=1,
-        value=lambda x: x.q[0] * x.p[0],
-        d_s=lambda x: 0.0,
-        d_q=lambda x: np.array([x.p[0]]),
-        d_p=lambda x: np.array([x.q[0]]),
-        name="half_square_rate",
-    )
-    rep = virial_report(spec, traj, terms=[VirialTerm("rate", rate_obs, +1)], G=G)
+    rep = virial_report(custom, traj)
     # trapezoid truncation of <X(G)> dominates at T=20: ~ dt^2 |f'(0)| / 12T
     assert abs(rep.residual_exact) < 1e-8
     assert rep.theorem_residual == pytest.approx(rep.rate_average, abs=1e-12)
 
 
 def test_virial_term_validation():
-    G = virial_observable(1)
     with pytest.raises(ValueError, match="sign"):
-        VirialTerm("bad", G, 2)
-    with pytest.raises(TypeError):
-        VirialTerm("bad", object(), +1)
-    corrupt = ScalarField(
-        n=1,
-        value=lambda x: x.q[0] * x.p[0],
-        d_s=lambda x: 0.0,
-        d_q=lambda x: np.array([x.p[0] + 1.0]),  # off by one
-        d_p=lambda x: np.array([x.q[0]]),
-        name="corrupt",
-    )
-    with pytest.raises(ValueError, match="oracle"):
-        VirialTerm("bad", corrupt, +1)
-    # callables are taken as-is
-    VirialTerm("ok", lambda t, row: row[1] * row[2], +1)
-
-
-def test_lagrangian_observable_term_passes_oracle():
-    VirialTerm("virial", virial_observable(2, masses=[1.0, 2.0]), +1)
+        VirialTermBinding("bad", 2, lambda s, q, p: q * p)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +426,7 @@ def test_ensemble_validation():
     with pytest.raises(ValueError, match="deterministic"):
         ensemble_report(make_system("damped_oscillator"), n_traj=4, T=10.0, dt=1e-3)
     with pytest.raises(TypeError):
-        ensemble_report(spec, n_traj=4, T=10.0, dt=1e-3,
-                        terms=[VirialTerm("x", lambda t, row: 0.0, +1)])
+        ensemble_report(spec, n_traj=4, T=10.0, dt=1e-3, terms=())
 
 
 def test_ensemble_zero_noise_degenerates_to_deterministic():
@@ -509,24 +490,28 @@ def test_parse_report_rejects_garbage():
         parse_report("no separator here\n")
 
 
-def test_running_average_csv(tmp_path):
+@pytest.mark.parametrize("t0", [0.0, 7.305])
+def test_running_average_csv(tmp_path, t0):
+    # at dt = 1e-2, t0 = 7.305 falls between samples
     spec = make_system("damped_oscillator")
     chart = spec.chart()
     traj = integrate_fixed(chart.rhs, chart.x0, T=20.0, dt=1e-2,
                            layout=chart.layout, sample_every=1)
-    rep = virial_report(spec, traj)
+    rep = virial_report(spec, traj, t0=t0)
     path = tmp_path / "running.csv"
-    write_running_averages(spec, traj, path)
+    write_running_averages(spec, traj, path, t0=t0)
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
     assert header == ["t", "avg[kinetic]", "avg[potential]", "avg[friction_qp]",
                       "theorem_residual", "boundary"]
+    assert float(lines[1].split(",")[0]) > t0
     last = [float(v) for v in lines[-1].split(",")]
     assert last[0] == pytest.approx(20.0)
-    assert last[1] == pytest.approx(rep.term("kinetic"), abs=1e-9)
+    for i, name in enumerate(rep.term_names, start=1):
+        assert last[i] == pytest.approx(rep.term(name), abs=1e-9)
     assert last[4] == pytest.approx(rep.theorem_residual, abs=1e-9)
     assert last[5] == pytest.approx(rep.boundary, abs=1e-12)
     # deterministic output
     buf = io.StringIO()
-    write_running_averages(spec, traj, buf)
+    write_running_averages(spec, traj, buf, t0=t0)
     assert buf.getvalue() == path.read_text(encoding="utf-8")
