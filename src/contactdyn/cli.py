@@ -10,10 +10,10 @@ gradcheck       finite-difference oracle over every analytic partial in the cata
 check-identity  assert the finite-horizon identity <rate of G> = (G(T)-G(t0))/(T-t0)
 
 Configs are YAML mappings; every field can also be set (or overridden) by a
-flag.  Unknown config keys and parameter names are rejected before any
-computation.  Exit codes: 0 success, 2 config/validation error, 3
-integration abort (partial artifacts retained with an abort note), 4
-identity/oracle breach — a verification failure, not a crash.
+flag.  Unknown config keys and parameter names, and settings that the run
+would not read (_READS), are rejected before any computation.  Exit codes:
+0 success, 2 config/validation error, 3 integration abort (partial artifacts
+retained with an abort note), 4 identity/oracle breach — not a crash.
 
 Deterministic configs produce byte-identical artifacts on re-runs; all
 floats are emitted at 17 significant digits.
@@ -89,9 +89,20 @@ class ExperimentConfig:
     seed: int | None = None
     out: str = "out"
     identity_tol: float = 1e-8
+    given: frozenset = frozenset()  # keys set by the config file or a flag
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"given"}
+# the settings each command reads besides params, by how its system steps;
+# any other setting given in the config file or as a flag is refused
+_RUN = "system chart T out t0 identity_tol integrator dt"
+_DETERMINISTIC = {"rk4": f"{_RUN} sample_every", "rkf45": f"{_RUN} rel_tol abs_tol sample_interval"}
+_READS = {
+    "simulate": {**_DETERMINISTIC, "euler-maruyama": "system chart T out dt sample_every seed"},
+    "check-identity": _DETERMINISTIC,
+    "ensemble": {"euler-maruyama": "system T out dt n_traj seed identity_tol"},
+}
+_READS["virial"] = _READS["simulate"]
 
 
 def load_config_file(path: str) -> dict:
@@ -138,7 +149,7 @@ def build_config(args) -> ExperimentConfig:
             file_params = {}
         if not isinstance(file_params, dict):
             raise ConfigError("config 'params' must be a mapping")
-        cfg = replace(cfg, **data)
+        cfg = replace(cfg, **data, given=frozenset(data))
         cfg.params = dict(file_params)
     overrides = {
         name: getattr(args, name)
@@ -147,7 +158,7 @@ def build_config(args) -> ExperimentConfig:
                      "seed", "out", "identity_tol")
         if getattr(args, name, None) is not None
     }
-    cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides, given=cfg.given | set(overrides))
     cfg.params.update(_parse_param_flags(getattr(args, "param", None)))
 
     def _num(name, value, kind):
@@ -197,11 +208,20 @@ def build_config(args) -> ExperimentConfig:
 # shared pipeline pieces
 
 
-def _make_spec(cfg: ExperimentConfig):
+def _make_spec(cfg: ExperimentConfig, command: str):
+    """Build the system; refuse each given setting that `command` on it would not read."""
     try:
-        return make_system(cfg.system, **cfg.params)
+        spec = make_system(cfg.system, **cfg.params)
     except (UnknownSystemError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc
+    stepping = "euler-maruyama" if spec.noise is not None else cfg.integrator
+    reads = _READS[command].get(stepping)  # None: the command refuses the system itself
+    unread = sorted(cfg.given - set(reads.split())) if reads else []
+    if unread:
+        flags = ", ".join("--" + key.replace("_", "-") for key in unread)
+        raise ConfigError(f"`{command}` on '{spec.name}' steps {stepping} and does not "
+                          f"read {flags} (flag or config key)")
+    return spec
 
 
 def _resolve_chart(spec, cfg):
@@ -302,7 +322,7 @@ def _identity_gate(report, tol: float) -> int:
 
 
 def _run_and_report(cfg: ExperimentConfig, command: str, write_trajectory: bool) -> int:
-    spec = _make_spec(cfg)
+    spec = _make_spec(cfg, command)
     chart_name, chart = _resolve_chart(spec, cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -357,15 +377,10 @@ def cmd_virial(args) -> int:
 
 def cmd_ensemble(args) -> int:
     cfg = build_config(args)
-    spec = _make_spec(cfg)
+    spec = _make_spec(cfg, "ensemble")
     if spec.noise is None:
         raise ConfigError(
             f"'{spec.name}' is deterministic; `ensemble` needs a stochastic system"
-        )
-    if cfg.t0 != 0:
-        raise ConfigError(
-            f"t0={cfg.t0!r}: `ensemble` averages over the whole horizon [0, T] "
-            "and takes no window start"
         )
     noise = _noise(cfg, spec)
     outdir = Path(cfg.out)
@@ -427,7 +442,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_check_identity(args) -> int:
     cfg = build_config(args)
-    spec = _make_spec(cfg)
+    spec = _make_spec(cfg, "check-identity")
     chart_name, chart = _resolve_chart(spec, cfg)
     if spec.noise is not None:
         raise ConfigError(

@@ -414,12 +414,13 @@ def _darboux(y) -> DarbouxPoint:
 
 
 def _flat_difference(f, x: list, index: int, step: float) -> tuple[float, float]:
-    """Central difference of f along x[index] and a bound on its roundoff.
+    """Richardson-extrapolated central difference of f along x[index], and its roundoff.
 
-    x[index] is stepped by h = step * max(1, |x[index]|).  Each value of f
-    is trusted to ROUNDOFF of its magnitude, so the quotient carries up to
-    ROUNDOFF * (|f(x+h)| + |f(x-h)|) / (2h) of rounding error, which is
-    larger than any fixed tolerance where f is large next to its partial.
+    With D(k) the central difference of step k and h = step * max(1, |x[index]|),
+    the estimate is (4 D(h/2) - D(h)) / 3.  Each value of f is trusted to
+    ROUNDOFF of its magnitude, so the estimate carries up to ROUNDOFF *
+    (|f(x+-h)| + 8 |f(x+-h/2)|) / (6h) of rounding error, |f(x+-k)| being
+    |f(x+k)| + |f(x-k)|.
     """
     h = step * max(1.0, abs(x[index]))
 
@@ -428,8 +429,9 @@ def _flat_difference(f, x: list, index: int, step: float) -> tuple[float, float]
         y[index] = v
         return f(y)
 
-    hi, lo = along(x[index] + h), along(x[index] - h)
-    return (hi - lo) / (2.0 * h), ROUNDOFF * (abs(hi) + abs(lo)) / (2.0 * h)
+    hi, lo, half_hi, half_lo = (along(x[index] + k) for k in (h, -h, h / 2, -h / 2))
+    return ((4.0 * (half_hi - half_lo) / h - (hi - lo) / (2.0 * h)) / 3.0,
+            ROUNDOFF * (abs(hi) + abs(lo) + 8.0 * (abs(half_hi) + abs(half_lo))) / (6.0 * h))
 
 
 def _difference_checks(f, x: list, wanted, step: float) -> list[PartialCheck]:

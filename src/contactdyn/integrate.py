@@ -14,8 +14,8 @@ in the trajectory's ``layout``.  Three steppers are provided: classical
 fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense output
 (each sample through a straight-line kernel of the same kind), and one
 Euler-Maruyama loop over a stochastic chart's drift and terms,
-shared by single runs and ensembles (members are bit-identical to single
-runs with matching seeds).  It keeps each member's term averages as
+shared by single runs and ensembles (member 0 is bit-identical to the
+single run with the same seed).  It keeps each member's term averages as
 running trapezoid sums and stores no block of states, so an ensemble needs
 O(n_traj) memory plus a fixed noise buffer whatever the horizon, and a
 single run O(samples kept).
@@ -551,10 +551,10 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     evaluated on per-member arrays; time is the loop's own variable.  Per
     step the thermal force dW enters p, and -q*eta enters h, so s also
     gains q * dW/dt.  Single runs and ensemble members share this path, so
-    every emitted number is identical for a given per-member seed.  Per-member
-    generators are PCG64 streams seeded with seed XOR member index; each
-    fills its row of one noise buffer per block of steps, and a stream's
-    numbers do not depend on the block length.
+    every emitted number is identical for a given member stream.  Member i
+    draws from a PCG64 stream seeded with child i of SeedSequence(seed), so a
+    single run is member 0; each fills its row of one noise buffer per block
+    of steps, and a stream's numbers do not depend on the block length.
 
     The term averages are running trapezoid sums: after each step every
     term is evaluated once on the new member arrays, and
@@ -579,7 +579,7 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         raise ValueError("T must be an integer number of Langevin steps (T = n*dt)")
 
     amp = noise.amplitude * math.sqrt(dt)
-    gens = [np.random.Generator(np.random.PCG64(noise.seed ^ i)) for i in range(n_traj)]
+    gens = [np.random.default_rng(c) for c in np.random.SeedSequence(noise.seed).spawn(n_traj)]
     block = min(n_steps, max(1, _NOISE_MEMBER_STEPS // n_traj))
     raw = np.empty((n_traj, block))  # one generator's draws per row
     dW = np.zeros((block, n_traj))   # one step's increments per row
@@ -697,8 +697,8 @@ def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
                       n_traj: int) -> LangevinEnsembleStats:
     """Horizon averages for n_traj independent realizations of a stochastic chart.
 
-    Member i uses the stream seeded with noise.seed XOR i; its entries in
-    the returned arrays are bit-identical to the single run with that seed.
+    Member i draws from child i of SeedSequence(noise.seed); member 0's
+    entries are bit-identical to the single run with the same seed.
     Only the per-member running sums that ensemble reports need are kept:
     memory is O(n_traj) plus a fixed noise buffer, whatever T is.
     """

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from contactdyn.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from contactdyn.systems import make_system
 from contactdyn.virial import parse_report
 
 
@@ -260,11 +261,10 @@ def test_ensemble_rerun_byte_identical(tmp_path):
 
 
 def test_ensemble_seed_changes_output(tmp_path):
-    # per-trajectory streams are seed XOR index, so two seeds inside the same
-    # power-of-two block yield the same stream *set* (means are permutation
-    # invariant); distinct blocks must differ
+    # members draw spawned child streams of SeedSequence(seed), so even
+    # adjacent seeds share no stream
     reports = []
-    for seed in ("5", "1000"):
+    for seed in ("4", "5"):
         out = tmp_path / seed
         assert run("ensemble", "--system", "brownian_oscillator",
                    "--n-traj", "8", "--T", "10", "--seed", seed,
@@ -293,6 +293,45 @@ def test_ensemble_t0_exits_2_naming_t0(tmp_path, capsys, source):
     assert run(*argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "t0" in err
+    assert not out.exists()
+
+
+# how each kind of run steps, and the flags that select it
+_RUNS = {"rk4": ("--system", "damped_oscillator"),
+         "rkf45": ("--system", "damped_oscillator", "--integrator", "rkf45"),
+         "euler-maruyama": ("--system", "brownian_oscillator")}
+_FLAG_VALUES = {"--rel-tol": "1e-6", "--abs-tol": "1e-9", "--sample-interval": "0.5",
+                "--n-traj": "4", "--seed": "3", "--sample-every": "5",
+                "--integrator": "rkf45", "--t0": "0.5", "--identity-tol": "1e-6",
+                "--chart": "hamiltonian"}
+# every flag each command ignores, by how the run steps
+_UNREAD = [
+    *[(command, stepping, flag)
+      for command in ("simulate", "virial", "check-identity")
+      for stepping, flags in (
+          ("rk4", ("--rel-tol", "--abs-tol", "--sample-interval", "--n-traj", "--seed")),
+          ("rkf45", ("--sample-every", "--n-traj", "--seed")))
+      for flag in flags],
+    *[(command, "euler-maruyama", flag)
+      for command in ("simulate", "virial")
+      for flag in ("--integrator", "--rel-tol", "--abs-tol", "--sample-interval",
+                   "--n-traj", "--t0", "--identity-tol")],
+    *[("ensemble", "euler-maruyama", flag)
+      for flag in ("--chart", "--integrator", "--rel-tol", "--abs-tol", "--t0",
+                   "--sample-every", "--sample-interval")],
+]
+
+
+@pytest.mark.parametrize("command, stepping, flag", _UNREAD,
+                         ids=[f"{c}-{s}-{f[2:]}" for c, s, f in _UNREAD])
+def test_unread_flag_exits_2_naming_it(tmp_path, capsys, command, stepping, flag):
+    # a flag the run would ignore is refused before anything is stepped or written
+    out = tmp_path / "run"
+    code = run(command, *_RUNS[stepping], "--T", "1", flag, _FLAG_VALUES[flag],
+               "--out", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and flag in err
     assert not out.exists()
 
 
@@ -326,6 +365,14 @@ def test_gradcheck_single_system(capsys):
     out = capsys.readouterr().out
     assert "parachute.h" in out
     assert "damped_oscillator" not in out
+
+
+def test_gradcheck_passes_at_high_forcing_frequency(capsys):
+    # Omega * step = 0.1: a plain central difference of the drive misses the
+    # exact d/dt by (Omega * step)^2 / 6, far outside the oracle's tolerance
+    make_system("forced_oscillator", Omega=1e4)
+    assert run("gradcheck", "--system", "forced_oscillator", "-p", "Omega=1e4") == EXIT_OK
+    assert "all partials PASS" in capsys.readouterr().out
 
 
 def test_gradcheck_param_without_system():
