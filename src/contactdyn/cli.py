@@ -10,8 +10,10 @@ gradcheck       finite-difference oracle over every analytic partial in the cata
 check-identity  assert the finite-horizon identity <rate of G> = (G(T)-G(t0))/(T-t0)
 
 Configs are YAML mappings; every field can also be set (or overridden) by a
-flag.  Unknown config keys and parameter names, and settings that the run
-would not read (_READS), are rejected before any computation.  Exit codes:
+flag.  Unknown config keys and parameter names, settings that the run
+would not read (_READS), and dt beside sample_interval under rkf45 (which
+reads dt only as that interval's default) are rejected before any
+computation.  Exit codes:
 0 success, 2 config/validation error, 3 integration abort (partial artifacts
 retained with an abort note), 4 identity/oracle breach — not a crash.
 
@@ -221,6 +223,9 @@ def _make_spec(cfg: ExperimentConfig, command: str):
         flags = ", ".join("--" + key.replace("_", "-") for key in unread)
         raise ConfigError(f"`{command}` on '{spec.name}' steps {stepping} and does not "
                           f"read {flags} (flag or config key)")
+    if stepping == "rkf45" and {"dt", "sample_interval"} <= cfg.given:
+        raise ConfigError(f"`{command}` on '{spec.name}' steps rkf45, which reads --dt only "
+                          "as the default --sample-interval; give one of the two")
     return spec
 
 
@@ -473,7 +478,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("-p", "--param", action="append", metavar="KEY=VALUE",
                    help="system parameter override (repeatable)")
     p.add_argument("--integrator", choices=list(_INTEGRATORS))
-    p.add_argument("--dt", type=float, help="fixed step size (rk4)")
+    p.add_argument("--dt", type=float,
+                   help="rk4's fixed step; rkf45's default sample interval")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, help="rkf45 relative tolerance")
     p.add_argument("--abs-tol", dest="abs_tol", type=float, help="rkf45 absolute tolerance")
     p.add_argument("--T", type=float, help="integration horizon")

@@ -6,19 +6,22 @@ Python floats and advance it through a right-hand-side callable
 (a tuple from the catalog charts; an ndarray also works, since the steppers
 only unpack it).  A result of any other length raises ValueError at the
 first evaluation.  On 3- and 4-component states float arithmetic costs a
-fraction of numpy's per-call overhead, so each scheme steps through a
-straight-line kernel, generated once per state width on the first call
-with that width, that unpacks the stages into scalars.  Chart packing
-(which component is s, q, p, ...) is the caller's business and is recorded
-in the trajectory's ``layout``.  Three steppers are provided: classical
+fraction of numpy's per-call overhead, so the schemes step through
+generated straight-line code that holds the stages in scalars.  Fixed-step
+RK4 runs one generated loop over all its steps: a compiled catalog field
+carries its straight-line form (`StraightLine`), which the loop inlines
+into every stage with the parameters as constants, so the loop calls
+nothing; any other rhs is called once per stage.  Chart packing (which
+component is s, q, p, ...) is the caller's business and is recorded in
+the trajectory's ``layout``.  Three steppers are provided: classical
 fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense output
-(each sample through a straight-line kernel of the same kind), and one
-Euler-Maruyama loop over a stochastic chart's drift and terms,
-shared by single runs and ensembles (member 0 is bit-identical to the
-single run with the same seed).  It keeps each member's term averages as
-running trapezoid sums and stores no block of states, so an ensemble needs
-O(n_traj) memory plus a fixed noise buffer whatever the horizon, and a
-single run O(samples kept).
+(steps and samples through straight-line kernels generated once per
+state width), and one Euler-Maruyama loop over a stochastic chart's
+drift and terms, shared by single runs and ensembles (member 0 is
+bit-identical to the single run with the same seed).  It keeps each
+member's term averages as running trapezoid sums and stores no block of
+states, so an ensemble needs O(n_traj) memory plus a fixed noise buffer
+whatever the horizon, and a single run O(samples kept).
 
 Deterministic averages use trapezoidal quadrature under compensated
 summation so that horizons of 10^5+ samples do not accumulate roundoff.
@@ -26,7 +29,9 @@ summation so that horizons of 10^5+ samples do not accumulate roundoff.
 
 from __future__ import annotations
 
+import ast
 import functools
+import linecache
 import math
 from array import array
 from contextlib import nullcontext
@@ -201,7 +206,165 @@ def trapezoid_average(times: np.ndarray, values: np.ndarray, t0: float = 0.0) ->
 
 
 # ---------------------------------------------------------------------------
-# straight-line step kernels, one per scheme and state width
+# generated straight-line code: the RK4 loop and the RKF45 and Hermite kernels
+
+
+class _Constants(ast.NodeTransformer):
+    """Turns every load of a name in `values` into that value's constant."""
+
+    def __init__(self, values: dict):
+        self.values = values
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load) and node.id in self.values:
+            return ast.copy_location(ast.Constant(self.values[node.id]), node)
+        return node
+
+
+def exec_generated(source: str, filename: str, namespace: dict,
+                   constants: dict | None = None) -> dict:
+    """Compile generated `source` and run it in `namespace`; return the namespace.
+
+    Each name in `constants` is compiled as its value, a constant, so
+    CPython folds subexpressions over constants alone (`2 * m`) with the
+    same IEEE operation the run would do.  The source is registered in
+    linecache under `filename` (say ``<rk4 loop: damped_oscillator.h/hamiltonian>``),
+    so tracebacks and inspect.getsource show the generated code; it names
+    the constants, not their values, so one model's source is the same at
+    every parameter set.
+    """
+    tree = ast.parse(source, filename)
+    if constants:
+        tree = _Constants(constants).visit(tree)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(tree, filename, "exec"), namespace)
+    return namespace
+
+
+@dataclass(eq=False)
+class StraightLine:
+    """A field rhs(t, y) written out as straight-line code, for the RK4 loop to inline.
+
+    With `roles` assigned the state's components in layout order, running
+    `lines` (definitions and domain checks, statements at relative
+    indentation) leaves the field's components in the expressions of
+    `result`; the field does not read t.  Each name of `constants` stands for
+    its value and `namespace` holds the functions the lines call.  `name`
+    labels the generated source.  The loop generated for the field is kept
+    in `rk4_loop` once made.
+    """
+
+    name: str
+    roles: tuple
+    lines: tuple
+    result: tuple
+    constants: dict
+    namespace: dict
+    rk4_loop: Callable | None = field(default=None, repr=False)
+
+
+def _generate_rk4(d: int, form: StraightLine | None):
+    """Classical RK4 on d-component states as one generated loop function.
+
+    The function is loop(y, n_full, n, rem, dt, T, every, times, states, rhs):
+    it takes n steps from the state tuple y, n_full of length dt and, when
+    n > n_full, a last one of length rem onto T, and appends the time and
+    state after every `every`-th step and after the last one to `times` and
+    `states` unless that time does not pass times[-1].  Step k starts at
+    time k * dt; the last step ends at T.  It returns None, or (k, exc) when
+    step k failed: exc is the field error it raised, or None when the new
+    state is not finite.
+
+    The state is held in scalars, and each stage evaluates the field in one
+    of two forms: with `form`, it assigns the stage state to the form's
+    roles and runs its lines inline, so the loop calls nothing and reads
+    time only at samples; without, it calls rhs(t, y), unpacking the result
+    into d scalars, so a result of another length raises ValueError naming
+    the expected count.  Either way the arithmetic is that of the
+    per-component formulas: stages y + hh*k and the update
+    y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4).  Names of the loop's own start with
+    an underscore, which no role or definition of a form may.
+    """
+    ys = [f"_y{j}" for j in range(d)]
+
+    def tup(items):
+        return "(" + "".join(f"{item}, " for item in items) + ")"
+
+    def stage(i, time, state):
+        ks = [f"_k{i}_{j}" for j in range(d)]
+        if form is None:
+            return [f"{', '.join(ks)}, = _rhs({time}, {tup(state)})"]
+        return ([f"{role} = {value}" for role, value in zip(form.roles, state)]
+                + list(form.lines)
+                + [f"{k} = {expr}" for k, expr in zip(ks, form.result)])
+
+    body = stage(1, "_t", ys)
+    body += stage(2, "_t + _hh", [f"{y} + _hh * _k1_{j}" for j, y in enumerate(ys)])
+    body += stage(3, "_t + _hh", [f"{y} + _hh * _k2_{j}" for j, y in enumerate(ys)])
+    body += stage(4, "_t + _h", [f"{y} + _h * _k3_{j}" for j, y in enumerate(ys)])
+    body += [f"{y} = {y} + _h6 * (_k1_{j} + 2.0 * _k2_{j} + 2.0 * _k3_{j} + _k4_{j})"
+             for j, y in enumerate(ys)]
+    # x - x is 0.0 for finite x and nan for an inf or nan, so the sum is 0.0
+    # exactly when every component is finite; it costs no call
+    body += ["if not (" + " + ".join(f"({y} - {y})" for y in ys) + " == 0.0):",
+             "    return _k, None"]
+    if form is None:
+        body.insert(0, "_t = _k * _dt")
+    lines = [
+        "def loop(_y, _n_full, _n, _rem, _dt, _T, _every, _times, _states, _rhs):",
+        f"    {tup(ys)} = _y",
+        "    _k = 0",
+        "    try:",
+        "        while _k < _n:",
+        "            if _k < _n_full:",
+        "                _h, _stop = _dt, min(_k + _every, _n_full)",
+        "            else:",
+        "                _h, _stop = _rem, _n",
+        "            _hh = 0.5 * _h",
+        "            _h6 = _h / 6.0",
+        "            for _k in range(_k, _stop):",
+        *(" " * 16 + line for line in body),
+        "            _k = _stop",
+        "            if _k % _every == 0 or _k == _n:",
+        "                _t = _T if _k == _n else _k * _dt",
+        "                if _t > _times[-1]:",
+        "                    _times.append(_t)",
+        f"                    _states.extend({tup(ys)})",
+        "    except _FIELD_ERRORS as _exc:",
+        "        return _k, _exc",
+        "    return None",
+    ]
+    namespace = {"_FIELD_ERRORS": _FIELD_ERRORS}
+    if form is None:
+        label, constants = f"rhs call, d={d}", None
+    else:
+        label, constants = form.name, form.constants
+        namespace.update(form.namespace)
+    source = "\n".join(lines) + "\n"
+    return exec_generated(source, f"<rk4 loop: {label}>", namespace, constants)["loop"]
+
+
+@functools.cache
+def _rk4_call_loop(d: int):
+    """The loop that calls its rhs, one per state width, made on first use."""
+    return _generate_rk4(d, None)
+
+
+def _rk4_loop(rhs, d: int):
+    """The RK4 loop that steps `rhs` on d-component states.
+
+    A field carrying its straight-line form of width d as
+    `rhs.straight_line` (every compiled catalog field does) is inlined; its
+    loop is generated on the first call and kept on the form.  Any other
+    callable goes through the width's shared loop that calls it.
+    """
+    form = getattr(rhs, "straight_line", None)
+    if form is None or len(form.roles) != d:
+        return _rk4_call_loop(d)
+    if form.rk4_loop is None:
+        form.rk4_loop = _generate_rk4(d, form)
+    return form.rk4_loop
+
 
 # Fehlberg RK4(5) coefficients
 _C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
@@ -221,19 +384,17 @@ _ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 def _kernel(scheme: str, d: int):
     """Straight-line float arithmetic of `scheme` on d-component states, compiled on first use.
 
-    "rk4" gives step(rhs, t, y, h) -> y_new.  "rkf45" gives
-    step(rhs, t, y, h, k0, rel_tol, abs_tol) -> (y_new, err), where k0 is
-    rhs(t, y), y_new the 4th-order solution and err the RMS over components
-    of the embedded error estimate divided by abs_tol + rel_tol*max(|y|, |y_new|).
-    "hermite" gives sample(theta, y0, d0, y1, d1, h) -> the cubic Hermite
-    interpolant at t + theta*h inside a step of length h, whose ends have
-    states y0, y1 and derivatives d0, d1.
+    "rkf45" gives step(rhs, t, y, h, k0, rel_tol, abs_tol) -> (y_new, err),
+    where k0 is rhs(t, y), y_new the 4th-order solution and err the RMS over
+    components of the embedded error estimate divided by
+    abs_tol + rel_tol*max(|y|, |y_new|).  "hermite" gives
+    sample(theta, y0, d0, y1, d1, h) -> the cubic Hermite interpolant at
+    t + theta*h inside a step of length h, whose ends have states y0, y1
+    and derivatives d0, d1.
 
     The generated source unpacks `y` and every stage's rhs result into d
     scalars, so a result of another length raises ValueError naming the
     expected count, and writes each component's arithmetic out in full.
-    The order of operations is that of the per-component formulas: RK4
-    stages are y + hh*k and the update y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4);
     RKF45 sums c0*k0 + c1*k1 + ... left to right, zero coefficients
     included, with every coefficient written as its repr, which round-trips;
     a Hermite sample is w0*y0 + w1*d0 + w2*y1 + w3*d1.
@@ -261,19 +422,6 @@ def _kernel(scheme: str, d: int):
             f"    {unpack('e')}= d1",
             "    return " + vec(lambda j: f"w0 * a{j} + w1 * b{j} + w2 * c{j} + w3 * e{j}"),
         ]
-    elif scheme == "rk4":
-        lines = [
-            "def step(rhs, t, y, h):",
-            "    hh = 0.5 * h",
-            "    h6 = h / 6.0",
-            f"    {unpack('y')}= y",
-            f"    {unpack('k1_')}= rhs(t, y)",
-            f"    {unpack('k2_')}= rhs(t + hh, {vec(lambda j: f'y{j} + hh * k1_{j}')})",
-            f"    {unpack('k3_')}= rhs(t + hh, {vec(lambda j: f'y{j} + hh * k2_{j}')})",
-            f"    {unpack('k4_')}= rhs(t + h, {vec(lambda j: f'y{j} + h * k3_{j}')})",
-            "    return " + vec(
-                lambda j: f"y{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"),
-        ]
     else:  # "rkf45"
         lines = [
             "def step(rhs, t, y, h, k0, rel_tol, abs_tol):",
@@ -290,8 +438,8 @@ def _kernel(scheme: str, d: int):
                          f" / (abs_tol + rel_tol * max(abs(y{j}), abs(n{j})))")
         squares = " + ".join(f"r{j} * r{j}" for j in range(d))
         lines.append(f"    return {vec(lambda j: f'n{j}')}, sqrt(({squares}) / {d})")
-    namespace = {"sqrt": math.sqrt}
-    exec(compile("\n".join(lines), f"<{scheme} kernel, d={d}>", "exec"), namespace)
+    namespace = exec_generated("\n".join(lines) + "\n", f"<{scheme} kernel, d={d}>",
+                               {"sqrt": math.sqrt})
     return namespace["sample" if scheme == "hermite" else "step"]
 
 
@@ -323,6 +471,10 @@ def integrate_fixed(
     error from `rhs`) the trajectory is truncated at the last good sample
     and returned with ``aborted=True`` and a machine-readable reason.
 
+    A compiled catalog field is stepped with its arithmetic inlined into a
+    loop generated for it (see `_rk4_loop`); any other `rhs` is called four
+    times per step.  Both give bit-identical trajectories.
+
     Parameters
     ----------
     rhs : callable
@@ -345,32 +497,22 @@ def integrate_fixed(
     rem = T - n_full * dt
     if rem < 1e-12 * dt:
         rem = 0.0
+    n_steps = n_full + (1 if rem > 0 else 0)
 
-    step = _kernel("rk4", len(y))
+    loop = _rk4_loop(rhs, len(y))
     times = [0.0]
     states = array("d", y)  # samples, row after row
-    aborted = False
-    reason = ""
-    t = 0.0
-    n_steps = n_full + (1 if rem > 0 else 0)
-    # an rhs computing in numpy overflows to inf/nan, which the finiteness
-    # test below catches, so its warnings are silenced
+    # an rhs computing in numpy overflows to inf/nan, which the loop's
+    # finiteness test catches, so its warnings are silenced
     with np.errstate(all="ignore"):
-        for k in range(n_steps):
-            try:
-                y_new = step(rhs, t, y, dt if k < n_full else rem)
-            except _FIELD_ERRORS as exc:
-                aborted, reason = True, f"field evaluation failed at t={t:.6g}: {exc}"
-                break
-            t_new = T if k == n_steps - 1 else (k + 1) * dt
-            if not all(map(math.isfinite, y_new)):
-                aborted, reason = True, f"non-finite state at t={t_new:.6g}"
-                break
-            y, t = y_new, t_new
-            if (k + 1) % sample_every == 0 or k == n_steps - 1:
-                if t > times[-1]:
-                    times.append(t)
-                    states.extend(y)
+        failure = loop(y, n_full, n_steps, rem, dt, T, sample_every, times, states, rhs)
+    reason = ""
+    if failure is not None:
+        k, exc = failure
+        if exc is None:
+            reason = f"non-finite state at t={T if k == n_steps - 1 else (k + 1) * dt:.6g}"
+        else:
+            reason = f"field evaluation failed at t={k * dt:.6g}: {exc}"
 
     info = dict(meta or {})
     info.setdefault("integrator", "rk4")
@@ -380,7 +522,7 @@ def integrate_fixed(
         states=np.frombuffer(states).reshape(-1, len(layout)),
         layout=tuple(layout),
         meta=info,
-        aborted=aborted,
+        aborted=failure is not None,
         abort_reason=reason,
     )
 

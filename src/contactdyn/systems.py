@@ -53,7 +53,7 @@ from .extended import (
     check_partials_extended,
 )
 from .herglotz import LagrangianModel, LagrangianPoint, check_lagrangian_partials
-from .integrate import NoiseSpec, Trajectory
+from .integrate import NoiseSpec, StraightLine, Trajectory, exec_generated
 
 __all__ = [
     "ParameterSpec",
@@ -329,14 +329,14 @@ _MODEL_KINDS = {
                    {"value": "L", "d_s": "L_s", "d_q": "[L_q]", "d_qdot": "[L_v]",
                     "w": "[[W]]", "d2_q_qdot": "[[L_qv]]", "d2_s_qdot": "[L_sv]"}),
 }
-_CONTACT_FIELD = "p * H_p - H, H_p, -(H_q + p * H_s)"
-# per chart kind: the state's roles in layout order, and its field
+_CONTACT_FIELD = ("p * H_p - H", "H_p", "-(H_q + p * H_s)")
+# per chart kind: the state's roles in layout order, and its field's components
 _FIELDS = {
     "hamiltonian": ("s, q, p", _CONTACT_FIELD),
     "contact": ("s, q, p", _CONTACT_FIELD),
-    "planar-conformal": ("q, p", "H_p, -(H_q + p * H_s)"),  # for partials free of s
-    "extended": ("t, s, q, p", "1.0, " + _CONTACT_FIELD),
-    "lagrangian": ("q, v, s", "v, (L_q - v * L_qv - L * L_sv + L_s * L_v) / W, L"),
+    "planar-conformal": ("q, p", _CONTACT_FIELD[1:]),  # for partials free of s
+    "extended": ("t, s, q, p", ("1.0", *_CONTACT_FIELD)),
+    "lagrangian": ("q, v, s", ("v", "(L_q - v * L_qv - L * L_sv + L_s * L_v) / W", "L")),
 }
 
 # every model of the catalog, by the name of its evaluator bundle
@@ -384,41 +384,62 @@ def _compile(name: str, params: dict, *charts: str) -> tuple:
 
     Each is one generated straight-line function that unpacks its point or
     state into the roles, checks the domain and evaluates, in order, only
-    the definitions its result reads; those over parameters alone are
-    constants.  An rhs maps a tuple of floats to a tuple of floats.
+    the definitions its result reads.  Parameters, and definitions over
+    parameters alone, are compiled in as constants.  An rhs maps a tuple of
+    floats to a tuple of floats and carries its body as `rhs.straight_line`,
+    which `integrate_fixed` inlines into its RK4 loop; as that loop's own
+    names start with an underscore, a role or definition that does is
+    refused.
     """
     model = _MODELS[name]
     roles, point, returns = _MODEL_KINDS[model.kind]
-    namespace = {"exp": math.exp, "log": math.log, "cos": math.cos, "sin": math.sin,
-                 "array": np.array, "DomainError": DomainError, **params}
+    reserved = [key for key in (*model.defs, *roles.split(", "),
+                                *(r for c in charts for r in _FIELDS[c][0].split(", ")))
+                if key.startswith("_")]
+    if reserved:
+        raise ValueError(f"model '{name}': names {reserved} start with '_', "
+                         "which generated code reserves for its own names")
+    functions = {"exp": math.exp, "log": math.log, "cos": math.cos, "sin": math.sin,
+                 "array": np.array, "DomainError": DomainError}
+    constants = dict(params)
     reads = {}  # definition that reads the state -> the names it reads
     for key, expr in model.defs.items():
         names = set(compile(expr, key, "eval").co_names)
-        if names <= namespace.keys():
-            namespace[key] = eval(expr, namespace)
+        if names <= functions.keys() | constants.keys():
+            constants[key] = eval(expr, {**functions, **constants})
         else:
             reads[key] = names
 
-    def function(header, unpacked, source, result):
-        needed = set(compile(result, name, "eval").co_names)
+    def body(unpacked, result):
+        """The domain check and the definitions `result` reads, as statements."""
+        needed = set().union(*(compile(e, name, "eval").co_names for e in result))
         for key in reversed(reads):  # a definition reads only earlier ones
             if key in needed:
                 needed |= reads[key]
-        lines = [header, f"    {unpacked} = {source}"]
+        lines = []
         if model.domain:
-            lines += [f"    if not ({model.domain}):",
-                      f"        raise DomainError('state ({unpacked}) = %r violates "
+            lines += [f"if not ({model.domain}):",
+                      f"    raise DomainError('state ({unpacked}) = %r violates "
                       f"{model.domain}' % (({unpacked},),))"]
-        lines += [f"    {key} = {model.defs[key]}" for key in reads if key in needed]
-        return lines + [f"    return {f'array({result})' if result[0] == '[' else result}"]
+        return lines + [f"{key} = {model.defs[key]}" for key in reads if key in needed]
 
-    lines = []
+    source, forms = [], []
     for fname, result in returns.items():
-        lines += function(f"def {fname}(x):", roles, point, result)
+        value = f"array({result})" if result[0] == "[" else result
+        source += [f"def {fname}(x):", f"    {roles} = {point}",
+                   *(f"    {line}" for line in body(roles, (result,))), f"    return {value}"]
     for i, chart in enumerate(charts):
         layout, field = _FIELDS[chart]
-        lines += function(f"def field{i}(t_, y_):", layout, "y_", f"({field})")
-    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+        forms.append(StraightLine(name=f"{name}/{chart}", roles=tuple(layout.split(", ")),
+                                  lines=tuple(body(layout, field)), result=field,
+                                  constants=constants, namespace=functions))
+        source += [f"def field{i}(_t, _y):", f"    {layout} = _y",
+                   *(f"    {line}" for line in forms[-1].lines),
+                   f"    return ({', '.join(field)})"]
+    namespace = exec_generated("\n".join(source) + "\n", f"<{name}>", dict(functions),
+                               constants)
+    for i, form in enumerate(forms):
+        namespace[f"field{i}"].straight_line = form
     bundle = {"hamiltonian": ScalarField, "extended": TimeDependentHamiltonianModel,
               "lagrangian": LagrangianModel}[model.kind]
     return (bundle(n=1, name=name, **{fname: namespace[fname] for fname in returns}),

@@ -335,6 +335,25 @@ def test_unread_flag_exits_2_naming_it(tmp_path, capsys, command, stepping, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "virial", "check-identity"])
+def test_dt_beside_sample_interval_under_rkf45_exits_2(tmp_path, capsys, monkeypatch, command):
+    # rkf45 reads dt only as the default sample interval, so giving both
+    # would drop --dt without a word; the run is refused before it steps
+    import contactdyn.cli as cli_mod
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(cli_mod, "integrate_adaptive", no_stepping)
+    out = tmp_path / "run"
+    code = run(command, *_RUNS["rkf45"], "--T", "1", "--dt", "0.5",
+               "--sample-interval", "0.1", "--out", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "--dt" in err
+    assert not out.exists()
+
+
 def test_ensemble_all_diverged_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     code = run("ensemble", "--system", "brownian_oscillator", "-p", "omega=2000",

@@ -1,15 +1,19 @@
 """Steppers and averaging: convergence order, analytic envelopes, noise, aborts."""
 
+import gc
+import inspect
 import io
 import math
+import traceback
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import contactdyn.integrate as integrate_mod
-from contactdyn.core import contact_vector_field
+from contactdyn.core import DomainError, contact_vector_field
 from contactdyn.integrate import (
     _A,
     _B4,
@@ -427,6 +431,82 @@ class TestFloatStepping:
             else:
                 integrate_fixed(rhs, [0.0, 1.0, 0.0], T=1.0, dt=0.1, layout=LAYOUT_SQP)
         assert len(calls) == 1
+
+
+class TestInlinedField:
+    """The RK4 loop a compiled catalog field is inlined into: aborts, caching, source."""
+
+    @pytest.mark.parametrize("name, chart_name, params, y0, reason", [
+        pytest.param("gierer_meinhardt", "contact", {"D": -5.0}, None, "violates B + p > 0",
+                     id="domain-contact"),
+        pytest.param("gierer_meinhardt", "planar", {"D": -5.0}, None, "violates B + p > 0",
+                     id="domain-planar"),
+        pytest.param("parachute", "hamiltonian", {"g": 1e-300, "lam": 1.0}, [0.0, 300.0, 20.0],
+                     "math range error", id="overflow-hamiltonian"),
+        pytest.param("parachute", "lagrangian", {"g": 1e-300, "lam": 1.0}, [300.0, 20.0, 0.0],
+                     "math range error", id="overflow-lagrangian"),
+        pytest.param("gierer_meinhardt", "planar", {"C": -50.0}, None, "non-finite state",
+                     id="non-finite"),
+    ])
+    def test_abort_matches_call_path(self, name, chart_name, params, y0, reason):
+        # a DomainError, an exp overflow and a state growing to inf end the
+        # inlined run where and as they end the run that calls the field
+        chart = make_system(name, **params).chart(chart_name)
+        y0 = chart.x0 if y0 is None else y0
+        inline, called = (integrate_fixed(rhs, y0, T=30.0, dt=0.01, layout=chart.layout,
+                                          sample_every=1)
+                          for rhs in (chart.rhs, lambda t, y: chart.rhs(t, y)))
+        assert chart.rhs.straight_line.rk4_loop is not None
+        assert inline.aborted and reason in inline.abort_reason
+        assert inline.abort_reason == called.abort_reason
+        assert inline.n_samples > 2
+        assert np.array_equal(inline.times, called.times)
+        assert np.array_equal(inline.states, called.states)
+
+    def test_loop_is_made_on_the_first_run_and_kept_on_the_field(self, monkeypatch):
+        made = []
+        generate = integrate_mod._generate_rk4
+        monkeypatch.setattr(integrate_mod, "_generate_rk4",
+                            lambda d, form: made.append(form) or generate(d, form))
+        chart = make_system("damped_oscillator").chart("hamiltonian")
+        assert made == [] and chart.rhs.straight_line.rk4_loop is None
+        integrate_fixed(chart.rhs, chart.x0, T=1.0, dt=0.1, layout=chart.layout)
+        loop = chart.rhs.straight_line.rk4_loop
+        integrate_fixed(chart.rhs, chart.x0, T=2.0, dt=0.1, layout=chart.layout)
+        assert made == [chart.rhs.straight_line]
+        assert chart.rhs.straight_line.rk4_loop is loop
+
+    def test_kept_loops_do_not_keep_systems_alive(self):
+        first = make_system("damped_oscillator")
+        spec = weakref.ref(first)
+        chart = first.chart()
+        integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout)
+        del first, chart
+        for i in range(200):
+            chart = make_system("damped_oscillator", gamma=0.1 + 1e-3 * i).chart()
+            integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout)
+        gc.collect()
+        assert spec() is None
+
+    def test_generated_source_shows_in_tracebacks_and_getsource(self):
+        chart = make_system("forced_oscillator").chart("extended")
+        integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout)
+        loop = chart.rhs.straight_line.rk4_loop
+        assert loop.__code__.co_filename == "<rk4 loop: forced_oscillator.h/extended>"
+        assert "drive = F0 * cos(Omega * t)" in inspect.getsource(loop)
+
+        def rhs(t, y):
+            raise KeyError("not a field error")
+
+        with pytest.raises(KeyError) as called:
+            integrate_fixed(rhs, [0.0], T=1.0, dt=0.1, layout=("y",))
+        text = "".join(traceback.format_exception(called.value))
+        assert '"<rk4 loop: rhs call, d=1>"' in text and "= _rhs(_t, (_y0, ))" in text
+
+        with pytest.raises(DomainError) as outside:
+            make_system("gierer_meinhardt").chart("planar").rhs(0.0, (0.2, -5.0))
+        text = "".join(traceback.format_exception(outside.value))
+        assert '"<gierer_meinhardt.h>"' in text and "raise DomainError(" in text
 
 
 class TestVolumeContraction:

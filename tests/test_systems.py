@@ -393,6 +393,53 @@ def test_rhs_matches_generic_field(name, chart_name):
     agrees()
 
 
+# the charts a deterministic run steps with RK4
+_RK4_CHARTS = [c for c in ALL_CHARTS if c[0] != "brownian_oscillator"]
+
+
+@pytest.mark.parametrize("name, chart_name", _RK4_CHARTS)
+def test_inlined_rk4_is_bit_identical_to_calling_the_field(name, chart_name):
+    # integrate_fixed inlines a compiled field into its RK4 loop; wrapped in a
+    # lambda, the same field is called per stage instead, and every sample,
+    # and any abort, must come out the same bit for bit
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(st.fixed_dictionaries(_MODERATE[name]),
+           st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           st.integers(20, 150), st.floats(0.1, 0.9), st.sampled_from([1, 7]))
+    def agrees(params, offsets, n_full, fraction, sample_every):
+        chart = make_system(name, **params).chart(chart_name)
+        y0 = chart.x0 + offsets[:len(chart.layout)]
+        if name == "gierer_meinhardt":
+            y0[-1] = 0.05 + abs(y0[-1])  # inside the domain B + y > 0, as B >= 0
+        dt = 0.01
+        runs = [integrate_fixed(rhs, y0, (n_full + fraction) * dt, dt, layout=chart.layout,
+                                sample_every=sample_every)
+                for rhs in (chart.rhs, lambda t, y: chart.rhs(t, y))]
+        inline, called = runs
+        assert chart.rhs.straight_line.rk4_loop is not None  # the inline path ran
+        assert np.array_equal(inline.times, called.times)
+        assert np.array_equal(inline.states, called.states)
+        assert (inline.aborted, inline.abort_reason) == (called.aborted, called.abort_reason)
+
+    agrees()
+
+
+def test_compile_refuses_names_the_generated_loop_reserves(monkeypatch):
+    # the RK4 loop's own names start with "_", so no role or definition may
+    import contactdyn.systems as systems_mod
+
+    monkeypatch.setitem(systems_mod._MODELS, "free.h", systems_mod._Model("hamiltonian", {
+        "_u": "p / m", "H": "p * _u / 2", "H_s": "0.0", "H_q": "0.0", "H_p": "_u",
+    }))
+    with pytest.raises(ValueError, match="'_u'"):
+        systems_mod._compile("free.h", {"m": 1.0}, "hamiltonian")
+    monkeypatch.setitem(systems_mod._FIELDS, "underscored",
+                        ("_s, q, p", systems_mod._FIELDS["hamiltonian"][1]))
+    with pytest.raises(ValueError, match="'_s'"):
+        systems_mod._compile("damped_oscillator.h", make_system("damped_oscillator").params,
+                             "underscored")
+
+
 @pytest.mark.parametrize("name, chart_name", ALL_CHARTS)
 def test_terms_and_G_agree_on_floats_and_columns(name, chart_name):
     # terms and G are plain arithmetic on the state's components: on one
