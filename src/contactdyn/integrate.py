@@ -233,11 +233,11 @@ def exec_generated(source: str, filename: str, namespace: dict,
     the constants, not their values, so one model's source is the same at
     every parameter set.
     """
-    tree = ast.parse(source, filename)
+    code = source
     if constants:
-        tree = _Constants(constants).visit(tree)
+        code = _Constants(constants).visit(ast.parse(source, filename))
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    exec(compile(tree, filename, "exec"), namespace)
+    exec(compile(code, filename, "exec"), namespace)
     return namespace
 
 

@@ -4,6 +4,7 @@ import gc
 import inspect
 import io
 import math
+import sys
 import traceback
 import tracemalloc
 import weakref
@@ -476,17 +477,34 @@ class TestInlinedField:
         assert made == [chart.rhs.straight_line]
         assert chart.rhs.straight_line.rk4_loop is loop
 
+    def test_inlined_run_calls_no_field(self):
+        # 100 RK4 steps make 400 field evaluations: all inlined, none a call
+        chart = make_system("forced_oscillator").chart("extended")
+        calls = {True: 0, False: 0}
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code is chart.rhs.__code__:
+                calls[inline] += 1
+
+        for inline, rhs in ((True, chart.rhs), (False, lambda t, y: chart.rhs(t, y))):
+            sys.setprofile(count)
+            try:
+                integrate_fixed(rhs, chart.x0, T=1.0, dt=0.01, layout=chart.layout)
+            finally:
+                sys.setprofile(None)
+        assert calls == {True: 0, False: 400}
+
     def test_kept_loops_do_not_keep_systems_alive(self):
         first = make_system("damped_oscillator")
-        spec = weakref.ref(first)
         chart = first.chart()
         integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout)
+        spec, field = weakref.ref(first), weakref.ref(chart.rhs)
         del first, chart
         for i in range(200):
             chart = make_system("damped_oscillator", gamma=0.1 + 1e-3 * i).chart()
             integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout)
         gc.collect()
-        assert spec() is None
+        assert spec() is None and field() is None
 
     def test_generated_source_shows_in_tracebacks_and_getsource(self):
         chart = make_system("forced_oscillator").chart("extended")
