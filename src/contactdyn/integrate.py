@@ -388,16 +388,21 @@ def _kernel(scheme: str, d: int):
     where k0 is rhs(t, y), y_new the 4th-order solution and err the RMS over
     components of the embedded error estimate divided by
     abs_tol + rel_tol*max(|y|, |y_new|).  "hermite" gives
-    sample(theta, y0, d0, y1, d1, h) -> the cubic Hermite interpolant at
-    t + theta*h inside a step of length h, whose ends have states y0, y1
-    and derivatives d0, d1.
+    samples(next_sample, interval, step_end, sample_end, t, h, y0, d0, y1,
+    d1, times, states) -> the next sample time.  Inside the step of length
+    h from t, whose ends have states y0, y1 and derivatives d0, d1, it walks
+    the grid times next_sample, next_sample + interval, ... while they are
+    at most step_end and below sample_end; each that passes times[-1] is
+    appended to `times`, and the cubic Hermite interpolant there, at
+    theta = (time - t) / h, to `states`.
 
     The generated source unpacks `y` and every stage's rhs result into d
     scalars, so a result of another length raises ValueError naming the
     expected count, and writes each component's arithmetic out in full.
     RKF45 sums c0*k0 + c1*k1 + ... left to right, zero coefficients
     included, with every coefficient written as its repr, which round-trips;
-    a Hermite sample is w0*y0 + w1*d0 + w2*y1 + w3*d1.
+    a Hermite sample is w0*y0 + w1*d0 + w2*y1 + w3*d1.  The step's four
+    vectors are unpacked once, however many samples fall inside it.
     """
     def unpack(prefix):
         return "".join(f"{prefix}{j}, " for j in range(d))
@@ -410,17 +415,25 @@ def _kernel(scheme: str, d: int):
 
     if scheme == "hermite":
         lines = [
-            "def sample(theta, y0, d0, y1, d1, h):",
-            "    t2, t3 = theta * theta, theta * theta * theta",
-            "    w0 = 2 * t3 - 3 * t2 + 1",
-            "    w1 = (t3 - 2 * t2 + theta) * h",
-            "    w2 = -2 * t3 + 3 * t2",
-            "    w3 = (t3 - t2) * h",
+            "def samples(next_sample, interval, step_end, sample_end, t, h,",
+            "            y0, d0, y1, d1, times, states):",
             f"    {unpack('a')}= y0",
             f"    {unpack('b')}= d0",
             f"    {unpack('c')}= y1",
             f"    {unpack('e')}= d1",
-            "    return " + vec(lambda j: f"w0 * a{j} + w1 * b{j} + w2 * c{j} + w3 * e{j}"),
+            "    while next_sample <= step_end and next_sample < sample_end:",
+            "        if next_sample > times[-1]:",
+            "            times.append(next_sample)",
+            "            theta = (next_sample - t) / h",
+            "            t2, t3 = theta * theta, theta * theta * theta",
+            "            w0 = 2 * t3 - 3 * t2 + 1",
+            "            w1 = (t3 - 2 * t2 + theta) * h",
+            "            w2 = -2 * t3 + 3 * t2",
+            "            w3 = (t3 - t2) * h",
+            "            states.extend("
+            + vec(lambda j: f"w0 * a{j} + w1 * b{j} + w2 * c{j} + w3 * e{j}") + ")",
+            "        next_sample += interval",
+            "    return next_sample",
         ]
     else:  # "rkf45"
         lines = [
@@ -440,7 +453,7 @@ def _kernel(scheme: str, d: int):
         lines.append(f"    return {vec(lambda j: f'n{j}')}, sqrt(({squares}) / {d})")
     namespace = exec_generated("\n".join(lines) + "\n", f"<{scheme} kernel, d={d}>",
                                {"sqrt": math.sqrt})
-    return namespace["sample" if scheme == "hermite" else "step"]
+    return namespace["samples" if scheme == "hermite" else "step"]
 
 
 # ---------------------------------------------------------------------------
@@ -614,13 +627,9 @@ def integrate_adaptive(
                     )
                     break
                 # dense output over (t, t_new]
-                step_end = t_new + 1e-14 * T
-                while next_sample <= step_end and next_sample < sample_end:
-                    if next_sample > times[-1]:
-                        times.append(next_sample)
-                        states.extend(hermite((next_sample - t) / h,
-                                              y, d_left, y_new, d_right, h))
-                    next_sample += sample_interval
+                next_sample = hermite(next_sample, sample_interval, t_new + 1e-14 * T,
+                                      sample_end, t, h, y, d_left, y_new, d_right,
+                                      times, states)
                 y, t, d_left = y_new, t_new, d_right
                 n_accept += 1
                 if t >= T * (1.0 - 1e-14):
@@ -861,9 +870,10 @@ def write_csv(path_or_file, names: Sequence[str], rows: np.ndarray) -> None:
     17 significant digits round-trip every double, so the file reproduces
     `rows` exactly.  `path_or_file` is a path or an open text stream.  Rows
     are formatted and written in blocks, so memory stays flat in the row
-    count.
+    count; each block is one `%` of the row template repeated over the
+    block's values, which gives the same text as formatting row by row.
     """
-    template = ",".join(["%.17g"] * len(names))
+    template = ",".join(["%.17g"] * len(names)) + "\n"
     if hasattr(path_or_file, "write"):
         target = nullcontext(path_or_file)
     else:
@@ -871,8 +881,8 @@ def write_csv(path_or_file, names: Sequence[str], rows: np.ndarray) -> None:
     with target as out:
         out.write(",".join(names) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
-            out.write("\n".join([template % tuple(row) for row in block]) + "\n")
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            out.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(traj: Trajectory, path, observables: dict | None = None) -> None:

@@ -385,11 +385,13 @@ def _compile(name: str, params: dict, *charts: str) -> tuple:
     Each is one generated straight-line function that unpacks its point or
     state into the roles, checks the domain and evaluates, in order, only
     the definitions its result reads.  Parameters, and definitions over
-    parameters alone, are compiled in as constants.  An rhs maps a tuple of
-    floats to a tuple of floats and carries its body as `rhs.straight_line`,
-    which `integrate_fixed` inlines into its RK4 loop; as that loop's own
-    names start with an underscore, a role or definition that does is
-    refused.
+    parameters alone, are constants in each rhs, the code that is stepped,
+    through the `ast` pass of `exec_generated`; the bundle, which the build
+    oracle and the generic fields call, reads them as globals and is
+    compiled straight from its text.  An rhs maps a tuple of floats to a
+    tuple of floats and carries its body as `rhs.straight_line`, which
+    `integrate_fixed` inlines into its RK4 loop; as that loop's own names
+    start with an underscore, a role or definition that does is refused.
     """
     model = _MODELS[name]
     roles, point, returns = _MODEL_KINDS[model.kind]
@@ -423,11 +425,15 @@ def _compile(name: str, params: dict, *charts: str) -> tuple:
                       f"{model.domain}' % (({unpacked},),))"]
         return lines + [f"{key} = {model.defs[key]}" for key in reads if key in needed]
 
-    source, forms = [], []
+    bundle_source = []
     for fname, result in returns.items():
         value = f"array({result})" if result[0] == "[" else result
-        source += [f"def {fname}(x):", f"    {roles} = {point}",
-                   *(f"    {line}" for line in body(roles, (result,))), f"    return {value}"]
+        bundle_source += [f"def {fname}(x):", f"    {roles} = {point}",
+                          *(f"    {line}" for line in body(roles, (result,))),
+                          f"    return {value}"]
+    evaluators = exec_generated("\n".join(bundle_source) + "\n", f"<{name} evaluators>",
+                                {**functions, **constants})
+    source, forms = [], []
     for i, chart in enumerate(charts):
         layout, field = _FIELDS[chart]
         forms.append(StraightLine(name=f"{name}/{chart}", roles=tuple(layout.split(", ")),
@@ -436,14 +442,14 @@ def _compile(name: str, params: dict, *charts: str) -> tuple:
         source += [f"def field{i}(_t, _y):", f"    {layout} = _y",
                    *(f"    {line}" for line in forms[-1].lines),
                    f"    return ({', '.join(field)})"]
-    namespace = exec_generated("\n".join(source) + "\n", f"<{name}>", dict(functions),
-                               constants)
+    fields = exec_generated("\n".join(source) + "\n", f"<{name}>", dict(functions),
+                            constants)
     for i, form in enumerate(forms):
-        namespace[f"field{i}"].straight_line = form
+        fields[f"field{i}"].straight_line = form
     bundle = {"hamiltonian": ScalarField, "extended": TimeDependentHamiltonianModel,
               "lagrangian": LagrangianModel}[model.kind]
-    return (bundle(n=1, name=name, **{fname: namespace[fname] for fname in returns}),
-            *(namespace[f"field{i}"] for i in range(len(charts))))
+    return (bundle(n=1, name=name, **{fname: evaluators[fname] for fname in returns}),
+            *(fields[f"field{i}"] for i in range(len(charts))))
 
 
 # ---------------------------------------------------------------------------

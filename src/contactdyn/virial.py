@@ -66,6 +66,10 @@ __all__ = [
 RESIDUAL_TOL = 1e-8
 GROWTH_FACTOR = 100.0
 
+# data rows of running_averages.csv at most: the averages converge like 1/T,
+# and a plot of that needs about a thousand points, not one per sample
+_AVERAGE_ROWS = 1000
+
 
 def virial_observable(n: int, masses: Sequence[float] | None = None):
     """The virial of a mechanical system, G = q.p, in either chart.
@@ -472,15 +476,22 @@ def write_running_averages(
 
     Columns: t, one running average per term, the running theorem residual
     (signed sum), and the running boundary term (G(t) - G(t0)) / (t - t0).
-    Rows start at the first sample past t0.  The window and its trapezoid
-    contributions are the report's, summed cumulatively.
+    The window and its trapezoid contributions are the report's, summed
+    cumulatively over every sample past t0.  Of those n rows at most
+    `_AVERAGE_ROWS` are written: with stride k = ceil(n / _AVERAGE_ROWS),
+    row i is kept when (n - 1 - i) % k == 0.  The row at the final sample is
+    always written, a window of at most `_AVERAGE_ROWS` samples writes every
+    row, and a written row is the same line whatever the stride.
     """
     _, chart, term_vals, g_vals = _window(system, traj, t0)
     t_w, g_w, _ = _trapezoid_window(traj.times, g_vals, t0)
     elapsed = t_w[1:] - t_w[0]
+    n = len(elapsed)
+    stride = -(-n // _AVERAGE_ROWS)
+    kept = slice((n - 1) % stride, None, stride)
 
     columns = [("t", t_w[1:])]
-    signed_sum = np.zeros(len(elapsed))
+    signed_sum = np.zeros(n)
     for b, vals in zip(chart.terms, term_vals):
         avg = np.cumsum(_trapezoid_window(traj.times, vals, t0)[2]) / elapsed
         signed_sum = signed_sum + int(b.sign) * avg
@@ -489,4 +500,4 @@ def write_running_averages(
     columns.append(("boundary", (g_w[1:] - g_w[0]) / elapsed))
 
     write_csv(path_or_file, [name for name, _ in columns],
-              np.column_stack([vals for _, vals in columns]))
+              np.column_stack([vals[kept] for _, vals in columns]))

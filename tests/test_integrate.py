@@ -361,6 +361,9 @@ def problem(case):
     return c.rhs, c.x0, c.layout
 
 
+_DENSE_OUTPUT_CASES = ["damped_oscillator-lagrangian", "ring-1", "ring-2", "ring-7"]
+
+
 class TestFloatStepping:
     """The generated float kernels against array and scalar references, and their abort paths."""
 
@@ -383,15 +386,22 @@ class TestFloatStepping:
         assert traj.states.shape == ref.shape
         np.testing.assert_allclose(traj.states, ref, rtol=0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("case", ["damped_oscillator-lagrangian", "ring-1", "ring-2", "ring-7"])
-    def test_rkf45_dense_output_equals_scalar_loop(self, case):
+    # at interval 1e-2 every step holds many samples; at 1.3, longer than a
+    # typical step, steps hold no sample or one
+    @pytest.mark.parametrize("case, sample_interval", [
+        *(pytest.param(case, 1e-2, id=case) for case in _DENSE_OUTPUT_CASES),
+        *(pytest.param(case, 1.3, id=f"{case}-sparse") for case in _DENSE_OUTPUT_CASES),
+    ])
+    def test_rkf45_dense_output_equals_scalar_loop(self, case, sample_interval):
         rhs, y0, layout = problem(case)
         traj = integrate_adaptive(rhs, y0, 50.0, 1e-8, 1e-10, layout=layout,
-                                  sample_interval=1e-2)
-        times, states, n_acc, n_rej = scalar_rkf45(rhs, y0, 50.0, 1e-8, 1e-10, 1e-2)
+                                  sample_interval=sample_interval)
+        times, states, n_acc, n_rej = scalar_rkf45(rhs, y0, 50.0, 1e-8, 1e-10, sample_interval)
         assert (traj.meta["n_accepted"], traj.meta["n_rejected"]) == (n_acc, n_rej)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states, states)
+        if sample_interval > 1.0:
+            assert traj.n_samples < n_acc
 
     @pytest.mark.parametrize("blowup, d", [
         pytest.param(lambda q: math.exp(1000.0 + q), 1, id="overflow"),
@@ -735,3 +745,20 @@ class TestCsv:
         traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 1)), layout=("q",))
         with pytest.raises(ValueError):
             write_trajectory_csv(traj, io.StringIO(), observables={"x": np.zeros(3)})
+
+    def test_block_format_equals_row_by_row(self):
+        # write_csv formats each block of rows with one `%`; the text must be
+        # that of formatting row by row, across block edges and at the ends
+        # of the doubles
+        block = integrate_mod._CSV_BLOCK_ROWS
+        n = 2 * block + 1
+        scales = np.logspace(-300, 300, n)[:, None]
+        rows = np.random.default_rng(5).standard_normal((n, 3)) * scales
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324, math.inf, math.nan]
+        for i in (0, block - 1, block, n - 1):
+            rows[i] = np.roll(extremes, i)[:3]
+        buf = io.StringIO()
+        integrate_mod.write_csv(buf, ["a", "b", "c"], rows)
+        per_row = "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in rows.tolist())
+        assert buf.getvalue() == "a,b,c\n" + per_row
+        assert buf.getvalue().count("\n") == n + 1

@@ -5,11 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import contactdyn.virial as virial_mod
 from contactdyn.core import DarbouxPoint, apply_field_to_observable
 from contactdyn.herglotz import LagrangianPoint, legendre_map
 from contactdyn.integrate import Trajectory, NoiseSpec, integrate_fixed
-from contactdyn.systems import Chart, SystemSpec, VirialTermBinding, make_system
+from contactdyn.systems import (
+    SYSTEM_NAMES,
+    Chart,
+    SystemSpec,
+    VirialTermBinding,
+    catalog_schema,
+    make_system,
+)
 from contactdyn.virial import (
     boundary_term,
     ensemble_report,
@@ -469,6 +479,62 @@ def test_report_text_round_trip(damped_report_T200):
     assert parsed["meta.param.gamma"] == "0.10000000000000001"
 
 
+def _report_fields(rep) -> dict:
+    """The values report_text must write for `rep`, by key, in their own types."""
+    fields = {"system": rep.system, "chart": rep.chart, "n_traj": rep.n_traj,
+              "horizon": rep.T, "window_start": rep.t0, "window": rep.window,
+              "rate_scale": rep.rate_scale}
+    for i, name in enumerate(rep.term_names):
+        fields[f"term.{name}.sign"] = rep.term_signs[i]
+        fields[f"term.{name}.average"] = rep.term_averages[i]
+        if rep.term_errors is not None:
+            fields[f"term.{name}.stderr"] = rep.term_errors[i]
+    fields["theorem_residual"] = rep.theorem_residual
+    if rep.theorem_error is not None:
+        fields["theorem_stderr"] = rep.theorem_error
+    fields.update({"rate_average": rep.rate_average, "boundary_term": rep.boundary,
+                   "residual_exact": rep.residual_exact, "G_initial": rep.G_initial,
+                   "G_final": rep.G_final, "verdict": rep.verdict,
+                   "growth_rate": rep.growth_rate})
+    fields.update({f"meta.{k}": v for k, v in rep.meta.items()})
+    return fields
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal as doubles, the sign of a zero included; every nan equals every nan."""
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(SYSTEM_NAMES), st.lists(st.floats(0.5, 2.0), min_size=5, max_size=5),
+       st.integers(0, 2**32), st.floats(0.0, 0.9))
+def test_report_text_round_trips_every_key_and_float(name, factors, seed, window_start):
+    # each parameter is its default times a drawn factor; stochastic systems
+    # give ensemble reports, the others reports over a short RK4 run
+    params = {p.name: seed if p.name == "seed" else p.default * f
+              for p, f in zip(catalog_schema()[name], factors)}
+    spec = make_system(name, **params)
+    if spec.noise is not None:
+        rep = ensemble_report(spec, n_traj=4, T=0.5, dt=1e-2)
+    else:
+        chart = spec.chart()
+        traj = integrate_fixed(chart.rhs, chart.x0, T=2.0, dt=1e-2, layout=chart.layout)
+        assume(not traj.aborted)
+        rep = virial_report(spec, traj, t0=2.0 * window_start)
+    parsed = parse_report(report_text(rep))
+    fields = _report_fields(rep)
+    assert parsed.keys() == fields.keys()
+    for key, value in fields.items():
+        if isinstance(value, str):
+            assert parsed[key] == value, key
+        elif isinstance(value, (bool, np.bool_)):
+            assert parsed[key] == str(bool(value)), key
+        elif isinstance(value, (int, np.integer)):
+            assert int(parsed[key]) == value, key
+        else:
+            assert _same_float(float(parsed[key]), float(value)), key
+
+
 def test_report_text_ensemble_fields(small_brownian_report):
     parsed = parse_report(report_text(small_brownian_report))
     assert "term.kinetic.stderr" in parsed
@@ -515,3 +581,33 @@ def test_running_average_csv(tmp_path, t0):
     buf = io.StringIO()
     write_running_averages(spec, traj, buf, t0=t0)
     assert buf.getvalue() == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("n, t0_fraction", [(999, 0.0), (1000, 0.0), (1001, 0.0),
+                                            (2003, 0.0), (4321, 0.0), (4321, 0.3)])
+def test_running_averages_keep_at_most_the_row_budget(monkeypatch, n, t0_fraction):
+    # a window of n samples past t0 writes every row when n fits the budget;
+    # a longer one writes every k-th row counted back from the one at T, with
+    # k = ceil(n / budget), each the line the uncapped file has at that time
+    chart = DAMPED.chart()
+    traj = integrate_fixed(chart.rhs, chart.x0, T=n / 64, dt=1 / 64,
+                           layout=chart.layout, sample_every=1)
+    t0 = t0_fraction * n / 64
+    capped = io.StringIO()
+    write_running_averages(DAMPED, traj, capped, t0=t0)
+    monkeypatch.setattr(virial_mod, "_AVERAGE_ROWS", 10**9)
+    uncapped = io.StringIO()
+    write_running_averages(DAMPED, traj, uncapped, t0=t0)
+
+    header, *rows = capped.getvalue().splitlines()
+    all_header, *all_rows = uncapped.getvalue().splitlines()
+    assert header == all_header
+    assert len(all_rows) == int(np.sum(traj.times > t0))
+    if len(all_rows) <= 1000:
+        assert capped.getvalue() == uncapped.getvalue()
+    else:
+        stride = -(-len(all_rows) // 1000)
+        assert 1 < len(rows) <= 1000
+        assert rows == all_rows[::-1][::stride][::-1]
+    assert rows[-1] == all_rows[-1]
+    assert float(rows[-1].split(",")[0]) == traj.times[-1] == n / 64
