@@ -502,7 +502,9 @@ def _report_fields(rep) -> dict:
 
 def _same_float(a: float, b: float) -> bool:
     """Equal as doubles, the sign of a zero included; every nan equals every nan."""
-    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1, a) == math.copysign(1, b)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
