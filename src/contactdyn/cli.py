@@ -10,10 +10,11 @@ gradcheck       finite-difference oracle over every analytic partial in the cata
 check-identity  assert the finite-horizon identity <rate of G> = (G(T)-G(t0))/(T-t0)
 
 Configs are YAML mappings; every field can also be set (or overridden) by a
-flag.  Unknown config keys and parameter names, settings that the run
-would not read (_READS), and dt beside sample_interval under rkf45 (which
-reads dt only as that interval's default) are rejected before any
-computation.  Exit codes:
+flag.  Unknown config keys and parameter names, numeric settings out of
+range (T, dt, the tolerances and sample_interval must be finite and
+positive), settings that the run would not read (_READS), and dt beside
+sample_interval under rkf45 (which reads dt only as that interval's
+default) are rejected before any computation.  Exit codes:
 0 success, 2 config/validation error, 3 integration abort (partial artifacts
 retained with an abort note), 4 identity/oracle breach — not a crash.
 
@@ -24,6 +25,7 @@ floats are emitted at 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -168,7 +170,7 @@ def build_config(args) -> ExperimentConfig:
             return None
         try:
             out = kind(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config {name}={value!r} is not a number") from exc
         if kind is int and out != value:
             raise ConfigError(f"config {name}={value!r} must be an integer")
@@ -189,16 +191,14 @@ def build_config(args) -> ExperimentConfig:
         raise ConfigError("a system name is required (config 'system' or --system)")
     if cfg.integrator not in _INTEGRATORS:
         raise ConfigError(f"integrator must be one of {_INTEGRATORS}, got {cfg.integrator!r}")
-    if not (cfg.T > 0):
-        raise ConfigError(f"T must be positive, got {cfg.T!r}")
-    if not (cfg.dt > 0):
-        raise ConfigError(f"dt must be positive, got {cfg.dt!r}")
+    for name in ("T", "dt", "rel_tol", "abs_tol", "identity_tol", "sample_interval"):
+        value = getattr(cfg, name)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     if not (0 <= cfg.t0 < cfg.T):
         raise ConfigError(f"t0={cfg.t0!r} must satisfy 0 <= t0 < T")
     if cfg.sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
-    if cfg.sample_interval is not None and not (cfg.sample_interval > 0):
-        raise ConfigError("sample_interval must be positive")
     if cfg.n_traj < 2:
         raise ConfigError("n_traj must be >= 2")
     if cfg.seed is not None and cfg.seed < 0:

@@ -1,18 +1,21 @@
 """Catalog of built-in dissipative systems with validated parameters.
 
-Each system states each of its models (Darboux-chart Hamiltonian,
-velocity-chart Lagrangian, extended time-dependent Hamiltonian --
-whichever apply) once, and one compiler derives every chart's field from
-them; it also has default initial states and the signed term decomposition
-its averaged-rate report uses.  The Brownian oscillator is the damped
-oscillator's Hamiltonian chart and model with its own drive_friction term;
-its rhs is the drift, and its NoiseSpec adds the thermal force.  Every
-term and every G is a plain-arithmetic function of the state's components
-in layout order, ``value(*y)``, so the same code evaluates on floats and
-on equal-shape column arrays.  Analytic partials are run through the
-finite-difference oracle once at construction at each chart's default
-state, and the terms are checked against the flow rate of G, so a catalog
-system cannot be built with a wrong gradient or term.
+Each model (Darboux-chart Hamiltonian, velocity-chart Lagrangian, extended
+time-dependent Hamiltonian) is stated once in `_MODELS`, and each system is
+one row of `_SYSTEMS`: per chart, the model it runs, its chart kind, its
+default state and its stated virial balance -- the observable G, the signed
+terms and rate_scale, as expressions beside the model over the chart's roles,
+the parameters and the model's parameter-only definitions.  One compiler
+turns the statements into the evaluator bundle the oracle checks, every
+chart's rhs, and every term and G as a plain function of the state's
+components in layout order, ``value(*y)``, over numpy's functions, so the
+same code evaluates on floats and on equal-shape column arrays.  The
+Brownian oscillator is the damped oscillator's Hamiltonian chart and model
+with its own drive_friction term; its rhs is the drift, and its NoiseSpec
+adds the thermal force.  At construction the analytic partials are run
+through the finite-difference oracle at each chart's default state, and the
+terms are checked against the flow rate of G, so a catalog system cannot be
+built with a wrong gradient or term.
 
 Charts and layouts
 ------------------
@@ -22,16 +25,16 @@ extended           (t, s, q[0], p[0])   -- forced oscillator
 contact  (activator-inhibitor)  (z, x, y)   -- z plays s, x plays q, y plays p
 planar   (activator-inhibitor)  (x, y)      -- the contact field without its z row
 
-Term decompositions satisfy  sum_i sign_i * term_i(state) ==
-rate_scale * X(G)(state)  pointwise, where G is the chart's virial
-observable; the scale matches how each balance is conventionally written
-(energies carry 1/2, the quadratic-drag form is unscaled, the
-activator-inhibitor form is divided by A).  Reports take the signed term
-sum over rate_scale as the rate of G.
+Every chart's balance satisfies  sum_i sign_i * term_i(state) ==
+rate_scale * X(G)(state)  pointwise; the scale matches how each balance is
+conventionally written (energies carry 1/2, the quadratic-drag form is
+unscaled, the activator-inhibitor form is divided by A).  Reports take the
+signed term sum over rate_scale as the rate of G.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -300,7 +303,7 @@ def _check_term_sum(system: str, chart_name: str, chart: Chart) -> None:
 
 
 # ---------------------------------------------------------------------------
-# models, stated once and compiled into model bundles and chart fields
+# models, stated once, and the catalog's charts with their stated balances
 
 
 @dataclass(frozen=True)
@@ -337,6 +340,14 @@ _FIELDS = {
     "planar-conformal": ("q, p", _CONTACT_FIELD[1:]),  # for partials free of s
     "extended": ("t, s, q, p", ("1.0", *_CONTACT_FIELD)),
     "lagrangian": ("q, v, s", ("v", "(L_q - v * L_qv - L * L_sv + L_s * L_v) / W", "L")),
+}
+# per chart kind: the names its layout gives those roles
+_LAYOUTS = {
+    "hamiltonian": ("s", "q[0]", "p[0]"),
+    "contact": ("z", "x", "y"),
+    "planar-conformal": ("x", "y"),
+    "extended": ("t", "s", "q[0]", "p[0]"),
+    "lagrangian": ("q[0]", "qdot[0]", "s"),
 }
 
 # every model of the catalog, by the name of its evaluator bundle
@@ -377,6 +388,115 @@ _MODELS = {
         "H_s": "C + K", "H_q": "-D * q - C * p", "H_p": "A / (B + p) - C * q",
     }, domain="B + p > 0"),
 }
+# the Brownian oscillator is the damped oscillator in a bath
+_MODELS["brownian_oscillator.h"] = _MODELS["damped_oscillator.h"]
+
+
+@dataclass(frozen=True)
+class _ChartRow:
+    """One chart of a catalog system: its model, kind, default state and balance.
+
+    `x0` is in the layout of chart kind `kind`.  `rate_scale`, `G` and each
+    `(name, sign, term)` of `terms` are expressions over that kind's roles,
+    the parameters and the parameter-only definitions of `model`, such that
+    sum(sign * term) == rate_scale * X(G) identically.
+    """
+
+    model: str
+    kind: str
+    x0: tuple
+    rate_scale: str
+    G: str
+    terms: tuple
+
+
+@dataclass(frozen=True)
+class _SystemRow:
+    """A catalog system: its charts by name, the first being the default."""
+
+    description: str
+    charts: dict
+    noise: bool = False
+
+
+_KINETIC = ("kinetic", +1, "p * p / (2 * m)")
+_POTENTIAL = ("potential", -1, "mw2 * (q * q) / 2")
+_DAMPED_H = _ChartRow("damped_oscillator.h", "hamiltonian", (0.0, 1.0, 0.0), "0.5", "q * p",
+                      (_KINETIC, _POTENTIAL, ("friction_qp", -1, "gamma * q * p / 2")))
+_VELOCITY_KINETIC = ("kinetic", +1, "m * (v * v) / 2")
+# both Gierer-Meinhardt layouts end in (x, y), the roles (q, p)
+_ACTIVATOR_INHIBITOR = (("saturation", +1, "p / (B + p)"),
+                        ("self_activation", +1, "(D / A) * (q * q)"),
+                        ("cross_decay", -1, "((C + K) / A) * q * p"))
+
+# the catalog, one row per system
+_SYSTEMS = {
+    "damped_oscillator": _SystemRow(
+        "linear oscillator with velocity-proportional friction", {
+            "hamiltonian": _DAMPED_H,
+            "lagrangian": _ChartRow(
+                "damped_oscillator.L", "lagrangian", (1.0, 0.0, 0.0), "0.5", "m * v * q",
+                (_VELOCITY_KINETIC, _POTENTIAL,
+                 ("friction_qqdot", -1, "m * gamma * q * v / 2"))),
+        }),
+    "parachute": _SystemRow(
+        "vertical fall against quadratic drag (terminal velocity sqrt(g/lam))", {
+            "hamiltonian": _ChartRow(
+                "parachute.h", "hamiltonian", (0.0, 0.0, 0.0), "1.0", "q * p",
+                (("p_velocity", +1, "p * ((p - 2 * lam * s) / m)"),
+                 ("gravity_gradient", -1, "m * g * q * exp(2 * lam * q)"),
+                 ("drag_coupling", +1, "2 * lam * q * p * ((p - 2 * lam * s) / m)"))),
+            "lagrangian": _ChartRow(
+                "parachute.L", "lagrangian", (0.0, 0.0, 0.0), "0.5", "m * v * q",
+                (_VELOCITY_KINETIC, ("gravity", -1, "m * g * q / 2"),
+                 ("drag", +1, "m * lam * q * (v * v) / 2"))),
+        }),
+    "forced_oscillator": _SystemRow(
+        "damped oscillator under periodic forcing, on the extended space", {
+            "extended": _ChartRow(
+                "forced_oscillator.h", "extended", (0.0, 0.0, 1.0, 0.0), "0.5", "q * p",
+                (_KINETIC, _POTENTIAL,
+                 ("drive_friction", +1, "q * (F0 * cos(Omega * t) - gamma * p) / 2"))),
+        }),
+    "brownian_oscillator": _SystemRow(
+        "harmonically trapped particle in a thermal bath (Langevin)", {
+            # the thermal force's share, q*eta/2, is the realized Ito integral
+            # of q dW; ensemble reports add it from the stepper
+            "hamiltonian": replace(
+                _DAMPED_H, model="brownian_oscillator.h",
+                terms=(_KINETIC, _POTENTIAL, ("drive_friction", +1, "-gamma * q * p / 2"))),
+        }, noise=True),
+    "gierer_meinhardt": _SystemRow(
+        "activator-inhibitor kinetics as a contact flow over its planar conformal projection", {
+            "contact": _ChartRow("gierer_meinhardt.h", "contact", (0.0, 0.2, 0.2), "1.0 / A",
+                                 "q * p", _ACTIVATOR_INHIBITOR),
+            "planar": _ChartRow("gierer_meinhardt.h", "planar-conformal", (0.2, 0.2), "1.0 / A",
+                                "q * p", _ACTIVATOR_INHIBITOR),
+        }),
+}
+
+_MATH = {"exp": math.exp, "log": math.log, "cos": math.cos, "sin": math.sin}
+_NUMPY = {"exp": np.exp, "log": np.log, "cos": np.cos, "sin": np.sin}
+
+
+@functools.cache
+def _code(expr: str):
+    """`expr` compiled as an expression, once: the statements are fixed strings."""
+    return compile(expr, "<statement>", "eval")
+
+
+def _split_definitions(model: _Model, params: dict) -> tuple[dict, dict]:
+    """The parameters and the model's parameter-only definitions, by value, and
+    each other definition with the names it reads."""
+    constants = dict(params)
+    reads = {}
+    for key, expr in model.defs.items():
+        names = set(_code(expr).co_names)
+        if names <= _MATH.keys() | constants.keys():
+            constants[key] = eval(_code(expr), {**_MATH, **constants})
+        else:
+            reads[key] = names
+    return constants, reads
 
 
 def _compile(name: str, params: dict, *charts: str) -> tuple:
@@ -401,20 +521,12 @@ def _compile(name: str, params: dict, *charts: str) -> tuple:
     if reserved:
         raise ValueError(f"model '{name}': names {reserved} start with '_', "
                          "which generated code reserves for its own names")
-    functions = {"exp": math.exp, "log": math.log, "cos": math.cos, "sin": math.sin,
-                 "array": np.array, "DomainError": DomainError}
-    constants = dict(params)
-    reads = {}  # definition that reads the state -> the names it reads
-    for key, expr in model.defs.items():
-        names = set(compile(expr, key, "eval").co_names)
-        if names <= functions.keys() | constants.keys():
-            constants[key] = eval(expr, {**functions, **constants})
-        else:
-            reads[key] = names
+    functions = {**_MATH, "array": np.array, "DomainError": DomainError}
+    constants, reads = _split_definitions(model, params)
 
     def body(unpacked, result):
         """The domain check and the definitions `result` reads, as statements."""
-        needed = set().union(*(compile(e, name, "eval").co_names for e in result))
+        needed = set().union(*(_code(e).co_names for e in result))
         for key in reversed(reads):  # a definition reads only earlier ones
             if key in needed:
                 needed |= reads[key]
@@ -452,227 +564,65 @@ def _compile(name: str, params: dict, *charts: str) -> tuple:
             *(fields[f"field{i}"] for i in range(len(charts))))
 
 
-# ---------------------------------------------------------------------------
-# builders
+def _compile_balance(row: _ChartRow, params: dict) -> dict:
+    """The chart's terms, G and rate_scale, compiled from their statements in `row`.
+
+    G and each term are one plain function of the roles in layout order
+    over numpy's functions, so each evaluates on floats, on sample columns
+    and on ensemble member arrays; the parameters and the model's
+    parameter-only definitions are their globals.
+    """
+    roles = _FIELDS[row.kind][0]
+    source = [f"_rate_scale = {row.rate_scale}", f"def _G({roles}):", f"    return {row.G}"]
+    for i, (_, _, term) in enumerate(row.terms):
+        source += [f"def _term{i}({roles}):", f"    return {term}"]
+    constants, _ = _split_definitions(_MODELS[row.model], params)
+    out = exec_generated("\n".join(source) + "\n", f"<{row.model}/{row.kind} balance>",
+                         {**_NUMPY, **constants})
+    terms = [VirialTermBinding(name, sign, out[f"_term{i}"])
+             for i, (name, sign, _) in enumerate(row.terms)]
+    return {"terms": terms, "G": out["_G"], "rate_scale": out["_rate_scale"]}
 
 
-def _build_damped(params):
-    m, omega, gamma = params["m"], params["omega"], params["gamma"]
-    mw2 = m * omega * omega
-    h, rhs_h = _compile("damped_oscillator.h", params, "hamiltonian")
-    L, rhs_l = _compile("damped_oscillator.L", params, "lagrangian")
-    chart_h = Chart(
-        kind="hamiltonian",
-        layout=("s", "q[0]", "p[0]"),
-        x0=[0.0, 1.0, 0.0],
-        rhs=rhs_h,
-        terms=(
-            VirialTermBinding("kinetic", +1, lambda s, q, p: p * p / (2 * m)),
-            VirialTermBinding("potential", -1, lambda s, q, p: mw2 * (q * q) / 2),
-            VirialTermBinding("friction_qp", -1, lambda s, q, p: gamma * q * p / 2),
-        ),
-        G=lambda s, q, p: q * p,
-        rate_scale=0.5,
-    )
-    chart_l = Chart(
-        kind="lagrangian",
-        layout=("q[0]", "qdot[0]", "s"),
-        x0=[1.0, 0.0, 0.0],
-        rhs=rhs_l,
-        terms=(
-            VirialTermBinding("kinetic", +1, lambda q, v, s: m * (v * v) / 2),
-            VirialTermBinding("potential", -1, lambda q, v, s: mw2 * (q * q) / 2),
-            VirialTermBinding("friction_qqdot", -1,
-                              lambda q, v, s: m * gamma * q * v / 2),
-        ),
-        G=lambda q, v, s: m * v * q,
-        rate_scale=0.5,
-    )
-    return SystemSpec(
-        name="damped_oscillator",
-        params=params,
-        charts={"hamiltonian": chart_h, "lagrangian": chart_l},
-        default_chart="hamiltonian",
-        hamiltonian=h,
-        lagrangian=L,
-        description="linear oscillator with velocity-proportional friction",
-    )
+def _build_system(name: str, params: dict) -> SystemSpec:
+    """Catalog system `name` at `params` (not validated), from its row of `_SYSTEMS`.
 
-
-def _build_parachute(params):
-    m, g, lam = params["m"], params["g"], params["lam"]
-    h, rhs_h = _compile("parachute.h", params, "hamiltonian")
-    L, rhs_l = _compile("parachute.L", params, "lagrangian")
-    chart_h = Chart(
-        kind="hamiltonian",
-        layout=("s", "q[0]", "p[0]"),
-        x0=[0.0, 0.0, 0.0],
-        rhs=rhs_h,
-        terms=(
-            VirialTermBinding("p_velocity", +1,
-                              lambda s, q, p: p * ((p - 2 * lam * s) / m)),
-            VirialTermBinding("gravity_gradient", -1,
-                              lambda s, q, p: m * g * q * np.exp(2 * lam * q)),
-            VirialTermBinding("drag_coupling", +1,
-                              lambda s, q, p: 2 * lam * q * p * ((p - 2 * lam * s) / m)),
-        ),
-        G=lambda s, q, p: q * p,
-        rate_scale=1.0,
-    )
-    chart_l = Chart(
-        kind="lagrangian",
-        layout=("q[0]", "qdot[0]", "s"),
-        x0=[0.0, 0.0, 0.0],
-        rhs=rhs_l,
-        terms=(
-            VirialTermBinding("kinetic", +1, lambda q, v, s: m * (v * v) / 2),
-            VirialTermBinding("gravity", -1, lambda q, v, s: m * g * q / 2),
-            VirialTermBinding("drag", +1, lambda q, v, s: m * lam * q * (v * v) / 2),
-        ),
-        G=lambda q, v, s: m * v * q,
-        rate_scale=0.5,
-    )
-    return SystemSpec(
-        name="parachute",
-        params=params,
-        charts={"hamiltonian": chart_h, "lagrangian": chart_l},
-        default_chart="hamiltonian",
-        hamiltonian=h,
-        lagrangian=L,
-        description="vertical fall against quadratic drag (terminal velocity sqrt(g/lam))",
-    )
-
-
-def _build_forced(params):
-    m, omega, gamma = params["m"], params["omega"], params["gamma"]
-    F0, W = params["F0"], params["Omega"]
-    mw2 = m * omega * omega
-    hx, rhs = _compile("forced_oscillator.h", params, "extended")
-    chart = Chart(
-        kind="extended",
-        layout=("t", "s", "q[0]", "p[0]"),
-        x0=[0.0, 0.0, 1.0, 0.0],
-        rhs=rhs,
-        terms=(
-            VirialTermBinding("kinetic", +1, lambda t, s, q, p: p * p / (2 * m)),
-            VirialTermBinding("potential", -1, lambda t, s, q, p: mw2 * (q * q) / 2),
-            VirialTermBinding("drive_friction", +1,
-                              lambda t, s, q, p: q * (F0 * np.cos(W * t) - gamma * p) / 2),
-        ),
-        G=lambda t, s, q, p: q * p,
-        rate_scale=0.5,
-    )
-    return SystemSpec(
-        name="forced_oscillator",
-        params=params,
-        charts={"extended": chart},
-        default_chart="extended",
-        extended=hx,
-        description="damped oscillator under periodic forcing, on the extended space",
-    )
-
-
-def _build_brownian(params):
-    gamma = params["gamma"]
-    damped = _build_damped(params)
-    h = damped.charts["hamiltonian"]
-    kinetic, potential, _ = h.terms
-    chart = Chart(
-        kind=h.kind,
-        layout=h.layout,
-        x0=h.x0,
-        rhs=h.rhs,
-        terms=(
-            kinetic,
-            potential,
-            # the thermal force's share, q*eta/2, is the realized Ito
-            # integral of q dW; ensemble reports add it from the stepper
-            VirialTermBinding("drive_friction", +1, lambda s, q, p: -gamma * q * p / 2),
-        ),
-        G=h.G,
-        rate_scale=h.rate_scale,
-    )
-    return SystemSpec(
-        name="brownian_oscillator",
-        params=params,
-        charts={"hamiltonian": chart},
-        default_chart="hamiltonian",
-        hamiltonian=replace(damped.hamiltonian, name="brownian_oscillator.h"),
-        noise=NoiseSpec(m=params["m"], gamma=gamma, k_BT=params["k_BT"],
-                        seed=int(params["seed"])),
-        description="harmonically trapped particle in a thermal bath (Langevin)",
-    )
-
-
-def _build_gierer_meinhardt(params):
-    A, B, C, D, K = (params[k] for k in ("A", "B", "C", "D", "K"))
-    h, rhs_contact, rhs_planar = _compile("gierer_meinhardt.h", params,
-                                          "contact", "planar-conformal")
-
-    # both layouts end in (x, y), so the charts share their terms and G
-    terms = (
-        VirialTermBinding("saturation", +1, lambda *zxy: zxy[-1] / (B + zxy[-1])),
-        VirialTermBinding("self_activation", +1,
-                          lambda *zxy: (D / A) * (zxy[-2] * zxy[-2])),
-        VirialTermBinding("cross_decay", -1,
-                          lambda *zxy: ((C + K) / A) * zxy[-2] * zxy[-1]),
-    )
-
-    def G_xy(*zxy):
-        return zxy[-2] * zxy[-1]
-
-    chart_contact = Chart(
-        kind="contact",
-        layout=("z", "x", "y"),
-        x0=[0.0, 0.2, 0.2],
-        rhs=rhs_contact,
-        terms=terms,
-        G=G_xy,
-        rate_scale=1.0 / A,
-    )
-    chart_planar = Chart(
-        kind="planar-conformal",
-        layout=("x", "y"),
-        x0=[0.2, 0.2],
-        rhs=rhs_planar,
-        terms=terms,
-        G=G_xy,
-        rate_scale=1.0 / A,
-    )
-    return SystemSpec(
-        name="gierer_meinhardt",
-        params=params,
-        charts={"contact": chart_contact, "planar": chart_planar},
-        default_chart="contact",
-        hamiltonian=h,
-        description="activator-inhibitor kinetics as a contact flow over its "
-                    "planar conformal projection",
-    )
-
-
-_BUILDERS = {
-    "damped_oscillator": _build_damped,
-    "parachute": _build_parachute,
-    "forced_oscillator": _build_forced,
-    "brownian_oscillator": _build_brownian,
-    "gierer_meinhardt": _build_gierer_meinhardt,
-}
+    Each model is compiled once, with the fields of every chart it drives,
+    and each chart's balance from its own row.
+    """
+    system = _SYSTEMS[name]
+    models, fields = {}, {}
+    for model in dict.fromkeys(row.model for row in system.charts.values()):
+        rows = {c: row for c, row in system.charts.items() if row.model == model}
+        bundle, *rhs = _compile(model, params, *(row.kind for row in rows.values()))
+        models[_MODELS[model].kind] = bundle
+        fields.update(zip(rows, rhs))
+    charts = {c: Chart(kind=row.kind, layout=_LAYOUTS[row.kind], x0=row.x0, rhs=fields[c],
+                       **_compile_balance(row, params))
+              for c, row in system.charts.items()}
+    noise = None
+    if system.noise:
+        noise = NoiseSpec(m=params["m"], gamma=params["gamma"], k_BT=params["k_BT"],
+                          seed=int(params["seed"]))
+    return SystemSpec(name=name, params=params, charts=charts,
+                      default_chart=next(iter(charts)), noise=noise,
+                      description=system.description, **models)
 
 
 def _build(name: str, params: dict) -> tuple[SystemSpec, list]:
-    """Validate parameters, run the builder and the partials oracle.
+    """Validate parameters, build the system and run the partials oracle.
 
     Returns the spec and its `_partials_reports`, which make_system turns
-    into a ParameterError and gradcheck prints.  A builder that cannot
-    evaluate at valid parameters (say, an overflow of m * omega**2) raises
-    ParameterError naming the system.  numpy's floating-point warnings are
+    into a ParameterError and gradcheck prints.  A system that cannot be
+    built at valid parameters (say, an overflow of m * omega**2) raises
+    ParameterError naming it.  numpy's floating-point warnings are
     silenced: at extreme parameters a model overflows to inf or nan, which
     fails the oracle by itself.
     """
     values = _validate_params(name, params)
     with np.errstate(all="ignore"):
         try:
-            spec = _BUILDERS[name](values)
+            spec = _build_system(name, values)
         except (ArithmeticError, ValueError) as exc:
             raise ParameterError(
                 f"system '{name}' cannot be built from {values}: {exc}"

@@ -6,14 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from contactdyn.core import DarbouxPoint, ScalarField
-from contactdyn.systems import _BUILDERS, make_system
+from contactdyn.systems import _build_system, make_system
 
 DAMPED = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=0.1)
 PARACHUTE = make_system("parachute", m=1.0, g=10.0, lam=0.5)
 FORCED = make_system("forced_oscillator", m=1.0, omega=1.0, gamma=0.1, F0=1.0, Omega=2.0)
 # the conservative limit gamma = 0 lies outside the schema (gamma > 0), so the
 # catalog's own builder makes it, past make_system's validation
-UNDAMPED = _BUILDERS["damped_oscillator"]({"m": 1.0, "omega": 1.0, "gamma": 0.0})
+UNDAMPED = _build_system("damped_oscillator", {"m": 1.0, "omega": 1.0, "gamma": 0.0})
 
 
 def free_particle_h(m=1.0) -> ScalarField:

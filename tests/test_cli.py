@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from contactdyn.cli import EXIT_ABORT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+from contactdyn.cli import _READS, EXIT_ABORT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
 from contactdyn.systems import make_system
 from contactdyn.virial import parse_report
 
@@ -75,6 +78,32 @@ def test_non_integer_sample_every_exits_2(tmp_path):
         "system: damped_oscillator\nT: 1\nsample_every: 2.5\n", encoding="utf-8"
     )
     assert run("simulate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+_NOT_FINITE_OR_POSITIVE = [
+    ("T", ("simulate", "--system", "damped_oscillator", "--T", "inf")),
+    ("T", ("ensemble", "--system", "brownian_oscillator", "--T", "inf", "--n-traj", "4")),
+    ("rel_tol", ("virial", "--system", "damped_oscillator", "--integrator", "rkf45",
+                 "--rel-tol", "-1", "--T", "1")),
+    ("abs_tol", ("virial", "--system", "damped_oscillator", "--integrator", "rkf45",
+                 "--abs-tol", "nan", "--T", "1")),
+    ("identity_tol", ("virial", "--system", "damped_oscillator", "--T", "1",
+                      "--sample-every", "1000", "--identity-tol", "nan")),
+    ("identity_tol", ("check-identity", "--system", "damped_oscillator", "--T", "1",
+                      "--sample-every", "1000", "--identity-tol", "nan")),
+]
+
+
+@pytest.mark.parametrize("setting, argv", _NOT_FINITE_OR_POSITIVE,
+                         ids=[f"{argv[0]}-{setting}" for setting, argv in _NOT_FINITE_OR_POSITIVE])
+def test_non_finite_or_non_positive_setting_exits_2(tmp_path, capsys, setting, argv):
+    # an infinite horizon overflowed the step count and a bad tolerance
+    # reached the stepper, both as tracebacks; a nan identity_tol let the
+    # virial gate pass without checking anything
+    out = tmp_path / "run"
+    assert run(*argv, "--out", str(out)) == EXIT_CONFIG
+    assert f"config error: {setting} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +381,56 @@ def test_dt_beside_sample_interval_under_rkf45_exits_2(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "config error" in err and "--dt" in err
     assert not out.exists()
+
+
+_NUMERIC_SETTINGS = {"T", "dt", "t0", "rel_tol", "abs_tol", "identity_tol", "sample_every",
+                     "sample_interval", "n_traj", "seed"}
+# every numeric setting each command reads, by how the run steps
+_READ_NUMERIC = sorted((command, stepping, setting)
+                       for command, by_stepping in _READS.items()
+                       for stepping, reads in by_stepping.items()
+                       for setting in set(reads.split()) & _NUMERIC_SETTINGS)
+
+
+def test_bad_numeric_setting_exits_2_before_stepping(tmp_path, monkeypatch):
+    # nan, +-inf, 0 or a negative number for any numeric setting a command
+    # reads, given as a flag or as a config key, exits 2 (a flag that does
+    # not parse is argparse's exit 2) and steps nothing; 0 is a valid t0 and seed
+    import contactdyn.cli as cli_mod
+    import contactdyn.virial as virial_mod
+
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    for module, name in ((cli_mod, "integrate_fixed"), (cli_mod, "integrate_adaptive"),
+                         (cli_mod, "euler_maruyama_langevin"),
+                         (virial_mod, "langevin_ensemble")):
+        monkeypatch.setattr(module, name, no_stepping)
+    out = tmp_path / "run"
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(_READ_NUMERIC),
+           st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0]),
+                     st.integers(max_value=-1), st.floats(max_value=-1e-300)),
+           st.booleans())
+    def refused(case, value, as_flag):
+        command, stepping, setting = case
+        assume(not (value == 0 and setting in ("t0", "seed")))
+        argv = [command, *_RUNS[stepping], "--out", str(out)]
+        if as_flag:
+            argv.append(f"--{setting.replace('_', '-')}={value!r}")
+        else:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(yaml.safe_dump({setting: value}), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == EXIT_CONFIG, (argv, value)
+        assert not out.exists()
+
+    refused()
 
 
 def test_ensemble_all_diverged_exits_3(tmp_path, capsys):
