@@ -30,8 +30,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import yaml
-
+from . import __version__ as TOOL_VERSION  # report metadata
 from .core import NonFiniteError
 from .integrate import (
     euler_maruyama_langevin,
@@ -54,13 +53,6 @@ from .virial import (
     virial_report,
     write_running_averages,
 )
-
-try:  # package version, used in report metadata
-    from importlib.metadata import version as _dist_version
-
-    TOOL_VERSION = _dist_version("contactdyn")
-except Exception:  # pragma: no cover - not installed
-    TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,6 +102,8 @@ _READS["virial"] = _READS["simulate"]
 
 
 def load_config_file(path: str) -> dict:
+    import yaml  # only config files need it, so a run without one skips its import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

@@ -14,14 +14,15 @@ into every stage with the parameters as constants, so the loop calls
 nothing; any other rhs is called once per stage.  Chart packing (which
 component is s, q, p, ...) is the caller's business and is recorded in
 the trajectory's ``layout``.  Three steppers are provided: classical
-fixed-step RK4, an embedded RK4(5) pair with cubic-Hermite dense output
-(steps and samples through straight-line kernels generated once per
-state width), and one Euler-Maruyama loop over a stochastic chart's
-drift and terms, shared by single runs and ensembles (member 0 is
-bit-identical to the single run with the same seed).  It keeps each
-member's term averages as running trapezoid sums and stores no block of
-states, so an ensemble needs O(n_traj) memory plus a fixed noise buffer
-whatever the horizon, and a single run O(samples kept).
+fixed-step RK4, an embedded RK4(5) pair (steps through a straight-line
+kernel generated once per state width) whose cubic-Hermite dense output
+is evaluated in numpy passes over chunks of accepted steps, and one
+Euler-Maruyama loop over a stochastic chart's drift and terms, shared by
+single runs and ensembles (member 0 is bit-identical to the single run
+with the same seed).  It keeps each member's term averages as running
+trapezoid sums and stores no block of states, so an ensemble needs
+O(n_traj) memory plus a fixed noise buffer whatever the horizon, and a
+single run O(samples kept).
 
 Deterministic averages use trapezoidal quadrature under compensated
 summation so that horizons of 10^5+ samples do not accumulate roundoff.
@@ -206,7 +207,7 @@ def trapezoid_average(times: np.ndarray, values: np.ndarray, t0: float = 0.0) ->
 
 
 # ---------------------------------------------------------------------------
-# generated straight-line code: the RK4 loop and the RKF45 and Hermite kernels
+# generated straight-line code: the RK4 loop and the RKF45 step kernel
 
 
 class _Constants(ast.NodeTransformer):
@@ -381,28 +382,19 @@ _ERR = (1 / 360, 0.0, -128 / 4275, -2197 / 75240, 1 / 50, 2 / 55)
 
 
 @functools.cache
-def _kernel(scheme: str, d: int):
-    """Straight-line float arithmetic of `scheme` on d-component states, compiled on first use.
+def _rkf45_kernel(d: int):
+    """One RKF45 step in straight-line float arithmetic on d-component states, compiled on first use.
 
-    "rkf45" gives step(rhs, t, y, h, k0, rel_tol, abs_tol) -> (y_new, err),
-    where k0 is rhs(t, y), y_new the 4th-order solution and err the RMS over
+    Gives step(rhs, t, y, h, k0, rel_tol, abs_tol) -> (y_new, err), where
+    k0 is rhs(t, y), y_new the 4th-order solution and err the RMS over
     components of the embedded error estimate divided by
-    abs_tol + rel_tol*max(|y|, |y_new|).  "hermite" gives
-    samples(next_sample, interval, step_end, sample_end, t, h, y0, d0, y1,
-    d1, times, states) -> the next sample time.  Inside the step of length
-    h from t, whose ends have states y0, y1 and derivatives d0, d1, it walks
-    the grid times next_sample, next_sample + interval, ... while they are
-    at most step_end and below sample_end; each that passes times[-1] is
-    appended to `times`, and the cubic Hermite interpolant there, at
-    theta = (time - t) / h, to `states`.
+    abs_tol + rel_tol*max(|y|, |y_new|).
 
     The generated source unpacks `y` and every stage's rhs result into d
     scalars, so a result of another length raises ValueError naming the
-    expected count, and writes each component's arithmetic out in full.
-    RKF45 sums c0*k0 + c1*k1 + ... left to right, zero coefficients
-    included, with every coefficient written as its repr, which round-trips;
-    a Hermite sample is w0*y0 + w1*d0 + w2*y1 + w3*d1.  The step's four
-    vectors are unpacked once, however many samples fall inside it.
+    expected count, and writes each component's arithmetic out in full: it
+    sums c0*k0 + c1*k1 + ... left to right, zero coefficients included,
+    with every coefficient written as its repr, which round-trips.
     """
     def unpack(prefix):
         return "".join(f"{prefix}{j}, " for j in range(d))
@@ -413,47 +405,24 @@ def _kernel(scheme: str, d: int):
     def weighted(coeffs, j):
         return " + ".join(f"{c!r} * k{i}_{j}" for i, c in enumerate(coeffs))
 
-    if scheme == "hermite":
-        lines = [
-            "def samples(next_sample, interval, step_end, sample_end, t, h,",
-            "            y0, d0, y1, d1, times, states):",
-            f"    {unpack('a')}= y0",
-            f"    {unpack('b')}= d0",
-            f"    {unpack('c')}= y1",
-            f"    {unpack('e')}= d1",
-            "    while next_sample <= step_end and next_sample < sample_end:",
-            "        if next_sample > times[-1]:",
-            "            times.append(next_sample)",
-            "            theta = (next_sample - t) / h",
-            "            t2, t3 = theta * theta, theta * theta * theta",
-            "            w0 = 2 * t3 - 3 * t2 + 1",
-            "            w1 = (t3 - 2 * t2 + theta) * h",
-            "            w2 = -2 * t3 + 3 * t2",
-            "            w3 = (t3 - t2) * h",
-            "            states.extend("
-            + vec(lambda j: f"w0 * a{j} + w1 * b{j} + w2 * c{j} + w3 * e{j}") + ")",
-            "        next_sample += interval",
-            "    return next_sample",
-        ]
-    else:  # "rkf45"
-        lines = [
-            "def step(rhs, t, y, h, k0, rel_tol, abs_tol):",
-            f"    {unpack('y')}= y",
-            f"    {unpack('k0_')}= k0",
-        ]
-        for i in range(1, 6):
-            stage = vec(lambda j: f"y{j} + h * ({weighted(_A[i], j)})")
-            lines.append(f"    {unpack(f'k{i}_')}= rhs(t + {_C[i]!r} * h, {stage})")
-        for j in range(d):
-            lines.append(f"    n{j} = y{j} + h * ({weighted(_B4, j)})")
-        for j in range(d):
-            lines.append(f"    r{j} = h * ({weighted(_ERR, j)})"
-                         f" / (abs_tol + rel_tol * max(abs(y{j}), abs(n{j})))")
-        squares = " + ".join(f"r{j} * r{j}" for j in range(d))
-        lines.append(f"    return {vec(lambda j: f'n{j}')}, sqrt(({squares}) / {d})")
-    namespace = exec_generated("\n".join(lines) + "\n", f"<{scheme} kernel, d={d}>",
+    lines = [
+        "def step(rhs, t, y, h, k0, rel_tol, abs_tol):",
+        f"    {unpack('y')}= y",
+        f"    {unpack('k0_')}= k0",
+    ]
+    for i in range(1, 6):
+        stage = vec(lambda j: f"y{j} + h * ({weighted(_A[i], j)})")
+        lines.append(f"    {unpack(f'k{i}_')}= rhs(t + {_C[i]!r} * h, {stage})")
+    for j in range(d):
+        lines.append(f"    n{j} = y{j} + h * ({weighted(_B4, j)})")
+    for j in range(d):
+        lines.append(f"    r{j} = h * ({weighted(_ERR, j)})"
+                     f" / (abs_tol + rel_tol * max(abs(y{j}), abs(n{j})))")
+    squares = " + ".join(f"r{j} * r{j}" for j in range(d))
+    lines.append(f"    return {vec(lambda j: f'n{j}')}, sqrt(({squares}) / {d})")
+    namespace = exec_generated("\n".join(lines) + "\n", f"<rkf45 kernel, d={d}>",
                                {"sqrt": math.sqrt})
-    return namespace["samples" if scheme == "hermite" else "step"]
+    return namespace["step"]
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +512,67 @@ def integrate_fixed(
 # ---------------------------------------------------------------------------
 # embedded RK4(5) with cubic Hermite dense output
 
+# accepted steps held before their samples are evaluated, and the most
+# samples that one numpy pass over them evaluates
+_DENSE_CHUNK = 4096
+
+
+def _dense_output(steps: list, t_end: float, y_end, d_end, next_sample: float,
+                  interval: float, T: float, times: array, states: array) -> float:
+    """Append the cubic Hermite samples inside accepted `steps`; return the next grid time.
+
+    `steps` is a flat list of 2 + 2d floats per accepted step, in order: its
+    start time t, its length h, and the d components of the state and then
+    of the derivative at its start.  Each step ends where the next one
+    starts, and the last at t_end with state y_end and derivative d_end.
+    The grid runs next_sample, next_sample + interval, ..., each time the
+    previous one plus `interval`: the chain of ``+=`` a scalar loop builds,
+    carried on from call to call.  A grid time belongs to the first step
+    whose end plus 1e-14*T reaches it.  The grid times that some step
+    reaches, that lie below T - 1e-14*T and that pass times[-1] are
+    appended to `times`, and the interpolant there, at theta = (time - t) / h,
+    to `states`.
+
+    Each pass evaluates at most _DENSE_CHUNK grid times as columns, in the
+    operation order of the scalar formula w0*y0 + w1*d0 + w2*y1 + w3*d1.
+    numpy applies each operation per element in IEEE double, so every
+    sample equals the scalar loop's bit for bit.
+    """
+    if not steps:
+        return next_sample
+    d = len(y_end)
+    records = np.fromiter(steps, float, len(steps)).reshape(-1, 2 + 2 * d)
+    starts, hs = records[:, 0], records[:, 1]
+    ends = np.append(starts[1:], t_end) + 1e-14 * T
+    # row k: the state and derivative where step k starts
+    ys = np.vstack((records[:, 2:2 + d], [y_end]))
+    ds = np.vstack((records[:, 2 + d:], [d_end]))
+    last, sample_end = float(ends[-1]), T - 1e-14 * T
+    while next_sample <= last and next_sample < sample_end:
+        n = int(min(_DENSE_CHUNK, (min(last, sample_end) - next_sample) / interval + 2))
+        grid = np.full(n, interval)
+        grid[0] = next_sample
+        np.add.accumulate(grid, out=grid)
+        stop = min(np.searchsorted(grid, last, "right"),
+                   np.searchsorted(grid, sample_end, "left"))
+        ts = grid[np.searchsorted(grid, times[-1], "right"):stop]
+        if ts.size:
+            k = np.searchsorted(ends, ts, "left")
+            h = hs[k]
+            theta = (ts - starts[k]) / h
+            t2 = theta * theta
+            t3 = t2 * theta
+            w0 = 2 * t3 - 3 * t2 + 1
+            w1 = (t3 - 2 * t2 + theta) * h
+            w2 = -2 * t3 + 3 * t2
+            w3 = (t3 - t2) * h
+            rows = (w0[:, None] * ys[k] + w1[:, None] * ds[k]
+                    + w2[:, None] * ys[k + 1] + w3[:, None] * ds[k + 1])
+            times.frombytes(ts.tobytes())
+            states.frombytes(rows.tobytes())
+        next_sample = float(grid[stop] if stop < n else grid[-1] + interval)
+    return next_sample
+
 
 def integrate_adaptive(
     rhs: Callable[[float, tuple], Sequence[float]],
@@ -562,11 +592,15 @@ def integrate_adaptive(
     are produced on a uniform grid of spacing `sample_interval` (default
     T/1000) by cubic Hermite interpolation using the stage-1 derivatives at
     both step ends, plus the exact endpoint T.  `rhs` follows the contract
-    of `integrate_fixed`.
+    of `integrate_fixed`.  Accepted steps are held until _DENSE_CHUNK of
+    them have been taken or the run ends, and their samples are then
+    evaluated together (`_dense_output`); they equal, bit for bit, those of
+    a loop that interpolates sample by sample after each step.
 
     A step shrinking below 1e-12 * T aborts the trajectory (stiffness or
     singularity signal); evaluation failures shrink the step first and only
-    abort on underflow.
+    abort on underflow.  An aborted trajectory keeps the samples of every
+    accepted step.
     """
     if not (T > 0):
         raise ValueError("need T > 0")
@@ -577,16 +611,16 @@ def integrate_adaptive(
     if not (0 < sample_interval <= T):
         raise ValueError("need 0 < sample_interval <= T")
     y = _initial_state(y0, layout)
-    step = _kernel("rkf45", len(y))
-    hermite = _kernel("hermite", len(y))
+    step = _rkf45_kernel(len(y))
 
     h_min = _UNDERFLOW_FRACTION * T
     h = min(T / 100.0, 1.0)
 
-    times = [0.0]
+    times = array("d", [0.0])
     states = array("d", y)  # samples, row after row
+    pending = []  # t, h, y and dy of each accepted step not yet sampled
+    chunk_floats = _DENSE_CHUNK * (2 + 2 * len(y))
     next_sample = sample_interval
-    sample_end = T - 1e-14 * T  # T itself is appended exactly, after the last step
     t = 0.0
     aborted = False
     reason = ""
@@ -626,21 +660,27 @@ def integrate_adaptive(
                         f"field evaluation failed at accepted state t={t_new:.6g}: {exc}"
                     )
                     break
-                # dense output over (t, t_new]
-                next_sample = hermite(next_sample, sample_interval, t_new + 1e-14 * T,
-                                      sample_end, t, h, y, d_left, y_new, d_right,
-                                      times, states)
+                pending.append(t)
+                pending.append(h)
+                pending.extend(y)
+                pending.extend(d_left)
                 y, t, d_left = y_new, t_new, d_right
                 n_accept += 1
                 if t >= T * (1.0 - 1e-14):
-                    if T > times[-1]:
-                        times.append(T)
-                        states.extend(y)
                     break
+                if len(pending) == chunk_floats:
+                    next_sample = _dense_output(pending, t, y, d_left, next_sample,
+                                                sample_interval, T, times, states)
+                    pending = []
             else:
                 n_reject += 1
             factor = _SAFETY * err ** (-0.2) if err > 0 else _GROW_MAX
             h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
+        # every exit, an abort included, keeps the samples of every accepted step
+        _dense_output(pending, t, y, d_left, next_sample, sample_interval, T, times, states)
+    if not aborted and T > times[-1]:
+        times.append(T)  # T itself, exactly, after the last step
+        states.extend(y)
 
     info = dict(meta or {})
     info.setdefault("integrator", "rkf45")
@@ -653,7 +693,7 @@ def integrate_adaptive(
         n_rejected=n_reject,
     )
     return Trajectory(
-        times=np.array(times),
+        times=np.frombuffer(times),
         states=np.frombuffer(states).reshape(-1, len(layout)),
         layout=tuple(layout),
         meta=info,

@@ -1,7 +1,11 @@
 """Command-line runner: configs, overrides, artifacts, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,16 @@ import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from contactdyn.cli import _READS, EXIT_ABORT, EXIT_CONFIG, EXIT_OK, EXIT_VERIFY, main
+import contactdyn
+from contactdyn.cli import (
+    _READS,
+    EXIT_ABORT,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_VERIFY,
+    TOOL_VERSION,
+    main,
+)
 from contactdyn.systems import make_system
 from contactdyn.virial import parse_report
 
@@ -568,3 +581,28 @@ def test_identity_gate_on_simulate(tmp_path, capsys):
     assert code == EXIT_VERIFY
     assert (out / "report.txt").exists()
     assert "verification failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# set-up
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_tool_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == contactdyn.__version__ == TOOL_VERSION
+
+
+def test_import_leaves_yaml_unloaded():
+    # only a config file needs yaml, so a run from flags alone never imports it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    probe = "import sys, contactdyn.cli; print(sorted(m for m in sys.modules if 'yaml' in m))"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

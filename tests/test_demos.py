@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# the Brownian and forced-sweep demos take 10-20 s each and are left out
+# the Brownian and forced-sweep demos take 10-20 s each and are left out;
+# the workflow runs them in a step of their own
 QUICK_DEMOS = [
     "activator_inhibitor_projection",
     "damped_oscillator_balance",

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactdyn.integrate as integrate_mod
 from contactdyn.core import DomainError, contact_vector_field
@@ -30,7 +32,7 @@ from contactdyn.integrate import (
     trapezoid_average,
     write_trajectory_csv,
 )
-from contactdyn.systems import make_system
+from contactdyn.systems import SYSTEM_NAMES, make_system
 
 from conftest import DAMPED, PARACHUTE, UNDAMPED
 
@@ -242,28 +244,49 @@ def scalar_rkf45(rhs, y0, T, rel_tol, abs_tol, sample_interval):
     """RKF45 on float tuples with one scalar Hermite call per sample.
 
     Returns (times, states, n_accepted, n_rejected).  This is the loop the
-    straight-line step and Hermite kernels replaced, so their samples must
-    equal these bit for bit.
+    straight-line step kernel and the chunked dense output replaced, its
+    abort paths included: a field error or a non-finite step shrinks h, and
+    a step below 1e-12 * T, or a field error at an accepted state, ends the
+    run after the samples of the last accepted step.  So the stepper's
+    samples must equal these bit for bit.
     """
     y, t, h = tuple(float(v) for v in y0), 0.0, min(T / 100.0, 1.0)
     times, states = [0.0], [y]
     next_sample, n_acc, n_rej = sample_interval, 0, 0
-    d_left = rhs(t, y)
+    d_left = None
     while t < T:
         h = min(h, T - t)
-        k = [d_left]
-        for i in range(1, 6):
-            yi = tuple([a + h * b for a, b in zip(y, _weighted_sum(_A[i], k))])
-            k.append(rhs(t + _C[i] * h, yi))
+        if h < 1e-12 * T:
+            break
+        try:
+            if d_left is None:
+                d_left = rhs(t, y)
+            k = [d_left]
+            for i in range(1, 6):
+                yi = tuple([a + h * b for a, b in zip(y, _weighted_sum(_A[i], k))])
+                k.append(rhs(t + _C[i] * h, yi))
+        except integrate_mod._FIELD_ERRORS:
+            h *= 0.2
+            n_rej += 1
+            if h < 1e-12 * T:
+                break
+            continue
         y_new = tuple([a + h * b for a, b in zip(y, _weighted_sum(_B4, k))])
         sq = 0.0
         for e, a, b in zip(_weighted_sum(_ERR, k), y, y_new):
             r = h * e / (abs_tol + rel_tol * max(abs(a), abs(b)))
             sq += r * r
         err = math.sqrt(sq / len(y))
+        if not (all(map(math.isfinite, y_new)) and math.isfinite(err)):
+            h *= 0.2
+            n_rej += 1
+            continue
         if err <= 1.0:
             t_new = t + h
-            d_right = rhs(t_new, y_new)
+            try:
+                d_right = rhs(t_new, y_new)
+            except integrate_mod._FIELD_ERRORS:
+                break
             while next_sample <= t_new + 1e-14 * T and next_sample < T - 1e-14 * T:
                 if next_sample > times[-1]:
                     times.append(next_sample)
@@ -362,6 +385,16 @@ def problem(case):
 
 
 _DENSE_OUTPUT_CASES = ["damped_oscillator-lagrangian", "ring-1", "ring-2", "ring-7"]
+_DETERMINISTIC_CHARTS = [f"{spec.name}-{chart}" for spec in map(make_system, SYSTEM_NAMES)
+                         if spec.noise is None for chart in spec.charts]
+
+
+def assert_equals_scalar_loop(traj, rhs, y0, T, rel_tol, abs_tol, sample_interval):
+    """`traj` has scalar_rkf45's step counts and, bit for bit, its samples."""
+    times, states, n_acc, n_rej = scalar_rkf45(rhs, y0, T, rel_tol, abs_tol, sample_interval)
+    assert (traj.meta["n_accepted"], traj.meta["n_rejected"]) == (n_acc, n_rej)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.states, states)
 
 
 class TestFloatStepping:
@@ -396,12 +429,43 @@ class TestFloatStepping:
         rhs, y0, layout = problem(case)
         traj = integrate_adaptive(rhs, y0, 50.0, 1e-8, 1e-10, layout=layout,
                                   sample_interval=sample_interval)
-        times, states, n_acc, n_rej = scalar_rkf45(rhs, y0, 50.0, 1e-8, 1e-10, sample_interval)
-        assert (traj.meta["n_accepted"], traj.meta["n_rejected"]) == (n_acc, n_rej)
-        assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.states, states)
+        assert_equals_scalar_loop(traj, rhs, y0, 50.0, 1e-8, 1e-10, sample_interval)
         if sample_interval > 1.0:
-            assert traj.n_samples < n_acc
+            assert traj.n_samples < traj.meta["n_accepted"]
+
+    def test_one_step_holds_more_samples_than_a_chunk(self):
+        # RK4(5) integrates y' = (1, t) exactly, so the error estimate stays at
+        # rounding level and h grows fivefold a step: 4 steps hold 1e5 samples
+        def rhs(t, y):
+            return (1.0, t)
+
+        traj = integrate_adaptive(rhs, [0.0, 0.0], 100.0, layout=("a", "b"),
+                                  sample_interval=1e-3)
+        assert_equals_scalar_loop(traj, rhs, [0.0, 0.0], 100.0, 1e-8, 1e-10, 1e-3)
+        assert traj.n_samples > traj.meta["n_accepted"] * integrate_mod._DENSE_CHUNK
+
+    def test_sparse_run_takes_more_steps_than_a_chunk(self):
+        rhs, y0, layout = problem("damped_oscillator-lagrangian")
+        traj = integrate_adaptive(rhs, y0, 200.0, 1e-11, 1e-13, layout=layout,
+                                  sample_interval=1.3)
+        assert_equals_scalar_loop(traj, rhs, y0, 200.0, 1e-11, 1e-13, 1.3)
+        assert traj.meta["n_accepted"] > integrate_mod._DENSE_CHUNK > traj.n_samples
+
+    # sample intervals from 1e-3, far below a typical step, to above one;
+    # chunks down to one step, so that many runs cross many chunk boundaries
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.sampled_from(_DETERMINISTIC_CHARTS), st.floats(0.5, 20.0), st.floats(-3.0, 0.5),
+           st.floats(-11.0, -5.0), st.floats(-13.0, -7.0), st.sampled_from([1, 2, 7, 64, None]))
+    def test_dense_output_equals_scalar_loop_at_drawn_settings(self, case, T, log_interval,
+                                                              log_rel, log_abs, chunk):
+        rhs, y0, layout = problem(case)
+        interval, rel_tol, abs_tol = min(T, 10.0 ** log_interval), 10.0 ** log_rel, 10.0 ** log_abs
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(integrate_mod, "_DENSE_CHUNK", chunk)
+            traj = integrate_adaptive(rhs, y0, T, rel_tol, abs_tol, layout=layout,
+                                      sample_interval=interval)
+        assert_equals_scalar_loop(traj, rhs, y0, T, rel_tol, abs_tol, interval)
 
     @pytest.mark.parametrize("blowup, d", [
         pytest.param(lambda q: math.exp(1000.0 + q), 1, id="overflow"),
@@ -418,6 +482,8 @@ class TestFloatStepping:
         layout, y0 = [f"y{j}" for j in range(d)], [0.0] * d
         if adaptive:
             traj = integrate_adaptive(rhs, y0, T=2.0, layout=layout, sample_interval=0.01)
+            # the samples of every accepted step, however the steps were chunked
+            assert_equals_scalar_loop(traj, rhs, y0, 2.0, 1e-8, 1e-10, 0.01)
         else:
             traj = integrate_fixed(rhs, y0, T=2.0, dt=1e-3, layout=layout)
         assert traj.aborted
@@ -426,6 +492,21 @@ class TestFloatStepping:
         assert traj.times[-1] < 0.5 + 1e-9
         np.testing.assert_allclose(traj.states[:, -1], traj.times, atol=1e-12)
         assert not traj.states[:, :-1].any()
+
+    @pytest.mark.parametrize("chunk", [1, 5, None], ids=["chunk-1", "chunk-5", "chunk-default"])
+    def test_step_underflow_keeps_the_scalar_prefix(self, monkeypatch, chunk):
+        # y' = 1/(1 - y) reaches its pole at t = 0.5, where the steps shrink
+        # until they underflow; steps accepted since the last chunk are held
+        if chunk is not None:
+            monkeypatch.setattr(integrate_mod, "_DENSE_CHUNK", chunk)
+
+        def rhs(t, y):
+            return (1.0 / (1.0 - y[0]),)
+
+        traj = integrate_adaptive(rhs, [0.0], 10.0, layout=("y",), sample_interval=1e-3)
+        assert traj.aborted and "underflow" in traj.abort_reason
+        assert_equals_scalar_loop(traj, rhs, [0.0], 10.0, 1e-8, 1e-10, 1e-3)
+        assert traj.n_samples > 400
 
     @pytest.mark.parametrize("returned", [2, 4], ids=["short", "long"])
     @pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
