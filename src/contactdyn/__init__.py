@@ -18,21 +18,15 @@ from .core import (
     DomainError,
     HamiltonianModel,
     NonFiniteError,
-    ObservableModel,
     PartialCheck,
     PartialsReport,
     ScalarField,
     TangentVector,
-    apply_field_to_observable,
     check_partials,
     compare_derivative,
-    constant_field,
     contact_vector_field,
-    directional_derivative,
     divergence,
-    lagrange_bracket,
     numerical_divergence,
-    poisson_bracket,
     reeb_derivative,
 )
 from .extended import (
@@ -46,12 +40,10 @@ from .extended import (
 )
 from .herglotz import (
     LagrangianModel,
-    LagrangianObservable,
     LagrangianPoint,
     LagrangianTangent,
     RCOND_MIN,
     RegularityError,
-    apply_lagrangian_field,
     check_lagrangian_partials,
     energy_EL,
     lagrangian_field,
@@ -87,14 +79,10 @@ from .virial import (
     GROWTH_FACTOR,
     RESIDUAL_TOL,
     VirialReport,
-    boundary_term,
     ensemble_report,
     growth_verdict,
     parse_report,
     report_text,
-    virial_observable,
-    virial_rate,
     virial_report,
-    write_report,
     write_running_averages,
 )

@@ -12,9 +12,10 @@ check-identity  assert the finite-horizon identity <rate of G> = (G(T)-G(t0))/(T
 Configs are YAML mappings; every field can also be set (or overridden) by a
 flag.  Unknown config keys and parameter names, numeric settings out of
 range (T, dt, the tolerances and sample_interval must be finite and
-positive), settings that the run would not read (_READS), and dt beside
+positive), settings that the run would not read (_READS), dt beside
 sample_interval under rkf45 (which reads dt only as that interval's
-default) are rejected before any computation.  Exit codes:
+default), and a sample grid of more than _MAX_SAMPLES samples are rejected
+before any computation.  Exit codes:
 0 success, 2 config/validation error, 3 integration abort (partial artifacts
 retained with an abort note), 4 identity/oracle breach — not a crash.
 
@@ -60,6 +61,8 @@ EXIT_ABORT = 3
 EXIT_VERIFY = 4
 
 _INTEGRATORS = ("rk4", "rkf45")
+# samples one run may keep: 10**8 samples of a 4-vector take 3.2 GB
+_MAX_SAMPLES = 10**8
 
 
 class ConfigError(ValueError):
@@ -235,8 +238,17 @@ def _noise(cfg: ExperimentConfig, spec):
     return spec.noise if cfg.seed is None else replace(spec.noise, seed=cfg.seed)
 
 
+def _check_sample_count(T: float, spacing: float, every: int, grid: str) -> None:
+    """Refuse a run that keeps more than _MAX_SAMPLES samples, one per `every` spacings."""
+    if T / spacing > _MAX_SAMPLES * every:  # a float meets an int exactly, however large
+        raise ConfigError(f"{grid} = {T / spacing / every:.3g} samples; "
+                          f"a run keeps at most {_MAX_SAMPLES:.0e}")
+
+
 def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
     meta = {"system": spec.name, "chart": chart_name}
+    if cfg.integrator == "rk4" or spec.noise is not None:
+        _check_sample_count(cfg.T, cfg.dt, cfg.sample_every, "T / (dt * sample_every)")
     if spec.noise is not None:
         try:
             return euler_maruyama_langevin(
@@ -259,6 +271,7 @@ def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
     interval = cfg.sample_interval if cfg.sample_interval is not None else cfg.dt
     if not (interval <= cfg.T):
         raise ConfigError(f"sample_interval={interval!r} (dt unless set) must not exceed T={cfg.T!r}")
+    _check_sample_count(cfg.T, interval, 1, "T / sample_interval")
     meta.update({"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol})
     return integrate_adaptive(
         chart.rhs, chart.x0, cfg.T, cfg.rel_tol, cfg.abs_tol,
@@ -324,11 +337,11 @@ def _run_and_report(cfg: ExperimentConfig, command: str, write_trajectory: bool)
     spec = _make_spec(cfg, command)
     chart_name, chart = _resolve_chart(spec, cfg)
     outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     traj = _integrate(cfg, spec, chart_name, chart)
     if traj.aborted:
         return _abort(outdir, "integration", traj.abort_reason, traj)
+    outdir.mkdir(parents=True, exist_ok=True)
     stochastic = spec.noise is not None  # no pathwise rate to report
     if write_trajectory or stochastic:
         _write_trajectory(outdir, traj)

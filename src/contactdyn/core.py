@@ -3,13 +3,16 @@
 A contact phase space of dimension 2n+1 carries coordinates (s, q, p)
 in which the contact form is ds - p_i dq^i and the Reeb field is d/ds.
 This module evaluates the basic objects of that picture at points:
-the contact Hamiltonian vector field, the Reeb derivative, the Lagrange
-(Jacobi) and Poisson brackets, and the field divergence.  A central
-finite-difference oracle (`check_partials`) guards every analytic
-derivative supplied by a model.  One routine takes every difference of
-that oracle, of its Lagrangian and extended-chart counterparts and of
-`numerical_divergence`: it perturbs one entry of a flat coordinate list
-by ``step * max(1, |entry|)`` and bounds the quotient's roundoff.
+the contact Hamiltonian vector field, the Reeb derivative and the field
+divergence.  Along the field, G = q.p changes at the contact virial rate
+{G, h} - G dh/ds and h itself at -h dh/ds; tests/test_symbolic.py proves
+both for every catalog model from its stated partials, so no bracket is
+evaluated here.  A central finite-difference oracle (`check_partials`)
+guards every analytic derivative supplied by a model.  One routine takes
+every difference of that oracle, of its Lagrangian and extended-chart
+counterparts and of `numerical_divergence`: it perturbs one entry of a
+flat coordinate list by ``step * max(1, |entry|)`` and bounds the
+quotient's roundoff.
 """
 
 from __future__ import annotations
@@ -26,17 +29,11 @@ __all__ = [
     "TangentVector",
     "ScalarField",
     "HamiltonianModel",
-    "ObservableModel",
     "DimensionMismatchError",
     "NonFiniteError",
     "DomainError",
-    "constant_field",
     "contact_vector_field",
     "reeb_derivative",
-    "lagrange_bracket",
-    "poisson_bracket",
-    "apply_field_to_observable",
-    "directional_derivative",
     "divergence",
     "numerical_divergence",
     "check_partials",
@@ -159,23 +156,8 @@ class ScalarField:
             raise ValueError("need n >= 1 degrees of freedom")
 
 
-# A contact Hamiltonian and a generic observable share the same evaluator
-# bundle; the distinction is the role they play in an operation.
+# the evaluator bundle of a contact Hamiltonian
 HamiltonianModel = ScalarField
-ObservableModel = ScalarField
-
-
-def constant_field(n: int, c: float, name: str = "") -> ScalarField:
-    """Observable that is identically the constant c."""
-    zero = np.zeros(n)
-    return ScalarField(
-        n=n,
-        value=lambda x: c,
-        d_s=lambda x: 0.0,
-        d_q=lambda x: zero,
-        d_p=lambda x: zero,
-        name=name or f"const({c})",
-    )
 
 
 def _check_dim(model, x) -> None:
@@ -228,75 +210,6 @@ def reeb_derivative(h: HamiltonianModel, x: DarbouxPoint) -> float:
     """Derivative of h along the Reeb field, i.e. dh/ds at x."""
     _check_dim(h, x)
     return _finite(h.d_s(x), "d_s", h, x)
-
-
-def lagrange_bracket(f: ObservableModel, g: ObservableModel, x: DarbouxPoint) -> float:
-    """Lagrange (Jacobi) bracket {f, g} at x in Darboux coordinates.
-
-    {f,g} = f dg/ds - df/ds g
-          + p_i (df/ds dg/dp_i - df/dp_i dg/ds)
-          + df/dq^i dg/dp_i - df/dp_i dg/dq^i
-
-    Unlike a Poisson bracket, the bracket of a constant need not vanish:
-    {1, g} equals the Reeb derivative of g.  For s-independent f and g the
-    bracket reduces to the Poisson bracket.
-    """
-    _check_dim(f, x)
-    _check_dim(g, x)
-    fv = _finite(f.value(x), "value", f, x)
-    gv = _finite(g.value(x), "value", g, x)
-    fs = _finite(f.d_s(x), "d_s", f, x)
-    gs = _finite(g.d_s(x), "d_s", g, x)
-    fq = np.asarray(f.d_q(x), dtype=float)
-    gq = np.asarray(g.d_q(x), dtype=float)
-    fp = np.asarray(f.d_p(x), dtype=float)
-    gp = np.asarray(g.d_p(x), dtype=float)
-    out = (
-        fv * gs
-        - fs * gv
-        + float(x.p @ (fs * gp - fp * gs))
-        + float(fq @ gp - fp @ gq)
-    )
-    if not math.isfinite(out):
-        raise NonFiniteError(f"lagrange_bracket({f.name},{g.name}) non-finite at {x}")
-    return out
-
-
-def poisson_bracket(f: ObservableModel, g: ObservableModel, x: DarbouxPoint) -> float:
-    """Poisson bracket {f, g}_PB = df/dq^i dg/dp_i - df/dp_i dg/dq^i at x."""
-    _check_dim(f, x)
-    _check_dim(g, x)
-    fq = np.asarray(f.d_q(x), dtype=float)
-    gq = np.asarray(g.d_q(x), dtype=float)
-    fp = np.asarray(f.d_p(x), dtype=float)
-    gp = np.asarray(g.d_p(x), dtype=float)
-    out = float(fq @ gp - fp @ gq)
-    if not math.isfinite(out):
-        raise NonFiniteError(f"poisson_bracket({f.name},{g.name}) non-finite at {x}")
-    return out
-
-
-def apply_field_to_observable(h: HamiltonianModel, f: ObservableModel, x: DarbouxPoint) -> float:
-    """Rate of change of f along the contact field of h, at x.
-
-    Computed through the bracket identity X_h(f) = {f, h} - f dh/ds.  The
-    result equals the directional derivative of f along
-    contact_vector_field(h, x); that equality is the independent cross-check
-    used by the test suite.
-    """
-    return lagrange_bracket(f, h, x) - _finite(f.value(x), "value", f, x) * reeb_derivative(h, x)
-
-
-def directional_derivative(f: ObservableModel, x: DarbouxPoint, v: TangentVector) -> float:
-    """Chain-rule derivative of f at x along the tangent vector v."""
-    _check_dim(f, x)
-    if v.n != x.n:
-        raise DimensionMismatchError(f"tangent has n={v.n} but point has n={x.n}")
-    return (
-        _finite(f.d_s(x), "d_s", f, x) * v.ds
-        + float(np.asarray(f.d_q(x), dtype=float) @ v.dq)
-        + float(np.asarray(f.d_p(x), dtype=float) @ v.dp)
-    )
 
 
 def divergence(h: HamiltonianModel, x: DarbouxPoint) -> float:

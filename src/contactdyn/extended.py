@@ -21,7 +21,6 @@ from .core import (
     NonFiniteError,
     PartialsReport,
     ScalarField,
-    TangentVector,
     _as_vector,
     _check_dim,
     _components,
@@ -77,10 +76,6 @@ class ExtendedTangent:
     @property
     def n(self) -> int:
         return self.dq.size
-
-    def spatial(self) -> TangentVector:
-        """The (ds, dq, dp) part, dropping dt."""
-        return TangentVector(ds=self.ds, dq=self.dq, dp=self.dp)
 
 
 @dataclass(frozen=True)

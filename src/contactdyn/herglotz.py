@@ -8,7 +8,9 @@ every evaluation is guarded by a reciprocal-condition estimate.
 
 The Legendre map p = dL/dqdot carries states to the Darboux chart of
 `contactdyn.core`, where the image of the energy function E_L is the
-contact Hamiltonian.
+contact Hamiltonian.  The module evaluates the field, not the rates of
+observables along it: each catalog chart states its G and the terms of
+G's rate (`contactdyn.systems`).
 """
 
 from __future__ import annotations
@@ -36,13 +38,11 @@ __all__ = [
     "LagrangianPoint",
     "LagrangianTangent",
     "LagrangianModel",
-    "LagrangianObservable",
     "RegularityError",
     "RCOND_MIN",
     "energy_EL",
     "regularity_estimate",
     "lagrangian_field",
-    "apply_lagrangian_field",
     "legendre_map",
     "check_lagrangian_partials",
 ]
@@ -137,18 +137,6 @@ class LagrangianModel:
             raise ValueError("need n >= 1 degrees of freedom")
 
 
-@dataclass(frozen=True)
-class LagrangianObservable:
-    """A scalar function of (q, qdot, s) with analytic first partials."""
-
-    n: int
-    value: Callable[[LagrangianPoint], float]
-    d_s: Callable[[LagrangianPoint], float]
-    d_q: Callable[[LagrangianPoint], np.ndarray]
-    d_qdot: Callable[[LagrangianPoint], np.ndarray]
-    name: str = ""
-
-
 def energy_EL(L: LagrangianModel, z: LagrangianPoint) -> float:
     """Energy function qdot . dL/dqdot - L at z.
 
@@ -223,20 +211,6 @@ def lagrangian_field(L: LagrangianModel, z: LagrangianPoint) -> LagrangianTangen
     if not np.isfinite(dqdot).all():
         raise NonFiniteError(f"acceleration of '{L.name}' is non-finite at {z}")
     return LagrangianTangent(ds=lval, dq=z.qdot.copy(), dqdot=dqdot)
-
-
-def apply_lagrangian_field(
-    L: LagrangianModel, f: LagrangianObservable, z: LagrangianPoint
-) -> float:
-    """Rate of change of the observable f along the Lagrangian flow at z."""
-    _check_dim(L, z)
-    _check_dim(f, z)
-    v = lagrangian_field(L, z)
-    return (
-        _finite(f.d_s(z), "d_s", f, z) * v.ds
-        + float(np.asarray(f.d_q(z), dtype=float) @ v.dq)
-        + float(np.asarray(f.d_qdot(z), dtype=float) @ v.dqdot)
-    )
 
 
 def legendre_map(L: LagrangianModel, z: LagrangianPoint) -> DarbouxPoint:

@@ -925,17 +925,9 @@ def write_csv(path_or_file, names: Sequence[str], rows: np.ndarray) -> None:
             out.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_trajectory_csv(traj: Trajectory, path, observables: dict | None = None) -> None:
-    """Write `t,<components>,<observables>` rows with 17 significant digits.
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write `t,<components>` rows with 17 significant digits.
 
-    `observables` maps column name -> per-sample ndarray.  Every emitted
-    number round-trips to the same double.
+    Every emitted number round-trips to the same double.
     """
-    obs = observables or {}
-    for name, vals in obs.items():
-        if len(vals) != traj.n_samples:
-            raise ValueError(f"observable '{name}' has {len(vals)} values, "
-                             f"expected {traj.n_samples}")
-    rows = np.column_stack([traj.times, traj.states,
-                            *(np.asarray(vals, dtype=float) for vals in obs.values())])
-    write_csv(path, ["t", *traj.layout, *obs.keys()], rows)
+    write_csv(path, ["t", *traj.layout], np.column_stack([traj.times, traj.states]))

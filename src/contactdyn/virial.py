@@ -15,25 +15,20 @@ asserted only in expectation because pathwise rates carry the unmodeled
 quadratic variation of the noise).  Both read only the chart: its G and
 the averaged rate of G as the signed term sum over rate_scale, so
 ``residual_exact`` also checks the terms.  A custom balance is a chart of
-its own, with its terms and G, inside a SystemSpec.
+its own, with its terms and G, inside a SystemSpec.  A run's boundary term
+is its report's ``boundary``, and ``report_text`` is the report's text
+form; the pointwise rate of G = q.p is the catalog's stated balance, proved
+symbolically in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DarbouxPoint,
-    NonFiniteError,
-    ScalarField,
-    poisson_bracket,
-    reeb_derivative,
-)
-from .herglotz import LagrangianObservable
+from .core import NonFiniteError
 from .integrate import (
     Trajectory,
     _trapezoid_window,
@@ -47,14 +42,10 @@ __all__ = [
     "RESIDUAL_TOL",
     "GROWTH_FACTOR",
     "VirialReport",
-    "virial_observable",
-    "virial_rate",
-    "boundary_term",
     "growth_verdict",
     "virial_report",
     "ensemble_report",
     "report_text",
-    "write_report",
     "parse_report",
     "write_running_averages",
 ]
@@ -69,67 +60,6 @@ GROWTH_FACTOR = 100.0
 # data rows of running_averages.csv at most: the averages converge like 1/T,
 # and a plot of that needs about a thousand points, not one per sample
 _AVERAGE_ROWS = 1000
-
-
-def virial_observable(n: int, masses: Sequence[float] | None = None):
-    """The virial of a mechanical system, G = q.p, in either chart.
-
-    With `masses` omitted, returns the Darboux-chart model G = sum_i q^i p_i.
-    With `masses` given (length n), returns the velocity-chart model
-    G = sum_i m_i qdot^i q^i — the same observable through the fiber map
-    p_i = m_i qdot^i.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if masses is None:
-        return ScalarField(
-            n=n,
-            value=lambda x: float(np.dot(x.q, x.p)),
-            d_s=lambda x: 0.0,
-            d_q=lambda x: np.array(x.p, dtype=float),
-            d_p=lambda x: np.array(x.q, dtype=float),
-            name="virial",
-        )
-    m = np.asarray(masses, dtype=float)
-    if m.shape != (n,):
-        raise ValueError(f"masses must have shape ({n},), got {m.shape}")
-    return LagrangianObservable(
-        n=n,
-        value=lambda z: float(np.dot(m * z.qdot, z.q)),
-        d_s=lambda z: 0.0,
-        d_q=lambda z: m * z.qdot,
-        d_qdot=lambda z: m * z.q,
-        name="virial",
-    )
-
-
-def virial_rate(h: ScalarField, x: DarbouxPoint):
-    """Split the flow derivative of G = q.p into bracket and Reeb pieces.
-
-    Returns (pb, reeb_term, total) with pb the canonical Poisson bracket
-    {G, h}, reeb_term = G * dh/ds, and total = pb - reeb_term, which is
-    the full rate of G along the contact flow.  For s-independent h the
-    Reeb piece vanishes and the classical statement is recovered.
-    """
-    G = virial_observable(x.n)
-    pb = poisson_bracket(G, h, x)
-    reeb_term = G.value(x) * reeb_derivative(h, x)
-    return pb, reeb_term, pb - reeb_term
-
-
-def boundary_term(traj: Trajectory, G) -> float:
-    """(G(final) - G(initial)) / elapsed over the whole trajectory.
-
-    `G` is a chart's G(*y), evaluated on the sample columns, or the array of
-    G's values at the samples.
-    """
-    values = np.asarray(G(*traj.states.T) if callable(G) else G, dtype=float)
-    if values.shape != traj.times.shape:
-        raise ValueError("G values must match the sample count")
-    elapsed = traj.times[-1] - traj.times[0]
-    if elapsed <= 0:
-        raise ValueError("trajectory spans no time; boundary term undefined")
-    return float((values[-1] - values[0]) / elapsed)
 
 
 def growth_verdict(times, g_values, t0: float = 0.0,
@@ -321,8 +251,9 @@ def ensemble_report(
     `drive_friction` gains rate_scale times the realized Ito noise integral,
     which only the stepper can accumulate.  The boundary identity is exact
     only in expectation here: pathwise rates carry the quadratic variation
-    of the noise, so tests gate residuals at 3 sigma rather than at
-    integrator tolerance.  Diverged members are dropped;
+    of the noise, so the CLI's `ensemble` gates the residual at 4 standard
+    errors of the term sum over rate_scale rather than at integrator
+    tolerance.  Diverged members are dropped;
     NonFiniteError is raised when fewer than two remain.
     """
     if system.noise is None and noise is None:
@@ -438,15 +369,6 @@ def report_text(report: VirialReport) -> str:
     for k in sorted(report.meta):
         lines.append(f"meta.{k} = {_fmt(report.meta[k])}")
     return "\n".join(lines) + "\n"
-
-
-def write_report(report: VirialReport, path_or_file) -> None:
-    text = report_text(report)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
 
 
 def parse_report(text: str) -> dict:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -377,16 +378,28 @@ def test_unread_flag_exits_2_naming_it(tmp_path, capsys, command, stepping, flag
     assert not out.exists()
 
 
+class _Stepped(Exception):
+    """Raised by a patched stepper: the run got past every check."""
+
+
+def _patch_steppers(monkeypatch):
+    import contactdyn.cli as cli_mod
+    import contactdyn.virial as virial_mod
+
+    def stepper(*args, **kwargs):
+        raise _Stepped
+
+    for module, name in ((cli_mod, "integrate_fixed"), (cli_mod, "integrate_adaptive"),
+                         (cli_mod, "euler_maruyama_langevin"),
+                         (virial_mod, "langevin_ensemble")):
+        monkeypatch.setattr(module, name, stepper)
+
+
 @pytest.mark.parametrize("command", ["simulate", "virial", "check-identity"])
 def test_dt_beside_sample_interval_under_rkf45_exits_2(tmp_path, capsys, monkeypatch, command):
     # rkf45 reads dt only as the default sample interval, so giving both
     # would drop --dt without a word; the run is refused before it steps
-    import contactdyn.cli as cli_mod
-
-    def no_stepping(*args, **kwargs):
-        raise AssertionError("stepped")
-
-    monkeypatch.setattr(cli_mod, "integrate_adaptive", no_stepping)
+    _patch_steppers(monkeypatch)
     out = tmp_path / "run"
     code = run(command, *_RUNS["rkf45"], "--T", "1", "--dt", "0.5",
                "--sample-interval", "0.1", "--out", str(out))
@@ -409,16 +422,7 @@ def test_bad_numeric_setting_exits_2_before_stepping(tmp_path, monkeypatch):
     # nan, +-inf, 0 or a negative number for any numeric setting a command
     # reads, given as a flag or as a config key, exits 2 (a flag that does
     # not parse is argparse's exit 2) and steps nothing; 0 is a valid t0 and seed
-    import contactdyn.cli as cli_mod
-    import contactdyn.virial as virial_mod
-
-    def no_stepping(*args, **kwargs):
-        raise AssertionError("stepped")
-
-    for module, name in ((cli_mod, "integrate_fixed"), (cli_mod, "integrate_adaptive"),
-                         (cli_mod, "euler_maruyama_langevin"),
-                         (virial_mod, "langevin_ensemble")):
-        monkeypatch.setattr(module, name, no_stepping)
+    _patch_steppers(monkeypatch)
     out = tmp_path / "run"
 
     @settings(derandomize=True, deadline=None, max_examples=300)
@@ -444,6 +448,93 @@ def test_bad_numeric_setting_exits_2_before_stepping(tmp_path, monkeypatch):
         assert not out.exists()
 
     refused()
+
+
+# a valid value of every setting besides system and out, as a config file gives it
+_SETTING_VALUES = {"chart": "hamiltonian", "integrator": "rk4", "dt": 0.5, "rel_tol": 1e-6,
+                   "abs_tol": 1e-9, "T": 2.0, "t0": 0.5, "sample_every": 5,
+                   "sample_interval": 0.5, "n_traj": 4, "seed": 3, "identity_tol": 1e-6}
+_COMMAND_STEPPINGS = sorted((command, stepping) for command, by_stepping in _READS.items()
+                            for stepping in by_stepping)
+
+
+def test_drawn_settings_exit_2_exactly_when_one_is_refused(tmp_path, monkeypatch):
+    # a drawn set of settings, each a flag or a config key, exits 2 and writes
+    # nothing exactly when the command does not read one of them on that
+    # stepping, or rkf45 is given both dt and sample_interval; any other set
+    # reaches the stepper
+    _patch_steppers(monkeypatch)
+    out = tmp_path / "run"
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.sampled_from(_COMMAND_STEPPINGS), st.data())
+    def consistent(case, data):
+        command, stepping = case
+        reads = set(_READS[command][stepping].split())
+        read = sorted(reads & set(_SETTING_VALUES))
+        if stepping == "rkf45":  # its flags already give the integrator
+            read.remove("integrator")
+        unread = sorted(set(_SETTING_VALUES) - reads)
+        keys = [key for key in read if data.draw(st.booleans())]
+        keys += data.draw(st.sets(st.sampled_from(unread), max_size=2)) if unread else []
+        refused = (not reads.issuperset(keys)
+                   or (stepping == "rkf45" and {"dt", "sample_interval"} <= set(keys)))
+        argv = [command, *_RUNS[stepping], "--out", str(out)]
+        in_file = {}
+        for key in keys:
+            if data.draw(st.booleans()):
+                argv.append(f"--{key.replace('_', '-')}={_SETTING_VALUES[key]}")
+            else:
+                in_file[key] = _SETTING_VALUES[key]
+        if in_file:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(yaml.safe_dump(in_file), encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        try:
+            code = run(*argv)
+        except _Stepped:
+            code = None
+        assert code == (EXIT_CONFIG if refused else None), (argv, in_file, code)
+        assert not out.exists()
+
+    consistent()
+
+
+# T = 1 spaced 2**-27 apart is 134 217 728 samples, above the cap of 10**8;
+# 2**-26 apart, or every other one of 2**-27, is 67 108 864, below it
+_FINE, _COARSE = repr(2.0 ** -27), repr(2.0 ** -26)
+_BEYOND_CAP = [("damped_oscillator", ("--integrator", "rkf45", "--sample-interval", "1e-300")),
+               ("damped_oscillator", ("--integrator", "rkf45", "--sample-interval", _FINE)),
+               ("damped_oscillator", ("--dt", "1e-300")),
+               ("damped_oscillator", ("--dt", _FINE)),
+               ("brownian_oscillator", ("--dt", _FINE))]
+_WITHIN_CAP = [("damped_oscillator", ("--integrator", "rkf45", "--sample-interval", _COARSE)),
+               ("damped_oscillator", ("--dt", _COARSE)),
+               ("damped_oscillator", ("--dt", _FINE, "--sample-every", "2")),
+               ("brownian_oscillator", ("--dt", _FINE, "--sample-every", "2"))]
+
+
+@pytest.mark.parametrize("system, argv", _BEYOND_CAP)
+def test_sample_grid_beyond_the_cap_exits_2_at_once(tmp_path, capsys, monkeypatch,
+                                                    system, argv):
+    # a run that would keep more than 10**8 samples is refused before it
+    # steps or writes, naming how many it would keep
+    _patch_steppers(monkeypatch)
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    code = run("simulate", "--system", system, "--T", "1", *argv, "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and " samples; a run keeps at most 1e+08" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system, argv", _WITHIN_CAP)
+def test_sample_grid_within_the_cap_steps(tmp_path, monkeypatch, system, argv):
+    _patch_steppers(monkeypatch)
+    with pytest.raises(_Stepped):
+        run("simulate", "--system", system, "--T", "1", *argv, "--out", str(tmp_path / "run"))
 
 
 def test_ensemble_all_diverged_exits_3(tmp_path, capsys):

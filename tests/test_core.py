@@ -1,6 +1,4 @@
-"""Point evaluations on the Darboux chart: fields, brackets, divergence, oracle."""
-
-import math
+"""Point evaluations on the Darboux chart: fields, divergence, oracle."""
 
 import numpy as np
 import pytest
@@ -9,18 +7,12 @@ from contactdyn.core import (
     DarbouxPoint,
     DimensionMismatchError,
     NonFiniteError,
-    ObservableModel,
     ScalarField,
     TangentVector,
-    apply_field_to_observable,
     check_partials,
-    constant_field,
     contact_vector_field,
-    directional_derivative,
     divergence,
-    lagrange_bracket,
     numerical_divergence,
-    poisson_bracket,
     reeb_derivative,
 )
 from contactdyn.systems import make_system
@@ -36,50 +28,6 @@ from conftest import (
 
 def pt(s, q, p):
     return DarbouxPoint(s=s, q=np.atleast_1d(q), p=np.atleast_1d(p))
-
-
-def q_observable(n=1, i=0):
-    return ScalarField(
-        n=n,
-        value=lambda x: x.q[i],
-        d_s=lambda x: 0.0,
-        d_q=lambda x: np.eye(n)[i],
-        d_p=lambda x: np.zeros(n),
-        name="q",
-    )
-
-
-def p_observable(n=1, i=0):
-    return ScalarField(
-        n=n,
-        value=lambda x: x.p[i],
-        d_s=lambda x: 0.0,
-        d_q=lambda x: np.zeros(n),
-        d_p=lambda x: np.eye(n)[i],
-        name="p",
-    )
-
-
-def s_observable(n=1):
-    return ScalarField(
-        n=n,
-        value=lambda x: x.s,
-        d_s=lambda x: 1.0,
-        d_q=lambda x: np.zeros(n),
-        d_p=lambda x: np.zeros(n),
-        name="s",
-    )
-
-
-def virial_G(n=1):
-    return ScalarField(
-        n=n,
-        value=lambda x: float(x.q @ x.p),
-        d_s=lambda x: 0.0,
-        d_q=lambda x: x.p.copy(),
-        d_p=lambda x: x.q.copy(),
-        name="G",
-    )
 
 
 class TestDarbouxPoint:
@@ -156,105 +104,27 @@ class TestReebDerivative:
         assert reeb_derivative(PARACHUTE.hamiltonian, pt(0.0, 0.0, 1.0)) == pytest.approx(-1.0)
 
 
-class TestBrackets:
-    def test_q_p_canonical(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            x = random_point(rng, 1)
-            assert lagrange_bracket(q_observable(), p_observable(), x) == pytest.approx(1.0)
-            assert poisson_bracket(q_observable(), p_observable(), x) == pytest.approx(1.0)
-
-    def test_bracket_of_constant_is_reeb_derivative(self):
-        # {1, s} = 1: the bracket of a constant does not vanish
-        x = pt(0.4, -0.2, 1.7)
-        assert lagrange_bracket(constant_field(1, 1.0), s_observable(), x) == pytest.approx(1.0)
-
-    def test_s_q_bracket(self):
-        assert lagrange_bracket(s_observable(), q_observable(), pt(0.0, 1.0, 2.0)) == pytest.approx(-1.0)
-
-    def test_poisson_G_with_damped(self):
-        val = poisson_bracket(virial_G(), DAMPED.hamiltonian, pt(0.0, 1.0, 2.0))
-        assert val == pytest.approx(3.0)
-
-    def test_poisson_p_free(self):
-        assert poisson_bracket(p_observable(), free_particle_h(), pt(0.0, 1.0, 2.0)) == 0.0
-
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(1, 4))
-            f = random_quadratic_observable(rng, n)
-            g = random_quadratic_observable(rng, n)
-            x = random_point(rng, n)
-            assert lagrange_bracket(f, g, x) == pytest.approx(
-                -lagrange_bracket(g, f, x), rel=1e-12, abs=1e-12
-            )
-
-    def test_poisson_reduction_for_s_independent(self):
-        # drop the s-dependence: Lagrange bracket collapses to Poisson exactly
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            n = int(rng.integers(1, 4))
-
-            def strip_s(obs):
-                return ScalarField(
-                    n=obs.n,
-                    value=lambda x, o=obs: o.value(DarbouxPoint(0.0, x.q, x.p)),
-                    d_s=lambda x: 0.0,
-                    d_q=lambda x, o=obs: o.d_q(DarbouxPoint(0.0, x.q, x.p)),
-                    d_p=lambda x, o=obs: o.d_p(DarbouxPoint(0.0, x.q, x.p)),
-                    name=obs.name,
-                )
-
-            f = strip_s(random_quadratic_observable(rng, n))
-            g = strip_s(random_quadratic_observable(rng, n))
-            x = random_point(rng, n)
-            assert lagrange_bracket(f, g, x) == poisson_bracket(f, g, x)
-
-    def test_virial_bracket_collapses_to_poisson(self):
-        # for G = q.p the s-terms cancel identically, any h, any x
-        rng = np.random.default_rng(17)
-        systems = [DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()]
-        for h in systems:
-            for _ in range(30):
-                x = random_point(rng, 1)
-                lb = lagrange_bracket(virial_G(), h, x)
-                pb = poisson_bracket(virial_G(), h, x)
-                assert lb == pytest.approx(pb, rel=1e-12, abs=1e-12)
-
-
 class TestApplyField:
-    def test_constant_annihilated(self):
-        rng = np.random.default_rng(3)
-        for h in (DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()):
-            for _ in range(10):
-                x = random_point(rng, 1)
-                assert apply_field_to_observable(h, constant_field(1, 1.0), x) == pytest.approx(
-                    0.0, abs=1e-12
-                )
+    """Rates of functions along the contact field, by the chain rule at a point."""
+
+    @staticmethod
+    def rate(grad, v):
+        ds, dq, dp = grad
+        return ds * v.ds + float(np.dot(dq, v.dq)) + float(np.dot(dp, v.dp))
 
     def test_virial_rate_damped(self):
-        val = apply_field_to_observable(DAMPED.hamiltonian, virial_G(), pt(0.0, 1.0, 2.0))
-        assert val == pytest.approx(2.8)
+        # G = q p: {G, h} = p h_p - q h_q = 3 and G h_s = 0.2 at (0, 1, 2)
+        x = pt(0.0, 1.0, 2.0)
+        val = self.rate((0.0, x.p, x.q), contact_vector_field(DAMPED.hamiltonian, x))
+        assert val == pytest.approx(2.8, rel=1e-12)
 
     def test_hamiltonian_not_conserved(self):
         # X_h(h) = -h dh/ds; at (0,1,2) the damped oscillator gives -0.25
         h = DAMPED.hamiltonian
         x = pt(0.0, 1.0, 2.0)
-        val = apply_field_to_observable(h, h, x)
+        val = self.rate((h.d_s(x), h.d_q(x), h.d_p(x)), contact_vector_field(h, x))
         assert val == pytest.approx(-0.25, rel=1e-12)
         assert val == pytest.approx(-h.value(x) * reeb_derivative(h, x), rel=1e-12)
-
-    def test_matches_directional_derivative(self):
-        # X_h(f) must equal <grad f, X_h> for arbitrary observables
-        rng = np.random.default_rng(23)
-        for h in (DAMPED.hamiltonian, PARACHUTE.hamiltonian, free_particle_h()):
-            for _ in range(40):
-                x = random_point(rng, 1)
-                f = random_quadratic_observable(rng, 1)
-                via_bracket = apply_field_to_observable(h, f, x)
-                via_chain = directional_derivative(f, x, contact_vector_field(h, x))
-                assert via_bracket == pytest.approx(via_chain, rel=1e-10, abs=1e-10)
 
 
 class TestDivergence:

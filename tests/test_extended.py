@@ -81,11 +81,6 @@ class TestEvolutionField:
             y = ExtendedPoint(float(rng.uniform(-10, 10)), random_point(rng, 1))
             assert evolution_field(h, y).dt == 1.0
 
-    def test_spatial_view(self):
-        v = evolution_field(FORCED.extended, ept(0.0, 0.0, 1.0, 2.0))
-        w = v.spatial()
-        assert (w.ds, w.dq[0], w.dp[0]) == (v.ds, v.dq[0], v.dp[0])
-
 
 class TestExtendedPoint:
     def test_non_finite_time_rejected(self):

@@ -1,17 +1,12 @@
 """Velocity-chart dynamics: energy, field, Legendre bridge, regularity guard."""
 
-import math
-
 import numpy as np
 import pytest
 
-from contactdyn.core import check_partials
 from contactdyn.herglotz import (
     LagrangianModel,
-    LagrangianObservable,
     LagrangianPoint,
     RegularityError,
-    apply_lagrangian_field,
     check_lagrangian_partials,
     energy_EL,
     lagrangian_field,
@@ -262,24 +257,6 @@ class TestReebFieldOfVelocityChart:
         mixed_s = np.asarray(L.d2_s_qdot(z), dtype=float)
         xi_qdot = -np.linalg.solve(W, mixed_s)
         assert xi_qdot[0] == pytest.approx(-1.0)  # -(2 lam)/m at lam=0.5, m=1
-
-
-class TestApplyLagrangianField:
-    def test_virial_product_rate(self):
-        # G = m q qdot on the damped oscillator: X_L(G) = m qdot^2 + m q qddot
-        L = DAMPED.lagrangian
-        G = LagrangianObservable(
-            n=1,
-            value=lambda z: z.q[0] * z.qdot[0],
-            d_s=lambda z: 0.0,
-            d_q=lambda z: np.array([z.qdot[0]]),
-            d_qdot=lambda z: np.array([z.q[0]]),
-            name="G_L",
-        )
-        z = lpt(1.0, 2.0, 0.0)
-        v = lagrangian_field(L, z)
-        expected = z.qdot[0] ** 2 + z.q[0] * v.dqdot[0]
-        assert apply_lagrangian_field(L, G, z) == pytest.approx(expected, rel=1e-14)
 
 
 class TestOracle:

@@ -804,13 +804,12 @@ class TestCsv:
         rhs = contact_rhs(DAMPED.hamiltonian)
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=0.5, dt=1e-3, layout=LAYOUT_SQP)
         buf = io.StringIO()
-        write_trajectory_csv(traj, buf, observables={"energy": traj.states[:, 2] ** 2})
+        write_trajectory_csv(traj, buf)
         lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "t,s,q[0],p[0],energy"
+        assert lines[0] == "t,s,q[0],p[0]"
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         np.testing.assert_array_equal(parsed[:, 0], traj.times)
         np.testing.assert_array_equal(parsed[:, 1:4], traj.states)
-        np.testing.assert_array_equal(parsed[:, 4], traj.states[:, 2] ** 2)
 
     def test_deterministic_bytes(self):
         rhs = contact_rhs(DAMPED.hamiltonian)
@@ -821,11 +820,6 @@ class TestCsv:
             write_trajectory_csv(traj, buf)
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
-
-    def test_observable_length_mismatch(self):
-        traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 1)), layout=("q",))
-        with pytest.raises(ValueError):
-            write_trajectory_csv(traj, io.StringIO(), observables={"x": np.zeros(3)})
 
     def test_block_format_equals_row_by_row(self):
         # write_csv formats each block of rows with one `%`; the text must be

@@ -1,6 +1,7 @@
 """Symbolic proofs over the catalog's statements: every model's partials are
-derivatives of its value, and every chart's stated balance is the scaled flow
-rate of its G."""
+derivatives of its value, every chart's stated balance is the scaled flow
+rate of its G, and every contact model's field moves G = q.p at the contact
+virial rate {G, H} - G H_s and H at H_t - H H_s."""
 
 import pytest
 import sympy
@@ -48,17 +49,53 @@ def test_stated_partials_are_derivatives_of_the_value(name):
         assert sympy.simplify(derivative - exprs[partial]) == 0, (name, partial)
 
 
+def _rate(f, kind, model):
+    """The rate of f along the field of chart kind `kind`: the chain rule over its roles."""
+    roles, field = _FIELDS[kind]
+    return sum(sympy.diff(f, sympy.Symbol(role)) * _expression(component, model)
+               for role, component in zip(roles.split(", "), field))
+
+
 @pytest.mark.parametrize("system, chart", [(system, chart) for system, row in _SYSTEMS.items()
                                            for chart in row.charts])
 def test_stated_balance_is_the_scaled_rate_of_G(system, chart):
     # sum(sign * term) == rate_scale * X(G), X the chart kind's field of the model
     row = _SYSTEMS[system].charts[chart]
-    roles, field = _FIELDS[row.kind]
     model = _symbolic(_MODELS[row.model].defs)
-    G, rate_scale, *components = (_expression(text, model)
-                                  for text in (row.G, row.rate_scale, *field))
-    rate = sum(sympy.diff(G, sympy.Symbol(role)) * component
-               for role, component in zip(roles.split(", "), components))
+    G, rate_scale = (_expression(text, model) for text in (row.G, row.rate_scale))
     balance = sum(sign * _expression(term, model) for _, sign, term in row.terms)
-    difference = sympy.nsimplify(balance - rate_scale * rate, rational=True)
+    difference = sympy.nsimplify(balance - rate_scale * _rate(G, row.kind, model), rational=True)
     assert sympy.simplify(difference) == 0, (system, chart)
+
+
+# the models whose field is the contact field, on the Darboux or the extended chart
+_CONTACT_MODELS = sorted(name for name, model in _MODELS.items()
+                         if model.kind in ("hamiltonian", "extended"))
+
+
+def contact_rate_differences(name):
+    """The two rate identities of model `name`'s contact field, each as rate minus claim.
+
+    Rates are the chain rule along the field of the model's chart kind, whose
+    components are built from the stated partials: (a) the rate of the
+    virial G = q.p minus the contact virial form (G_q H_p - G_p H_q) - G H_s,
+    the Poisson bracket {G, H} when H_s = 0; (b) the rate of H minus
+    H_t - H H_s, with H_t = 0 for an autonomous model.  Both simplify to 0,
+    for every state, exactly when the identities hold.
+    """
+    kind = _MODELS[name].kind
+    model = _symbolic(_MODELS[name].defs)
+    q, p = sympy.symbols("q p")
+    G = q * p
+    H, H_q, H_p, H_s = (model[key] for key in ("H", "H_q", "H_p", "H_s"))
+    bracket = sympy.diff(G, q) * H_p - sympy.diff(G, p) * H_q
+    differences = (_rate(G, kind, model) - (bracket - G * H_s),
+                   _rate(H, kind, model) - (model.get("H_t", 0) - H * H_s))
+    return tuple(sympy.simplify(sympy.nsimplify(d, rational=True)) for d in differences)
+
+
+@pytest.mark.parametrize("name", _CONTACT_MODELS)
+def test_contact_virial_form_and_hamiltonian_rate(name):
+    virial, energy = contact_rate_differences(name)
+    assert virial == 0, (name, virial)
+    assert energy == 0, (name, energy)

@@ -1,4 +1,4 @@
-"""Rate-split, boundary identity, term reports, verdicts, ensembles."""
+"""Boundary identity, term reports, verdicts, ensembles."""
 
 import io
 import math
@@ -9,9 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contactdyn.virial as virial_mod
-from contactdyn.core import DarbouxPoint, apply_field_to_observable
-from contactdyn.herglotz import LagrangianPoint, legendre_map
-from contactdyn.integrate import Trajectory, NoiseSpec, integrate_fixed
+from contactdyn.core import DarbouxPoint
+from contactdyn.integrate import Trajectory, integrate_fixed
 from contactdyn.systems import (
     SYSTEM_NAMES,
     Chart,
@@ -21,94 +20,15 @@ from contactdyn.systems import (
     make_system,
 )
 from contactdyn.virial import (
-    boundary_term,
     ensemble_report,
     growth_verdict,
     parse_report,
     report_text,
-    virial_observable,
-    virial_rate,
     virial_report,
-    write_report,
     write_running_averages,
 )
 
-from conftest import DAMPED, PARACHUTE, UNDAMPED, free_particle_h, random_point
-
-
-# ---------------------------------------------------------------------------
-# the observable G and its rate split
-
-
-def test_virial_observable_hamiltonian_chart():
-    G = virial_observable(1)
-    x = DarbouxPoint(0.0, [1.0], [2.0])
-    assert G.value(x) == 2.0
-    assert G.d_s(x) == 0.0
-    np.testing.assert_array_equal(G.d_q(x), [2.0])
-    np.testing.assert_array_equal(G.d_p(x), [1.0])
-
-
-def test_virial_observable_lagrangian_chart():
-    G = virial_observable(1, masses=[1.0])
-    assert G.value(LagrangianPoint([1.0], [2.0], 5.0)) == 2.0
-
-
-def test_virial_observable_matches_through_legendre():
-    # q = 0 kills the product in both charts; the images agree in general
-    G_L = virial_observable(1, masses=[1.0])
-    z = LagrangianPoint([0.0], [1.0], 3.0)
-    assert G_L.value(z) == 0.0
-    G_H = virial_observable(1)
-    L = PARACHUTE.lagrangian
-    assert G_H.value(legendre_map(L, z)) == 0.0
-
-
-def test_virial_observable_multidof():
-    G = virial_observable(3)
-    x = DarbouxPoint(0.0, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    assert G.value(x) == pytest.approx(32.0)
-
-
-def test_virial_observable_validation():
-    with pytest.raises(ValueError):
-        virial_observable(0)
-    with pytest.raises(ValueError):
-        virial_observable(2, masses=[1.0])
-
-
-def test_virial_rate_damped_frozen():
-    pb, reeb, total = virial_rate(DAMPED.hamiltonian, DarbouxPoint(0.0, [1.0], [2.0]))
-    assert pb == pytest.approx(3.0, abs=1e-14)
-    assert reeb == pytest.approx(0.2, abs=1e-14)
-    assert total == pytest.approx(2.8, abs=1e-14)
-
-
-def test_virial_rate_reeb_vanishes_without_s():
-    h = free_particle_h()
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        _, reeb, _ = virial_rate(h, random_point(rng, 1))
-        assert reeb == 0.0
-
-
-def test_virial_rate_parachute_reeb_piece():
-    h = PARACHUTE.hamiltonian  # m=1, g=10, lam=0.5
-    pb, reeb, total = virial_rate(h, DarbouxPoint(0.0, [1.0], [1.0]))
-    assert reeb == pytest.approx(-1.0, abs=1e-14)  # G=1 times dh/ds = -1
-    assert total == pytest.approx(pb + 1.0, abs=1e-14)
-
-
-def test_virial_rate_equals_flow_derivative():
-    rng = np.random.default_rng(6)
-    for h in (DAMPED.hamiltonian, PARACHUTE.hamiltonian):
-        G = virial_observable(1)
-        for _ in range(200):
-            x = random_point(rng, 1)
-            _, _, total = virial_rate(h, x)
-            direct = apply_field_to_observable(h, G, x)
-            scale = max(abs(direct), 1.0)
-            assert abs(total - direct) / scale < 1e-10
+from conftest import DAMPED, UNDAMPED
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +36,12 @@ def test_virial_rate_equals_flow_derivative():
 
 
 def test_boundary_term_periodic_orbit():
-    h = UNDAMPED.hamiltonian
-    chart = make_system("damped_oscillator").chart()  # only for its G = q p
-
-    def rhs(t, y):
-        s, q, p = y
-        return np.array([p * p / 2 - q * q / 2, p, -q])
-
-    traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
-                           layout=("s", "q[0]", "p[0]"))
-    assert abs(boundary_term(traj, chart.G)) < 1e-8
-    assert h.d_s(DarbouxPoint(0.0, [1.0], [0.0])) == 0.0
+    # the undamped oscillator's orbit closes after 2 pi, and G = q p with it
+    chart = UNDAMPED.chart()
+    assert UNDAMPED.hamiltonian.d_s(DarbouxPoint(0.0, [1.0], [0.0])) == 0.0
+    traj = integrate_fixed(chart.rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
+                           layout=chart.layout)
+    assert abs(virial_report(UNDAMPED, traj).boundary) < 1e-8
 
 
 def test_boundary_term_damped_decays():
@@ -136,27 +51,16 @@ def test_boundary_term_damped_decays():
     for T in (100.0, 200.0):
         traj = integrate_fixed(chart.rhs, chart.x0, T=T, dt=1e-3,
                                layout=chart.layout)
-        b[T] = boundary_term(traj, chart.G)
+        b[T] = virial_report(spec, traj).boundary
     assert abs(b[200.0]) < 1e-6
     assert abs(b[200.0]) <= abs(b[100.0])
-
-
-def test_boundary_term_parachute_growth():
-    spec = make_system("parachute")  # m=1, g=10, lam=0.5 -> m g / lam = 20
-    chart = spec.chart("lagrangian")
-    traj = integrate_fixed(chart.rhs, chart.x0, T=200.0, dt=1e-3,
-                           layout=chart.layout)
-    b = boundary_term(traj, chart.G)
-    assert b == pytest.approx(20.0, rel=0.01)
-    # an array of G values at the samples is taken as is
-    assert boundary_term(traj, chart.G(*traj.states.T)) == b
 
 
 def test_boundary_term_zero_span():
     traj = Trajectory(times=[0.0], states=[[0.0, 1.0, 0.0]],
                       layout=("s", "q[0]", "p[0]"))
-    with pytest.raises(ValueError, match="spans no time"):
-        boundary_term(traj, make_system("damped_oscillator").chart().G)
+    with pytest.raises(ValueError, match="recorded span"):
+        virial_report(make_system("damped_oscillator"), traj)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +446,6 @@ def test_report_text_ensemble_fields(small_brownian_report):
     assert "term.kinetic.stderr" in parsed
     assert "theorem_stderr" in parsed
     assert parsed["n_traj"] == "64"
-
-
-def test_write_report_file_and_stream(tmp_path, damped_report_T200):
-    _, _, rep = damped_report_T200
-    path = tmp_path / "report.txt"
-    write_report(rep, path)
-    buf = io.StringIO()
-    write_report(rep, buf)
-    assert path.read_text(encoding="utf-8") == buf.getvalue()
 
 
 def test_parse_report_rejects_garbage():
