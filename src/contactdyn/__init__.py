@@ -16,7 +16,6 @@ from .core import (
     DarbouxPoint,
     DimensionMismatchError,
     DomainError,
-    HamiltonianModel,
     NonFiniteError,
     PartialCheck,
     PartialsReport,
@@ -58,7 +57,6 @@ from .integrate import (
     integrate_adaptive,
     integrate_fixed,
     langevin_ensemble,
-    trapezoid_average,
     write_trajectory_csv,
 )
 from .systems import (

@@ -12,10 +12,12 @@ check-identity  assert the finite-horizon identity <rate of G> = (G(T)-G(t0))/(T
 Configs are YAML mappings; every field can also be set (or overridden) by a
 flag.  Unknown config keys and parameter names, numeric settings out of
 range (T, dt, the tolerances and sample_interval must be finite and
-positive), settings that the run would not read (_READS), dt beside
+positive), a command that does not run the system's kind of stepping and
+settings that the run would not read (both _READS), dt beside
 sample_interval under rkf45 (which reads dt only as that interval's
-default), and a sample grid of more than _MAX_SAMPLES samples are rejected
-before any computation.  Exit codes:
+default), a sample grid of more than _MAX_SAMPLES samples, and more than
+_MAX_STEPS steps of rk4 or Euler-Maruyama (T / dt) are rejected before any
+computation.  Exit codes:
 0 success, 2 config/validation error, 3 integration abort (partial artifacts
 retained with an abort note), 4 identity/oracle breach — not a crash.
 
@@ -63,6 +65,11 @@ EXIT_VERIFY = 4
 _INTEGRATORS = ("rk4", "rkf45")
 # samples one run may keep: 10**8 samples of a 4-vector take 3.2 GB
 _MAX_SAMPLES = 10**8
+# fixed steps one run may take: an inlined RK4 step takes about 1.3 us on a
+# 2-core host under Python 3.11, so 10**9 steps are some 20 minutes, against
+# 2 * 10**5 for the largest README run; a larger T / dt is a mistyped dt,
+# which would step until the process is killed
+_MAX_STEPS = 10**9
 
 
 class ConfigError(ValueError):
@@ -93,7 +100,8 @@ class ExperimentConfig:
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"given"}
 # the settings each command reads besides params, by how its system steps;
-# any other setting given in the config file or as a flag is refused
+# a command refuses a system that steps any other way, and a run refuses
+# any other setting given in the config file or as a flag
 _RUN = "system chart T out t0 identity_tol integrator dt"
 _DETERMINISTIC = {"rk4": f"{_RUN} sample_every", "rkf45": f"{_RUN} rel_tol abs_tol sample_interval"}
 _READS = {
@@ -208,22 +216,38 @@ def build_config(args) -> ExperimentConfig:
 
 
 def _make_spec(cfg: ExperimentConfig, command: str):
-    """Build the system; refuse each given setting that `command` on it would not read."""
+    """Build the system and decide how the run steps; return (spec, stepping).
+
+    Refuses a command that does not run the system's stepping, each given
+    setting the run would not read, and a fixed-step run over the sample or
+    step cap, before anything is stepped or written.
+    """
     try:
         spec = make_system(cfg.system, **cfg.params)
     except (UnknownSystemError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc
     stepping = "euler-maruyama" if spec.noise is not None else cfg.integrator
-    reads = _READS[command].get(stepping)  # None: the command refuses the system itself
-    unread = sorted(cfg.given - set(reads.split())) if reads else []
+    reads = _READS[command].get(stepping)
+    if reads is None:
+        runs = ", ".join(f"`{c}`" for c in _READS if stepping in _READS[c])
+        raise ConfigError(f"`{command}` does not run '{spec.name}', which steps {stepping}; "
+                          f"{runs} do")
+    unread = sorted(cfg.given - set(reads.split()))
     if unread:
         flags = ", ".join("--" + key.replace("_", "-") for key in unread)
         raise ConfigError(f"`{command}` on '{spec.name}' steps {stepping} and does not "
                           f"read {flags} (flag or config key)")
-    if stepping == "rkf45" and {"dt", "sample_interval"} <= cfg.given:
-        raise ConfigError(f"`{command}` on '{spec.name}' steps rkf45, which reads --dt only "
-                          "as the default --sample-interval; give one of the two")
-    return spec
+    if stepping == "rkf45":
+        if {"dt", "sample_interval"} <= cfg.given:
+            raise ConfigError(f"`{command}` on '{spec.name}' steps rkf45, which reads --dt "
+                              "only as the default --sample-interval; give one of the two")
+        return spec, stepping
+    if "sample_every" in reads:  # the ensemble keeps no samples
+        _check_sample_count(cfg.T, cfg.dt, cfg.sample_every, "T / (dt * sample_every)")
+    if cfg.T / cfg.dt > _MAX_STEPS:
+        raise ConfigError(f"T / dt = {cfg.T / cfg.dt:.3g} steps; "
+                          f"a run takes at most {_MAX_STEPS:.0e}")
+    return spec, stepping
 
 
 def _resolve_chart(spec, cfg):
@@ -245,11 +269,9 @@ def _check_sample_count(T: float, spacing: float, every: int, grid: str) -> None
                           f"a run keeps at most {_MAX_SAMPLES:.0e}")
 
 
-def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
+def _integrate(cfg: ExperimentConfig, stepping: str, spec, chart_name, chart):
     meta = {"system": spec.name, "chart": chart_name}
-    if cfg.integrator == "rk4" or spec.noise is not None:
-        _check_sample_count(cfg.T, cfg.dt, cfg.sample_every, "T / (dt * sample_every)")
-    if spec.noise is not None:
+    if stepping == "euler-maruyama":
         try:
             return euler_maruyama_langevin(
                 chart, _noise(cfg, spec), cfg.T, cfg.dt,
@@ -257,11 +279,9 @@ def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
             )
         except ValueError as exc:  # step checks against T and gamma
             raise ConfigError(str(exc)) from exc
-    meta["integrator"] = cfg.integrator
-    if cfg.integrator == "rk4":
+    if stepping == "rk4":
         if not (cfg.dt <= cfg.T):
             raise ConfigError(f"dt={cfg.dt!r} must not exceed T={cfg.T!r}")
-        meta.update({"dt": cfg.dt, "sample_every": cfg.sample_every})
         return integrate_fixed(
             chart.rhs, chart.x0, cfg.T, cfg.dt,
             layout=chart.layout, sample_every=cfg.sample_every, meta=meta,
@@ -272,25 +292,24 @@ def _integrate(cfg: ExperimentConfig, spec, chart_name, chart):
     if not (interval <= cfg.T):
         raise ConfigError(f"sample_interval={interval!r} (dt unless set) must not exceed T={cfg.T!r}")
     _check_sample_count(cfg.T, interval, 1, "T / sample_interval")
-    meta.update({"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol})
     return integrate_adaptive(
         chart.rhs, chart.x0, cfg.T, cfg.rel_tol, cfg.abs_tol,
         layout=chart.layout, sample_interval=interval, meta=meta,
     )
 
 
-def _preamble(cfg: ExperimentConfig, command: str, seed=None) -> list[str]:
+def _preamble(cfg: ExperimentConfig, command: str, stepping: str, seed=None) -> list[str]:
     lines = [
         "# contactdyn report",
         f"tool = contactdyn {TOOL_VERSION}",
         f"command = {command}",
-        f"integrator = {'euler-maruyama' if command == 'ensemble' else cfg.integrator}",
+        f"integrator = {stepping}",
     ]
-    if command == "ensemble" or cfg.integrator == "rk4":
-        lines.append(f"dt = {_fmt(cfg.dt)}")
-    else:
+    if stepping == "rkf45":
         lines.append(f"rel_tol = {_fmt(cfg.rel_tol)}")
         lines.append(f"abs_tol = {_fmt(cfg.abs_tol)}")
+    else:
+        lines.append(f"dt = {_fmt(cfg.dt)}")
     if seed is not None:
         lines.append(f"seed = {seed}")
     lines.append("#")
@@ -333,25 +352,35 @@ def _identity_gate(report, tol: float) -> int:
     return EXIT_OK
 
 
-def _run_and_report(cfg: ExperimentConfig, command: str, write_trajectory: bool) -> int:
-    spec = _make_spec(cfg, command)
+def _run_and_report(args) -> int:
+    """simulate, virial and check-identity: step one run, then report on it."""
+    cfg = build_config(args)
+    spec, stepping = _make_spec(cfg, args.command)
     chart_name, chart = _resolve_chart(spec, cfg)
     outdir = Path(cfg.out)
 
-    traj = _integrate(cfg, spec, chart_name, chart)
+    traj = _integrate(cfg, stepping, spec, chart_name, chart)
     if traj.aborted:
         return _abort(outdir, "integration", traj.abort_reason, traj)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stochastic = spec.noise is not None  # no pathwise rate to report
-    if write_trajectory or stochastic:
+    if args.command != "check-identity":  # which writes a verdict line and no artifacts
+        outdir.mkdir(parents=True, exist_ok=True)
+    if args.command == "simulate" or stepping == "euler-maruyama":
         _write_trajectory(outdir, traj)
-    if stochastic:
+    if stepping == "euler-maruyama":  # no pathwise rate to report
         print("stochastic system: use `ensemble` for the averaged-rate report")
         return EXIT_OK
 
     report = virial_report(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
+    if args.command == "check-identity":
+        residual = abs(report.residual_exact)
+        ok = residual <= cfg.identity_tol
+        print(
+            f"{spec.name}/{chart_name}: |<rate of G> - boundary| = {residual:.6e} "
+            f"(tol {cfg.identity_tol:.1e}) {'PASS' if ok else 'FAIL'}"
+        )
+        return EXIT_OK if ok else EXIT_VERIFY
     _write_report_file(outdir / "report.txt", report,
-                       _preamble(cfg, command))
+                       _preamble(cfg, args.command, stepping))
     write_running_averages(spec, traj, outdir / "running_averages.csv", t0=cfg.t0)
     print(f"wrote {outdir / 'report.txt'}")
     print(f"wrote {outdir / 'running_averages.csv'}")
@@ -377,23 +406,9 @@ def cmd_list_systems(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    cfg = build_config(args)
-    return _run_and_report(cfg, "simulate", write_trajectory=True)
-
-
-def cmd_virial(args) -> int:
-    cfg = build_config(args)
-    return _run_and_report(cfg, "virial", write_trajectory=False)
-
-
 def cmd_ensemble(args) -> int:
     cfg = build_config(args)
-    spec = _make_spec(cfg, "ensemble")
-    if spec.noise is None:
-        raise ConfigError(
-            f"'{spec.name}' is deterministic; `ensemble` needs a stochastic system"
-        )
+    spec, stepping = _make_spec(cfg, "ensemble")
     noise = _noise(cfg, spec)
     outdir = Path(cfg.out)
     try:
@@ -405,7 +420,7 @@ def cmd_ensemble(args) -> int:
         raise ConfigError(str(exc)) from exc
     outdir.mkdir(parents=True, exist_ok=True)
     _write_report_file(outdir / "report.txt", report,
-                       _preamble(cfg, "ensemble", seed=noise.seed))
+                       _preamble(cfg, "ensemble", stepping, seed=noise.seed))
     print(f"wrote {outdir / 'report.txt'}")
     for name in report.term_names:
         print(f"<{name}> = {_fmt(report.term(name))} "
@@ -452,28 +467,6 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def cmd_check_identity(args) -> int:
-    cfg = build_config(args)
-    spec = _make_spec(cfg, "check-identity")
-    chart_name, chart = _resolve_chart(spec, cfg)
-    if spec.noise is not None:
-        raise ConfigError(
-            "check-identity needs a deterministic system; the stochastic "
-            "identity is statistical (see `ensemble`)"
-        )
-    traj = _integrate(cfg, spec, chart_name, chart)
-    if traj.aborted:
-        return _abort(Path(cfg.out), "integration", traj.abort_reason, traj)
-    report = virial_report(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
-    residual = abs(report.residual_exact)
-    ok = residual <= cfg.identity_tol
-    print(
-        f"{spec.name}/{chart_name}: |<rate of G> - boundary| = {residual:.6e} "
-        f"(tol {cfg.identity_tol:.1e}) {'PASS' if ok else 'FAIL'}"
-    )
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -512,15 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-systems", help="print the catalog and parameter schemas") \
         .set_defaults(func=cmd_list_systems)
 
-    for name, func, blurb in (
-        ("simulate", cmd_simulate, "integrate and write trajectory + report"),
-        ("virial", cmd_virial, "integrate and write the averaged-rate report"),
-        ("check-identity", cmd_check_identity,
-         "verify <rate of G> equals the boundary term"),
+    for name, blurb in (
+        ("simulate", "integrate and write trajectory + report"),
+        ("virial", "integrate and write the averaged-rate report"),
+        ("check-identity", "verify <rate of G> equals the boundary term"),
     ):
         p = sub.add_parser(name, help=blurb)
         _add_config_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_run_and_report)
 
     p = sub.add_parser("ensemble", help="Langevin ensemble report with error bars")
     _add_config_flags(p)

@@ -28,7 +28,6 @@ __all__ = [
     "DarbouxPoint",
     "TangentVector",
     "ScalarField",
-    "HamiltonianModel",
     "DimensionMismatchError",
     "NonFiniteError",
     "DomainError",
@@ -156,10 +155,6 @@ class ScalarField:
             raise ValueError("need n >= 1 degrees of freedom")
 
 
-# the evaluator bundle of a contact Hamiltonian
-HamiltonianModel = ScalarField
-
-
 def _check_dim(model, x) -> None:
     """Model and point (of either chart) must share the dimension n."""
     if model.n != x.n:
@@ -175,7 +170,7 @@ def _finite(value: float, what: str, model, x) -> float:
     return value
 
 
-def contact_vector_field(h: HamiltonianModel, x: DarbouxPoint) -> TangentVector:
+def contact_vector_field(h: ScalarField, x: DarbouxPoint) -> TangentVector:
     """Evaluate the contact Hamiltonian vector field of h at x.
 
     In Darboux coordinates the field has components
@@ -206,13 +201,13 @@ def contact_vector_field(h: HamiltonianModel, x: DarbouxPoint) -> TangentVector:
     return TangentVector(ds=ds, dq=hp, dp=dp)
 
 
-def reeb_derivative(h: HamiltonianModel, x: DarbouxPoint) -> float:
+def reeb_derivative(h: ScalarField, x: DarbouxPoint) -> float:
     """Derivative of h along the Reeb field, i.e. dh/ds at x."""
     _check_dim(h, x)
     return _finite(h.d_s(x), "d_s", h, x)
 
 
-def divergence(h: HamiltonianModel, x: DarbouxPoint) -> float:
+def divergence(h: ScalarField, x: DarbouxPoint) -> float:
     """Divergence of the contact field: -(n+1) dh/ds at x.
 
     Zero exactly when h is independent of s, recovering the volume-preserving
@@ -221,7 +216,7 @@ def divergence(h: HamiltonianModel, x: DarbouxPoint) -> float:
     return -(h.n + 1) * reeb_derivative(h, x)
 
 
-def numerical_divergence(h: HamiltonianModel, x: DarbouxPoint, step: float = 1e-5) -> float:
+def numerical_divergence(h: ScalarField, x: DarbouxPoint, step: float = 1e-5) -> float:
     """Trace of a central-finite-difference Jacobian of the contact field.
 
     Independent oracle for `divergence`; agreement within ~1e-6 absolute is

@@ -1,4 +1,4 @@
-"""Trajectory generation and numerically careful time averaging.
+"""Trajectory generation and CSV export.
 
 The deterministic steppers hold one trajectory's state as a tuple of
 Python floats and advance it through a right-hand-side callable
@@ -23,9 +23,6 @@ with the same seed).  It keeps each member's term averages as running
 trapezoid sums and stores no block of states, so an ensemble needs
 O(n_traj) memory plus a fixed noise buffer whatever the horizon, and a
 single run O(samples kept).
-
-Deterministic averages use trapezoidal quadrature under compensated
-summation so that horizons of 10^5+ samples do not accumulate roundoff.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ __all__ = [
     "integrate_adaptive",
     "euler_maruyama_langevin",
     "langevin_ensemble",
-    "trapezoid_average",
     "write_trajectory_csv",
 ]
 
@@ -163,47 +159,6 @@ class NoiseSpec:
     def amplitude(self) -> float:
         """sqrt(2 m gamma k_BT), the noise strength multiplying dW."""
         return math.sqrt(2.0 * self.m * self.gamma * self.k_BT)
-
-
-def _trapezoid_window(times: np.ndarray, values: np.ndarray, t0: float):
-    """The samples over [max(t0, start), end] and their trapezoid contributions.
-
-    Returns the window's times, the values at those times and the
-    contributions dt * 0.5 * (left + right) of its intervals; t0 must not
-    lie past the final sample.  If t0 falls between samples the window
-    starts at t0 with the linear interpolant's value, so shifting the window
-    start does not quantize to the sample grid.
-    """
-    if t0 > times[0]:
-        i = int(np.searchsorted(times, t0, side="left"))
-        if times[i] > t0:
-            w = (t0 - times[i - 1]) / (times[i] - times[i - 1])
-            v0 = (1 - w) * values[i - 1] + w * values[i]
-            times = np.concatenate(([t0], times[i:]))
-            values = np.concatenate(([v0], values[i:]))
-        else:
-            times, values = times[i:], values[i:]
-    return times, values, np.diff(times) * 0.5 * (values[1:] + values[:-1])
-
-
-def trapezoid_average(times: np.ndarray, values: np.ndarray, t0: float = 0.0) -> float:
-    """Trapezoidal time average of sampled values over [max(t0, start), end].
-
-    Uses exact compensated summation (math.fsum) of the trapezoid
-    contributions.  If t0 falls between samples the boundary value is
-    obtained by linear interpolation, so shifting the window start does not
-    quantize to the sample grid.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size != values.size or times.size == 0:
-        raise ValueError("times and values must be equal-length and non-empty")
-    if t0 > times[-1]:
-        raise ValueError(f"window start {t0} lies beyond the final sample {times[-1]}")
-    times, values, contributions = _trapezoid_window(times, values, t0)
-    if times.size == 1:
-        return float(values[0])
-    return math.fsum(contributions.tolist()) / (times[-1] - times[0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Each model (Darboux-chart Hamiltonian, velocity-chart Lagrangian, extended
 time-dependent Hamiltonian) is stated once in `_MODELS`, and each system is
-one row of `_SYSTEMS`: per chart, the model it runs, its chart kind, its
-default state and its stated virial balance -- the observable G, the signed
-terms and rate_scale, as expressions beside the model over the chart's roles,
-the parameters and the model's parameter-only definitions.  One compiler
+one row of `_SYSTEMS`: its parameter specs and, per chart, the model it
+runs, its chart kind, its default state and its stated virial balance --
+the observable G, the signed terms and rate_scale, as expressions beside
+the model over the chart's roles, the parameters and the model's
+parameter-only definitions.  One compiler
 turns the statements into the evaluator bundle the oracle checks, every
 chart's rhs, and every term and G as a plain function of the state's
 components in layout order, ``value(*y)``, over numpy's functions, so the
@@ -109,49 +110,9 @@ def _nonnegative_integer(v):
     return v >= 0 and float(v).is_integer()
 
 
-_SCHEMAS: dict[str, tuple[ParameterSpec, ...]] = {
-    "damped_oscillator": (
-        ParameterSpec("m", 1.0, "> 0", _positive, "mass"),
-        ParameterSpec("omega", 1.0, "> 0", _positive, "natural frequency"),
-        ParameterSpec("gamma", 0.1, "> 0", _positive, "damping rate"),
-    ),
-    "parachute": (
-        ParameterSpec("m", 1.0, "> 0", _positive, "mass"),
-        ParameterSpec("g", 10.0, "> 0", _positive, "gravitational acceleration"),
-        ParameterSpec("lam", 0.5, "> 0", _positive, "drag coefficient"),
-    ),
-    "forced_oscillator": (
-        ParameterSpec("m", 1.0, "> 0", _positive, "mass"),
-        ParameterSpec("omega", 1.0, "> 0", _positive, "natural frequency"),
-        ParameterSpec("gamma", 0.1, "> 0", _positive, "damping rate"),
-        ParameterSpec("F0", 1.0, ">= 0", _nonnegative, "forcing amplitude"),
-        ParameterSpec("Omega", 2.0, "> 0", _positive, "forcing frequency"),
-    ),
-    "brownian_oscillator": (
-        ParameterSpec("m", 1.0, "> 0", _positive, "mass"),
-        ParameterSpec("omega", 1.0, "> 0", _positive, "trap frequency"),
-        ParameterSpec("gamma", 0.5, "> 0", _positive, "friction rate"),
-        ParameterSpec("k_BT", 1.0, ">= 0", _nonnegative, "thermal energy"),
-        ParameterSpec("seed", 0.0, "non-negative integer", _nonnegative_integer,
-                      "noise stream seed"),
-    ),
-    "gierer_meinhardt": (
-        ParameterSpec("A", 1.0, "finite, != 0", lambda v: _finite(v) and v != 0,
-                      "activation strength"),
-        ParameterSpec("B", 1.0, "finite (domain needs B + y > 0)", _finite,
-                      "saturation offset"),
-        ParameterSpec("C", 1.0, "finite", _finite, "cross-coupling"),
-        ParameterSpec("D", 1.0, "finite", _finite, "self-activation"),
-        ParameterSpec("K", 1.0, "finite", _finite, "inhibitor decay"),
-    ),
-}
-
-SYSTEM_NAMES = tuple(_SCHEMAS)
-
-
 def catalog_schema() -> dict[str, tuple[ParameterSpec, ...]]:
     """Name -> parameter specs for every catalog system."""
-    return dict(_SCHEMAS)
+    return {name: row.params for name, row in _SYSTEMS.items()}
 
 
 @dataclass(frozen=True)
@@ -226,11 +187,11 @@ class SystemSpec:
 
 
 def _validate_params(name: str, overrides: dict) -> dict:
-    if name not in _SCHEMAS:
+    if name not in _SYSTEMS:
         raise UnknownSystemError(
             f"unknown system '{name}'; catalog has {list(SYSTEM_NAMES)}"
         )
-    schema = {p.name: p for p in _SCHEMAS[name]}
+    schema = {p.name: p for p in _SYSTEMS[name].params}
     unknown = set(overrides) - set(schema)
     if unknown:
         raise ParameterError(
@@ -412,13 +373,15 @@ class _ChartRow:
 
 @dataclass(frozen=True)
 class _SystemRow:
-    """A catalog system: its charts by name, the first being the default."""
+    """A catalog system: its parameter specs, and its charts by name, the first the default."""
 
     description: str
+    params: tuple
     charts: dict
     noise: bool = False
 
 
+_MASS = ParameterSpec("m", 1.0, "> 0", _positive, "mass")
 _KINETIC = ("kinetic", +1, "p * p / (2 * m)")
 _POTENTIAL = ("potential", -1, "mw2 * (q * q) / 2")
 _DAMPED_H = _ChartRow("damped_oscillator.h", "hamiltonian", (0.0, 1.0, 0.0), "0.5", "q * p",
@@ -432,7 +395,10 @@ _ACTIVATOR_INHIBITOR = (("saturation", +1, "p / (B + p)"),
 # the catalog, one row per system
 _SYSTEMS = {
     "damped_oscillator": _SystemRow(
-        "linear oscillator with velocity-proportional friction", {
+        "linear oscillator with velocity-proportional friction",
+        (_MASS,
+         ParameterSpec("omega", 1.0, "> 0", _positive, "natural frequency"),
+         ParameterSpec("gamma", 0.1, "> 0", _positive, "damping rate")), {
             "hamiltonian": _DAMPED_H,
             "lagrangian": _ChartRow(
                 "damped_oscillator.L", "lagrangian", (1.0, 0.0, 0.0), "0.5", "m * v * q",
@@ -440,7 +406,10 @@ _SYSTEMS = {
                  ("friction_qqdot", -1, "m * gamma * q * v / 2"))),
         }),
     "parachute": _SystemRow(
-        "vertical fall against quadratic drag (terminal velocity sqrt(g/lam))", {
+        "vertical fall against quadratic drag (terminal velocity sqrt(g/lam))",
+        (_MASS,
+         ParameterSpec("g", 10.0, "> 0", _positive, "gravitational acceleration"),
+         ParameterSpec("lam", 0.5, "> 0", _positive, "drag coefficient")), {
             "hamiltonian": _ChartRow(
                 "parachute.h", "hamiltonian", (0.0, 0.0, 0.0), "1.0", "q * p",
                 (("p_velocity", +1, "p * ((p - 2 * lam * s) / m)"),
@@ -452,14 +421,25 @@ _SYSTEMS = {
                  ("drag", +1, "m * lam * q * (v * v) / 2"))),
         }),
     "forced_oscillator": _SystemRow(
-        "damped oscillator under periodic forcing, on the extended space", {
+        "damped oscillator under periodic forcing, on the extended space",
+        (_MASS,
+         ParameterSpec("omega", 1.0, "> 0", _positive, "natural frequency"),
+         ParameterSpec("gamma", 0.1, "> 0", _positive, "damping rate"),
+         ParameterSpec("F0", 1.0, ">= 0", _nonnegative, "forcing amplitude"),
+         ParameterSpec("Omega", 2.0, "> 0", _positive, "forcing frequency")), {
             "extended": _ChartRow(
                 "forced_oscillator.h", "extended", (0.0, 0.0, 1.0, 0.0), "0.5", "q * p",
                 (_KINETIC, _POTENTIAL,
                  ("drive_friction", +1, "q * (F0 * cos(Omega * t) - gamma * p) / 2"))),
         }),
     "brownian_oscillator": _SystemRow(
-        "harmonically trapped particle in a thermal bath (Langevin)", {
+        "harmonically trapped particle in a thermal bath (Langevin)",
+        (_MASS,
+         ParameterSpec("omega", 1.0, "> 0", _positive, "trap frequency"),
+         ParameterSpec("gamma", 0.5, "> 0", _positive, "friction rate"),
+         ParameterSpec("k_BT", 1.0, ">= 0", _nonnegative, "thermal energy"),
+         ParameterSpec("seed", 0.0, "non-negative integer", _nonnegative_integer,
+                       "noise stream seed")), {
             # the thermal force's share, q*eta/2, is the realized Ito integral
             # of q dW; ensemble reports add it from the stepper
             "hamiltonian": replace(
@@ -467,13 +447,22 @@ _SYSTEMS = {
                 terms=(_KINETIC, _POTENTIAL, ("drive_friction", +1, "-gamma * q * p / 2"))),
         }, noise=True),
     "gierer_meinhardt": _SystemRow(
-        "activator-inhibitor kinetics as a contact flow over its planar conformal projection", {
+        "activator-inhibitor kinetics as a contact flow over its planar conformal projection",
+        (ParameterSpec("A", 1.0, "finite, != 0", lambda v: _finite(v) and v != 0,
+                       "activation strength"),
+         ParameterSpec("B", 1.0, "finite (domain needs B + y > 0)", _finite,
+                       "saturation offset"),
+         ParameterSpec("C", 1.0, "finite", _finite, "cross-coupling"),
+         ParameterSpec("D", 1.0, "finite", _finite, "self-activation"),
+         ParameterSpec("K", 1.0, "finite", _finite, "inhibitor decay")), {
             "contact": _ChartRow("gierer_meinhardt.h", "contact", (0.0, 0.2, 0.2), "1.0 / A",
                                  "q * p", _ACTIVATOR_INHIBITOR),
             "planar": _ChartRow("gierer_meinhardt.h", "planar-conformal", (0.2, 0.2), "1.0 / A",
                                 "q * p", _ACTIVATOR_INHIBITOR),
         }),
 }
+
+SYSTEM_NAMES = tuple(_SYSTEMS)
 
 _MATH = {"exp": math.exp, "log": math.log, "cos": math.cos, "sin": math.sin}
 _NUMPY = {"exp": np.exp, "log": np.log, "cos": np.cos, "sin": np.sin}

@@ -19,6 +19,14 @@ its own, with its terms and G, inside a SystemSpec.  A run's boundary term
 is its report's ``boundary``, and ``report_text`` is the report's text
 form; the pointwise rate of G = q.p is the catalog's stated balance, proved
 symbolically in the test suite.
+
+A deterministic report and its running averages share one window: the
+terms and G are evaluated once on the samples, the window [t0, end] is cut
+once (starting at t0 with the linear interpolant of each value when t0
+falls between samples, so shifting the window start does not quantize to
+the sample grid), and the averages use trapezoidal quadrature under
+compensated summation so that horizons of 10^5+ samples do not accumulate
+roundoff.
 """
 
 from __future__ import annotations
@@ -29,13 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import NonFiniteError
-from .integrate import (
-    Trajectory,
-    _trapezoid_window,
-    langevin_ensemble,
-    trapezoid_average,
-    write_csv,
-)
+from .integrate import Trajectory, langevin_ensemble, write_csv
 from .systems import SystemSpec
 
 __all__ = [
@@ -132,10 +134,12 @@ class VirialReport:
 
 
 def _window(system: SystemSpec, traj: Trajectory, t0: float):
-    """The chart matching the trajectory's layout, and its terms and G at every sample.
+    """The chart the trajectory ran in, and its terms and G over the window [t0, end].
 
-    Returns (chart name, chart, one value array per chart term, G values);
-    t0 must lie in the recorded span.
+    Each term and G is evaluated once, at every sample.  Returns (chart
+    name, chart, G at every sample, the window's times, G on the window,
+    one array of trapezoid contributions dt * 0.5 * (left + right) per
+    chart term); t0 must lie in the recorded span.
     """
     for chart_name, chart in system.charts.items():
         if chart.layout == traj.layout:
@@ -151,8 +155,20 @@ def _window(system: SystemSpec, traj: Trajectory, t0: float):
             f"t0={t0:g} must lie inside the recorded span [{times[0]:g}, {times[-1]:g})"
         )
     columns = traj.states.T
-    term_vals = [np.asarray(b.value(*columns), dtype=float) for b in chart.terms]
-    return chart_name, chart, term_vals, np.asarray(chart.G(*columns), dtype=float)
+    g = np.asarray(chart.G(*columns), dtype=float)
+    values = [g, *(np.asarray(b.value(*columns), dtype=float) for b in chart.terms)]
+    if t0 > times[0]:
+        i = int(np.searchsorted(times, t0, side="left"))
+        if times[i] > t0:
+            w = (t0 - times[i - 1]) / (times[i] - times[i - 1])
+            times = np.concatenate(([t0], times[i:]))
+            values = [np.concatenate(([(1 - w) * v[i - 1] + w * v[i]], v[i:])) for v in values]
+        else:
+            times = times[i:]
+            values = [v[i:] for v in values]
+    half_steps = np.diff(times) * 0.5
+    return (chart_name, chart, g, times, values[0],
+            [half_steps * (v[1:] + v[:-1]) for v in values[1:]])
 
 
 def _scalar_meta(source: dict) -> dict:
@@ -189,24 +205,24 @@ def virial_report(
             f"'{system.name}' is stochastic: its runs have no pathwise rate; "
             "use ensemble_report"
         )
-    chart_name, chart, term_vals, g_vals = _window(system, traj, t0)
-    times = traj.times
+    chart_name, chart, g, times, g_window, contributions = _window(system, traj, t0)
     t_end = float(times[-1])
     window = t_end - t0
 
     names = tuple(b.name for b in chart.terms)
     signs = tuple(int(b.sign) for b in chart.terms)
     term_avgs = tuple(
-        float(trapezoid_average(times, vals, t0=t0)) for vals in term_vals
+        float(math.fsum(c.tolist()) / (times[-1] - times[0])) for c in contributions
     )
     theorem_residual = math.fsum(
         sign * avg for sign, avg in zip(signs, term_avgs)
     )
     rate_avg = theorem_residual / chart.rate_scale
-    g0 = float(_trapezoid_window(times, g_vals, t0)[1][0])
-    gT = float(g_vals[-1])
+    g0 = float(g_window[0])
+    gT = float(g_window[-1])
     boundary = (gT - g0) / window
-    verdict, growth_rate = growth_verdict(times, g_vals, t0, residual_tol)
+    # the verdict reads the samples at or after t0, not the interpolated start
+    verdict, growth_rate = growth_verdict(traj.times, g, t0, residual_tol)
 
     meta = _scalar_meta(traj.meta)
     meta.update({f"param.{k}": v for k, v in system.params.items()})
@@ -405,8 +421,7 @@ def write_running_averages(
     always written, a window of at most `_AVERAGE_ROWS` samples writes every
     row, and a written row is the same line whatever the stride.
     """
-    _, chart, term_vals, g_vals = _window(system, traj, t0)
-    t_w, g_w, _ = _trapezoid_window(traj.times, g_vals, t0)
+    _, chart, _, t_w, g_w, contributions = _window(system, traj, t0)
     elapsed = t_w[1:] - t_w[0]
     n = len(elapsed)
     stride = -(-n // _AVERAGE_ROWS)
@@ -414,8 +429,8 @@ def write_running_averages(
 
     columns = [("t", t_w[1:])]
     signed_sum = np.zeros(n)
-    for b, vals in zip(chart.terms, term_vals):
-        avg = np.cumsum(_trapezoid_window(traj.times, vals, t0)[2]) / elapsed
+    for b, c in zip(chart.terms, contributions):
+        avg = np.cumsum(c) / elapsed
         signed_sum = signed_sum + int(b.sign) * avg
         columns.append((f"avg[{b.name}]", avg))
     columns.append(("theorem_residual", signed_sum))

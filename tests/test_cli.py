@@ -537,6 +537,62 @@ def test_sample_grid_within_the_cap_steps(tmp_path, monkeypatch, system, argv):
         run("simulate", "--system", system, "--T", "1", *argv, "--out", str(tmp_path / "run"))
 
 
+# T = 1 in steps of 2**-30 is 1 073 741 824 steps, above the cap of 10**9;
+# 2**-29 is 536 870 912, below it.  A sample stride of 10**300 keeps the
+# sample grid of a 1e-300 step under its own cap.
+_HUGE_STRIDE = ("--sample-every", str(10**300))
+_BEYOND_STEP_CAP = [
+    ("ensemble", "brownian_oscillator", ("--dt", "1e-300", "--n-traj", "2")),
+    ("ensemble", "brownian_oscillator", ("--dt", repr(2.0 ** -30), "--n-traj", "2")),
+    ("simulate", "damped_oscillator", ("--dt", "1e-300", *_HUGE_STRIDE)),
+    ("virial", "brownian_oscillator", ("--dt", "1e-300", *_HUGE_STRIDE)),
+    ("check-identity", "damped_oscillator", ("--dt", repr(2.0 ** -30), "--sample-every", "16")),
+]
+_WITHIN_STEP_CAP = [
+    ("ensemble", "brownian_oscillator", ("--dt", repr(2.0 ** -29), "--n-traj", "2")),
+    ("simulate", "damped_oscillator", ("--dt", repr(2.0 ** -29), "--sample-every", "8")),
+]
+
+
+@pytest.mark.parametrize("command, system, argv", _BEYOND_STEP_CAP)
+def test_steps_beyond_the_cap_exit_2_at_once(tmp_path, capsys, monkeypatch,
+                                             command, system, argv):
+    # a run of more than 10**9 rk4 or Euler-Maruyama steps is refused before
+    # it steps or writes, naming how many steps it would take
+    _patch_steppers(monkeypatch)
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    code = run(command, "--system", system, "--T", "1", *argv, "--out", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and " steps; a run takes at most 1e+09" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, system, argv", _WITHIN_STEP_CAP)
+def test_steps_within_the_cap_step(tmp_path, monkeypatch, command, system, argv):
+    _patch_steppers(monkeypatch)
+    with pytest.raises(_Stepped):
+        run(command, "--system", system, "--T", "1", *argv, "--out", str(tmp_path / "run"))
+
+
+# every (command, stepping) pair that _READS leaves out: the command does not run such a system
+_UNRUN = [(command, stepping) for command in _READS for stepping in _RUNS
+          if stepping not in _READS[command]]
+
+
+@pytest.mark.parametrize("command, stepping", _UNRUN, ids=[f"{c}-{s}" for c, s in _UNRUN])
+def test_unrun_stepping_exits_2_before_stepping(tmp_path, capsys, monkeypatch, command, stepping):
+    _patch_steppers(monkeypatch)
+    out = tmp_path / "run"
+    code = run(command, *_RUNS[stepping], "--T", "1", "--out", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: `{command}` does not run" in err and f"steps {stepping}" in err
+    assert not out.exists()
+
+
 def test_ensemble_all_diverged_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     code = run("ensemble", "--system", "brownian_oscillator", "-p", "omega=2000",

@@ -29,7 +29,6 @@ from contactdyn.integrate import (
     _SUM_STEPS,
     integrate_fixed,
     langevin_ensemble,
-    trapezoid_average,
     write_trajectory_csv,
 )
 from contactdyn.systems import SYSTEM_NAMES, make_system
@@ -752,35 +751,6 @@ class TestLangevin:
         with pytest.raises(ValueError):
             NoiseSpec(m=1.0, gamma=0.5, k_BT=-0.5, seed=0)
         assert NoiseSpec(m=2.0, gamma=0.5, k_BT=2.0, seed=0).amplitude == pytest.approx(2.0)
-
-
-class TestAveraging:
-    def test_constant_average(self):
-        times = np.linspace(0.0, 7.3, 1001)
-        assert trapezoid_average(times, np.full(1001, 4.2)) == pytest.approx(4.2, rel=1e-14)
-
-    def test_odd_function_over_period(self):
-        rhs = contact_rhs(UNDAMPED.hamiltonian)
-        traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
-                               layout=LAYOUT_SQP, sample_every=1)
-        assert trapezoid_average(traj.times, traj.states[:, 1]) == pytest.approx(0.0, abs=1e-8)
-
-    def test_quadratic_over_period(self):
-        rhs = contact_rhs(UNDAMPED.hamiltonian)
-        traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
-                               layout=LAYOUT_SQP, sample_every=1)
-        assert trapezoid_average(traj.times, traj.states[:, 1] ** 2) == pytest.approx(
-            0.5, abs=1e-6)
-
-    def test_window_start_interpolates(self):
-        times = np.array([0.0, 1.0, 2.0, 3.0])
-        values = np.array([0.0, 1.0, 2.0, 3.0])  # v = t
-        # over [0.5, 3]: mean of t = 1.75
-        assert trapezoid_average(times, values, t0=0.5) == pytest.approx(1.75, rel=1e-14)
-
-    def test_window_beyond_data_rejected(self):
-        with pytest.raises(ValueError):
-            trapezoid_average(np.array([0.0, 1.0]), np.array([1.0, 1.0]), t0=2.0)
 
 
 class TestTrajectoryType:

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,10 +124,9 @@ def test_damped_report_windowed_terms(damped_report_T200):
 
 def test_report_rejects_bad_window(damped_report_T200):
     spec, traj, _ = damped_report_T200
-    with pytest.raises(ValueError):
-        virial_report(spec, traj, t0=200.0)
-    with pytest.raises(ValueError):
-        virial_report(spec, traj, t0=-1.0)
+    for t0 in (200.0, 250.0, -1.0):  # at and beyond the last sample, before the first
+        with pytest.raises(ValueError, match="recorded span"):
+            virial_report(spec, traj, t0=t0)
 
 
 def test_report_rejects_aborted():
@@ -508,3 +508,125 @@ def test_running_averages_keep_at_most_the_row_budget(monkeypatch, n, t0_fractio
         assert rows == all_rows[::-1][::stride][::-1]
     assert rows[-1] == all_rows[-1]
     assert float(rows[-1].split(",")[0]) == traj.times[-1] == n / 64
+
+
+# ---------------------------------------------------------------------------
+# the averaging window, through virial_report on hand-built trajectories
+
+
+def _observing(layout, G, **terms):
+    """A system of one chart on `layout` whose terms (each of sign +1) and G are the given
+    functions of the state's components, as a custom balance is built in README."""
+    chart = Chart(kind="custom", layout=layout, x0=np.zeros(len(layout)), rhs=None,
+                  terms=[VirialTermBinding(name, +1, f) for name, f in terms.items()], G=G)
+    return SystemSpec(name="custom", params={}, charts={"custom": chart},
+                      default_chart="custom")
+
+
+def test_constant_term_averages_exactly():
+    times = np.linspace(0.0, 7.3, 1001)
+    spec = _observing(("v",), G=lambda v: v, c=lambda v: np.full_like(v, 4.2))
+    traj = Trajectory(times=times, states=np.zeros((1001, 1)), layout=("v",))
+    assert virial_report(spec, traj).term("c") == pytest.approx(4.2, rel=1e-14)
+
+
+def test_window_start_between_samples_interpolates():
+    # v = t on [0, 3]; over [0.5, 3] the mean of t is 1.75
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    spec = _observing(("v",), G=lambda v: v, v=lambda v: v)
+    traj = Trajectory(times=times, states=times[:, None], layout=("v",))
+    rep = virial_report(spec, traj, t0=0.5)
+    assert rep.term("v") == pytest.approx(1.75, rel=1e-14)
+    assert rep.G_initial == 0.5
+
+
+def test_odd_and_quadratic_averages_over_a_period():
+    # one period of the undamped orbit q = cos t: <q> = 0 and <q^2> = 1/2
+    chart = UNDAMPED.chart()
+    traj = integrate_fixed(chart.rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
+                           layout=chart.layout, sample_every=1)
+    spec = _observing(chart.layout, G=lambda s, q, p: q * p,
+                      q=lambda s, q, p: q, q2=lambda s, q, p: q ** 2)
+    rep = virial_report(spec, traj)
+    assert rep.term("q") == pytest.approx(0.0, abs=1e-8)
+    assert rep.term("q2") == pytest.approx(0.5, abs=1e-6)
+
+
+def _reference_window(times, values, t0):
+    """One value array's window over [t0, end], starting at t0 with the linear
+    interpolant, and its trapezoid contributions, cut array by array: the
+    reference that `virial._window`'s single cut must reproduce."""
+    if t0 > times[0]:
+        i = int(np.searchsorted(times, t0, side="left"))
+        if times[i] > t0:
+            w = (t0 - times[i - 1]) / (times[i] - times[i - 1])
+            v0 = (1 - w) * values[i - 1] + w * values[i]
+            times = np.concatenate(([t0], times[i:]))
+            values = np.concatenate(([v0], values[i:]))
+        else:
+            times, values = times[i:], values[i:]
+    return times, values, np.diff(times) * 0.5 * (values[1:] + values[:-1])
+
+
+_GRID_VALUES = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.floats(1e-3, 10.0), _GRID_VALUES, _GRID_VALUES),
+                min_size=2, max_size=40),
+       st.data())
+def test_report_and_running_averages_equal_the_trapezoid_reference(rows, data):
+    # on a drawn increasing grid and a drawn t0, on a sample or between two,
+    # every average, G_initial, the boundary term and the last row of
+    # running_averages.csv equal the one-array trapezoid formula bit for bit
+    times = np.cumsum([0.0] + [gap for gap, _, _ in rows[1:]])
+    states = np.array([[a, b] for _, a, b in rows])
+    assume((np.diff(times) > 0).all())
+    i = data.draw(st.integers(0, len(times) - 2))
+    if data.draw(st.booleans()):
+        t0 = float(times[i])
+    else:
+        t0 = float(times[i] + data.draw(st.floats(0.0, 1.0)) * (times[i + 1] - times[i]))
+    assume(t0 < times[-1])
+    terms = {"a": lambda a, b: a, "b": lambda a, b: b, "ab": lambda a, b: a * b}
+    spec = _observing(("a", "b"), G=lambda a, b: a - b, **terms)
+    traj = Trajectory(times=times, states=states, layout=("a", "b"))
+    rep = virial_report(spec, traj, t0=t0)
+    buf = io.StringIO()
+    write_running_averages(spec, traj, buf, t0=t0)
+    last = [float(v) for v in buf.getvalue().splitlines()[-1].split(",")]
+
+    averages, running = [], []
+    for f in terms.values():
+        t_w, _, contributions = _reference_window(times, f(*states.T), t0)
+        averages.append(math.fsum(contributions.tolist()) / (t_w[-1] - t_w[0]))
+        running.append(np.cumsum(contributions)[-1] / (t_w[-1] - t_w[0]))
+    t_w, g_w, _ = _reference_window(times, states[:, 0] - states[:, 1], t0)
+    boundary = (g_w[-1] - g_w[0]) / (times[-1] - t0)
+    assert list(rep.term_averages) == averages
+    assert rep.G_initial == g_w[0]
+    assert rep.boundary == boundary
+    residual = 0.0
+    for avg in running:
+        residual = residual + avg
+    assert last == [t_w[-1], *running, residual, (g_w[-1] - g_w[0]) / (t_w[-1] - t_w[0])]
+
+
+def test_one_report_evaluates_each_term_and_G_once():
+    calls = {}
+
+    def counted(name, f):
+        def evaluate(*columns):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*columns)
+        return evaluate
+
+    chart = DAMPED.chart()
+    counting = replace(chart, G=counted("G", chart.G),
+                       terms=[replace(b, value=counted(b.name, b.value)) for b in chart.terms])
+    spec = replace(DAMPED, charts={"hamiltonian": counting})
+    traj = integrate_fixed(chart.rhs, chart.x0, T=5.0, dt=1e-2, layout=chart.layout)
+    virial_report(spec, traj, t0=1.234)
+    assert calls == {"G": 1, **{b.name: 1 for b in chart.terms}}
+    write_running_averages(spec, traj, io.StringIO(), t0=1.234)
+    assert calls == {"G": 2, **{b.name: 2 for b in chart.terms}}
