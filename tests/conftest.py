@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from contactdyn.core import DarbouxPoint, ScalarField
-from contactdyn.systems import _build_system, make_system
+from contactdyn.systems import Chart, SystemSpec, VirialTermBinding, _build_system, make_system
 
 DAMPED = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=0.1)
 PARACHUTE = make_system("parachute", m=1.0, g=10.0, lam=0.5)
@@ -14,6 +14,15 @@ FORCED = make_system("forced_oscillator", m=1.0, omega=1.0, gamma=0.1, F0=1.0, O
 # the conservative limit gamma = 0 lies outside the schema (gamma > 0), so the
 # catalog's own builder makes it, past make_system's validation
 UNDAMPED = _build_system("damped_oscillator", {"m": 1.0, "omega": 1.0, "gamma": 0.0})
+
+
+def observing_system(layout, G, **terms) -> SystemSpec:
+    """A system of one chart on `layout` whose terms (each of sign +1) and G are the given
+    functions of the state's components, as a custom balance is built in README."""
+    chart = Chart(kind="custom", layout=layout, x0=np.zeros(len(layout)), rhs=None,
+                  terms=[VirialTermBinding(name, +1, f) for name, f in terms.items()], G=G)
+    return SystemSpec(name="custom", params={}, charts={"custom": chart},
+                      default_chart="custom")
 
 
 def free_particle_h(m=1.0) -> ScalarField:

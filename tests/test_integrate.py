@@ -32,8 +32,9 @@ from contactdyn.integrate import (
     write_trajectory_csv,
 )
 from contactdyn.systems import SYSTEM_NAMES, make_system
+from contactdyn.virial import virial_report
 
-from conftest import DAMPED, PARACHUTE, UNDAMPED
+from conftest import DAMPED, PARACHUTE, UNDAMPED, observing_system
 
 LAYOUT_SQP = ("s", "q[0]", "p[0]")
 
@@ -751,6 +752,45 @@ class TestLangevin:
         with pytest.raises(ValueError):
             NoiseSpec(m=1.0, gamma=0.5, k_BT=-0.5, seed=0)
         assert NoiseSpec(m=2.0, gamma=0.5, k_BT=2.0, seed=0).amplitude == pytest.approx(2.0)
+
+
+class TestAveraging:
+    """Time averages of sampled quantities, taken as `virial_report` terms of a custom chart."""
+
+    def test_constant_average(self):
+        times = np.linspace(0.0, 7.3, 1001)
+        spec = observing_system(("v",), G=lambda v: v, c=lambda v: np.full_like(v, 4.2))
+        traj = Trajectory(times=times, states=np.zeros((1001, 1)), layout=("v",))
+        assert virial_report(spec, traj).term("c") == pytest.approx(4.2, rel=1e-14)
+
+    def _one_period(self, term):
+        # one period of the undamped orbit q = cos t
+        chart = UNDAMPED.chart()
+        traj = integrate_fixed(chart.rhs, [0.0, 1.0, 0.0], T=2 * math.pi, dt=1e-3,
+                               layout=chart.layout, sample_every=1)
+        spec = observing_system(chart.layout, G=lambda s, q, p: q * p, f=term)
+        return virial_report(spec, traj).term("f")
+
+    def test_odd_function_over_period(self):
+        assert self._one_period(lambda s, q, p: q) == pytest.approx(0.0, abs=1e-8)
+
+    def test_quadratic_over_period(self):
+        assert self._one_period(lambda s, q, p: q ** 2) == pytest.approx(0.5, abs=1e-6)
+
+    def test_window_start_interpolates(self):
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        spec = observing_system(("v",), G=lambda v: v, v=lambda v: v)  # v = t
+        traj = Trajectory(times=times, states=times[:, None], layout=("v",))
+        rep = virial_report(spec, traj, t0=0.5)
+        # over [0.5, 3]: mean of t = 1.75
+        assert rep.term("v") == pytest.approx(1.75, rel=1e-14)
+        assert rep.G_initial == 0.5
+
+    def test_window_beyond_data_rejected(self):
+        spec = observing_system(("v",), G=lambda v: v, v=lambda v: v)
+        traj = Trajectory(times=np.array([0.0, 1.0]), states=np.ones((2, 1)), layout=("v",))
+        with pytest.raises(ValueError, match="recorded span"):
+            virial_report(spec, traj, t0=2.0)
 
 
 class TestTrajectoryType:
