@@ -19,14 +19,14 @@ def main():
     ap.add_argument("--max-n", type=int, default=256)
     args = ap.parse_args()
 
-    spec = make_system("brownian_oscillator", seed=args.seed)
+    spec = make_system("brownian_oscillator")
     target = spec.params["k_BT"] / 2
     print(f"target k_BT/2 = {target}")
     print(f"{'n':>5} {'<KE>':>8} {'se':>7} {'<PE>':>8} {'se':>7} "
           f"{'drive':>8} {'se':>7}")
     n = 16
     while n <= args.max_n:
-        rep = ensemble_report(spec, n, args.T, args.dt)
+        rep = ensemble_report(spec, n, args.T, args.dt, seed=args.seed)
         print(f"{n:5d} {rep.term('kinetic'):8.4f} "
               f"{rep.term_error('kinetic'):7.4f} "
               f"{rep.term('potential'):8.4f} "

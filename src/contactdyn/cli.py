@@ -9,14 +9,14 @@ ensemble        Langevin ensemble report with error bars
 gradcheck       finite-difference oracle over every analytic partial in the catalog
 check-identity  assert the finite-horizon identity <rate of G> = (G(T)-G(t0))/(T-t0)
 
-Configs are YAML mappings; every field can also be set (or overridden) by a
-flag.  Unknown config keys and parameter names, numeric settings out of
-range (T, dt, the tolerances and sample_interval must be finite and
-positive), a command that does not run the system's kind of stepping and
-settings that the run would not read (both _READS), dt beside
-sample_interval under rkf45 (which reads dt only as that interval's
-default), a sample grid of more than _MAX_SAMPLES samples, and more than
-_MAX_STEPS steps of rk4 or Euler-Maruyama (T / dt) are rejected before any
+Configs are YAML mappings; every setting, declared once as a field of
+ExperimentConfig, can also be set (or overridden) by its flag.  Unknown
+config keys and parameter names, numeric settings out of range (T, dt, the
+tolerances and sample_interval must be finite and positive), a command
+that does not run the system's kind of stepping and settings that the run
+would not read (both _READS; rkf45 reads sample_interval and not dt), a
+sample grid of more than _MAX_SAMPLES samples, and more than _MAX_STEPS
+steps of rk4 or Euler-Maruyama (T / dt) are rejected before any
 computation.  Exit codes:
 0 success, 2 config/validation error, 3 integration abort (partial artifacts
 retained with an abort note), 4 identity/oracle breach — not a crash.
@@ -76,34 +76,47 @@ class ConfigError(ValueError):
     """Bad config file, flag value, or parameter set."""
 
 
+def _setting(default, help: str, **flag):
+    """A run setting: its default, whose type is the setting's, and its flag's help."""
+    return field(default=default, metadata={"help": help, **flag})
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment: system, chart, integrator knobs, horizon, outputs."""
+    """One experiment: system, chart, integrator knobs, horizon, outputs.
 
-    system: str = ""
-    chart: str | None = None
+    Every field but params and given is a setting, and the only place it is
+    declared: its config key is the field name, and its flag is --<name> with
+    underscores as dashes.
+    """
+
+    system: str = _setting("", "catalog system name")
+    chart: str = _setting("", "chart to integrate in")
     params: dict = field(default_factory=dict)
-    integrator: str = "rk4"
-    dt: float = 1e-3
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    T: float = 100.0
-    t0: float = 0.0
-    sample_every: int = 1
-    sample_interval: float | None = None
-    n_traj: int = 1000
-    seed: int | None = None
-    out: str = "out"
-    identity_tol: float = 1e-8
+    integrator: str = _setting("rk4", "deterministic stepper", choices=_INTEGRATORS)
+    dt: float = _setting(1e-3, "fixed step (rk4, Euler-Maruyama)")
+    rel_tol: float = _setting(1e-8, "rkf45 relative tolerance")
+    abs_tol: float = _setting(1e-10, "rkf45 absolute tolerance")
+    T: float = _setting(100.0, "integration horizon")
+    t0: float = _setting(0.0, "averaging window start")
+    sample_every: int = _setting(1, "record every k-th step (rk4, Euler-Maruyama)")
+    # as dense as rk4's default grid: identity residuals are limited by
+    # trapezoid quadrature on the sample grid
+    sample_interval: float = _setting(1e-3, "dense-output spacing (rkf45)")
+    n_traj: int = _setting(1000, "ensemble size")
+    seed: int = _setting(0, "noise stream seed (stochastic)")
+    out: str = _setting("out", "output directory")
+    identity_tol: float = _setting(1e-8, "finite-horizon identity tolerance")
     given: frozenset = frozenset()  # keys set by the config file or a flag
 
 
-_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"given"}
+_SETTINGS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
+_CONFIG_KEYS = {f.name for f in _SETTINGS} | {"params"}
 # the settings each command reads besides params, by how its system steps;
 # a command refuses a system that steps any other way, and a run refuses
 # any other setting given in the config file or as a flag
-_RUN = "system chart T out t0 identity_tol integrator dt"
-_DETERMINISTIC = {"rk4": f"{_RUN} sample_every", "rkf45": f"{_RUN} rel_tol abs_tol sample_interval"}
+_RUN = "system chart T out t0 identity_tol integrator"
+_DETERMINISTIC = {"rk4": f"{_RUN} dt sample_every", "rkf45": f"{_RUN} rel_tol abs_tol sample_interval"}
 _READS = {
     "simulate": {**_DETERMINISTIC, "euler-maruyama": "system chart T out dt sample_every seed"},
     "check-identity": _DETERMINISTIC,
@@ -160,37 +173,24 @@ def build_config(args) -> ExperimentConfig:
             raise ConfigError("config 'params' must be a mapping")
         cfg = replace(cfg, **data, given=frozenset(data))
         cfg.params = dict(file_params)
-    overrides = {
-        name: getattr(args, name)
-        for name in ("system", "chart", "integrator", "dt", "rel_tol", "abs_tol",
-                     "T", "t0", "sample_every", "sample_interval", "n_traj",
-                     "seed", "out", "identity_tol")
-        if getattr(args, name, None) is not None
-    }
+    overrides = {f.name: getattr(args, f.name) for f in _SETTINGS
+                 if getattr(args, f.name, None) is not None}
     cfg = replace(cfg, **overrides, given=cfg.given | set(overrides))
     cfg.params.update(_parse_param_flags(getattr(args, "param", None)))
 
-    def _num(name, value, kind):
-        if value is None:
-            return None
+    for f in _SETTINGS:  # a config file's values arrive as YAML gives them
+        kind, value = type(f.default), getattr(cfg, f.name)
+        if kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"config {f.name}={value!r} is not a string")
+            continue
         try:
-            out = kind(value)
+            number = kind(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config {name}={value!r} is not a number") from exc
-        if kind is int and out != value:
-            raise ConfigError(f"config {name}={value!r} must be an integer")
-        return out
-
-    cfg.T = _num("T", cfg.T, float)
-    cfg.dt = _num("dt", cfg.dt, float)
-    cfg.t0 = _num("t0", cfg.t0, float)
-    cfg.rel_tol = _num("rel_tol", cfg.rel_tol, float)
-    cfg.abs_tol = _num("abs_tol", cfg.abs_tol, float)
-    cfg.identity_tol = _num("identity_tol", cfg.identity_tol, float)
-    cfg.sample_interval = _num("sample_interval", cfg.sample_interval, float)
-    cfg.sample_every = _num("sample_every", cfg.sample_every, int)
-    cfg.n_traj = _num("n_traj", cfg.n_traj, int)
-    cfg.seed = _num("seed", cfg.seed, int)
+            raise ConfigError(f"config {f.name}={value!r} is not a number") from exc
+        if kind is int and number != value:
+            raise ConfigError(f"config {f.name}={value!r} must be an integer")
+        setattr(cfg, f.name, number)
 
     if not cfg.system:
         raise ConfigError("a system name is required (config 'system' or --system)")
@@ -198,7 +198,7 @@ def build_config(args) -> ExperimentConfig:
         raise ConfigError(f"integrator must be one of {_INTEGRATORS}, got {cfg.integrator!r}")
     for name in ("T", "dt", "rel_tol", "abs_tol", "identity_tol", "sample_interval"):
         value = getattr(cfg, name)
-        if value is not None and not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     if not (0 <= cfg.t0 < cfg.T):
         raise ConfigError(f"t0={cfg.t0!r} must satisfy 0 <= t0 < T")
@@ -206,7 +206,7 @@ def build_config(args) -> ExperimentConfig:
         raise ConfigError("sample_every must be >= 1")
     if cfg.n_traj < 2:
         raise ConfigError("n_traj must be >= 2")
-    if cfg.seed is not None and cfg.seed < 0:
+    if cfg.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     return cfg
 
@@ -238,9 +238,6 @@ def _make_spec(cfg: ExperimentConfig, command: str):
         raise ConfigError(f"`{command}` on '{spec.name}' steps {stepping} and does not "
                           f"read {flags} (flag or config key)")
     if stepping == "rkf45":
-        if {"dt", "sample_interval"} <= cfg.given:
-            raise ConfigError(f"`{command}` on '{spec.name}' steps rkf45, which reads --dt "
-                              "only as the default --sample-interval; give one of the two")
         return spec, stepping
     if "sample_every" in reads:  # the ensemble keeps no samples
         _check_sample_count(cfg.T, cfg.dt, cfg.sample_every, "T / (dt * sample_every)")
@@ -257,11 +254,6 @@ def _resolve_chart(spec, cfg):
         raise ConfigError(str(exc)) from exc
 
 
-def _noise(cfg: ExperimentConfig, spec):
-    """The system's noise, reseeded when the config sets a seed."""
-    return spec.noise if cfg.seed is None else replace(spec.noise, seed=cfg.seed)
-
-
 def _check_sample_count(T: float, spacing: float, every: int, grid: str) -> None:
     """Refuse a run that keeps more than _MAX_SAMPLES samples, one per `every` spacings."""
     if T / spacing > _MAX_SAMPLES * every:  # a float meets an int exactly, however large
@@ -274,7 +266,7 @@ def _integrate(cfg: ExperimentConfig, stepping: str, spec, chart_name, chart):
     if stepping == "euler-maruyama":
         try:
             return euler_maruyama_langevin(
-                chart, _noise(cfg, spec), cfg.T, cfg.dt,
+                chart, replace(spec.noise, seed=cfg.seed), cfg.T, cfg.dt,
                 sample_every=cfg.sample_every, meta=meta,
             )
         except ValueError as exc:  # step checks against T and gamma
@@ -286,19 +278,16 @@ def _integrate(cfg: ExperimentConfig, stepping: str, spec, chart_name, chart):
             chart.rhs, chart.x0, cfg.T, cfg.dt,
             layout=chart.layout, sample_every=cfg.sample_every, meta=meta,
         )
-    # identity residuals are limited by trapezoid quadrature on the sample
-    # grid, so default adaptive sampling to the same density as the rk4 grid
-    interval = cfg.sample_interval if cfg.sample_interval is not None else cfg.dt
-    if not (interval <= cfg.T):
-        raise ConfigError(f"sample_interval={interval!r} (dt unless set) must not exceed T={cfg.T!r}")
-    _check_sample_count(cfg.T, interval, 1, "T / sample_interval")
+    if not (cfg.sample_interval <= cfg.T):
+        raise ConfigError(f"sample_interval={cfg.sample_interval!r} must not exceed T={cfg.T!r}")
+    _check_sample_count(cfg.T, cfg.sample_interval, 1, "T / sample_interval")
     return integrate_adaptive(
         chart.rhs, chart.x0, cfg.T, cfg.rel_tol, cfg.abs_tol,
-        layout=chart.layout, sample_interval=interval, meta=meta,
+        layout=chart.layout, sample_interval=cfg.sample_interval, meta=meta,
     )
 
 
-def _preamble(cfg: ExperimentConfig, command: str, stepping: str, seed=None) -> list[str]:
+def _preamble(cfg: ExperimentConfig, command: str, stepping: str) -> list[str]:
     lines = [
         "# contactdyn report",
         f"tool = contactdyn {TOOL_VERSION}",
@@ -310,8 +299,8 @@ def _preamble(cfg: ExperimentConfig, command: str, stepping: str, seed=None) -> 
         lines.append(f"abs_tol = {_fmt(cfg.abs_tol)}")
     else:
         lines.append(f"dt = {_fmt(cfg.dt)}")
-    if seed is not None:
-        lines.append(f"seed = {seed}")
+    if stepping == "euler-maruyama":
+        lines.append(f"seed = {cfg.seed}")
     lines.append("#")
     return lines
 
@@ -409,10 +398,9 @@ def cmd_list_systems(args) -> int:
 def cmd_ensemble(args) -> int:
     cfg = build_config(args)
     spec, stepping = _make_spec(cfg, "ensemble")
-    noise = _noise(cfg, spec)
     outdir = Path(cfg.out)
     try:
-        report = ensemble_report(spec, cfg.n_traj, cfg.T, cfg.dt, noise=noise,
+        report = ensemble_report(spec, cfg.n_traj, cfg.T, cfg.dt, seed=cfg.seed,
                                  residual_tol=cfg.identity_tol)
     except NonFiniteError as exc:
         return _abort(outdir, "ensemble", str(exc))
@@ -420,7 +408,7 @@ def cmd_ensemble(args) -> int:
         raise ConfigError(str(exc)) from exc
     outdir.mkdir(parents=True, exist_ok=True)
     _write_report_file(outdir / "report.txt", report,
-                       _preamble(cfg, "ensemble", stepping, seed=noise.seed))
+                       _preamble(cfg, "ensemble", stepping))
     print(f"wrote {outdir / 'report.txt'}")
     for name in report.term_names:
         print(f"<{name}> = {_fmt(report.term(name))} "
@@ -473,26 +461,10 @@ def cmd_gradcheck(args) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="YAML config file")
-    p.add_argument("--system", help="catalog system name")
-    p.add_argument("--chart", help="chart to integrate in")
     p.add_argument("-p", "--param", action="append", metavar="KEY=VALUE",
                    help="system parameter override (repeatable)")
-    p.add_argument("--integrator", choices=list(_INTEGRATORS))
-    p.add_argument("--dt", type=float,
-                   help="rk4's fixed step; rkf45's default sample interval")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, help="rkf45 relative tolerance")
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, help="rkf45 absolute tolerance")
-    p.add_argument("--T", type=float, help="integration horizon")
-    p.add_argument("--t0", type=float, help="averaging window start")
-    p.add_argument("--sample-every", dest="sample_every", type=int,
-                   help="record every k-th step (rk4)")
-    p.add_argument("--sample-interval", dest="sample_interval", type=float,
-                   help="dense-output spacing (rkf45)")
-    p.add_argument("--n-traj", dest="n_traj", type=int, help="ensemble size")
-    p.add_argument("--seed", type=int, help="noise stream seed (stochastic)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--identity-tol", dest="identity_tol", type=float,
-                   help="finite-horizon identity tolerance")
+    for f in _SETTINGS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), **f.metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -569,7 +569,7 @@ def integrate_adaptive(
     step = _rkf45_kernel(len(y))
 
     h_min = _UNDERFLOW_FRACTION * T
-    h = min(T / 100.0, 1.0)
+    h = max(min(T / 100.0, 1.0), h_min)  # a horizon over 1e12 starts at h_min
 
     times = array("d", [0.0])
     states = array("d", y)  # samples, row after row

@@ -106,10 +106,6 @@ def _finite(v):
     return math.isfinite(v)
 
 
-def _nonnegative_integer(v):
-    return v >= 0 and float(v).is_integer()
-
-
 def catalog_schema() -> dict[str, tuple[ParameterSpec, ...]]:
     """Name -> parameter specs for every catalog system."""
     return {name: row.params for name, row in _SYSTEMS.items()}
@@ -437,9 +433,7 @@ _SYSTEMS = {
         (_MASS,
          ParameterSpec("omega", 1.0, "> 0", _positive, "trap frequency"),
          ParameterSpec("gamma", 0.5, "> 0", _positive, "friction rate"),
-         ParameterSpec("k_BT", 1.0, ">= 0", _nonnegative, "thermal energy"),
-         ParameterSpec("seed", 0.0, "non-negative integer", _nonnegative_integer,
-                       "noise stream seed")), {
+         ParameterSpec("k_BT", 1.0, ">= 0", _nonnegative, "thermal energy")), {
             # the thermal force's share, q*eta/2, is the realized Ito integral
             # of q dW; ensemble reports add it from the stepper
             "hamiltonian": replace(
@@ -591,8 +585,7 @@ def _build_system(name: str, params: dict) -> SystemSpec:
               for c, row in system.charts.items()}
     noise = None
     if system.noise:
-        noise = NoiseSpec(m=params["m"], gamma=params["gamma"], k_BT=params["k_BT"],
-                          seed=int(params["seed"]))
+        noise = NoiseSpec(m=params["m"], gamma=params["gamma"], k_BT=params["k_BT"], seed=0)
     return SystemSpec(name=name, params=params, charts=charts,
                       default_chart=next(iter(charts)), noise=noise,
                       description=system.description, **models)

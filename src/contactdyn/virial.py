@@ -32,7 +32,7 @@ roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -256,29 +256,32 @@ def ensemble_report(
     n_traj: int,
     T: float,
     dt: float,
-    noise=None,
+    seed: int = 0,
     *,
     residual_tol: float = RESIDUAL_TOL,
 ) -> VirialReport:
     """Averaged-rate report of a Langevin ensemble, with error bars.
 
-    Term averages are ensemble means of the per-member horizon averages of
-    the chart's own terms; errors are standard errors over the ensemble.
+    Member i draws the system's noise from child i of SeedSequence(seed),
+    as `contactdyn ensemble --seed` does.  Term averages are ensemble means
+    of the per-member horizon averages of the chart's own terms; errors are
+    standard errors over the ensemble.
     `drive_friction` gains rate_scale times the realized Ito noise integral,
     which only the stepper can accumulate.  The boundary identity is exact
     only in expectation here: pathwise rates carry the quadratic variation
     of the noise, so the CLI's `ensemble` gates the residual at 4 standard
     errors of the term sum over rate_scale rather than at integrator
     tolerance.  Diverged members are dropped;
-    NonFiniteError is raised when fewer than two remain.
+    NonFiniteError is raised when fewer than two remain.  A system without
+    noise is refused with a ValueError that names it.
     """
-    if system.noise is None and noise is None:
+    if system.noise is None:
         raise ValueError(
             f"'{system.name}' is deterministic; use virial_report on a trajectory"
         )
     if n_traj < 2:
         raise ValueError("an ensemble needs n_traj >= 2")
-    noise = noise if noise is not None else system.noise
+    noise = replace(system.noise, seed=seed)
     chart_name = system.default_chart
     chart = system.chart(chart_name)
     stats = langevin_ensemble(chart, noise, T, dt, n_traj)

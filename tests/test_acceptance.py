@@ -152,8 +152,8 @@ def test_criterion_5_parachute():
 
 
 def test_criterion_6_brownian_equipartition():
-    spec = make_system("brownian_oscillator")  # gamma=0.5, k_BT=1, seed=0
-    rep = ensemble_report(spec, 1000, 100.0, 1e-3)
+    spec = make_system("brownian_oscillator")  # gamma=0.5, k_BT=1
+    rep = ensemble_report(spec, 1000, 100.0, 1e-3)  # seed 0
     ke, pe = rep.term("kinetic"), rep.term("potential")
     se_ke, se_pe = rep.term_error("kinetic"), rep.term_error("potential")
     drive, se_drive = rep.term("drive_friction"), rep.term_error("drive_friction")

@@ -1,11 +1,13 @@
 """Command-line runner: configs, overrides, artifacts, exit codes."""
 
+import argparse
 import math
 import os
 import subprocess
 import sys
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,13 @@ from contactdyn.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     TOOL_VERSION,
+    ExperimentConfig,
+    build_config,
+    build_parser,
     main,
 )
 from contactdyn.systems import make_system
-from contactdyn.virial import parse_report
+from contactdyn.virial import ensemble_report, parse_report, report_text
 
 
 def run(*argv):
@@ -73,6 +78,19 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg.write_text("system: damped_oscillator\nwavelength: 3\n", encoding="utf-8")
     assert run("simulate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
     assert "wavelength" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["system", "chart", "integrator", "out"])
+@pytest.mark.parametrize("value", [None, 5, ["damped_oscillator"]], ids=["null", "int", "list"])
+def test_non_string_config_value_exits_2(tmp_path, capsys, setting, value):
+    # a text setting's value reached Path() or a dict lookup as a traceback
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"system": "damped_oscillator", "T": 1, "out": str(out),
+                                   setting: value}), encoding="utf-8")
+    assert run("simulate", "--config", str(cfg)) == EXIT_CONFIG
+    assert f"config error: config {setting}={value!r} is not a string" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_yaml_exits_2(tmp_path):
@@ -232,7 +250,7 @@ def test_negative_seed_exits_2_naming_seed(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
 def test_simulate_step_exceeds_T_exits_2(tmp_path, capsys, integrator):
-    # the default dt (and with it rkf45's default sample interval) exceeds T
+    # the default dt, and rkf45's default sample interval, exceed T
     code = run("simulate", "--system", "damped_oscillator", "--integrator", integrator,
                "--T", "0.0005", "--out", str(tmp_path / "run"))
     assert code == EXIT_CONFIG
@@ -285,13 +303,36 @@ def test_ensemble_small(tmp_path, capsys):
     code = run("ensemble", "--system", "brownian_oscillator", "--n-traj", "16",
                "--T", "20", "--seed", "11", "--out", str(out))
     assert code == EXIT_OK
-    report = parse_report((out / "report.txt").read_text(encoding="utf-8"))
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    report = parse_report(text)
     assert report["command"] == "ensemble"
     assert report["integrator"] == "euler-maruyama"
-    assert report["seed"] == "11"
+    # the seed is a run setting alone: the system has no seed parameter
+    assert report["seed"] == report["meta.seed"] == "11"
+    assert "param.seed" not in text
     assert report["n_traj"] == "16"
     assert "term.kinetic.stderr" in report
     assert "+/-" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "ensemble"])
+def test_seed_parameter_exits_2_listing_the_parameters(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert run(command, "--system", "brownian_oscillator", "-p", "seed=3", "--T", "1",
+               "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: unknown parameter(s) ['seed']" in err
+    assert "accepted: ['gamma', 'k_BT', 'm', 'omega']" in err
+    assert not out.exists()
+
+
+def test_ensemble_report_seed_equals_the_cli_seed(tmp_path):
+    # bit for bit: a report float is written at 17 significant digits
+    out = tmp_path / "run"
+    assert run("ensemble", "--system", "brownian_oscillator", "--n-traj", "8",
+               "--T", "2", "--seed", "5", "--out", str(out)) == EXIT_OK
+    rep = ensemble_report(make_system("brownian_oscillator"), 8, 2.0, 1e-3, seed=5)
+    assert (out / "report.txt").read_text(encoding="utf-8").endswith(report_text(rep))
 
 
 def test_ensemble_rerun_byte_identical(tmp_path):
@@ -396,13 +437,12 @@ def _patch_steppers(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["simulate", "virial", "check-identity"])
-def test_dt_beside_sample_interval_under_rkf45_exits_2(tmp_path, capsys, monkeypatch, command):
-    # rkf45 reads dt only as the default sample interval, so giving both
-    # would drop --dt without a word; the run is refused before it steps
+def test_rkf45_refuses_dt(tmp_path, capsys, monkeypatch, command):
+    # rkf45 reads --sample-interval alone, so a --dt would be dropped without
+    # a word; the run is refused before it steps
     _patch_steppers(monkeypatch)
     out = tmp_path / "run"
-    code = run(command, *_RUNS["rkf45"], "--T", "1", "--dt", "0.5",
-               "--sample-interval", "0.1", "--out", str(out))
+    code = run(command, *_RUNS["rkf45"], "--T", "1", "--dt", "0.5", "--out", str(out))
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err and "--dt" in err
@@ -461,8 +501,7 @@ _COMMAND_STEPPINGS = sorted((command, stepping) for command, by_stepping in _REA
 def test_drawn_settings_exit_2_exactly_when_one_is_refused(tmp_path, monkeypatch):
     # a drawn set of settings, each a flag or a config key, exits 2 and writes
     # nothing exactly when the command does not read one of them on that
-    # stepping, or rkf45 is given both dt and sample_interval; any other set
-    # reaches the stepper
+    # stepping; any other set reaches the stepper
     _patch_steppers(monkeypatch)
     out = tmp_path / "run"
 
@@ -477,8 +516,7 @@ def test_drawn_settings_exit_2_exactly_when_one_is_refused(tmp_path, monkeypatch
         unread = sorted(set(_SETTING_VALUES) - reads)
         keys = [key for key in read if data.draw(st.booleans())]
         keys += data.draw(st.sets(st.sampled_from(unread), max_size=2)) if unread else []
-        refused = (not reads.issuperset(keys)
-                   or (stepping == "rkf45" and {"dt", "sample_interval"} <= set(keys)))
+        refused = not reads.issuperset(keys)
         argv = [command, *_RUNS[stepping], "--out", str(out)]
         in_file = {}
         for key in keys:
@@ -498,6 +536,47 @@ def test_drawn_settings_exit_2_exactly_when_one_is_refused(tmp_path, monkeypatch
         assert not out.exists()
 
     consistent()
+
+
+# every setting: each field of ExperimentConfig but params and given
+_SETTING_NAMES = sorted({f.name for f in fields(ExperimentConfig)} - {"params", "given"})
+
+
+@pytest.mark.parametrize("command", ["simulate", "virial", "check-identity", "ensemble"])
+def test_options_are_config_param_and_one_flag_per_setting(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+    assert sorted(options) == sorted(["config", "param", *_SETTING_NAMES])
+    assert options["config"].option_strings == ["--config"]
+    assert options["param"].option_strings == ["-p", "--param"]
+    for f in fields(ExperimentConfig):
+        if f.name in _SETTING_NAMES:
+            action = options[f.name]
+            assert action.option_strings == ["--" + f.name.replace("_", "-")]
+            assert action.type is type(f.default)
+            assert action.help and action.help == f.metadata.get("help")
+
+
+def test_config_keys_are_the_settings_and_params(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("wavelength: 3\n", encoding="utf-8")
+    assert run("simulate", "--config", str(cfg)) == EXIT_CONFIG
+    assert f"accepted: {sorted(['params', *_SETTING_NAMES])}" in capsys.readouterr().err
+
+
+def test_each_setting_reaches_the_config_from_its_flag_and_its_key(tmp_path):
+    values = {**_SETTING_VALUES, "system": "damped_oscillator", "out": "elsewhere"}
+    assert sorted(values) == _SETTING_NAMES
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+    from_flags = build_config(build_parser().parse_args(["simulate", *flags]))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(values), encoding="utf-8")
+    from_file = build_config(build_parser().parse_args(["simulate", "--config", str(cfg)]))
+    for key, value in values.items():
+        assert getattr(from_flags, key) == getattr(from_file, key) == value, key
+        assert type(getattr(from_flags, key)) is type(getattr(from_file, key)), key
+    assert from_flags.given == from_file.given == set(values)
 
 
 # T = 1 spaced 2**-27 apart is 134 217 728 samples, above the cap of 10**8;

@@ -159,6 +159,14 @@ class TestAdaptive:
         assert "underflow" in traj.abort_reason or "failed" in traj.abort_reason
         assert traj.times[-1] < 10.0
 
+    def test_horizon_beyond_1e12_steps_from_t0(self):
+        # the first step, capped at 1.0, sat below the underflow floor 1e-12 * T
+        traj = integrate_adaptive(lambda t, y: (0.0,), (1.0,), 1e13, layout=("x",),
+                                  sample_interval=1e12)
+        assert not traj.aborted, traj.abort_reason
+        assert traj.meta["n_accepted"] > 0
+        assert traj.t_final == 1e13
+
     def test_rejection_counters_recorded(self):
         rhs = contact_rhs(DAMPED.hamiltonian)
         traj = integrate_adaptive(rhs, [0.0, 1.0, 0.0], T=10.0, layout=LAYOUT_SQP)
@@ -641,11 +649,11 @@ class TestVolumeContraction:
 
 
 class TestLangevin:
-    def system(self, **kw):
-        args = dict(gamma=0.5, k_BT=1.0, seed=12345)
+    def system(self, seed=12345, **kw):
+        args = dict(gamma=0.5, k_BT=1.0)
         args.update(kw)
         spec = make_system("brownian_oscillator", **args)
-        return spec.chart(), spec.noise
+        return spec.chart(), replace(spec.noise, seed=seed)
 
     def test_seed_reproducibility(self):
         chart, noise = self.system()

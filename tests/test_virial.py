@@ -301,8 +301,8 @@ def test_three_particle_damped_balance():
 
 @pytest.fixture(scope="module")
 def small_brownian_report():
-    spec = make_system("brownian_oscillator", seed=2024)
-    return ensemble_report(spec, n_traj=64, T=50.0, dt=1e-3)
+    spec = make_system("brownian_oscillator")
+    return ensemble_report(spec, n_traj=64, T=50.0, dt=1e-3, seed=2024)
 
 
 def test_ensemble_equipartition(small_brownian_report):
@@ -337,10 +337,12 @@ def test_ensemble_validation():
     spec = make_system("brownian_oscillator")
     with pytest.raises(ValueError, match="n_traj"):
         ensemble_report(spec, n_traj=1, T=10.0, dt=1e-3)
-    with pytest.raises(ValueError, match="deterministic"):
-        ensemble_report(make_system("damped_oscillator"), n_traj=4, T=10.0, dt=1e-3)
+    with pytest.raises(ValueError, match="'damped_oscillator' is deterministic"):
+        ensemble_report(make_system("damped_oscillator"), n_traj=4, T=10.0, dt=1e-3, seed=3)
     with pytest.raises(TypeError):
         ensemble_report(spec, n_traj=4, T=10.0, dt=1e-3, terms=())
+    with pytest.raises(TypeError):  # the seed is the only noise knob
+        ensemble_report(spec, n_traj=4, T=10.0, dt=1e-3, noise=spec.noise)
 
 
 def test_ensemble_zero_noise_degenerates_to_deterministic():
@@ -417,11 +419,10 @@ def _same_float(a: float, b: float) -> bool:
 def test_report_text_round_trips_every_key_and_float(name, factors, seed, window_start):
     # each parameter is its default times a drawn factor; stochastic systems
     # give ensemble reports, the others reports over a short RK4 run
-    params = {p.name: seed if p.name == "seed" else p.default * f
-              for p, f in zip(catalog_schema()[name], factors)}
+    params = {p.name: p.default * f for p, f in zip(catalog_schema()[name], factors)}
     spec = make_system(name, **params)
     if spec.noise is not None:
-        rep = ensemble_report(spec, n_traj=4, T=0.5, dt=1e-2)
+        rep = ensemble_report(spec, n_traj=4, T=0.5, dt=1e-2, seed=seed)
     else:
         chart = spec.chart()
         traj = integrate_fixed(chart.rhs, chart.x0, T=2.0, dt=1e-2, layout=chart.layout)
