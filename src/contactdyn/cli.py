@@ -15,9 +15,9 @@ config keys and parameter names, numeric settings out of range (T, dt, the
 tolerances and sample_interval must be finite and positive), a command
 that does not run the system's kind of stepping and settings that the run
 would not read (both _READS; rkf45 reads sample_interval and not dt), a
-sample grid of more than _MAX_SAMPLES samples, and more than _MAX_STEPS
-steps of rk4 or Euler-Maruyama (T / dt) are rejected before any
-computation.  Exit codes:
+sample grid of more than _MAX_SAMPLES samples, more than _MAX_STEPS
+steps of rk4 or Euler-Maruyama (T / dt) and an ensemble of more than
+_MAX_TRAJ members are rejected before any computation.  Exit codes:
 0 success, 2 config/validation error, 3 integration abort (partial artifacts
 retained with an abort note), 4 identity/oracle breach — not a crash.
 
@@ -70,6 +70,10 @@ _MAX_SAMPLES = 10**8
 # 2 * 10**5 for the largest README run; a larger T / dt is a mistyped dt,
 # which would step until the process is killed
 _MAX_STEPS = 10**9
+# ensemble members one run may step: each holds a PCG64 generator of about
+# 1 KB besides its state and sums, so 10**5 members take some 100 MB,
+# against 1000 for the README run
+_MAX_TRAJ = 10**5
 
 
 class ConfigError(ValueError):
@@ -204,8 +208,8 @@ def build_config(args) -> ExperimentConfig:
         raise ConfigError(f"t0={cfg.t0!r} must satisfy 0 <= t0 < T")
     if cfg.sample_every < 1:
         raise ConfigError("sample_every must be >= 1")
-    if cfg.n_traj < 2:
-        raise ConfigError("n_traj must be >= 2")
+    if not 2 <= cfg.n_traj <= _MAX_TRAJ:
+        raise ConfigError(f"n_traj must be >= 2 and <= {_MAX_TRAJ:.0e}, got {cfg.n_traj}")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     return cfg

@@ -16,13 +16,18 @@ component is s, q, p, ...) is the caller's business and is recorded in
 the trajectory's ``layout``.  Three steppers are provided: classical
 fixed-step RK4, an embedded RK4(5) pair (steps through a straight-line
 kernel generated once per state width) whose cubic-Hermite dense output
-is evaluated in numpy passes over chunks of accepted steps, and one
-Euler-Maruyama loop over a stochastic chart's drift and terms, shared by
-single runs and ensembles (member 0 is bit-identical to the single run
-with the same seed).  It keeps each member's term averages as running
-trapezoid sums and stores no block of states, so an ensemble needs
-O(n_traj) memory plus a fixed noise buffer whatever the horizon, and a
-single run O(samples kept).
+is evaluated in numpy passes over chunks of accepted steps, and
+Euler-Maruyama over a stochastic chart, shared by single runs and
+ensembles (member 0 is bit-identical to the single run with the same
+seed).  Its loop is generated from the chart's statements (`LangevinForm`):
+the drift, the terms, G, the noise entry, the trapezoid sums and the
+sample rows are inlined, with the parameters as constants, so a step
+calls no function of the chart.  The loop steps only the live roles, those
+that the run's outputs read: an ensemble of a chart whose (q, p) rows do
+not read s steps (q, p) alone.  It keeps each member's term averages as
+running trapezoid sums and stores no block of states, so an ensemble
+needs O(n_traj) memory plus a fixed noise buffer whatever the horizon,
+and a single run O(samples kept).
 """
 
 from __future__ import annotations
@@ -689,31 +694,133 @@ class LangevinEnsembleStats:
     G_final: np.ndarray
 
 
+@dataclass(eq=False)
+class LangevinForm:
+    """A stochastic chart's Euler-Maruyama step as straight-line code, for the loop to inline.
+
+    `roles` are the chart's three roles in layout order, by position s, q
+    and p.  The loop steps only the roles of `stepped`, in layout order:
+    with them assigned, running `lines` (domain check and definitions)
+    leaves their drift components in the expressions of `drift`.  `terms`
+    and `G` are the balance's expressions over the stepped roles.  The
+    statements hold for floats and for equal-shape member arrays alike; the
+    domain check holds for every member.  Each name of `constants` stands
+    for its value and `namespace` holds the functions the statements call.
+    `name` labels the generated source.  The loops generated for the form
+    are kept in `loops`, by whether they keep samples.
+    """
+
+    name: str
+    roles: tuple
+    stepped: tuple
+    lines: tuple
+    drift: tuple
+    terms: tuple
+    G: str
+    constants: dict
+    namespace: dict
+    loops: dict = field(default_factory=dict, repr=False)
+
+
+def _generate_langevin(form: LangevinForm, sampled: bool):
+    """Euler-Maruyama over one stochastic chart as one generated loop function.
+
+    The function is loop(x, n, dt, T, every, times, kept, draw).  From x,
+    the values of the stepped roles (floats, or equal-shape arrays with one
+    entry per member), it takes n steps of length dt; draw(k) gives the
+    noise increments of the block of steps after step k, one float or
+    member row per step.  Per step, with the drift evaluated at the old
+    state: the noise sum gains q * dW, s gains dt * (drift + q * (dW/dt)),
+    q gains dt * drift and p gains dt * drift + dW.  Then every term is
+    evaluated on the new state and (previous + current) * (dt/2) is added to
+    its partial sum, which is folded into its total every _SUM_STEPS steps.
+    When `sampled`, the time and state after every `every`-th step and
+    after the last one go into row i of `times` and `kept`, for i = 1, 2, ...
+
+    It returns (term sums, noise sum, G at x, G at the end): floats or
+    member arrays.  The loop calls no function of the chart: it runs the
+    form's statements inline, with its constants folded in.  Names of the
+    loop's own start with an underscore, which no role or definition may.
+    """
+    s, q, p = form.roles
+    update = {
+        s: f"{s} = {s} + _dt * (_d_{s} + {q} * (_dW / _dt))",
+        q: f"{q} = {q} + _dt * _d_{q}",
+        p: f"{p} = {p} + _dt * _d_{p} + _dW",
+    }
+    ks = range(len(form.terms))
+    body = [*form.lines,
+            *(f"_d_{role} = {expr}" for role, expr in zip(form.stepped, form.drift)),
+            f"_noise += {q} * _dW",
+            *(update[role] for role in form.stepped)]
+    for k, term in zip(ks, form.terms):
+        body += [f"_cur = {term}",
+                 f"_part{k} += (_prev{k} + _cur) * _half_dt",
+                 f"_prev{k} = _cur"]
+    body += [f"if _step % {_SUM_STEPS} == 0:",
+             *(f"    _sum{k} += _part{k}" for k in ks),
+             "    " + "".join(f"_part{k} = " for k in ks) + "0.0"]
+    if sampled:
+        body += ["if _step % _every == 0 or _step == _n:",
+                 "    _times[_n_kept] = _step * _dt if _step < _n else _T",
+                 *(f"    _kept[_n_kept, {i}] = {role}" for i, role in enumerate(form.roles)),
+                 "    _n_kept += 1"]
+    lines = [
+        "def loop(_x, _n, _dt, _T, _every, _times, _kept, _draw):",
+        f"    {''.join(f'{role}, ' for role in form.stepped)}= _x",
+        f"    _G0 = {form.G}",
+        *(f"    _prev{k} = {term}" for k, term in zip(ks, form.terms)),
+        "    " + "".join(f"_sum{k} = _part{k} = " for k in ks) + "_noise = 0.0",
+        "    _half_dt = _dt * 0.5",
+        "    _step = 0",
+        "    _n_kept = 1",
+        "    while _step < _n:",
+        "        for _dW in _draw(_step):",
+        "            _step += 1",
+        *(" " * 12 + line for line in body),
+        f"    return ({''.join(f'_sum{k} + _part{k}, ' for k in ks)}), _noise, _G0, {form.G}",
+    ]
+    source = "\n".join(lines) + "\n"
+    label = f"{form.name}, steps ({', '.join(form.stepped)}){', samples' if sampled else ''}"
+    return exec_generated(source, f"<em loop: {label}>", dict(form.namespace),
+                          form.constants)["loop"]
+
+
 def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
                    sample_every: int | None):
     """Euler-Maruyama over n_traj independent noise streams of one chart.
 
-    The chart's layout is (s, q[0], p[0]) and its rhs is the drift,
-    evaluated on per-member arrays; time is the loop's own variable.  Per
+    The chart's layout is (s, q[0], p[0]) and its `langevin` form gives its
+    drift, terms and G as statements; time is the loop's own variable.  Per
     step the thermal force dW enters p, and -q*eta enters h, so s also
-    gains q * dW/dt.  Single runs and ensemble members share this path, so
-    every emitted number is identical for a given member stream.  Member i
-    draws from a PCG64 stream seeded with child i of SeedSequence(seed), so a
-    single run is member 0; each fills its row of one noise buffer per block
-    of steps, and a stream's numbers do not depend on the block length.
+    gains q * dW/dt.  The step runs in one loop generated per form (see
+    `_generate_langevin`) on its first use, which steps only the live roles:
+    those that the terms, G, the noise sum and the kept samples read,
+    closed over the drift components that they read.  So an ensemble of a
+    chart whose (q, p) rows do not read s steps (q, p) alone, and a single
+    run, which keeps samples, steps every role.  One member steps in numpy
+    float64 scalars, more in member arrays; both give the same numbers.
+    Single runs and ensemble members share this path, so every emitted
+    number is identical for a given member stream.  Member i draws from a
+    PCG64 stream seeded with child i of SeedSequence(seed), so a single run
+    is member 0; each fills its row of one noise buffer per block of steps,
+    and a stream's numbers do not depend on the block length.
 
     The term averages are running trapezoid sums: after each step every
-    term is evaluated once on the new member arrays, and
-    (dt/2) * (previous + current) is added to a partial sum that is folded
-    into the total every _SUM_STEPS steps, so a member's sums do not depend
-    on n_traj.  Memory is O(n_traj) plus the two noise buffers of
-    _NOISE_MEMBER_STEPS doubles each, whatever T is.
+    term is evaluated once on the new state, and (previous + current) *
+    (dt/2) is added to a partial sum that is folded into the total every
+    _SUM_STEPS steps, so a member's sums do not depend on n_traj.  Memory
+    is O(n_traj) plus the two noise buffers of _NOISE_MEMBER_STEPS doubles
+    each, whatever T is.
 
     Returns the stats and, when `sample_every` is set, the times (N,) and
     states (N, 3, n_traj) at step 0, every sample_every-th step and T.
     """
     if chart.layout != ("s", "q[0]", "p[0]"):
         raise ValueError(f"Euler-Maruyama steps (s, q[0], p[0]), not {chart.layout}")
+    if chart.langevin is None:
+        raise ValueError("Euler-Maruyama steps a catalog chart's statements; "
+                         "this chart carries none")
     if not (T > 0 and 0 < dt <= T):
         raise ValueError("need T > 0 and 0 < dt <= T")
     if noise.gamma * dt >= 0.1:
@@ -724,74 +831,54 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError("T must be an integer number of Langevin steps (T = n*dt)")
 
+    sampled = sample_every is not None
+    # the noise sum reads q; kept samples read every component
+    form = chart.langevin(chart.layout if sampled else chart.layout[1:2])
+    if sampled not in form.loops:
+        form.loops[sampled] = _generate_langevin(form, sampled)
+    loop = form.loops[sampled]
+
     amp = noise.amplitude * math.sqrt(dt)
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(noise.seed).spawn(n_traj)]
     block = min(n_steps, max(1, _NOISE_MEMBER_STEPS // n_traj))
     raw = np.empty((n_traj, block))  # one generator's draws per row
     dW = np.zeros((block, n_traj))   # one step's increments per row
-    values = [b.value for b in chart.terms]
-    t = 0.0
-    s, q, p = (np.full(n_traj, v) for v in chart.x0)
-    G_initial = chart.G(s, q, p)
-    samples = None
-    if sample_every is not None:
+
+    def draw(step):
+        """The increments of the next block of steps: member rows, or scalars for one member."""
+        nb = min(block, n_steps - step)
+        if amp > 0.0:
+            for g, row in zip(gens, raw):
+                g.standard_normal(out=row[:nb])
+            np.multiply(raw[:, :nb].T, amp, out=dW[:nb])
+        return dW[:nb] if n_traj > 1 else dW[:nb, 0]
+
+    # one member steps numpy float64 scalars, the entries of chart.x0
+    x = [v if n_traj == 1 else np.full(n_traj, v)
+         for role, v in zip(form.roles, chart.x0) if role in form.stepped]
+    times = kept = samples = None
+    if sampled:
         # step 0, every sample_every-th step and T
         n_samples = 1 + -(-n_steps // sample_every)
-        kept_times = np.zeros(n_samples)
+        times = np.zeros(n_samples)
         kept = np.empty((n_samples, len(chart.layout), n_traj))
         kept[0] = chart.x0[:, None]
-        samples, n_kept = (kept_times, kept), 1
-    prev = np.empty((len(values), n_traj))  # term values at the last state
-    cur = np.empty_like(prev)
-    for k, value in enumerate(values):
-        prev[k] = value(s, q, p)
-    sums = np.zeros_like(prev)
-    partial = np.zeros_like(prev)
-    noise_sum = np.zeros(n_traj)
-    half_dt = dt * 0.5
-
-    step = 0
+        samples = (times, kept)
     # stiff parameter choices blow up through inf/nan; callers detect that
     # in the returned stats and samples, so the arithmetic runs unwarned
     with np.errstate(all="ignore"):
-        while step < n_steps:
-            nb = min(block, n_steps - step)
-            if amp > 0.0:
-                for g, row in zip(gens, raw):
-                    g.standard_normal(out=row[:nb])
-                np.multiply(raw[:, :nb].T, amp, out=dW[:nb])
-            for dWj in dW[:nb]:
-                step += 1
-                ds, dq, dp = chart.rhs(t, (s, q, p))
-                noise_sum += q * dWj
-                s = s + dt * (ds + q * (dWj / dt))
-                q = q + dt * dq
-                p = p + dt * dp + dWj
-                t = step * dt if step < n_steps else T
-                for k, value in enumerate(values):
-                    cur[k] = value(s, q, p)
-                # partial += (dt/2) * (prev + cur), then cur becomes prev
-                np.add(prev, cur, out=prev)
-                prev *= half_dt
-                partial += prev
-                prev, cur = cur, prev
-                if step % _SUM_STEPS == 0:
-                    sums += partial
-                    partial[:] = 0.0
-                if samples is not None and (step % sample_every == 0 or step == n_steps):
-                    kept_times[n_kept] = t
-                    kept[n_kept, 0], kept[n_kept, 1], kept[n_kept, 2] = s, q, p
-                    n_kept += 1
+        sums, noise_sum, G_initial, G_final = loop(x, n_steps, dt, T, sample_every,
+                                                   times, kept, draw)
 
     stats = LangevinEnsembleStats(
         n_traj=n_traj,
         T=T,
         dt=dt,
         seed=noise.seed,
-        term_averages=(sums + partial) / T,
-        noise_virial=noise_sum / T,
-        G_initial=G_initial,
-        G_final=chart.G(s, q, p),
+        term_averages=np.array([np.full(n_traj, v) for v in sums]) / T,
+        noise_virial=np.full(n_traj, noise_sum) / T,
+        G_initial=np.full(n_traj, G_initial),
+        G_final=np.full(n_traj, G_final),
     )
     return stats, samples
 

@@ -57,7 +57,7 @@ from .extended import (
     check_partials_extended,
 )
 from .herglotz import LagrangianModel, LagrangianPoint, check_lagrangian_partials
-from .integrate import NoiseSpec, StraightLine, Trajectory, exec_generated
+from .integrate import LangevinForm, NoiseSpec, StraightLine, Trajectory, exec_generated
 
 __all__ = [
     "ParameterSpec",
@@ -137,12 +137,21 @@ class Chart:
     rhs(t, y) is the field the steppers advance, compiled from the system's
     model: it takes the state as a tuple of floats in `layout` order and
     returns the derivatives as a tuple of floats; a stochastic chart's rhs
-    is its drift, which also evaluates on per-member arrays.  terms, G and
-    rate_scale are everything a report needs: G(*y), like each term's
-    value(*y), takes the state's components in layout order and evaluates on
-    floats and on column arrays alike, and sum(sign*term) == rate_scale *
-    X(G) holds identically, so the signed term sum over rate_scale is the
-    flow rate X(G).  make_system checks that identity for every chart.
+    is its drift.  terms, G and rate_scale are everything a report needs:
+    G(*y), like each term's value(*y), takes the state's components in
+    layout order and evaluates on floats and on column arrays alike, and
+    sum(sign*term) == rate_scale * X(G) holds identically, so the signed
+    term sum over rate_scale is the flow rate X(G).  make_system checks that
+    identity for every chart.
+
+    A catalog chart also carries `langevin`: langevin(keep) gives its
+    drift, terms and G as straight-line statements over member arrays
+    (`LangevinForm`), made on first use, from which the Euler-Maruyama loop
+    is generated.  That loop steps only the live roles: the roles of the
+    layout components in `keep`, those that the terms, G and the domain
+    check read, and those that the drift components of live roles read.  A
+    chart built by hand carries none and cannot be stepped by
+    Euler-Maruyama.
     """
 
     kind: str
@@ -152,6 +161,7 @@ class Chart:
     terms: tuple
     G: Callable[..., float]
     rate_scale: float = 1.0
+    langevin: Callable[[tuple], LangevinForm] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "layout", tuple(self.layout))
@@ -482,6 +492,48 @@ def _split_definitions(model: _Model, params: dict) -> tuple[dict, dict]:
     return constants, reads
 
 
+def _closure(exprs, reads: dict) -> set:
+    """The names that `exprs` read, with those of every definition in `reads` they read."""
+    needed = set().union(*(_code(e).co_names for e in exprs))
+    for key in reversed(reads):  # a definition reads only earlier ones
+        if key in needed:
+            needed |= reads[key]
+    return needed
+
+
+def _body(model: _Model, reads: dict, roles: tuple, result, check="if not ({}):") -> list:
+    """The domain check and the definitions `result` reads, as statements over `roles`.
+
+    `check` is the test that the domain check's condition fills in; the
+    definitions come in the order `model` states them.
+    """
+    unpacked = ", ".join(roles)
+    lines = []
+    if model.domain:
+        lines += [check.format(model.domain),
+                  f"    raise DomainError('state ({unpacked}) = %r violates "
+                  f"{model.domain}' % (({unpacked},),))"]
+    needed = _closure(result, reads)
+    return lines + [f"{key} = {model.defs[key]}" for key in reads if key in needed]
+
+
+def _live_roles(model: _Model, reads: dict, roles: tuple, field: tuple, keep: set) -> tuple:
+    """The roles a stepper must advance so that the roles of `keep` come out exact.
+
+    A role is live when it is kept, when the domain check reads it, or when
+    the field component of a live role reads it; the live roles are
+    returned in layout order.
+    """
+    live = set(keep)
+    if model.domain:
+        live |= _closure((model.domain,), reads) & set(roles)
+    while True:
+        read = _closure([c for role, c in zip(roles, field) if role in live], reads)
+        if read & set(roles) <= live:
+            return tuple(role for role in roles if role in live)
+        live |= read & set(roles)
+
+
 def _compile(name: str, params: dict, *charts: str) -> tuple:
     """The evaluator bundle of model `name` at `params`, then the rhs of each chart kind.
 
@@ -507,33 +559,22 @@ def _compile(name: str, params: dict, *charts: str) -> tuple:
     functions = {**_MATH, "array": np.array, "DomainError": DomainError}
     constants, reads = _split_definitions(model, params)
 
-    def body(unpacked, result):
-        """The domain check and the definitions `result` reads, as statements."""
-        needed = set().union(*(_code(e).co_names for e in result))
-        for key in reversed(reads):  # a definition reads only earlier ones
-            if key in needed:
-                needed |= reads[key]
-        lines = []
-        if model.domain:
-            lines += [f"if not ({model.domain}):",
-                      f"    raise DomainError('state ({unpacked}) = %r violates "
-                      f"{model.domain}' % (({unpacked},),))"]
-        return lines + [f"{key} = {model.defs[key]}" for key in reads if key in needed]
-
+    point_roles = tuple(roles.split(", "))
     bundle_source = []
     for fname, result in returns.items():
         value = f"array({result})" if result[0] == "[" else result
         bundle_source += [f"def {fname}(x):", f"    {roles} = {point}",
-                          *(f"    {line}" for line in body(roles, (result,))),
+                          *(f"    {line}" for line in _body(model, reads, point_roles, (result,))),
                           f"    return {value}"]
     evaluators = exec_generated("\n".join(bundle_source) + "\n", f"<{name} evaluators>",
                                 {**functions, **constants})
     source, forms = [], []
     for i, chart in enumerate(charts):
         layout, field = _FIELDS[chart]
-        forms.append(StraightLine(name=f"{name}/{chart}", roles=tuple(layout.split(", ")),
-                                  lines=tuple(body(layout, field)), result=field,
-                                  constants=constants, namespace=functions))
+        chart_roles = tuple(layout.split(", "))
+        forms.append(StraightLine(name=f"{name}/{chart}", roles=chart_roles,
+                                  lines=tuple(_body(model, reads, chart_roles, field)),
+                                  result=field, constants=constants, namespace=functions))
         source += [f"def field{i}(_t, _y):", f"    {layout} = _y",
                    *(f"    {line}" for line in forms[-1].lines),
                    f"    return ({', '.join(field)})"]
@@ -567,6 +608,37 @@ def _compile_balance(row: _ChartRow, params: dict) -> dict:
     return {"terms": terms, "G": out["_G"], "rate_scale": out["_rate_scale"]}
 
 
+def _langevin(row: _ChartRow, params: dict):
+    """The chart's `Chart.langevin`: its Euler-Maruyama form by kept layout components.
+
+    Each form is made on first use: the roles are pruned to the live ones
+    (`_live_roles`), the domain check and definitions are those that the
+    live drift components read, and the statements evaluate on floats and
+    member arrays alike, over numpy's functions.
+    """
+    model = _MODELS[row.model]
+    roles, field = _FIELDS[row.kind]
+    roles = tuple(roles.split(", "))
+    layout = _LAYOUTS[row.kind]
+    terms = tuple(term for _, _, term in row.terms)
+
+    @functools.cache
+    def form(keep: tuple) -> LangevinForm:
+        constants, reads = _split_definitions(model, params)
+        wanted = {roles[layout.index(c)] for c in keep}
+        wanted |= _closure((row.G, *terms), reads) & set(roles)
+        stepped = _live_roles(model, reads, roles, field, wanted)
+        drift = tuple(c for role, c in zip(roles, field) if role in stepped)
+        # numpy's all: the condition holds for every member
+        lines = _body(model, reads, stepped, drift, check="if not all({}):")
+        return LangevinForm(name=f"{row.model}/{row.kind}", roles=roles, stepped=stepped,
+                            lines=tuple(lines), drift=drift, terms=terms, G=row.G,
+                            constants=constants,
+                            namespace={**_NUMPY, "all": np.all, "DomainError": DomainError})
+
+    return form
+
+
 def _build_system(name: str, params: dict) -> SystemSpec:
     """Catalog system `name` at `params` (not validated), from its row of `_SYSTEMS`.
 
@@ -581,7 +653,7 @@ def _build_system(name: str, params: dict) -> SystemSpec:
         models[_MODELS[model].kind] = bundle
         fields.update(zip(rows, rhs))
     charts = {c: Chart(kind=row.kind, layout=_LAYOUTS[row.kind], x0=row.x0, rhs=fields[c],
-                       **_compile_balance(row, params))
+                       langevin=_langevin(row, params), **_compile_balance(row, params))
               for c, row in system.charts.items()}
     noise = None
     if system.noise:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import contactdyn
 from contactdyn.cli import (
+    _MAX_TRAJ,
     _READS,
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -654,6 +655,29 @@ def test_steps_within_the_cap_step(tmp_path, monkeypatch, command, system, argv)
     _patch_steppers(monkeypatch)
     with pytest.raises(_Stepped):
         run(command, "--system", system, "--T", "1", *argv, "--out", str(tmp_path / "run"))
+
+
+@pytest.mark.parametrize("n_traj", [_MAX_TRAJ + 1, 10**8])
+def test_members_beyond_the_cap_exit_2_before_any_spawn(tmp_path, capsys, monkeypatch, n_traj):
+    # each member holds a PCG64 generator of about 1 KB, so 10**8 members
+    # would ask for some 100 GB; the run is refused before a seed is spawned
+    _patch_steppers(monkeypatch)
+    seeded = []
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: seeded.append(args))
+    out = tmp_path / "run"
+    code = run("ensemble", "--system", "brownian_oscillator", "--n-traj", str(n_traj),
+               "--T", "0.001", "--out", str(out))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and f"n_traj must be >= 2 and <= 1e+05, got {n_traj}" in err
+    assert seeded == [] and not out.exists()
+
+
+def test_members_at_the_cap_step(tmp_path, monkeypatch):
+    _patch_steppers(monkeypatch)
+    with pytest.raises(_Stepped):
+        run("ensemble", "--system", "brownian_oscillator", "--n-traj", str(_MAX_TRAJ),
+            "--T", "0.001", "--out", str(tmp_path / "run"))
 
 
 # every (command, stepping) pair that _READS leaves out: the command does not run such a system

@@ -1,5 +1,6 @@
 """Steppers and averaging: convergence order, analytic envelopes, noise, aborts."""
 
+import ast
 import gc
 import inspect
 import io
@@ -648,6 +649,17 @@ class TestVolumeContraction:
         assert det == pytest.approx(math.exp(-2 * gamma * T), rel=0.01)
 
 
+# (n_traj, T, noise buffer, parameters) of the stepper-against-reference cases
+_LANGEVIN_CASES = [
+    (1, 2.5, 700, {}),
+    (3, 2.5, 1000, {}),
+    (1000, 0.6, None, {}),
+    (3, 1.5, 1000, {"k_BT": 0.0}),
+    (4, 1.0, 900, {"omega": 2000.0}),
+]
+_LANGEVIN_IDS = ["n1", "n3", "n1000", "k_BT0", "diverging"]
+
+
 class TestLangevin:
     def system(self, seed=12345, **kw):
         args = dict(gamma=0.5, k_BT=1.0)
@@ -694,33 +706,99 @@ class TestLangevin:
         # the other members draw their own streams
         assert len(set(stats.noise_virial.tolist())) == 3
 
-    @pytest.mark.parametrize("n_traj, T, noise_steps, params", [
-        (1, 2.5, 700, {}),
-        (3, 2.5, 1000, {}),
-        (1000, 0.6, None, {}),
-        (3, 1.5, 1000, {"k_BT": 0.0}),
-        (4, 1.0, 900, {"omega": 2000.0}),
-    ], ids=["n1", "n3", "n1000", "k_BT0", "diverging"])
+    @pytest.mark.parametrize(
+        "n_traj, T, noise_steps, params, sample_every",
+        [(*case, every) for every in (7, None) for case in _LANGEVIN_CASES],
+        ids=[*_LANGEVIN_IDS, *(f"{name}-no-samples" for name in _LANGEVIN_IDS)])
     def test_running_sums_bit_match_block_records(self, monkeypatch, n_traj, T,
-                                                  noise_steps, params):
+                                                  noise_steps, params, sample_every):
         # every case ends inside a noise block (steps = blocks * length +
         # rest): 2500 = 3 * 700 + 400, 2500 = 7 * 333 + 169, 600 = 524 + 76
-        # at the default buffer, 1500 = 4 * 333 + 168, 1000 = 4 * 225 + 100
+        # at the default buffer, 1500 = 4 * 333 + 168, 1000 = 4 * 225 + 100.
+        # Without samples the loop steps only (q, p), which the terms, G and
+        # the noise sum read; the reference steps all of (s, q, p)
         if noise_steps is not None:
             monkeypatch.setattr(integrate_mod, "_NOISE_MEMBER_STEPS", noise_steps)
         chart, noise = self.system(seed=4242, **params)
-        stats, (times, samples) = integrate_mod._langevin_core(chart, noise, T, 1e-3,
-                                                               n_traj, 7)
+        stats, samples = integrate_mod._langevin_core(chart, noise, T, 1e-3, n_traj,
+                                                      sample_every)
         *expected, expected_times, expected_samples = block_record_langevin(
             chart, noise, T, 1e-3, n_traj, 7)
         got = (stats.term_averages, stats.noise_virial, stats.G_initial, stats.G_final)
         for name, a, b in zip(("term_averages", "noise_virial", "G_initial", "G_final"),
                               got, expected):
             assert np.array_equal(a, b, equal_nan=True), name
-        assert np.array_equal(times, expected_times)
-        assert np.array_equal(samples, expected_samples, equal_nan=True)
+        if sample_every is None:
+            assert samples is None
+        else:
+            times, states = samples
+            assert np.array_equal(times, expected_times)
+            assert np.array_equal(states, expected_samples, equal_nan=True)
         if "omega" in params:
             assert not np.isfinite(stats.G_final).any()
+
+    def test_generated_loops_step_only_the_live_roles(self):
+        # the ensemble's loop steps (q, p): no s and no H, which only the s
+        # row reads; the single run keeps samples of s and steps it
+        chart, noise = self.system()
+        form = chart.langevin(("q[0]",))
+        assert form.loops == {}  # generated by the first stepping call
+        langevin_ensemble(chart, noise, T=0.01, dt=1e-3, n_traj=2)
+        ensemble = form.loops[False]
+        langevin_ensemble(chart, noise, T=0.02, dt=1e-3, n_traj=3)
+        assert form.loops == {False: ensemble}
+        euler_maruyama_langevin(chart, noise, T=0.01, dt=1e-3)
+        single = chart.langevin(chart.layout).loops[True]
+        label = "brownian_oscillator.h/hamiltonian"
+        assert ensemble.__code__.co_filename == f"<em loop: {label}, steps (q, p)>"
+        assert single.__code__.co_filename == f"<em loop: {label}, steps (s, q, p), samples>"
+
+        def assigned(loop):
+            tree = ast.parse(inspect.getsource(loop))
+            return {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+
+        assert {"q", "p", "H_q", "H_p"} <= assigned(ensemble)
+        assert not {"s", "H"} & assigned(ensemble)
+        assert {"s", "q", "p", "H", "H_q", "H_p"} <= assigned(single)
+        assert "_kept[" in inspect.getsource(single)
+        assert "_kept[" not in inspect.getsource(ensemble)
+
+    def test_domain_check_stays_and_keeps_its_roles_live(self, monkeypatch):
+        import contactdyn.systems as systems_mod
+
+        reference_chart, noise = self.system(seed=31)
+        reference = langevin_ensemble(reference_chart, noise, T=0.5, dt=1e-3, n_traj=3)
+        model = systems_mod._MODELS["brownian_oscillator.h"]
+        # a check that holds reads s, which no term, G or noise sum reads
+        monkeypatch.setitem(systems_mod._MODELS, "brownian_oscillator.h",
+                            replace(model, domain="s < 1e9"))
+        chart, _ = self.system(seed=31)
+        stats = langevin_ensemble(chart, noise, T=0.5, dt=1e-3, n_traj=3)
+        euler_maruyama_langevin(chart, noise, T=0.5, dt=1e-3)
+        for keep, sampled in ((("q[0]",), False), (chart.layout, True)):
+            form = chart.langevin(keep)
+            assert form.stepped == ("s", "q", "p")
+            assert "if not all(s < 1e9):" in inspect.getsource(form.loops[sampled])
+        np.testing.assert_array_equal(stats.term_averages, reference.term_averages)
+        np.testing.assert_array_equal(stats.noise_virial, reference.noise_virial)
+        # without noise s falls from 0 at the rate -H = -1/2, so a check
+        # that s stays above -1e-3 fails at the third step, for member
+        # arrays and one member alike
+        monkeypatch.setitem(systems_mod._MODELS, "brownian_oscillator.h",
+                            replace(model, domain="s > -1e-3"))
+        chart, noise = self.system(seed=31, k_BT=0.0)
+        with pytest.raises(DomainError, match="violates s > -1e-3") as failed:
+            langevin_ensemble(chart, noise, T=0.5, dt=1e-3, n_traj=3)
+        text = "".join(traceback.format_exception(failed.value))
+        assert '"<em loop: brownian_oscillator.h/hamiltonian, steps (s, q, p)>"' in text
+        with pytest.raises(DomainError, match="violates s > -1e-3"):
+            euler_maruyama_langevin(chart, noise, T=0.5, dt=1e-3)
+
+    def test_chart_without_statements_is_refused(self):
+        chart, noise = self.system()
+        with pytest.raises(ValueError, match="carries none"):
+            langevin_ensemble(replace(chart, langevin=None), noise, T=0.1, dt=1e-3, n_traj=2)
 
     def test_ensemble_memory_is_noise_buffers_plus_per_member(self):
         # numpy reports its buffers to tracemalloc; the two noise buffers
