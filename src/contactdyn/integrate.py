@@ -7,27 +7,28 @@ Python floats and advance it through a right-hand-side callable
 only unpack it).  A result of any other length raises ValueError at the
 first evaluation.  On 3- and 4-component states float arithmetic costs a
 fraction of numpy's per-call overhead, so the schemes step through
-generated straight-line code that holds the stages in scalars.  Fixed-step
-RK4 runs one generated loop over all its steps: a compiled catalog field
-carries its straight-line form (`StraightLine`), which the loop inlines
-into every stage with the parameters as constants, so the loop calls
-nothing; any other rhs is called once per stage.  Chart packing (which
-component is s, q, p, ...) is the caller's business and is recorded in
-the trajectory's ``layout``.  Three steppers are provided: classical
-fixed-step RK4, an embedded RK4(5) pair (steps through a straight-line
-kernel generated once per state width) whose cubic-Hermite dense output
-is evaluated in numpy passes over chunks of accepted steps, and
+generated straight-line code that holds the stages in scalars.
+
+A catalog chart is stated once, as one form (`StraightLine`), from which
+its rhs, G and terms are rendered (in `systems`) and the two loops below
+are rendered on first use.  Fixed-step RK4 runs one generated loop over all
+its steps: a catalog rhs carries its form as `rhs.straight_line`, and the
+loop inlines the form's statements into every stage with the parameters as
+constants, so it calls nothing; any other rhs is called once per stage.
 Euler-Maruyama over a stochastic chart, shared by single runs and
 ensembles (member 0 is bit-identical to the single run with the same
-seed).  Its loop is generated from the chart's statements (`LangevinForm`):
-the drift, the terms, G, the noise entry, the trapezoid sums and the
-sample rows are inlined, with the parameters as constants, so a step
-calls no function of the chart.  The loop steps only the live roles, those
-that the run's outputs read: an ensemble of a chart whose (q, p) rows do
-not read s steps (q, p) alone.  It keeps each member's term averages as
-running trapezoid sums and stores no block of states, so an ensemble
-needs O(n_traj) memory plus a fixed noise buffer whatever the horizon,
-and a single run O(samples kept).
+seed), runs a loop that inlines the drift, the terms, G, the noise entry,
+the trapezoid sums and the sample rows.  It reads the form from the chart,
+never through the rhs, and steps only the live roles, those that the run's
+outputs read: an ensemble of a chart whose (q, p) rows do not read s steps
+(q, p) alone.  It keeps each member's term averages as running trapezoid
+sums and stores no block of states, so an ensemble needs O(n_traj) memory
+plus a fixed noise buffer whatever the horizon, and a single run
+O(samples kept).  The embedded RK4(5) pair steps through a straight-line
+kernel generated once per state width, and its cubic-Hermite dense output
+is evaluated in numpy passes over chunks of accepted steps.  Chart packing
+(which component is s, q, p, ...) is the caller's business and is recorded
+in the trajectory's ``layout``.
 """
 
 from __future__ import annotations
@@ -202,26 +203,102 @@ def exec_generated(source: str, filename: str, namespace: dict,
     return namespace
 
 
+# the functions a form's statements call: math's where they run on floats,
+# so that an overflow raises (the rhs, the RK4 loop, the evaluator bundle),
+# and numpy's where they run on arrays (G, the terms, the Euler-Maruyama loop)
+MATH = {"exp": math.exp, "log": math.log, "cos": math.cos, "sin": math.sin}
+NUMPY = {"exp": np.exp, "log": np.log, "cos": np.cos, "sin": np.sin}
+
+
+@functools.cache
+def names_read(expr: str) -> frozenset:
+    """The names that expression `expr` reads, compiled once: statements are fixed strings."""
+    return frozenset(compile(expr, "<statement>", "eval").co_names)
+
+
 @dataclass(eq=False)
 class StraightLine:
-    """A field rhs(t, y) written out as straight-line code, for the RK4 loop to inline.
+    """One chart's statements, from which all of its generated code is rendered.
 
-    With `roles` assigned the state's components in layout order, running
-    `lines` (definitions and domain checks, statements at relative
-    indentation) leaves the field's components in the expressions of
-    `result`; the field does not read t.  Each name of `constants` stands for
-    its value and `namespace` holds the functions the lines call.  `name`
-    labels the generated source.  The loop generated for the field is kept
-    in `rk4_loop` once made.
+    `roles` name the state's components in layout order.  `defs` holds each
+    definition that reads the state, in the order stated, as (expression,
+    names it reads); a definition reads roles, constants and earlier
+    definitions.  Every state must satisfy the condition `domain` ("" for
+    none).  `field` gives the derivatives of the roles, in order, and reads
+    time only through a role.  `terms` and `G` are the chart's virial
+    balance, expressions over the roles and constants that read no
+    definition.  Each name of `constants` (the parameters and the
+    definitions over parameters alone) stands for its value in all generated
+    code.  `name` labels the generated sources.
+
+    Rendered from it are the chart's rhs, G and term functions (by
+    `systems`, whose evaluator bundle shares `statements`), the body that
+    the RK4 loop inlines into every stage, and the Euler-Maruyama loop,
+    which steps only the `live` roles.  The rhs carries the form, so RK4
+    finds it there; Euler-Maruyama reads it from the chart, since it has no
+    path that calls a field and a wrapper put in place of the rhs (a
+    tracer's, say) carries no form.  The loops are made on first use and
+    kept in `loops`: "rk4", and "em" or "em, samples" by whether they keep
+    samples.  Names of the loops' own start with an underscore, which no
+    role, definition or constant may.
     """
 
     name: str
     roles: tuple
-    lines: tuple
-    result: tuple
+    defs: dict
+    domain: str
+    field: tuple
+    terms: tuple
+    G: str
     constants: dict
-    namespace: dict
-    rk4_loop: Callable | None = field(default=None, repr=False)
+    loops: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        reserved = [key for key in (*self.roles, *self.defs, *self.constants)
+                    if key.startswith("_")]
+        if reserved:
+            raise ValueError(f"'{self.name}': names {reserved} start with '_', "
+                             "which generated code reserves for its own names")
+
+    def reads(self, exprs) -> set:
+        """The names that `exprs` read, with those of every definition they read."""
+        needed = set().union(*map(names_read, exprs))
+        for key in reversed(self.defs):  # a definition reads only earlier ones
+            if key in needed:
+                needed |= self.defs[key][1]
+        return needed
+
+    def statements(self, result, roles=None, check="if not ({}):") -> list:
+        """The domain check over `roles` (all, by default) and the definitions `result` reads.
+
+        `check` is the test that the domain's condition fills in; the
+        definitions come in the order stated.
+        """
+        unpacked = ", ".join(self.roles if roles is None else roles)
+        lines = []
+        if self.domain:
+            lines += [check.format(self.domain),
+                      f"    raise DomainError('state ({unpacked}) = %r violates "
+                      f"{self.domain}' % (({unpacked},),))"]
+        needed = self.reads(result)
+        return lines + [f"{key} = {expr}" for key, (expr, _) in self.defs.items()
+                        if key in needed]
+
+    def live(self, keep) -> tuple:
+        """The roles to step so that the roles of `keep`, the terms and G come out exact.
+
+        A role is live when it is kept, when the terms, G or the domain
+        check read it, or when the field component of a live role reads it;
+        the live roles are returned in layout order.
+        """
+        roles = set(self.roles)
+        read_anyway = (self.G, *self.terms, *([self.domain] if self.domain else []))
+        live = set(keep) | self.reads(read_anyway) & roles
+        while True:
+            read = self.reads([c for role, c in zip(self.roles, self.field) if role in live])
+            if read & roles <= live:
+                return tuple(role for role in self.roles if role in live)
+            live |= read & roles
 
 
 def _generate_rk4(d: int, form: StraightLine | None):
@@ -238,15 +315,16 @@ def _generate_rk4(d: int, form: StraightLine | None):
 
     The state is held in scalars, and each stage evaluates the field in one
     of two forms: with `form`, it assigns the stage state to the form's
-    roles and runs its lines inline, so the loop calls nothing and reads
-    time only at samples; without, it calls rhs(t, y), unpacking the result
-    into d scalars, so a result of another length raises ValueError naming
-    the expected count.  Either way the arithmetic is that of the
+    roles and runs the statements of its field inline, so the loop calls
+    nothing and reads time only at samples; without, it calls rhs(t, y),
+    unpacking the result into d scalars, so a result of another length
+    raises ValueError naming the expected count.  Either way the arithmetic is that of the
     per-component formulas: stages y + hh*k and the update
     y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4).  Names of the loop's own start with
     an underscore, which no role or definition of a form may.
     """
     ys = [f"_y{j}" for j in range(d)]
+    lines = form.statements(form.field) if form is not None else None
 
     def tup(items):
         return "(" + "".join(f"{item}, " for item in items) + ")"
@@ -256,8 +334,8 @@ def _generate_rk4(d: int, form: StraightLine | None):
         if form is None:
             return [f"{', '.join(ks)}, = _rhs({time}, {tup(state)})"]
         return ([f"{role} = {value}" for role, value in zip(form.roles, state)]
-                + list(form.lines)
-                + [f"{k} = {expr}" for k, expr in zip(ks, form.result)])
+                + lines
+                + [f"{k} = {expr}" for k, expr in zip(ks, form.field)])
 
     body = stage(1, "_t", ys)
     body += stage(2, "_t + _hh", [f"{y} + _hh * _k1_{j}" for j, y in enumerate(ys)])
@@ -271,7 +349,7 @@ def _generate_rk4(d: int, form: StraightLine | None):
              "    return _k, None"]
     if form is None:
         body.insert(0, "_t = _k * _dt")
-    lines = [
+    source = [
         "def loop(_y, _n_full, _n, _rem, _dt, _T, _every, _times, _states, _rhs):",
         f"    {tup(ys)} = _y",
         "    _k = 0",
@@ -300,9 +378,9 @@ def _generate_rk4(d: int, form: StraightLine | None):
         label, constants = f"rhs call, d={d}", None
     else:
         label, constants = form.name, form.constants
-        namespace.update(form.namespace)
-    source = "\n".join(lines) + "\n"
-    return exec_generated(source, f"<rk4 loop: {label}>", namespace, constants)["loop"]
+        namespace.update(MATH, DomainError=DomainError)
+    return exec_generated("\n".join(source) + "\n", f"<rk4 loop: {label}>", namespace,
+                          constants)["loop"]
 
 
 @functools.cache
@@ -314,17 +392,18 @@ def _rk4_call_loop(d: int):
 def _rk4_loop(rhs, d: int):
     """The RK4 loop that steps `rhs` on d-component states.
 
-    A field carrying its straight-line form of width d as
-    `rhs.straight_line` (every compiled catalog field does) is inlined; its
-    loop is generated on the first call and kept on the form.  Any other
-    callable goes through the width's shared loop that calls it.
+    A field carrying its chart's form of width d as `rhs.straight_line`
+    (every compiled catalog field does) is inlined; its loop is generated on
+    the first call and kept on the form.  Any other callable, a wrapper of a
+    catalog field included, goes through the width's shared loop that calls
+    it.
     """
     form = getattr(rhs, "straight_line", None)
     if form is None or len(form.roles) != d:
         return _rk4_call_loop(d)
-    if form.rk4_loop is None:
-        form.rk4_loop = _generate_rk4(d, form)
-    return form.rk4_loop
+    if "rk4" not in form.loops:
+        form.loops["rk4"] = _generate_rk4(d, form)
+    return form.loops["rk4"]
 
 
 # Fehlberg RK4(5) coefficients
@@ -694,40 +773,14 @@ class LangevinEnsembleStats:
     G_final: np.ndarray
 
 
-@dataclass(eq=False)
-class LangevinForm:
-    """A stochastic chart's Euler-Maruyama step as straight-line code, for the loop to inline.
-
-    `roles` are the chart's three roles in layout order, by position s, q
-    and p.  The loop steps only the roles of `stepped`, in layout order:
-    with them assigned, running `lines` (domain check and definitions)
-    leaves their drift components in the expressions of `drift`.  `terms`
-    and `G` are the balance's expressions over the stepped roles.  The
-    statements hold for floats and for equal-shape member arrays alike; the
-    domain check holds for every member.  Each name of `constants` stands
-    for its value and `namespace` holds the functions the statements call.
-    `name` labels the generated source.  The loops generated for the form
-    are kept in `loops`, by whether they keep samples.
-    """
-
-    name: str
-    roles: tuple
-    stepped: tuple
-    lines: tuple
-    drift: tuple
-    terms: tuple
-    G: str
-    constants: dict
-    namespace: dict
-    loops: dict = field(default_factory=dict, repr=False)
-
-
-def _generate_langevin(form: LangevinForm, sampled: bool):
+def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
     """Euler-Maruyama over one stochastic chart as one generated loop function.
 
-    The function is loop(x, n, dt, T, every, times, kept, draw).  From x,
-    the values of the stepped roles (floats, or equal-shape arrays with one
-    entry per member), it takes n steps of length dt; draw(k) gives the
+    The form's roles are, by position, s, q and p; the loop advances those
+    of `stepped`, in layout order.  The function is loop(x, n, dt, T,
+    every, times, kept, draw).  From x, the values of the stepped roles
+    (floats, or equal-shape arrays with one entry per member), it takes n
+    steps of length dt; draw(k) gives the
     noise increments of the block of steps after step k, one float or
     member row per step.  Per step, with the drift evaluated at the old
     state: the noise sum gains q * dW, s gains dt * (drift + q * (dW/dt)),
@@ -738,21 +791,24 @@ def _generate_langevin(form: LangevinForm, sampled: bool):
     after the last one go into row i of `times` and `kept`, for i = 1, 2, ...
 
     It returns (term sums, noise sum, G at x, G at the end): floats or
-    member arrays.  The loop calls no function of the chart: it runs the
-    form's statements inline, with its constants folded in.  Names of the
-    loop's own start with an underscore, which no role or definition may.
+    member arrays.  The loop calls no function of the chart: it runs inline
+    the domain check and the definitions that the drift components of the
+    stepped roles read, the terms and G, over numpy's functions and with the
+    form's constants folded in.  Its domain check is `if not all(...)`, so
+    it holds for every member.
     """
     s, q, p = form.roles
+    drift = [c for role, c in zip(form.roles, form.field) if role in stepped]
     update = {
         s: f"{s} = {s} + _dt * (_d_{s} + {q} * (_dW / _dt))",
         q: f"{q} = {q} + _dt * _d_{q}",
         p: f"{p} = {p} + _dt * _d_{p} + _dW",
     }
     ks = range(len(form.terms))
-    body = [*form.lines,
-            *(f"_d_{role} = {expr}" for role, expr in zip(form.stepped, form.drift)),
+    body = [*form.statements(drift, stepped, check="if not all({}):"),
+            *(f"_d_{role} = {expr}" for role, expr in zip(stepped, drift)),
             f"_noise += {q} * _dW",
-            *(update[role] for role in form.stepped)]
+            *(update[role] for role in stepped)]
     for k, term in zip(ks, form.terms):
         body += [f"_cur = {term}",
                  f"_part{k} += (_prev{k} + _cur) * _half_dt",
@@ -767,7 +823,7 @@ def _generate_langevin(form: LangevinForm, sampled: bool):
                  "    _n_kept += 1"]
     lines = [
         "def loop(_x, _n, _dt, _T, _every, _times, _kept, _draw):",
-        f"    {''.join(f'{role}, ' for role in form.stepped)}= _x",
+        f"    {''.join(f'{role}, ' for role in stepped)}= _x",
         f"    _G0 = {form.G}",
         *(f"    _prev{k} = {term}" for k, term in zip(ks, form.terms)),
         "    " + "".join(f"_sum{k} = _part{k} = " for k in ks) + "_noise = 0.0",
@@ -781,22 +837,23 @@ def _generate_langevin(form: LangevinForm, sampled: bool):
         f"    return ({''.join(f'_sum{k} + _part{k}, ' for k in ks)}), _noise, _G0, {form.G}",
     ]
     source = "\n".join(lines) + "\n"
-    label = f"{form.name}, steps ({', '.join(form.stepped)}){', samples' if sampled else ''}"
-    return exec_generated(source, f"<em loop: {label}>", dict(form.namespace),
-                          form.constants)["loop"]
+    label = f"{form.name}, steps ({', '.join(stepped)}){', samples' if sampled else ''}"
+    namespace = {**NUMPY, "all": np.all, "DomainError": DomainError}
+    return exec_generated(source, f"<em loop: {label}>", namespace, form.constants)["loop"]
 
 
 def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
                    sample_every: int | None):
     """Euler-Maruyama over n_traj independent noise streams of one chart.
 
-    The chart's layout is (s, q[0], p[0]) and its `langevin` form gives its
-    drift, terms and G as statements; time is the loop's own variable.  Per
-    step the thermal force dW enters p, and -q*eta enters h, so s also
-    gains q * dW/dt.  The step runs in one loop generated per form (see
-    `_generate_langevin`) on its first use, which steps only the live roles:
-    those that the terms, G, the noise sum and the kept samples read,
-    closed over the drift components that they read.  So an ensemble of a
+    The chart's layout is (s, q[0], p[0]) and its `form`, read from the
+    chart and not through its rhs, gives its drift, terms and G as
+    statements; time is the loop's own variable.  Per step the thermal
+    force dW enters p, and -q*eta enters h, so s also gains q * dW/dt.  The
+    step runs in one loop generated from the form (see `_generate_langevin`)
+    on its first use, which steps only the live roles: those that the
+    terms, G, the noise sum and the kept samples read, closed over the drift
+    components that they read.  So an ensemble of a
     chart whose (q, p) rows do not read s steps (q, p) alone, and a single
     run, which keeps samples, steps every role.  One member steps in numpy
     float64 scalars, more in member arrays; both give the same numbers.
@@ -818,7 +875,8 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     """
     if chart.layout != ("s", "q[0]", "p[0]"):
         raise ValueError(f"Euler-Maruyama steps (s, q[0], p[0]), not {chart.layout}")
-    if chart.langevin is None:
+    form = chart.form
+    if form is None:
         raise ValueError("Euler-Maruyama steps a catalog chart's statements; "
                          "this chart carries none")
     if not (T > 0 and 0 < dt <= T):
@@ -832,11 +890,12 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         raise ValueError("T must be an integer number of Langevin steps (T = n*dt)")
 
     sampled = sample_every is not None
-    # the noise sum reads q; kept samples read every component
-    form = chart.langevin(chart.layout if sampled else chart.layout[1:2])
-    if sampled not in form.loops:
-        form.loops[sampled] = _generate_langevin(form, sampled)
-    loop = form.loops[sampled]
+    # the noise sum reads q; kept samples read every role
+    stepped = form.live(form.roles if sampled else form.roles[1:2])
+    key = "em, samples" if sampled else "em"
+    if key not in form.loops:
+        form.loops[key] = _generate_langevin(form, stepped, sampled)
+    loop = form.loops[key]
 
     amp = noise.amplitude * math.sqrt(dt)
     gens = [np.random.default_rng(c) for c in np.random.SeedSequence(noise.seed).spawn(n_traj)]
@@ -855,7 +914,7 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
 
     # one member steps numpy float64 scalars, the entries of chart.x0
     x = [v if n_traj == 1 else np.full(n_traj, v)
-         for role, v in zip(form.roles, chart.x0) if role in form.stepped]
+         for role, v in zip(form.roles, chart.x0) if role in stepped]
     times = kept = samples = None
     if sampled:
         # step 0, every sample_every-th step and T

@@ -6,11 +6,13 @@ one row of `_SYSTEMS`: its parameter specs and, per chart, the model it
 runs, its chart kind, its default state and its stated virial balance --
 the observable G, the signed terms and rate_scale, as expressions beside
 the model over the chart's roles, the parameters and the model's
-parameter-only definitions.  One compiler
-turns the statements into the evaluator bundle the oracle checks, every
+parameter-only definitions.  A build splits each model's definitions once
+and makes one form (`integrate.StraightLine`) per chart from its row.
+Rendered from the forms are the evaluator bundle the oracle checks, every
 chart's rhs, and every term and G as a plain function of the state's
 components in layout order, ``value(*y)``, over numpy's functions, so the
-same code evaluates on floats and on equal-shape column arrays.  The
+same code evaluates on floats and on equal-shape column arrays; the RK4 and
+Euler-Maruyama loops are rendered from the same forms on first use.  The
 Brownian oscillator is the damped oscillator's Hamiltonian chart and model
 with its own drive_friction term; its rhs is the drift, and its NoiseSpec
 adds the thermal force.  At construction the analytic partials are run
@@ -35,7 +37,6 @@ signed term sum over rate_scale as the rate of G.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -57,7 +58,15 @@ from .extended import (
     check_partials_extended,
 )
 from .herglotz import LagrangianModel, LagrangianPoint, check_lagrangian_partials
-from .integrate import LangevinForm, NoiseSpec, StraightLine, Trajectory, exec_generated
+from .integrate import (
+    MATH,
+    NUMPY,
+    NoiseSpec,
+    StraightLine,
+    Trajectory,
+    exec_generated,
+    names_read,
+)
 
 __all__ = [
     "ParameterSpec",
@@ -144,12 +153,12 @@ class Chart:
     term sum over rate_scale is the flow rate X(G).  make_system checks that
     identity for every chart.
 
-    A catalog chart also carries `langevin`: langevin(keep) gives its
-    drift, terms and G as straight-line statements over member arrays
-    (`LangevinForm`), made on first use, from which the Euler-Maruyama loop
-    is generated.  That loop steps only the live roles: the roles of the
-    layout components in `keep`, those that the terms, G and the domain
-    check read, and those that the drift components of live roles read.  A
+    A catalog chart also carries `form`, the one `StraightLine` from which
+    its rhs, G and terms were rendered and its RK4 and Euler-Maruyama loops
+    are rendered on first use.  The rhs carries it as `rhs.straight_line`,
+    where the RK4 loop finds it.  Euler-Maruyama reads it from the chart,
+    never through the rhs: its loop has no path that calls a field, and a
+    wrapper put in place of the rhs (a tracer's, say) carries no form.  A
     chart built by hand carries none and cannot be stepped by
     Euler-Maruyama.
     """
@@ -161,7 +170,7 @@ class Chart:
     terms: tuple
     G: Callable[..., float]
     rate_scale: float = 1.0
-    langevin: Callable[[tuple], LangevinForm] | None = None
+    form: StraightLine | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "layout", tuple(self.layout))
@@ -468,198 +477,101 @@ _SYSTEMS = {
 
 SYSTEM_NAMES = tuple(_SYSTEMS)
 
-_MATH = {"exp": math.exp, "log": math.log, "cos": math.cos, "sin": math.sin}
-_NUMPY = {"exp": np.exp, "log": np.log, "cos": np.cos, "sin": np.sin}
-
-
-@functools.cache
-def _code(expr: str):
-    """`expr` compiled as an expression, once: the statements are fixed strings."""
-    return compile(expr, "<statement>", "eval")
-
-
 def _split_definitions(model: _Model, params: dict) -> tuple[dict, dict]:
     """The parameters and the model's parameter-only definitions, by value, and
-    each other definition with the names it reads."""
+    each other definition as (expression, the names it reads)."""
     constants = dict(params)
-    reads = {}
+    defs = {}
     for key, expr in model.defs.items():
-        names = set(_code(expr).co_names)
-        if names <= _MATH.keys() | constants.keys():
-            constants[key] = eval(_code(expr), {**_MATH, **constants})
+        names = names_read(expr)
+        if names <= MATH.keys() | constants.keys():
+            constants[key] = eval(expr, {**MATH, **constants})
         else:
-            reads[key] = names
-    return constants, reads
+            defs[key] = (expr, names)
+    return constants, defs
 
 
-def _closure(exprs, reads: dict) -> set:
-    """The names that `exprs` read, with those of every definition in `reads` they read."""
-    needed = set().union(*(_code(e).co_names for e in exprs))
-    for key in reversed(reads):  # a definition reads only earlier ones
-        if key in needed:
-            needed |= reads[key]
-    return needed
+def _function(name: str, args: str, lines, result: str) -> list:
+    """The source of a generated function: `lines`, then the return of `result`."""
+    return [f"def {name}({args}):", *(f"    {line}" for line in lines), f"    return {result}"]
 
 
-def _body(model: _Model, reads: dict, roles: tuple, result, check="if not ({}):") -> list:
-    """The domain check and the definitions `result` reads, as statements over `roles`.
+def _compile(name: str, params: dict, rows: dict) -> tuple:
+    """The evaluator bundle of model `name` at `params`, and the Chart of each row of `rows`.
 
-    `check` is the test that the domain check's condition fills in; the
-    definitions come in the order `model` states them.
-    """
-    unpacked = ", ".join(roles)
-    lines = []
-    if model.domain:
-        lines += [check.format(model.domain),
-                  f"    raise DomainError('state ({unpacked}) = %r violates "
-                  f"{model.domain}' % (({unpacked},),))"]
-    needed = _closure(result, reads)
-    return lines + [f"{key} = {model.defs[key]}" for key in reads if key in needed]
-
-
-def _live_roles(model: _Model, reads: dict, roles: tuple, field: tuple, keep: set) -> tuple:
-    """The roles a stepper must advance so that the roles of `keep` come out exact.
-
-    A role is live when it is kept, when the domain check reads it, or when
-    the field component of a live role reads it; the live roles are
-    returned in layout order.
-    """
-    live = set(keep)
-    if model.domain:
-        live |= _closure((model.domain,), reads) & set(roles)
-    while True:
-        read = _closure([c for role, c in zip(roles, field) if role in live], reads)
-        if read & set(roles) <= live:
-            return tuple(role for role in roles if role in live)
-        live |= read & set(roles)
-
-
-def _compile(name: str, params: dict, *charts: str) -> tuple:
-    """The evaluator bundle of model `name` at `params`, then the rhs of each chart kind.
-
-    Each is one generated straight-line function that unpacks its point or
-    state into the roles, checks the domain and evaluates, in order, only
-    the definitions its result reads.  Parameters, and definitions over
-    parameters alone, are constants in each rhs, the code that is stepped,
-    through the `ast` pass of `exec_generated`; the bundle, which the build
-    oracle and the generic fields call, reads them as globals and is
-    compiled straight from its text.  An rhs maps a tuple of floats to a
-    tuple of floats and carries its body as `rhs.straight_line`, which
-    `integrate_fixed` inlines into its RK4 loop; as that loop's own names
-    start with an underscore, a role or definition that does is refused.
+    The model's definitions are split once, and each chart gets one form
+    (`StraightLine`) from its row.  Three sources are rendered from the
+    forms and run: the bundle and every chart's rhs, over math's functions,
+    and every chart's G and terms, over numpy's, so that these evaluate on
+    floats and on equal-shape column arrays alike.  Each function unpacks
+    its point or state into the roles, checks the domain and evaluates, in
+    order, only the definitions its result reads (the form's `statements`);
+    G and the terms read no definition and check no domain.  The constants
+    are folded into the rhs, the code that is stepped, through the `ast`
+    pass of `exec_generated`; the bundle, which the build oracle and the
+    generic fields call, and the balance read them as globals and are
+    compiled straight from their text.  An rhs maps a tuple of floats to a
+    tuple of floats and carries its chart's form as `rhs.straight_line`,
+    which `integrate_fixed` inlines into its RK4 loop.
     """
     model = _MODELS[name]
     roles, point, returns = _MODEL_KINDS[model.kind]
-    reserved = [key for key in (*model.defs, *roles.split(", "),
-                                *(r for c in charts for r in _FIELDS[c][0].split(", ")))
-                if key.startswith("_")]
-    if reserved:
-        raise ValueError(f"model '{name}': names {reserved} start with '_', "
-                         "which generated code reserves for its own names")
-    functions = {**_MATH, "array": np.array, "DomainError": DomainError}
-    constants, reads = _split_definitions(model, params)
-
-    point_roles = tuple(roles.split(", "))
-    bundle_source = []
+    constants, defs = _split_definitions(model, params)
+    forms = [StraightLine(name=f"{name}/{row.kind}", roles=tuple(_FIELDS[row.kind][0].split(", ")),
+                          defs=defs, domain=model.domain, field=_FIELDS[row.kind][1],
+                          terms=tuple(term for _, _, term in row.terms), G=row.G,
+                          constants=constants)
+             for row in rows.values()]
+    bundle_source, field_source, balance_source = [], [], []
     for fname, result in returns.items():
-        value = f"array({result})" if result[0] == "[" else result
-        bundle_source += [f"def {fname}(x):", f"    {roles} = {point}",
-                          *(f"    {line}" for line in _body(model, reads, point_roles, (result,))),
-                          f"    return {value}"]
+        lines = forms[0].statements((result,), roles.split(", "))  # the model's defs and domain
+        bundle_source += _function(fname, "x", [f"{roles} = {point}", *lines],
+                                   f"array({result})" if result[0] == "[" else result)
+    for i, form in enumerate(forms):
+        args = ", ".join(form.roles)
+        field_source += _function(f"rhs{i}", "_t, _y",
+                                  [f"{args} = _y", *form.statements(form.field)],
+                                  f"({', '.join(form.field)})")
+        balance_source += _function(f"G{i}", args, (), form.G)
+        for k, term in enumerate(form.terms):
+            balance_source += _function(f"term{i}_{k}", args, (), term)
+    functions = {**MATH, "array": np.array, "DomainError": DomainError}
     evaluators = exec_generated("\n".join(bundle_source) + "\n", f"<{name} evaluators>",
                                 {**functions, **constants})
-    source, forms = [], []
-    for i, chart in enumerate(charts):
-        layout, field = _FIELDS[chart]
-        chart_roles = tuple(layout.split(", "))
-        forms.append(StraightLine(name=f"{name}/{chart}", roles=chart_roles,
-                                  lines=tuple(_body(model, reads, chart_roles, field)),
-                                  result=field, constants=constants, namespace=functions))
-        source += [f"def field{i}(_t, _y):", f"    {layout} = _y",
-                   *(f"    {line}" for line in forms[-1].lines),
-                   f"    return ({', '.join(field)})"]
-    fields = exec_generated("\n".join(source) + "\n", f"<{name}>", dict(functions),
+    fields = exec_generated("\n".join(field_source) + "\n", f"<{name}>", dict(functions),
                             constants)
-    for i, form in enumerate(forms):
-        fields[f"field{i}"].straight_line = form
+    balances = exec_generated("\n".join(balance_source) + "\n", f"<{name} balance>",
+                              {**NUMPY, **constants})
+    charts = {}
+    for i, (chart, row) in enumerate(rows.items()):
+        fields[f"rhs{i}"].straight_line = forms[i]
+        terms = [VirialTermBinding(term, sign, balances[f"term{i}_{k}"])
+                 for k, (term, sign, _) in enumerate(row.terms)]
+        charts[chart] = Chart(kind=row.kind, layout=_LAYOUTS[row.kind], x0=row.x0,
+                              rhs=fields[f"rhs{i}"], terms=terms, G=balances[f"G{i}"],
+                              rate_scale=eval(row.rate_scale, {**MATH, **constants}),
+                              form=forms[i])
     bundle = {"hamiltonian": ScalarField, "extended": TimeDependentHamiltonianModel,
               "lagrangian": LagrangianModel}[model.kind]
-    return (bundle(n=1, name=name, **{fname: evaluators[fname] for fname in returns}),
-            *(fields[f"field{i}"] for i in range(len(charts))))
-
-
-def _compile_balance(row: _ChartRow, params: dict) -> dict:
-    """The chart's terms, G and rate_scale, compiled from their statements in `row`.
-
-    G and each term are one plain function of the roles in layout order
-    over numpy's functions, so each evaluates on floats, on sample columns
-    and on ensemble member arrays; the parameters and the model's
-    parameter-only definitions are their globals.
-    """
-    roles = _FIELDS[row.kind][0]
-    source = [f"_rate_scale = {row.rate_scale}", f"def _G({roles}):", f"    return {row.G}"]
-    for i, (_, _, term) in enumerate(row.terms):
-        source += [f"def _term{i}({roles}):", f"    return {term}"]
-    constants, _ = _split_definitions(_MODELS[row.model], params)
-    out = exec_generated("\n".join(source) + "\n", f"<{row.model}/{row.kind} balance>",
-                         {**_NUMPY, **constants})
-    terms = [VirialTermBinding(name, sign, out[f"_term{i}"])
-             for i, (name, sign, _) in enumerate(row.terms)]
-    return {"terms": terms, "G": out["_G"], "rate_scale": out["_rate_scale"]}
-
-
-def _langevin(row: _ChartRow, params: dict):
-    """The chart's `Chart.langevin`: its Euler-Maruyama form by kept layout components.
-
-    Each form is made on first use: the roles are pruned to the live ones
-    (`_live_roles`), the domain check and definitions are those that the
-    live drift components read, and the statements evaluate on floats and
-    member arrays alike, over numpy's functions.
-    """
-    model = _MODELS[row.model]
-    roles, field = _FIELDS[row.kind]
-    roles = tuple(roles.split(", "))
-    layout = _LAYOUTS[row.kind]
-    terms = tuple(term for _, _, term in row.terms)
-
-    @functools.cache
-    def form(keep: tuple) -> LangevinForm:
-        constants, reads = _split_definitions(model, params)
-        wanted = {roles[layout.index(c)] for c in keep}
-        wanted |= _closure((row.G, *terms), reads) & set(roles)
-        stepped = _live_roles(model, reads, roles, field, wanted)
-        drift = tuple(c for role, c in zip(roles, field) if role in stepped)
-        # numpy's all: the condition holds for every member
-        lines = _body(model, reads, stepped, drift, check="if not all({}):")
-        return LangevinForm(name=f"{row.model}/{row.kind}", roles=roles, stepped=stepped,
-                            lines=tuple(lines), drift=drift, terms=terms, G=row.G,
-                            constants=constants,
-                            namespace={**_NUMPY, "all": np.all, "DomainError": DomainError})
-
-    return form
+    return bundle(n=1, name=name, **{fname: evaluators[fname] for fname in returns}), charts
 
 
 def _build_system(name: str, params: dict) -> SystemSpec:
     """Catalog system `name` at `params` (not validated), from its row of `_SYSTEMS`.
 
-    Each model is compiled once, with the fields of every chart it drives,
-    and each chart's balance from its own row.
+    Each model is compiled once, with the charts of every row it drives.
     """
     system = _SYSTEMS[name]
-    models, fields = {}, {}
+    models, charts = {}, {}
     for model in dict.fromkeys(row.model for row in system.charts.values()):
         rows = {c: row for c, row in system.charts.items() if row.model == model}
-        bundle, *rhs = _compile(model, params, *(row.kind for row in rows.values()))
-        models[_MODELS[model].kind] = bundle
-        fields.update(zip(rows, rhs))
-    charts = {c: Chart(kind=row.kind, layout=_LAYOUTS[row.kind], x0=row.x0, rhs=fields[c],
-                       langevin=_langevin(row, params), **_compile_balance(row, params))
-              for c, row in system.charts.items()}
+        models[_MODELS[model].kind], built = _compile(model, params, rows)
+        charts.update(built)
     noise = None
     if system.noise:
         noise = NoiseSpec(m=params["m"], gamma=params["gamma"], k_BT=params["k_BT"], seed=0)
-    return SystemSpec(name=name, params=params, charts=charts,
-                      default_chart=next(iter(charts)), noise=noise,
+    return SystemSpec(name=name, params=params, charts={c: charts[c] for c in system.charts},
+                      default_chart=next(iter(system.charts)), noise=noise,
                       description=system.description, **models)
 
 

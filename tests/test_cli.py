@@ -358,6 +358,18 @@ def test_ensemble_seed_changes_output(tmp_path):
     assert reports[0]["term.kinetic.average"] != reports[1]["term.kinetic.average"]
 
 
+@pytest.mark.parametrize("n_traj", ["64", "100"])
+def test_noiseless_ensemble_gate_does_not_depend_on_rounding(tmp_path, capsys, n_traj):
+    # at k_BT = 0 every member is the same Euler run, so the standard error
+    # is 0 or about 1e-20 by rounding alone; the residual, Euler's 1e-4
+    # bias, is gated at identity_tol either way
+    argv = ("ensemble", "--system", "brownian_oscillator", "-p", "k_BT=0", "--T", "5",
+            "--n-traj", n_traj, "--out", str(tmp_path / "run"))
+    assert run(*argv) == EXIT_VERIFY
+    assert "exceeds max(4 sigma, identity_tol) = 1.000e-08" in capsys.readouterr().err
+    assert run(*argv, "--identity-tol", "1e-3") == EXIT_OK
+
+
 def test_ensemble_rejects_deterministic_system(tmp_path):
     assert run("ensemble", "--system", "parachute", "--n-traj", "8",
                "--T", "10", "--out", str(tmp_path)) == EXIT_CONFIG

@@ -77,7 +77,7 @@ class TestFixedStep:
         # here is 1.06 rather than 1.05
         gamma = 0.1
         spec = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=gamma)
-        rhs = contact_rhs(spec.hamiltonian)
+        rhs = spec.chart("hamiltonian").rhs
         traj = integrate_fixed(rhs, [0.0, 1.0, 0.0], T=40.0, dt=1e-3, layout=LAYOUT_SQP)
         q, p = traj.states[:, 1], traj.states[:, 2]
         energy = 0.5 * (p**2 + q**2)
@@ -86,7 +86,7 @@ class TestFixedStep:
         assert energy[-1] < 0.5 * math.exp(-gamma * 39.0)
 
     def test_parachute_terminal_velocity(self):
-        rhs = contact_rhs(PARACHUTE.hamiltonian)
+        rhs = PARACHUTE.chart("hamiltonian").rhs
         traj = integrate_fixed(rhs, [0.0, 0.0, 0.0], T=20.0, dt=1e-3, layout=LAYOUT_SQP)
         s, p = traj.states[-1, 0], traj.states[-1, 2]
         velocity = (p - 2 * 0.5 * s) / 1.0
@@ -557,7 +557,7 @@ class TestInlinedField:
         inline, called = (integrate_fixed(rhs, y0, T=30.0, dt=0.01, layout=chart.layout,
                                           sample_every=1)
                           for rhs in (chart.rhs, lambda t, y: chart.rhs(t, y)))
-        assert chart.rhs.straight_line.rk4_loop is not None
+        assert "rk4" in chart.form.loops
         assert inline.aborted and reason in inline.abort_reason
         assert inline.abort_reason == called.abort_reason
         assert inline.n_samples > 2
@@ -570,12 +570,12 @@ class TestInlinedField:
         monkeypatch.setattr(integrate_mod, "_generate_rk4",
                             lambda d, form: made.append(form) or generate(d, form))
         chart = make_system("damped_oscillator").chart("hamiltonian")
-        assert made == [] and chart.rhs.straight_line.rk4_loop is None
+        assert made == [] and chart.form.loops == {}
         integrate_fixed(chart.rhs, chart.x0, T=1.0, dt=0.1, layout=chart.layout)
-        loop = chart.rhs.straight_line.rk4_loop
+        loop = chart.form.loops["rk4"]
         integrate_fixed(chart.rhs, chart.x0, T=2.0, dt=0.1, layout=chart.layout)
-        assert made == [chart.rhs.straight_line]
-        assert chart.rhs.straight_line.rk4_loop is loop
+        assert made == [chart.form]
+        assert chart.form.loops == {"rk4": loop}
 
     def test_inlined_run_calls_no_field(self):
         # 100 RK4 steps make 400 field evaluations: all inlined, none a call
@@ -609,7 +609,7 @@ class TestInlinedField:
     def test_generated_source_shows_in_tracebacks_and_getsource(self):
         chart = make_system("forced_oscillator").chart("extended")
         integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout)
-        loop = chart.rhs.straight_line.rk4_loop
+        loop = chart.form.loops["rk4"]
         assert loop.__code__.co_filename == "<rk4 loop: forced_oscillator.h/extended>"
         assert "drive = F0 * cos(Omega * t)" in inspect.getsource(loop)
 
@@ -632,7 +632,7 @@ class TestVolumeContraction:
         # det of the flow-map Jacobian after time T equals exp(-(n+1) gamma T)
         gamma, T = 0.1, 5.0
         spec = make_system("damped_oscillator", m=1.0, omega=1.0, gamma=gamma)
-        rhs = contact_rhs(spec.hamiltonian)
+        rhs = spec.chart("hamiltonian").rhs
         x0 = np.array([0.0, 1.0, 0.0])
 
         def flow(x):
@@ -741,14 +741,15 @@ class TestLangevin:
         # the ensemble's loop steps (q, p): no s and no H, which only the s
         # row reads; the single run keeps samples of s and steps it
         chart, noise = self.system()
-        form = chart.langevin(("q[0]",))
+        form = chart.form
         assert form.loops == {}  # generated by the first stepping call
         langevin_ensemble(chart, noise, T=0.01, dt=1e-3, n_traj=2)
-        ensemble = form.loops[False]
+        ensemble = form.loops["em"]
         langevin_ensemble(chart, noise, T=0.02, dt=1e-3, n_traj=3)
-        assert form.loops == {False: ensemble}
+        assert form.loops == {"em": ensemble}
         euler_maruyama_langevin(chart, noise, T=0.01, dt=1e-3)
-        single = chart.langevin(chart.layout).loops[True]
+        single = form.loops["em, samples"]
+        assert form.live(("q",)) == ("q", "p") and form.live(form.roles) == form.roles
         label = "brownian_oscillator.h/hamiltonian"
         assert ensemble.__code__.co_filename == f"<em loop: {label}, steps (q, p)>"
         assert single.__code__.co_filename == f"<em loop: {label}, steps (s, q, p), samples>"
@@ -776,10 +777,11 @@ class TestLangevin:
         chart, _ = self.system(seed=31)
         stats = langevin_ensemble(chart, noise, T=0.5, dt=1e-3, n_traj=3)
         euler_maruyama_langevin(chart, noise, T=0.5, dt=1e-3)
-        for keep, sampled in ((("q[0]",), False), (chart.layout, True)):
-            form = chart.langevin(keep)
-            assert form.stepped == ("s", "q", "p")
-            assert "if not all(s < 1e9):" in inspect.getsource(form.loops[sampled])
+        assert chart.form.live(("q",)) == ("s", "q", "p")
+        for key in ("em", "em, samples"):
+            loop = chart.form.loops[key]
+            assert "steps (s, q, p)" in loop.__code__.co_filename
+            assert "if not all(s < 1e9):" in inspect.getsource(loop)
         np.testing.assert_array_equal(stats.term_averages, reference.term_averages)
         np.testing.assert_array_equal(stats.noise_virial, reference.noise_virial)
         # without noise s falls from 0 at the rate -H = -1/2, so a check
@@ -795,10 +797,21 @@ class TestLangevin:
         with pytest.raises(DomainError, match="violates s > -1e-3"):
             euler_maruyama_langevin(chart, noise, T=0.5, dt=1e-3)
 
+    def test_wrapped_rhs_steps_the_same(self):
+        # Euler-Maruyama reads the form from the chart, not through its rhs,
+        # so a wrapper put in place of the rhs (as a tracer does) carries no
+        # form and changes nothing
+        chart, noise = self.system(seed=8)
+        wrapped = replace(chart, rhs=lambda t, y: chart.rhs(t, y))
+        runs = [langevin_ensemble(c, noise, T=0.1, dt=1e-3, n_traj=3) for c in (chart, wrapped)]
+        np.testing.assert_array_equal(runs[0].term_averages, runs[1].term_averages)
+        single = [euler_maruyama_langevin(c, noise, T=0.1, dt=1e-3) for c in (chart, wrapped)]
+        np.testing.assert_array_equal(single[0].states, single[1].states)
+
     def test_chart_without_statements_is_refused(self):
         chart, noise = self.system()
         with pytest.raises(ValueError, match="carries none"):
-            langevin_ensemble(replace(chart, langevin=None), noise, T=0.1, dt=1e-3, n_traj=2)
+            langevin_ensemble(replace(chart, form=None), noise, T=0.1, dt=1e-3, n_traj=2)
 
     def test_ensemble_memory_is_noise_buffers_plus_per_member(self):
         # numpy reports its buffers to tracemalloc; the two noise buffers

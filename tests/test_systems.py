@@ -1,6 +1,7 @@
 """Catalog systems: schemas, oracles at construction, charts, term algebra."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import strategies as st
 from contactdyn.core import DarbouxPoint, DomainError, contact_vector_field
 from contactdyn.extended import ExtendedPoint, evolution_field
 from contactdyn.herglotz import energy_EL, LagrangianPoint, lagrangian_field, legendre_map
-from contactdyn.integrate import integrate_fixed
+from contactdyn.integrate import (
+    NUMPY,
+    euler_maruyama_langevin,
+    integrate_fixed,
+    langevin_ensemble,
+)
 from contactdyn.systems import (
     SYSTEM_NAMES,
     ParameterError,
@@ -412,7 +418,7 @@ def test_inlined_rk4_is_bit_identical_to_calling_the_field(name, chart_name):
                                 sample_every=sample_every)
                 for rhs in (chart.rhs, lambda t, y: chart.rhs(t, y))]
         inline, called = runs
-        assert chart.rhs.straight_line.rk4_loop is not None  # the inline path ran
+        assert "rk4" in chart.form.loops  # the inline path ran
         assert np.array_equal(inline.times, called.times)
         assert np.array_equal(inline.states, called.states)
         assert (inline.aborted, inline.abort_reason) == (called.aborted, called.abort_reason)
@@ -420,20 +426,63 @@ def test_inlined_rk4_is_bit_identical_to_calling_the_field(name, chart_name):
     agrees()
 
 
+@pytest.mark.parametrize("name, chart_name", ALL_CHARTS)
+def test_chart_holds_the_form_its_rhs_carries(name, chart_name):
+    # one form per chart: the RK4 loop reads it from the rhs, Euler-Maruyama
+    # from the chart
+    chart = make_system(name).chart(chart_name)
+    form = chart.form
+    assert chart.rhs.straight_line is form
+    # G and the terms are the form's statements, evaluated over numpy's functions
+    y = (chart.x0 + 0.05 * np.arange(1, chart.x0.size + 1)).tolist()
+    scope = {**NUMPY, **form.constants, **dict(zip(form.roles, y))}
+    assert chart.G(*y) == eval(form.G, scope)
+    assert [b.value(*y) for b in chart.terms] == [eval(term, scope) for term in form.terms]
+
+
+def test_each_model_is_split_and_compiled_once_per_build(monkeypatch):
+    # make_system splits each model's definitions once and runs three sources
+    # per model: its evaluator bundle, the charts' fields and their balances;
+    # stepping an ensemble and a single run splits nothing again
+    import contactdyn.systems as systems_mod
+
+    splits, sources = [], []
+    split, run = systems_mod._split_definitions, systems_mod.exec_generated
+    monkeypatch.setattr(systems_mod, "_split_definitions",
+                        lambda model, params: splits.append(model) or split(model, params))
+    monkeypatch.setattr(systems_mod, "exec_generated",
+                        lambda source, filename, *a: sources.append(filename) or run(
+                            source, filename, *a))
+    for name in SYSTEM_NAMES:
+        splits.clear()
+        sources.clear()
+        spec = make_system(name)
+        models = {row.model for row in systems_mod._SYSTEMS[name].charts.values()}
+        assert len(splits) == len(models)
+        assert sorted(sources) == sorted(f"<{m}{suffix}>" for m in models
+                                         for suffix in (" evaluators", "", " balance"))
+    spec = make_system("brownian_oscillator")
+    splits.clear()
+    langevin_ensemble(spec.chart(), spec.noise, T=0.01, dt=1e-3, n_traj=3)
+    euler_maruyama_langevin(spec.chart(), spec.noise, T=0.01, dt=1e-3)
+    assert splits == []
+
+
 def test_compile_refuses_names_the_generated_loop_reserves(monkeypatch):
-    # the RK4 loop's own names start with "_", so no role or definition may
+    # the generated loops' own names start with "_", so no role or definition may
     import contactdyn.systems as systems_mod
 
     monkeypatch.setitem(systems_mod._MODELS, "free.h", systems_mod._Model("hamiltonian", {
         "_u": "p / m", "H": "p * _u / 2", "H_s": "0.0", "H_q": "0.0", "H_p": "_u",
     }))
+    row = replace(systems_mod._DAMPED_H, model="free.h", terms=())
     with pytest.raises(ValueError, match="'_u'"):
-        systems_mod._compile("free.h", {"m": 1.0}, "hamiltonian")
+        systems_mod._compile("free.h", {"m": 1.0}, {"hamiltonian": row})
     monkeypatch.setitem(systems_mod._FIELDS, "underscored",
                         ("_s, q, p", systems_mod._FIELDS["hamiltonian"][1]))
     with pytest.raises(ValueError, match="'_s'"):
         systems_mod._compile("damped_oscillator.h", make_system("damped_oscillator").params,
-                             "underscored")
+                             {"underscored": replace(systems_mod._DAMPED_H, kind="underscored")})
 
 
 @pytest.mark.parametrize("name, chart_name", ALL_CHARTS)
