@@ -2,13 +2,18 @@
 
 Doubling the ensemble size shrinks the standard error like 1/sqrt(n);
 the kinetic and potential averages converge on k_BT/2 and the realized
-drive term <q(eta - gamma p)>/2 stays consistent with zero.
+drive term <q(eta - gamma p)>/2 stays consistent with zero.  The script
+exits 1 when, at its largest ensemble, <KE> or <PE> misses k_BT/2, or the
+drive term misses 0, by more than 4 standard errors.
 """
 
 import argparse
+import sys
 
 from contactdyn.systems import make_system
 from contactdyn.virial import ensemble_report
+
+N_SE = 4  # misses beyond this many standard errors fail the run
 
 
 def main():
@@ -24,7 +29,7 @@ def main():
     print(f"target k_BT/2 = {target}")
     print(f"{'n':>5} {'<KE>':>8} {'se':>7} {'<PE>':>8} {'se':>7} "
           f"{'drive':>8} {'se':>7}")
-    n = 16
+    n, rep = 16, None
     while n <= args.max_n:
         rep = ensemble_report(spec, n, args.T, args.dt, seed=args.seed)
         print(f"{n:5d} {rep.term('kinetic'):8.4f} "
@@ -34,7 +39,18 @@ def main():
               f"{rep.term('drive_friction'):+8.4f} "
               f"{rep.term_error('drive_friction'):7.4f}")
         n *= 2
+    if rep is None:
+        print(f"no ensemble: --max-n {args.max_n} is below 16")
+        return 1
+    misses = {term: abs(rep.term(term) - want) / rep.term_error(term)
+              for term, want in (("kinetic", target), ("potential", target),
+                                 ("drive_friction", 0.0))}
+    ok = max(misses.values()) <= N_SE
+    print(f"at n = {rep.n_traj}: misses "
+          + ", ".join(f"{term} {miss:.2f}" for term, miss in misses.items())
+          + f" standard errors (tol {N_SE}): {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,8 +6,10 @@ Legendre map.  For the damped oscillator dL/ds = -gamma is constant, so
 E(t) = E(0) exp(-gamma t) exactly -- dissipation as geometry, not as an
 error term.  The script integrates the velocity chart, maps each sample
 to the momentum chart, and checks both the chart agreement and the decay
-law.
+law.  The script exits 1 when either misses its tolerance.
 """
+
+import sys
 
 import numpy as np
 
@@ -16,6 +18,8 @@ from contactdyn.integrate import integrate_fixed
 from contactdyn.systems import make_system
 
 GAMMA = 0.1
+# tolerances of the chart agreement and of the relative miss of the decay law
+CHART_TOL, DECAY_TOL = 1e-10, 1e-9
 
 
 def main():
@@ -34,16 +38,21 @@ def main():
         energies[i] = energy_EL(L, z)
         chart_gap = max(chart_gap, abs(h.value(legendre_map(L, z)) - energies[i]))
 
-    print(f"max |h(Legendre(z)) - E_L(z)| along the run: {chart_gap:.2e}")
+    print(f"max |h(Legendre(z)) - E_L(z)| along the run: {chart_gap:.2e} "
+          f"(tol {CHART_TOL:.0e})")
 
     rescaled = energies * np.exp(GAMMA * times) / energies[0]
-    print(f"max |E(t) e^(gamma t)/E(0) - 1|: {np.max(np.abs(rescaled - 1.0)):.2e}")
+    decay_miss = float(np.max(np.abs(rescaled - 1.0)))
+    print(f"max |E(t) e^(gamma t)/E(0) - 1|: {decay_miss:.2e} (tol {DECAY_TOL:.0e})")
     print("\n   t        E(t)          E(0) e^(-gamma t)")
     for t_show in (0.0, 10.0, 25.0, 50.0):
         i = int(np.searchsorted(times, t_show))
         print(f"{times[i]:5.1f}   {energies[i]:.8e}   "
               f"{energies[0] * np.exp(-GAMMA * times[i]):.8e}")
+    ok = chart_gap <= CHART_TOL and decay_miss <= DECAY_TOL
+    print(f"all checks: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

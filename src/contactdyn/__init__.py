@@ -24,9 +24,6 @@ from .core import (
     check_partials,
     compare_derivative,
     contact_vector_field,
-    divergence,
-    numerical_divergence,
-    reeb_derivative,
 )
 from .extended import (
     ExtendedPoint,

@@ -453,8 +453,8 @@ def cmd_gradcheck(args) -> int:
                 failed = True
                 for c in rep.failures():
                     print(f"  {c.label}: analytic {c.analytic:.9g} vs "
-                          f"numeric {c.numeric:.9g} (rel {c.rel_error:.3e})",
-                          file=sys.stderr)
+                          f"numeric {c.numeric:.9g} (rel {c.rel_error:.3e})"
+                          + (f": {c.note}" if c.note else ""), file=sys.stderr)
     if failed:
         print("gradcheck: FAIL", file=sys.stderr)
         return EXIT_VERIFY

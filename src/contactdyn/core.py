@@ -2,17 +2,16 @@
 
 A contact phase space of dimension 2n+1 carries coordinates (s, q, p)
 in which the contact form is ds - p_i dq^i and the Reeb field is d/ds.
-This module evaluates the basic objects of that picture at points:
-the contact Hamiltonian vector field, the Reeb derivative and the field
-divergence.  Along the field, G = q.p changes at the contact virial rate
-{G, h} - G dh/ds and h itself at -h dh/ds; tests/test_symbolic.py proves
-both for every catalog model from its stated partials, so no bracket is
-evaluated here.  A central finite-difference oracle (`check_partials`)
-guards every analytic derivative supplied by a model.  One routine takes
-every difference of that oracle, of its Lagrangian and extended-chart
-counterparts and of `numerical_divergence`: it perturbs one entry of a
-flat coordinate list by ``step * max(1, |entry|)`` and bounds the
-quotient's roundoff.
+This module evaluates the contact Hamiltonian vector field at points.
+Along the field, G = q.p changes at the contact virial rate
+{G, h} - G dh/ds, h itself at -h dh/ds, and volume at the divergence
+-(n+1) dh/ds; tests/test_symbolic.py proves these for every catalog model
+from its stated partials, so none of them is evaluated here.  A central
+finite-difference oracle (`check_partials`) guards every analytic
+derivative supplied by a model.  One routine takes every difference of
+that oracle and of its Lagrangian and extended-chart counterparts: it
+perturbs one entry of a flat coordinate list by ``step * max(1, |entry|)``
+and bounds the quotient's roundoff.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ __all__ = [
     "NonFiniteError",
     "DomainError",
     "contact_vector_field",
-    "reeb_derivative",
-    "divergence",
-    "numerical_divergence",
     "check_partials",
     "compare_derivative",
     "PartialCheck",
@@ -180,7 +176,7 @@ def contact_vector_field(h: ScalarField, x: DarbouxPoint) -> TangentVector:
         dp_i = -(dh/dq^i + p_i dh/ds)
 
     Its flow conserves neither h nor phase-space volume unless h is
-    independent of s.
+    independent of s: the divergence of the field is -(n+1) dh/ds.
 
     Raises
     ------
@@ -199,39 +195,6 @@ def contact_vector_field(h: ScalarField, x: DarbouxPoint) -> TangentVector:
     ds = float(x.p @ hp) - hval
     dp = -(hq + x.p * hs)
     return TangentVector(ds=ds, dq=hp, dp=dp)
-
-
-def reeb_derivative(h: ScalarField, x: DarbouxPoint) -> float:
-    """Derivative of h along the Reeb field, i.e. dh/ds at x."""
-    _check_dim(h, x)
-    return _finite(h.d_s(x), "d_s", h, x)
-
-
-def divergence(h: ScalarField, x: DarbouxPoint) -> float:
-    """Divergence of the contact field: -(n+1) dh/ds at x.
-
-    Zero exactly when h is independent of s, recovering the volume-preserving
-    (Liouville) behaviour of the symplectic case.
-    """
-    return -(h.n + 1) * reeb_derivative(h, x)
-
-
-def numerical_divergence(h: ScalarField, x: DarbouxPoint, step: float = 1e-5) -> float:
-    """Trace of a central-finite-difference Jacobian of the contact field.
-
-    Independent oracle for `divergence`; agreement within ~1e-6 absolute is
-    expected for well-scaled Hamiltonians.
-    """
-    flat = _flat(x)
-
-    def field(y):
-        v = contact_vector_field(h, _darboux(y))
-        return (v.ds, *v.dq, *v.dp)
-
-    return sum(
-        _flat_difference(lambda y, k=k: field(y)[k], flat, k, step)[0]
-        for k in range(len(flat))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Catalog of built-in dissipative systems with validated parameters.
 
-Each model (Darboux-chart Hamiltonian, velocity-chart Lagrangian, extended
-time-dependent Hamiltonian) is stated once in `_MODELS`, and each system is
-one row of `_SYSTEMS`: its parameter specs and, per chart, the model it
-runs, its chart kind, its default state and its stated virial balance --
-the observable G, the signed terms and rate_scale, as expressions beside
-the model over the chart's roles, the parameters and the model's
+Each chart kind is stated once in `_KINDS`: its roles, layout names and
+field, and for a model kind (Darboux-chart Hamiltonian, velocity-chart
+Lagrangian, extended time-dependent Hamiltonian) its evaluator bundle,
+oracle and probe point.  Each model is stated once in `_MODELS`, and each
+system is one row of `_SYSTEMS`: its parameter specs and, per chart, the
+model it runs, its chart kind, its default state and its stated virial
+balance -- the observable G, the signed terms and rate_scale, as
+expressions over the kind's roles, the parameters and the model's
 parameter-only definitions.  A build splits each model's definitions once
 and makes one form (`integrate.StraightLine`) per chart from its row.
 Rendered from the forms are the evaluator bundle the oracle checks, every
@@ -16,9 +18,10 @@ Euler-Maruyama loops are rendered from the same forms on first use.  The
 Brownian oscillator is the damped oscillator's Hamiltonian chart and model
 with its own drive_friction term; its rhs is the drift, and its NoiseSpec
 adds the thermal force.  At construction the analytic partials are run
-through the finite-difference oracle at each chart's default state, and the
-terms are checked against the flow rate of G, so a catalog system cannot be
-built with a wrong gradient or term.
+through the finite-difference oracle and the terms are checked against the
+flow rate of G, so a catalog system cannot be built with a wrong gradient
+or term; tests/test_symbolic.py proves both, and each contact field's
+divergence, from the same statements.
 
 Charts and layouts
 ------------------
@@ -43,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 
+# the bundle classes and oracles that `_KINDS` names are looked up here by name
 from .core import (
     DarbouxPoint,
     DomainError,
@@ -143,6 +147,8 @@ class VirialTermBinding:
 class Chart:
     """One runnable picture of a system.
 
+    `layout` names the state's components; a catalog chart takes the
+    layout names of its kind in `_KINDS`, and its form the kind's roles.
     rhs(t, y) is the field the steppers advance, compiled from the system's
     model: it takes the state as a tuple of floats in `layout` order and
     returns the derivatives as a tuple of floats; a stochastic chart's rhs
@@ -163,7 +169,6 @@ class Chart:
     Euler-Maruyama.
     """
 
-    kind: str
     layout: tuple
     x0: np.ndarray
     rhs: Callable[[float, tuple], tuple]
@@ -228,23 +233,17 @@ def _validate_params(name: str, overrides: dict) -> dict:
 def _partials_reports(spec: SystemSpec) -> list:
     """(label, PartialsReport) pairs for every analytic model of a spec.
 
-    Each model is probed at the default state of the chart it drives.
+    Each model is probed once, at the default state of the spec's first
+    chart whose roles are those of the model's kind.  The bundle's oracle is
+    looked up by its name in this module when it is called.
     """
     out = []
-    for chart in spec.charts.values():
-        x0 = chart.x0
-        if chart.kind in ("hamiltonian", "contact") and spec.hamiltonian is not None:
-            x = DarbouxPoint(s=x0[0], q=x0[1:2], p=x0[2:3])
-            out.append((spec.hamiltonian.name, check_partials(spec.hamiltonian, x)))
-        elif chart.kind == "lagrangian" and spec.lagrangian is not None:
-            z = LagrangianPoint(q=x0[0:1], qdot=x0[1:2], s=x0[2])
-            out.append((spec.lagrangian.name,
-                        check_lagrangian_partials(spec.lagrangian, z)))
-        elif chart.kind == "extended" and spec.extended is not None:
-            # probe away from t = 0 so the drive's time derivative is non-trivial
-            y = ExtendedPoint(t=0.3, base=DarbouxPoint(s=x0[1], q=x0[2:3], p=x0[3:4]))
-            out.append((spec.extended.name,
-                        check_partials_extended(spec.extended, y)))
+    for kind_name, kind in _KINDS.items():
+        model = getattr(spec, kind_name, None)  # a spec carries a model under its kind's name
+        if model is None:
+            continue
+        chart = next(c for c in spec.charts.values() if c.form and c.form.roles == kind.roles)
+        out.append((model.name, globals()[kind.oracle](model, kind.probe(*chart.x0.tolist()))))
     return out
 
 
@@ -254,7 +253,9 @@ def _check_term_sum(system: str, chart_name: str, chart: Chart) -> None:
     The probe is x0 plus small positive offsets: generic (at x0, p = 0 and
     the kinetic and friction terms vanish) and inside the chart's domain
     wherever x0 is.  dG/dt is the central difference of G along the chart's
-    rhs, exact up to rounding for the bilinear G of every catalog chart.
+    rhs, exact up to rounding for the bilinear G of every catalog chart; its
+    step is scaled by the field components of the roles G reads, so that a
+    large rate of a role G does not read cannot shrink it to nothing.
     """
     x = chart.x0 + 0.05 * np.arange(1, chart.x0.size + 1)
     y = x.tolist()
@@ -264,7 +265,9 @@ def _check_term_sum(system: str, chart_name: str, chart: Chart) -> None:
     try:
         with np.errstate(all="ignore"):
             f = chart.rhs(0.0, tuple(y))
-            eps = 1e-3 / max(1.0, *map(abs, f))
+            read = names_read(chart.form.G)
+            eps = 1e-3 / max(1.0, *(abs(c) for role, c in zip(chart.form.roles, f)
+                                    if role in read))
             rate = central_difference(
                 lambda e: chart.G(*(a + e * b for a, b in zip(y, f))), 0.0, eps
             )
@@ -297,33 +300,56 @@ class _Model:
     domain: str = ""
 
 
-# per model kind: its roles, how a model point unpacks into them, and what
-# each callable of its evaluator bundle returns ([...] becomes an array)
-_MODEL_KINDS = {
-    "hamiltonian": ("s, q, p", "x.s, x.q[0], x.p[0]",
-                    {"value": "H", "d_s": "H_s", "d_q": "[H_q]", "d_p": "[H_p]"}),
-    "extended": ("t, s, q, p", "x.t, x.base.s, x.base.q[0], x.base.p[0]",
-                 {"value": "H", "d_t": "H_t", "d_s": "H_s", "d_q": "[H_q]", "d_p": "[H_p]"}),
-    "lagrangian": ("q, v, s", "x.q[0], x.qdot[0], x.s",
-                   {"value": "L", "d_s": "L_s", "d_q": "[L_q]", "d_qdot": "[L_v]",
-                    "w": "[[W]]", "d2_q_qdot": "[[L_qv]]", "d2_s_qdot": "[L_sv]"}),
-}
+@dataclass(frozen=True)
+class _Kind:
+    """One chart kind: the roles of its state, in layout order, the names its
+    layout gives them, and its field's components over the roles and the
+    definitions of a model.
+
+    A model kind, whose model a SystemSpec carries under the kind's name,
+    also states its evaluator bundle: the bundle class and its
+    finite-difference oracle, by their names in this module (looked up when
+    called, so that a wrapper bound over either name is the one called);
+    `unpack`, how a bundle point x unpacks into the roles; `returns`, what
+    each callable of the bundle returns ([...] becomes an array); and
+    `probe`, the oracle's probe point at the roles' values.
+    """
+
+    roles: tuple
+    layout: tuple
+    field: tuple
+    bundle: str = ""
+    oracle: str = ""
+    unpack: str = ""
+    returns: dict | None = None
+    probe: Callable | None = None
+
+
 _CONTACT_FIELD = ("p * H_p - H", "H_p", "-(H_q + p * H_s)")
-# per chart kind: the state's roles in layout order, and its field's components
-_FIELDS = {
-    "hamiltonian": ("s, q, p", _CONTACT_FIELD),
-    "contact": ("s, q, p", _CONTACT_FIELD),
-    "planar-conformal": ("q, p", _CONTACT_FIELD[1:]),  # for partials free of s
-    "extended": ("t, s, q, p", ("1.0", *_CONTACT_FIELD)),
-    "lagrangian": ("q, v, s", ("v", "(L_q - v * L_qv - L * L_sv + L_s * L_v) / W", "L")),
-}
-# per chart kind: the names its layout gives those roles
-_LAYOUTS = {
-    "hamiltonian": ("s", "q[0]", "p[0]"),
-    "contact": ("z", "x", "y"),
-    "planar-conformal": ("x", "y"),
-    "extended": ("t", "s", "q[0]", "p[0]"),
-    "lagrangian": ("q[0]", "qdot[0]", "s"),
+_KINDS = {
+    "hamiltonian": _Kind(
+        ("s", "q", "p"), ("s", "q[0]", "p[0]"), _CONTACT_FIELD,
+        bundle="ScalarField", oracle="check_partials", unpack="x.s, x.q[0], x.p[0]",
+        returns={"value": "H", "d_s": "H_s", "d_q": "[H_q]", "d_p": "[H_p]"},
+        probe=lambda s, q, p: DarbouxPoint(s=s, q=[q], p=[p])),
+    "contact": _Kind(("s", "q", "p"), ("z", "x", "y"), _CONTACT_FIELD),
+    # the contact field's (q, p) rows, which read no s
+    "planar-conformal": _Kind(("q", "p"), ("x", "y"), _CONTACT_FIELD[1:]),
+    "extended": _Kind(
+        ("t", "s", "q", "p"), ("t", "s", "q[0]", "p[0]"), ("1.0", *_CONTACT_FIELD),
+        bundle="TimeDependentHamiltonianModel", oracle="check_partials_extended",
+        unpack="x.t, x.base.s, x.base.q[0], x.base.p[0]",
+        returns={"value": "H", "d_t": "H_t", "d_s": "H_s", "d_q": "[H_q]", "d_p": "[H_p]"},
+        # away from t = 0, so that the drive's time derivative is non-trivial
+        probe=lambda t, s, q, p: ExtendedPoint(t=0.3, base=DarbouxPoint(s=s, q=[q], p=[p]))),
+    "lagrangian": _Kind(
+        ("q", "v", "s"), ("q[0]", "qdot[0]", "s"),
+        ("v", "(L_q - v * L_qv - L * L_sv + L_s * L_v) / W", "L"),
+        bundle="LagrangianModel", oracle="check_lagrangian_partials",
+        unpack="x.q[0], x.qdot[0], x.s",
+        returns={"value": "L", "d_s": "L_s", "d_q": "[L_q]", "d_qdot": "[L_v]",
+                 "w": "[[W]]", "d2_q_qdot": "[[L_qv]]", "d2_s_qdot": "[L_sv]"},
+        probe=lambda q, v, s: LagrangianPoint(q=[q], qdot=[v], s=s)),
 }
 
 # every model of the catalog, by the name of its evaluator bundle
@@ -515,17 +541,18 @@ def _compile(name: str, params: dict, rows: dict) -> tuple:
     which `integrate_fixed` inlines into its RK4 loop.
     """
     model = _MODELS[name]
-    roles, point, returns = _MODEL_KINDS[model.kind]
+    kind = _KINDS[model.kind]
     constants, defs = _split_definitions(model, params)
-    forms = [StraightLine(name=f"{name}/{row.kind}", roles=tuple(_FIELDS[row.kind][0].split(", ")),
-                          defs=defs, domain=model.domain, field=_FIELDS[row.kind][1],
+    forms = [StraightLine(name=f"{name}/{row.kind}", roles=_KINDS[row.kind].roles,
+                          defs=defs, domain=model.domain, field=_KINDS[row.kind].field,
                           terms=tuple(term for _, _, term in row.terms), G=row.G,
                           constants=constants)
              for row in rows.values()]
     bundle_source, field_source, balance_source = [], [], []
-    for fname, result in returns.items():
-        lines = forms[0].statements((result,), roles.split(", "))  # the model's defs and domain
-        bundle_source += _function(fname, "x", [f"{roles} = {point}", *lines],
+    unpack = f"{', '.join(kind.roles)} = {kind.unpack}"
+    for fname, result in kind.returns.items():
+        lines = forms[0].statements((result,), kind.roles)  # the model's defs and domain
+        bundle_source += _function(fname, "x", [unpack, *lines],
                                    f"array({result})" if result[0] == "[" else result)
     for i, form in enumerate(forms):
         args = ", ".join(form.roles)
@@ -547,13 +574,13 @@ def _compile(name: str, params: dict, rows: dict) -> tuple:
         fields[f"rhs{i}"].straight_line = forms[i]
         terms = [VirialTermBinding(term, sign, balances[f"term{i}_{k}"])
                  for k, (term, sign, _) in enumerate(row.terms)]
-        charts[chart] = Chart(kind=row.kind, layout=_LAYOUTS[row.kind], x0=row.x0,
+        charts[chart] = Chart(layout=_KINDS[row.kind].layout, x0=row.x0,
                               rhs=fields[f"rhs{i}"], terms=terms, G=balances[f"G{i}"],
                               rate_scale=eval(row.rate_scale, {**MATH, **constants}),
                               form=forms[i])
-    bundle = {"hamiltonian": ScalarField, "extended": TimeDependentHamiltonianModel,
-              "lagrangian": LagrangianModel}[model.kind]
-    return bundle(n=1, name=name, **{fname: evaluators[fname] for fname in returns}), charts
+    bundle = globals()[kind.bundle](n=1, name=name,
+                                    **{fname: evaluators[fname] for fname in kind.returns})
+    return bundle, charts
 
 
 def _build_system(name: str, params: dict) -> SystemSpec:
@@ -609,8 +636,10 @@ def make_system(name: str, **params) -> SystemSpec:
     for label, report in reports:
         if not report.passed:
             bad = ", ".join(c.label for c in report.failures())
+            notes = "; ".join(dict.fromkeys(c.note for c in report.failures() if c.note))
             raise ParameterError(
                 f"analytic partials of {label} failed the finite-difference oracle ({bad})"
+                + (f": {notes}" if notes else "")
             )
     for chart_name, chart in spec.charts.items():
         _check_term_sum(name, chart_name, chart)

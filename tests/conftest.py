@@ -19,7 +19,7 @@ UNDAMPED = _build_system("damped_oscillator", {"m": 1.0, "omega": 1.0, "gamma": 
 def observing_system(layout, G, **terms) -> SystemSpec:
     """A system of one chart on `layout` whose terms (each of sign +1) and G are the given
     functions of the state's components, as a custom balance is built in README."""
-    chart = Chart(kind="custom", layout=layout, x0=np.zeros(len(layout)), rhs=None,
+    chart = Chart(layout=layout, x0=np.zeros(len(layout)), rhs=None,
                   terms=[VirialTermBinding(name, +1, f) for name, f in terms.items()], G=G)
     return SystemSpec(name="custom", params={}, charts={"custom": chart},
                       default_chart="custom")

@@ -30,7 +30,7 @@ from contactdyn.cli import (
     build_parser,
     main,
 )
-from contactdyn.systems import make_system
+from contactdyn.systems import ParameterError, make_system
 from contactdyn.virial import ensemble_report, parse_report, report_text
 
 
@@ -775,6 +775,20 @@ def test_gradcheck_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert run("simulate", "--system", "damped_oscillator", "--T", "1",
                "--out", str(tmp_path)) == EXIT_CONFIG
     assert "finite-difference oracle (s)" in capsys.readouterr().err
+
+
+def test_oracle_failures_name_the_violated_domain(tmp_path, capsys):
+    # at B = -5 the activator-inhibitor probe state lies outside B + p > 0, so
+    # no partial can be evaluated; both failure texts give that cause
+    with pytest.raises(ParameterError, match=r"\(s, q\[0\], p\[0\]\): .*violates B \+ p > 0"):
+        make_system("gierer_meinhardt", B=-5)
+    assert run("gradcheck", "--system", "gierer_meinhardt", "-p", "B=-5") == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "  s: analytic nan vs numeric nan (rel inf): " in err
+    assert err.count("violates B + p > 0") == 3  # one line per partial
+    assert run("simulate", "--system", "gierer_meinhardt", "-p", "B=-5", "--T", "1",
+               "--out", str(tmp_path)) == EXIT_CONFIG
+    assert "violates B + p > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 """Symbolic proofs over the catalog's statements: every model's partials are
 derivatives of its value, every chart's stated balance is the scaled flow
-rate of its G, and every contact model's field moves G = q.p at the contact
-virial rate {G, H} - G H_s and H at H_t - H H_s."""
+rate of its G, every contact model's field moves G = q.p at the contact
+virial rate {G, H} - G H_s and H at H_t - H H_s, and every contact field
+contracts volume at its divergence -(n+1) H_s.  The fields are those that
+the chart-kind table `_KINDS` states."""
 
 import pytest
 import sympy
 
-from contactdyn.systems import _FIELDS, _MODEL_KINDS, _MODELS, _SYSTEMS
+from contactdyn.systems import _KINDS, _MODELS, _SYSTEMS
 
 # each stated partial of a model kind, as (what it differentiates, along which role)
 _DERIVATIVES = {
@@ -42,18 +44,22 @@ def _symbolic(defs):
 def test_stated_partials_are_derivatives_of_the_value(name):
     model = _MODELS[name]
     exprs = _symbolic(model.defs)
-    roles = _MODEL_KINDS[model.kind][0].split(", ")
+    roles = _KINDS[model.kind].roles
     for partial, (of, role) in _DERIVATIVES[model.kind].items():
         assert role in roles
         derivative = sympy.diff(exprs[of], sympy.Symbol(role))
         assert sympy.simplify(derivative - exprs[partial]) == 0, (name, partial)
 
 
+def _field(kind, model):
+    """The field of chart kind `kind` for `model`, as (role symbol, component) pairs."""
+    return [(sympy.Symbol(role), _expression(component, model))
+            for role, component in zip(_KINDS[kind].roles, _KINDS[kind].field)]
+
+
 def _rate(f, kind, model):
     """The rate of f along the field of chart kind `kind`: the chain rule over its roles."""
-    roles, field = _FIELDS[kind]
-    return sum(sympy.diff(f, sympy.Symbol(role)) * _expression(component, model)
-               for role, component in zip(roles.split(", "), field))
+    return sum(sympy.diff(f, role) * component for role, component in _field(kind, model))
 
 
 @pytest.mark.parametrize("system, chart", [(system, chart) for system, row in _SYSTEMS.items()
@@ -99,3 +105,38 @@ def test_contact_virial_form_and_hamiltonian_rate(name):
     virial, energy = contact_rate_differences(name)
     assert virial == 0, (name, virial)
     assert energy == 0, (name, energy)
+
+
+# the charts whose field is the contact field of a model, on the Darboux or the
+# extended chart, each with one degree of freedom
+_CONTACT_CHARTS = [(system, chart) for system, row in _SYSTEMS.items()
+                   for chart, c in row.charts.items()
+                   if c.kind in ("hamiltonian", "contact", "extended")]
+
+
+def field_trace_difference(system, chart):
+    """The trace of the chart's field Jacobian minus -(n+1) H_s, n = 1, simplified.
+
+    The field is the chart kind's, with the stated partials in place, so 0
+    proves the divergence of the contact field for every state.
+    """
+    row = _SYSTEMS[system].charts[chart]
+    model = _symbolic(_MODELS[row.model].defs)
+    trace = sum(sympy.diff(component, role) for role, component in _field(row.kind, model))
+    return sympy.simplify(sympy.nsimplify(trace + 2 * model["H_s"], rational=True))
+
+
+@pytest.mark.parametrize("system, chart", _CONTACT_CHARTS)
+def test_contact_field_trace_is_minus_two_H_s(system, chart):
+    assert field_trace_difference(system, chart) == 0, (system, chart)
+
+
+def test_planar_field_is_the_contact_fields_q_and_p_rows_which_read_no_s():
+    # the activator-inhibitor model's contact field projects to the plane:
+    # its q and p rows read no s, and they are the planar chart's field
+    model = _symbolic(_MODELS["gierer_meinhardt.h"].defs)
+    contact = dict(_field("contact", model))
+    rows = [contact[sympy.Symbol(role)] for role in ("q", "p")]
+    assert all(sympy.Symbol("s") not in row.free_symbols for row in rows)
+    planar = [component for _, component in _field("planar-conformal", model)]
+    assert [sympy.simplify(a - b) for a, b in zip(rows, planar)] == [0, 0]

@@ -18,6 +18,7 @@ from contactdyn.integrate import (
     langevin_ensemble,
 )
 from contactdyn.systems import (
+    _SYSTEMS,
     SYSTEM_NAMES,
     ParameterError,
     UnknownSystemError,
@@ -386,7 +387,7 @@ def test_rhs_matches_generic_field(name, chart_name):
         y = np.array(coords[:len(chart.layout)])
         if name == "gierer_meinhardt":
             y[-1] = 0.05 + abs(y[-1]) - params["B"]  # the domain B + y > 0
-        generic = _generic_field(spec, chart.kind, y)
+        generic = _generic_field(spec, _SYSTEMS[name].charts[chart_name].kind, y)
         tol = _FIELD_TOL.get((name, chart_name), 1e-12)
         # drawn parameters scale the field, so atol scales with it
         np.testing.assert_allclose(chart.rhs(0.0, tuple(y.tolist())), generic,
@@ -478,8 +479,8 @@ def test_compile_refuses_names_the_generated_loop_reserves(monkeypatch):
     row = replace(systems_mod._DAMPED_H, model="free.h", terms=())
     with pytest.raises(ValueError, match="'_u'"):
         systems_mod._compile("free.h", {"m": 1.0}, {"hamiltonian": row})
-    monkeypatch.setitem(systems_mod._FIELDS, "underscored",
-                        ("_s, q, p", systems_mod._FIELDS["hamiltonian"][1]))
+    monkeypatch.setitem(systems_mod._KINDS, "underscored",
+                        replace(systems_mod._KINDS["hamiltonian"], roles=("_s", "q", "p")))
     with pytest.raises(ValueError, match="'_s'"):
         systems_mod._compile("damped_oscillator.h", make_system("damped_oscillator").params,
                              {"underscored": replace(systems_mod._DAMPED_H, kind="underscored")})
@@ -511,7 +512,7 @@ def test_term_sum_equals_scaled_rate(name, chart_name, monkeypatch):
     original = systems_mod.Chart
     for i in range(len(chart.terms)):
         def sabotaged(**kw):
-            if kw["kind"] == chart.kind:
+            if kw["layout"] == chart.layout:
                 terms = list(kw["terms"])
                 b = terms[i]
                 terms[i] = VirialTermBinding(b.name, b.sign,
@@ -522,6 +523,38 @@ def test_term_sum_equals_scaled_rate(name, chart_name, monkeypatch):
         monkeypatch.setattr(systems_mod, "Chart", sabotaged)
         with pytest.raises(ParameterError, match=f"chart '{chart_name}'"):
             make_system(name)
+
+
+def test_term_check_steps_by_the_rates_of_the_roles_G_reads():
+    # G = q p reads no s, so an s-rate of 1e20 must not shrink the difference
+    # step until G's difference rounds to 0.0 against a term sum of -0.602
+    import contactdyn.systems as systems_mod
+
+    chart = make_system("damped_oscillator").chart("hamiltonian")
+
+    def rhs(t, y):
+        ds, dq, dp = chart.rhs(t, y)
+        return 1e20 * ds, dq, dp
+
+    systems_mod._check_term_sum("damped_oscillator", "hamiltonian", replace(chart, rhs=rhs))
+
+
+def test_build_calls_the_oracles_through_the_names_a_tracer_rebinds(monkeypatch):
+    # a tracer (perfbench/tracing.py) rebinds the oracles' names in
+    # contactdyn.systems; every catalog build must call the rebound ones
+    import contactdyn.systems as systems_mod
+
+    reports = []
+    for name in ("check_partials", "check_lagrangian_partials", "check_partials_extended"):
+        def traced(*args, oracle=getattr(systems_mod, name), **kwargs):
+            reports.append(oracle(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(systems_mod, name, traced)
+    for name in SYSTEM_NAMES:
+        make_system(name)
+    assert len(reports) == 7
+    assert sum(len(report.checks) for report in reports) == 30
 
 
 @pytest.mark.parametrize(

@@ -203,7 +203,6 @@ def test_custom_observable_and_terms():
     spec = make_system("damped_oscillator")  # m = 1
     chart = spec.chart()
     half_square = Chart(
-        kind="hamiltonian",
         layout=chart.layout,
         x0=chart.x0,
         rhs=chart.rhs,
@@ -267,7 +266,6 @@ def test_three_particle_damped_balance():
         return (np.stack(qp[:3]) * np.stack(qp[3:])).sum(axis=0)
 
     chart = Chart(
-        kind="hamiltonian",
         layout=layout,
         x0=[0.0, 1.0, -0.7, 0.4, 0.0, 0.0, 0.0],
         rhs=rhs,
