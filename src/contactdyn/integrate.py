@@ -29,6 +29,12 @@ kernel generated once per state width, and its cubic-Hermite dense output
 is evaluated in numpy passes over chunks of accepted steps.  Chart packing
 (which component is s, q, p, ...) is the caller's business and is recorded
 in the trajectory's ``layout``.
+
+Two phases split into independent pieces: the row blocks of a CSV and the
+member ranges of an ensemble.  Both run on every CPU of the process's
+affinity set through one fork-join helper (`_forked`), and their outputs
+do not depend on how many CPUs there are; ``taskset -c 0`` pins a run to
+one.
 """
 
 from __future__ import annotations
@@ -37,8 +43,13 @@ import ast
 import functools
 import linecache
 import math
+import os
+import pickle
+import signal
+import sys
+import traceback
 from array import array
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -742,6 +753,130 @@ def integrate_adaptive(
 
 
 # ---------------------------------------------------------------------------
+# fork-join over the CPUs of this process's affinity set
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork or cannot tell."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception that a worker process raised, as text."""
+
+
+def _send(fd: int, payload: bytes) -> None:
+    """Write one frame to `fd`: the length of `payload` as 8 bytes, then `payload`."""
+    view = memoryview(len(payload).to_bytes(8, "little") + payload)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exact(fd: int, n: int, pid: int) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        read = os.readv(fd, [view[got:]])
+        if not read:
+            raise RuntimeError(f"worker process {pid} ended without sending its result")
+        got += read
+    return buf
+
+
+def _receive(pid: int, fd: int):
+    """The next result from worker `pid`; the exception it raised is raised here."""
+    size = int.from_bytes(_read_exact(fd, 8, pid), "little")
+    ok, value, trace = pickle.loads(_read_exact(fd, size, pid))
+    if not ok:
+        raise value from _WorkerTraceback(trace)
+    return value
+
+
+def _serve(fn, items, fd: int):
+    """Send a frame of fn(item) for each of `items` through `fd`, up to the first exception.
+
+    It runs in a forked child and ends it with os._exit, whatever happens:
+    unwinding further would run the parent's code in the child, and an exit
+    handler or the flush of an inherited buffer would repeat the parent's.
+    """
+    code = 0
+    try:
+        for item in items:
+            ok = True
+            try:
+                payload = pickle.dumps((True, fn(item), ""))
+            except BaseException as exc:
+                ok = False
+                payload = pickle.dumps((False, exc, traceback.format_exc()))
+            _send(fd, payload)
+            if not ok:
+                break
+    except BaseException:  # the reader closed its end, or an exception does not pickle
+        code = 1
+    finally:
+        os._exit(code)
+
+
+def _forked(fn, items):
+    """Yield fn(item) for each of `items`, in order, from W processes at once.
+
+    W is the number of CPUs this process may run on (`_cpu_count`), and at
+    most the number of items.  Item i runs in worker i % W.  Worker 0 is
+    this process; the others are children forked before the first item runs,
+    so they inherit `fn` and `items` as they are (`fn` may be a closure) and
+    only results cross over: each child writes one frame per item to its own
+    pipe, an 8-byte length and then the pickle of the result or of the
+    exception that the item raised.  That exception is raised here with its
+    type and text, the child's traceback as its cause, and the child sends
+    nothing more.  A child blocks while its pipe is full, so beyond the
+    pipe's buffer it holds only the result it is writing.  However the
+    iteration ends (the last item, an exception, or a caller that stops
+    early or is interrupted), this process closes its read ends, kills the
+    children if items were left, and reaps every child before the generator
+    finishes.  stdout and stderr are flushed before forking, so no child
+    holds a copy of their buffers.
+    """
+    items = list(items)
+    n_workers = min(_cpu_count(), len(items))
+    if n_workers < 2:
+        yield from map(fn, items)
+        return
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, reads = [], []
+    finished = False
+    try:
+        for w in range(1, n_workers):
+            read_end, write_end = os.pipe()
+            reads.append(read_end)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_end)
+                raise
+            if pid == 0:
+                for fd in reads:
+                    os.close(fd)
+                _serve(fn, items[w::n_workers], write_end)  # never returns
+            os.close(write_end)
+            pids.append(pid)
+        for i, item in enumerate(items):
+            w = i % n_workers
+            yield fn(item) if w == 0 else _receive(pids[w - 1], reads[w - 1])
+        finished = True
+    finally:
+        for fd in reads:
+            os.close(fd)
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+# ---------------------------------------------------------------------------
 # Euler-Maruyama over a stochastic chart, vectorized over members
 
 # member-steps of noise drawn per block: each of the two noise buffers holds
@@ -843,8 +978,8 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
 
 
 def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
-                   sample_every: int | None):
-    """Euler-Maruyama over n_traj independent noise streams of one chart.
+                   sample_every: int | None, members: range | None = None):
+    """Euler-Maruyama over the members, a range of n_traj noise streams, of one chart.
 
     The chart's layout is (s, q[0], p[0]) and its `form`, read from the
     chart and not through its rhs, gives its drift, terms and G as
@@ -860,18 +995,24 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     Single runs and ensemble members share this path, so every emitted
     number is identical for a given member stream.  Member i draws from a
     PCG64 stream seeded with child i of SeedSequence(seed), so a single run
-    is member 0; each fills its row of one noise buffer per block of steps,
-    and a stream's numbers do not depend on the block length.
+    is member 0.  `members` (all n_traj by default) are the streams stepped:
+    members start:stop are seeded from SeedSequence(seed).spawn(stop)[start:].
+    Each fills its row of one noise buffer per block of steps, and a
+    stream's numbers do not depend on the block length.
 
     The term averages are running trapezoid sums: after each step every
     term is evaluated once on the new state, and (previous + current) *
     (dt/2) is added to a partial sum that is folded into the total every
-    _SUM_STEPS steps, so a member's sums do not depend on n_traj.  Memory
-    is O(n_traj) plus the two noise buffers of _NOISE_MEMBER_STEPS doubles
-    each, whatever T is.
+    _SUM_STEPS steps, so a member's sums do not depend on n_traj or on
+    which members share its run.  Memory is O(len(members)) plus two noise
+    buffers of len(members) * block doubles each, whatever T is; the block
+    of steps is sized from the whole ensemble's n_traj, so that the
+    buffers of all of its member ranges hold _NOISE_MEMBER_STEPS doubles
+    each between them.
 
-    Returns the stats and, when `sample_every` is set, the times (N,) and
-    states (N, 3, n_traj) at step 0, every sample_every-th step and T.
+    Returns the stats of `members` and, when `sample_every` is set, the
+    times (N,) and states (N, 3, len(members)) at step 0, every
+    sample_every-th step and T.
     """
     if chart.layout != ("s", "q[0]", "p[0]"):
         raise ValueError(f"Euler-Maruyama steps (s, q[0], p[0]), not {chart.layout}")
@@ -897,11 +1038,14 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         form.loops[key] = _generate_langevin(form, stepped, sampled)
     loop = form.loops[key]
 
+    members = range(n_traj) if members is None else members
+    n = len(members)
     amp = noise.amplitude * math.sqrt(dt)
-    gens = [np.random.default_rng(c) for c in np.random.SeedSequence(noise.seed).spawn(n_traj)]
+    seeds = np.random.SeedSequence(noise.seed).spawn(members.stop)[members.start:]
+    gens = [np.random.default_rng(c) for c in seeds]
     block = min(n_steps, max(1, _NOISE_MEMBER_STEPS // n_traj))
-    raw = np.empty((n_traj, block))  # one generator's draws per row
-    dW = np.zeros((block, n_traj))   # one step's increments per row
+    raw = np.empty((n, block))  # one generator's draws per row
+    dW = np.zeros((block, n))   # one step's increments per row
 
     def draw(step):
         """The increments of the next block of steps: member rows, or scalars for one member."""
@@ -910,17 +1054,17 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
             for g, row in zip(gens, raw):
                 g.standard_normal(out=row[:nb])
             np.multiply(raw[:, :nb].T, amp, out=dW[:nb])
-        return dW[:nb] if n_traj > 1 else dW[:nb, 0]
+        return dW[:nb] if n > 1 else dW[:nb, 0]
 
     # one member steps numpy float64 scalars, the entries of chart.x0
-    x = [v if n_traj == 1 else np.full(n_traj, v)
+    x = [v if n == 1 else np.full(n, v)
          for role, v in zip(form.roles, chart.x0) if role in stepped]
     times = kept = samples = None
     if sampled:
         # step 0, every sample_every-th step and T
         n_samples = 1 + -(-n_steps // sample_every)
         times = np.zeros(n_samples)
-        kept = np.empty((n_samples, len(chart.layout), n_traj))
+        kept = np.empty((n_samples, len(chart.layout), n))
         kept[0] = chart.x0[:, None]
         samples = (times, kept)
     # stiff parameter choices blow up through inf/nan; callers detect that
@@ -930,14 +1074,14 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
                                                    times, kept, draw)
 
     stats = LangevinEnsembleStats(
-        n_traj=n_traj,
+        n_traj=n,
         T=T,
         dt=dt,
         seed=noise.seed,
-        term_averages=np.array([np.full(n_traj, v) for v in sums]) / T,
-        noise_virial=np.full(n_traj, noise_sum) / T,
-        G_initial=np.full(n_traj, G_initial),
-        G_final=np.full(n_traj, G_final),
+        term_averages=np.array([np.full(n, v) for v in sums]) / T,
+        noise_virial=np.full(n, noise_sum) / T,
+        G_initial=np.full(n, G_initial),
+        G_final=np.full(n, G_final),
     )
     return stats, samples
 
@@ -991,12 +1135,31 @@ def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
 
     Member i draws from child i of SeedSequence(noise.seed); member 0's
     entries are bit-identical to the single run with the same seed.
+    The members are split into W contiguous ranges, one per CPU of this
+    process's affinity set (at most one per member), which `_forked` steps
+    at once, and the ranges' stats are joined in member order.  A member's
+    numbers do not depend on its range, so the stats do not depend on W.
     Only the per-member running sums that ensemble reports need are kept:
-    memory is O(n_traj) plus a fixed noise buffer, whatever T is.
+    memory is O(n_traj) plus a fixed noise buffer, whatever T is, summed
+    over the processes (this one holds its own range's share).
     """
     if n_traj < 1:
         raise ValueError("need n_traj >= 1")
-    return _langevin_core(chart, noise, T, dt, n_traj, None)[0]
+    n_ranges = min(_cpu_count(), n_traj)
+    ranges = [range(i * n_traj // n_ranges, (i + 1) * n_traj // n_ranges)
+              for i in range(n_ranges)]
+    parts = list(_forked(lambda members: _langevin_core(chart, noise, T, dt, n_traj, None,
+                                                        members)[0], ranges))
+    return LangevinEnsembleStats(
+        n_traj=n_traj,
+        T=T,
+        dt=dt,
+        seed=noise.seed,
+        term_averages=np.concatenate([part.term_averages for part in parts], axis=1),
+        noise_virial=np.concatenate([part.noise_virial for part in parts]),
+        G_initial=np.concatenate([part.G_initial for part in parts]),
+        G_final=np.concatenate([part.G_final for part in parts]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1010,20 +1173,28 @@ def write_csv(path_or_file, names: Sequence[str], rows: np.ndarray) -> None:
 
     17 significant digits round-trip every double, so the file reproduces
     `rows` exactly.  `path_or_file` is a path or an open text stream.  Rows
-    are formatted and written in blocks, so memory stays flat in the row
-    count; each block is one `%` of the row template repeated over the
-    block's values, which gives the same text as formatting row by row.
+    are formatted in blocks of _CSV_BLOCK_ROWS; each block is one `%` of
+    the row template repeated over the block's values, which gives the same
+    text as formatting row by row.  The blocks are formatted by `_forked`,
+    on every CPU of this process's affinity set, and this process writes
+    them in order, so the text does not depend on how many CPUs there are.
+    Memory stays flat in the row count: beyond the pipes' buffers, each
+    process holds one block at a time.
     """
     template = ",".join(["%.17g"] * len(names)) + "\n"
+
+    def block(start):
+        chunk = rows[start:start + _CSV_BLOCK_ROWS]
+        return (template * len(chunk)) % tuple(chunk.ravel().tolist())
+
     if hasattr(path_or_file, "write"):
         target = nullcontext(path_or_file)
     else:
         target = open(path_or_file, "w", encoding="utf-8", newline="\n")
-    with target as out:
+    with target as out, closing(_forked(block, range(0, len(rows), _CSV_BLOCK_ROWS))) as blocks:
         out.write(",".join(names) + "\n")
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            out.write((template * len(block)) % tuple(block.ravel().tolist()))
+        for text in blocks:
+            out.write(text)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

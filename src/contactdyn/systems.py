@@ -310,9 +310,10 @@ class _Kind:
     also states its evaluator bundle: the bundle class and its
     finite-difference oracle, by their names in this module (looked up when
     called, so that a wrapper bound over either name is the one called);
-    `unpack`, how a bundle point x unpacks into the roles; `returns`, what
-    each callable of the bundle returns ([...] becomes an array); and
-    `probe`, the oracle's probe point at the roles' values.
+    `unpack`, the entries of a bundle point x that give the roles, which
+    the bundle unpacks as floats; `returns`, what each callable of the
+    bundle returns ([...] becomes an array); and `probe`, the oracle's
+    probe point at the roles' values.
     """
 
     roles: tuple
@@ -549,7 +550,7 @@ def _compile(name: str, params: dict, rows: dict) -> tuple:
                           constants=constants)
              for row in rows.values()]
     bundle_source, field_source, balance_source = [], [], []
-    unpack = f"{', '.join(kind.roles)} = {kind.unpack}"
+    unpack = f"{', '.join(kind.roles)} = map(float, ({kind.unpack}))"
     for fname, result in kind.returns.items():
         lines = forms[0].statements((result,), kind.roles)  # the model's defs and domain
         bundle_source += _function(fname, "x", [unpack, *lines],

@@ -785,7 +785,8 @@ def test_oracle_failures_name_the_violated_domain(tmp_path, capsys):
     assert run("gradcheck", "--system", "gierer_meinhardt", "-p", "B=-5") == EXIT_VERIFY
     err = capsys.readouterr().err
     assert "  s: analytic nan vs numeric nan (rel inf): " in err
-    assert err.count("violates B + p > 0") == 3  # one line per partial
+    # the evaluators unpack plain floats, as the chart rhs does
+    assert err.count("state (s, q, p) = (0.0, 0.2, 0.2) violates B + p > 0") == 3
     assert run("simulate", "--system", "gierer_meinhardt", "-p", "B=-5", "--T", "1",
                "--out", str(tmp_path)) == EXIT_CONFIG
     assert "violates B + p > 0" in capsys.readouterr().err
@@ -882,3 +883,31 @@ def test_import_leaves_yaml_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_forked_csv_writers_print_each_line_once(tmp_path):
+    # stdout to a pipe is block-buffered; the second run forks CSV writers
+    # while the first run's lines may still sit in the buffer, and no child
+    # may print them again.  Two CPUs are forced, so that it forks on any host
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "import contactdyn.cli as cli, contactdyn.integrate as integrate\n"
+        "integrate._cpu_count = lambda: 2\n"
+        "for out in sys.argv[1:]:\n"
+        "    assert cli.main(['simulate', '--system', 'damped_oscillator', '--T', '10',\n"
+        "                     '--out', out]) == 0\n"
+    )
+    outs = [str(tmp_path / name) for name in ("a", "b")]
+    done = subprocess.run([sys.executable, "-c", script, *outs], cwd=ROOT, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    wrote = [line for line in done.stdout.splitlines() if line.startswith("wrote ")]
+    assert sorted(wrote) == sorted(f"wrote {Path(out) / name}" + suffix
+                                   for out in outs
+                                   for name, suffix in (("trajectory.csv", " (10001 samples)"),
+                                                        ("report.txt", ""),
+                                                        ("running_averages.csv", "")))

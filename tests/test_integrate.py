@@ -5,7 +5,9 @@ import gc
 import inspect
 import io
 import math
+import os
 import sys
+import time
 import traceback
 import tracemalloc
 import weakref
@@ -808,15 +810,39 @@ class TestLangevin:
         single = [euler_maruyama_langevin(c, noise, T=0.1, dt=1e-3) for c in (chart, wrapped)]
         np.testing.assert_array_equal(single[0].states, single[1].states)
 
+    @pytest.mark.parametrize(
+        "case", [*((n, 0.3, None, {}) for n in (2, 3, 4, 5)),
+                 _LANGEVIN_CASES[_LANGEVIN_IDS.index("diverging")]],
+        ids=["n2", "n3", "n4", "n5", "diverging"])
+    def test_stats_do_not_depend_on_the_cpu_count(self, monkeypatch, case):
+        # the members are split into one range per CPU, and a range of one
+        # member steps scalars where the others step member arrays
+        n_traj, T, _, params = case
+        chart, noise = self.system(seed=4242, **params)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: cpus)
+            runs.append(langevin_ensemble(chart, noise, T=T, dt=1e-3, n_traj=n_traj))
+        for stats in runs[1:]:
+            assert stats.n_traj == n_traj
+            for name in ("term_averages", "noise_virial", "G_initial", "G_final"):
+                assert np.array_equal(getattr(stats, name), getattr(runs[0], name),
+                                      equal_nan=True), name
+        if "omega" in params:
+            assert not np.isfinite(runs[0].G_final).any()
+
     def test_chart_without_statements_is_refused(self):
         chart, noise = self.system()
         with pytest.raises(ValueError, match="carries none"):
             langevin_ensemble(replace(chart, form=None), noise, T=0.1, dt=1e-3, n_traj=2)
 
-    def test_ensemble_memory_is_noise_buffers_plus_per_member(self):
+    def test_ensemble_memory_is_noise_buffers_plus_per_member(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; the two noise buffers
         # hold at most _NOISE_MEMBER_STEPS doubles each, and the rest
-        # (generators, member arrays, sums) is a few kB per member
+        # (generators, member arrays, sums) is a few kB per member.  One
+        # CPU keeps every member range in this process, where tracemalloc
+        # sees it
+        monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: 1)
         chart, noise = self.system(k_BT=0.5, seed=5)
         n_traj = 1000
         tracemalloc.start()
@@ -946,3 +972,100 @@ class TestCsv:
         per_row = "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in rows.tolist())
         assert buf.getvalue() == "a,b,c\n" + per_row
         assert buf.getvalue().count("\n") == n + 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_text_does_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path, cpus):
+        # the blocks are formatted by one process per CPU and written in order
+        monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: cpus)
+        block = integrate_mod._CSV_BLOCK_ROWS
+        rows = np.random.default_rng(11).standard_normal((3 * block + 1, 2))
+        for n in (0, 1, block - 1, block, block + 1, 3 * block + 1):
+            expected = "x,y\n" + "".join("%.17g,%.17g\n" % tuple(row)
+                                         for row in rows[:n].tolist())
+            buf = io.StringIO()
+            integrate_mod.write_csv(buf, ["x", "y"], rows[:n])
+            assert buf.getvalue() == expected, n
+            path = tmp_path / f"{n}.csv"
+            integrate_mod.write_csv(path, ["x", "y"], rows[:n])
+            assert path.read_bytes() == expected.encode(), n
+
+
+class TestForked:
+    """The fork-join helper behind the CSV blocks and the ensemble's member ranges."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: 2)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_items_run_in_worker_i_mod_w_and_come_back_in_order(self):
+        pids = list(integrate_mod._forked(lambda item: os.getpid(), range(5)))
+        assert pids[0::2] == [os.getpid()] * 3
+        assert len(set(pids[1::2])) == 1 and pids[1] != os.getpid()
+        assert list(integrate_mod._forked(lambda i: i * i, range(7))) == [i * i for i in range(7)]
+        self.assert_no_child_left()
+
+    def test_one_item_or_one_cpu_forks_nothing(self, monkeypatch):
+        assert list(integrate_mod._forked(lambda item: os.getpid(), [0])) == [os.getpid()]
+        monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: 1)
+        pids = list(integrate_mod._forked(lambda item: os.getpid(), range(3)))
+        assert pids == [os.getpid()] * 3
+
+    def test_a_childs_error_reaches_the_caller_with_its_type_and_text(self):
+        parent = os.getpid()
+
+        def child_fails(item):
+            if os.getpid() == parent:
+                return item
+            raise DomainError(f"state (s, q, p) = ({item}.0, 0.2, 0.2) violates B + p > 0")
+
+        results = integrate_mod._forked(child_fails, range(4))
+        assert next(results) == 0
+        with pytest.raises(DomainError) as failed:
+            next(results)
+        assert type(failed.value) is DomainError
+        assert str(failed.value) == "state (s, q, p) = (1.0, 0.2, 0.2) violates B + p > 0"
+        # the child's traceback is the cause
+        text = "".join(traceback.format_exception(failed.value))
+        assert "in child_fails" in text and "_WorkerTraceback" in text
+        self.assert_no_child_left()
+
+    def test_a_child_that_dies_is_an_error(self):
+        def dies(item):
+            if item == 1:
+                os._exit(3)
+            return item
+
+        with pytest.raises(RuntimeError, match="ended without sending its result"):
+            list(integrate_mod._forked(dies, range(4)))
+        self.assert_no_child_left()
+
+    def test_no_child_outlives_a_caller_that_stops_early_or_is_interrupted(self):
+        parent = os.getpid()
+
+        def slow(item):
+            if os.getpid() != parent:
+                time.sleep(30)  # killed long before
+            return item
+
+        results = integrate_mod._forked(slow, range(6))
+        assert next(results) == 0
+        started = time.perf_counter()
+        results.close()
+        assert time.perf_counter() - started < 10
+        self.assert_no_child_left()
+
+        def interrupted(item):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return slow(item)
+
+        started = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            list(integrate_mod._forked(interrupted, range(6)))
+        assert time.perf_counter() - started < 10
+        self.assert_no_child_left()
