@@ -65,10 +65,11 @@ EXIT_VERIFY = 4
 _INTEGRATORS = ("rk4", "rkf45")
 # samples one run may keep: 10**8 samples of a 4-vector take 3.2 GB
 _MAX_SAMPLES = 10**8
-# fixed steps one run may take: an inlined RK4 step takes about 1.3 us on a
-# 2-core host under Python 3.11, so 10**9 steps are some 20 minutes, against
-# 2 * 10**5 for the largest README run; a larger T / dt is a mistyped dt,
-# which would step until the process is killed
+# fixed steps one run may take: an inlined RK4 step took 1.2 to 2.8 us
+# across the catalog's charts (10**5 steps, every role stepped, Python
+# 3.11.7 on a shared 2-vCPU host), so 10**9 steps are some 20 to 50
+# minutes, against 2 * 10**5 for the largest README run; a larger T / dt is
+# a mistyped dt, which would step until the process is killed
 _MAX_STEPS = 10**9
 # ensemble members one run may step: each holds a PCG64 generator of about
 # 1 KB besides its state and sums, so 10**5 members take some 100 MB,
@@ -265,7 +266,7 @@ def _check_sample_count(T: float, spacing: float, every: int, grid: str) -> None
                           f"a run keeps at most {_MAX_SAMPLES:.0e}")
 
 
-def _integrate(cfg: ExperimentConfig, stepping: str, spec, chart_name, chart):
+def _integrate(cfg: ExperimentConfig, command: str, stepping: str, spec, chart_name, chart):
     meta = {"system": spec.name, "chart": chart_name}
     if stepping == "euler-maruyama":
         try:
@@ -278,9 +279,11 @@ def _integrate(cfg: ExperimentConfig, stepping: str, spec, chart_name, chart):
     if stepping == "rk4":
         if not (cfg.dt <= cfg.T):
             raise ConfigError(f"dt={cfg.dt!r} must not exceed T={cfg.T!r}")
+        # only simulate writes the trajectory; a report reads G and the terms
         return integrate_fixed(
             chart.rhs, chart.x0, cfg.T, cfg.dt,
             layout=chart.layout, sample_every=cfg.sample_every, meta=meta,
+            keep=None if command == "simulate" else (),
         )
     if not (cfg.sample_interval <= cfg.T):
         raise ConfigError(f"sample_interval={cfg.sample_interval!r} must not exceed T={cfg.T!r}")
@@ -335,7 +338,7 @@ def _abort(outdir: Path, what: str, reason: str, traj=None) -> int:
 
 def _identity_gate(report, tol: float) -> int:
     residual = abs(report.residual_exact)
-    if residual > tol:
+    if not residual <= tol:  # a nan residual fails too
         print(
             f"verification failure: |residual_exact| = {residual:.3e} "
             f"exceeds tolerance {tol:.3e}",
@@ -352,7 +355,7 @@ def _run_and_report(args) -> int:
     chart_name, chart = _resolve_chart(spec, cfg)
     outdir = Path(cfg.out)
 
-    traj = _integrate(cfg, stepping, spec, chart_name, chart)
+    traj = _integrate(cfg, args.command, stepping, spec, chart_name, chart)
     if traj.aborted:
         return _abort(outdir, "integration", traj.abort_reason, traj)
     if args.command != "check-identity":  # which writes a verdict line and no artifacts

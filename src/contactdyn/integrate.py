@@ -15,6 +15,10 @@ are rendered on first use.  Fixed-step RK4 runs one generated loop over all
 its steps: a catalog rhs carries its form as `rhs.straight_line`, and the
 loop inlines the form's statements into every stage with the parameters as
 constants, so it calls nothing; any other rhs is called once per stage.
+A run that records no trajectory (`keep=()`: a report reads only G and
+the terms) steps only the live roles, so a virial report of a chart whose
+(q, p) rows read no s steps (q, p) alone; a run that fails that way is
+stepped again in full, so that its abort is the full run's.
 Euler-Maruyama over a stochastic chart, shared by single runs and
 ensembles (member 0 is bit-identical to the single run with the same
 seed), runs a loop that inlines the drift, the terms, G, the noise entry,
@@ -50,7 +54,7 @@ import sys
 import traceback
 from array import array
 from contextlib import closing, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -244,14 +248,15 @@ class StraightLine:
 
     Rendered from it are the chart's rhs, G and term functions (by
     `systems`, whose evaluator bundle shares `statements`), the body that
-    the RK4 loop inlines into every stage, and the Euler-Maruyama loop,
-    which steps only the `live` roles.  The rhs carries the form, so RK4
-    finds it there; Euler-Maruyama reads it from the chart, since it has no
-    path that calls a field and a wrapper put in place of the rhs (a
-    tracer's, say) carries no form.  The loops are made on first use and
-    kept in `loops`: "rk4", and "em" or "em, samples" by whether they keep
-    samples.  Names of the loops' own start with an underscore, which no
-    role, definition or constant may.
+    the RK4 loop inlines into every stage, and the Euler-Maruyama loop.
+    Both step only the `live` roles where nothing records the others.  The
+    rhs carries the form, so RK4 finds it there; Euler-Maruyama reads it
+    from the chart, since it has no path that calls a field and a wrapper
+    put in place of the rhs (a tracer's, say) carries no form.  The loops
+    are made on first use and kept in `loops`: "rk4" for every role or, say,
+    "rk4, steps (q, p)" for some, and "em" or "em, samples" by whether they
+    keep samples.  Names of the loops' own start with an underscore, which
+    no role, definition or constant may.
     """
 
     name: str
@@ -311,6 +316,16 @@ class StraightLine:
                 return tuple(role for role in self.roles if role in live)
             live |= read & roles
 
+    def restricted(self, roles) -> StraightLine:
+        """This form with only `roles`, live roles in layout order, and their field components.
+
+        Its name says which roles it steps; it shares the definitions,
+        domain, balance and constants, and keeps no loops.
+        """
+        return replace(self, name=f"{self.name}, steps ({', '.join(roles)})", roles=tuple(roles),
+                       field=tuple(c for role, c in zip(self.roles, self.field) if role in roles),
+                       loops={})
+
 
 def _generate_rk4(d: int, form: StraightLine | None):
     """Classical RK4 on d-component states as one generated loop function.
@@ -331,8 +346,11 @@ def _generate_rk4(d: int, form: StraightLine | None):
     unpacking the result into d scalars, so a result of another length
     raises ValueError naming the expected count.  Either way the arithmetic is that of the
     per-component formulas: stages y + hh*k and the update
-    y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4).  Names of the loop's own start with
-    an underscore, which no role or definition of a form may.
+    y + h6*(k1 + 2.0*k2 + 2.0*k3 + k4).  A `restricted` form steps only its
+    roles, and its statements define only what their field components read,
+    so each stepped component gets the same numbers as in the full loop.
+    Names of the loop's own start with an underscore, which no role or
+    definition of a form may.
     """
     ys = [f"_y{j}" for j in range(d)]
     lines = form.statements(form.field) if form is not None else None
@@ -400,21 +418,30 @@ def _rk4_call_loop(d: int):
     return _generate_rk4(d, None)
 
 
-def _rk4_loop(rhs, d: int):
-    """The RK4 loop that steps `rhs` on d-component states.
+def _rk4_loop(rhs, layout: tuple, keep):
+    """The RK4 loop that steps `rhs` on states of `layout`, and the components it steps.
 
-    A field carrying its chart's form of width d as `rhs.straight_line`
-    (every compiled catalog field does) is inlined; its loop is generated on
-    the first call and kept on the form.  Any other callable, a wrapper of a
-    catalog field included, goes through the width's shared loop that calls
-    it.
+    A field carrying its chart's form of the layout's width as
+    `rhs.straight_line` (every compiled catalog field does) is inlined, and
+    only the form's roles that are live for the roles named in `keep` (a
+    collection of layout names, or None for all) are stepped; its loop is
+    generated on the first call and kept on the form under a key that names
+    the stepped roles.  Any other callable, a wrapper of a catalog field
+    included, goes through the width's shared loop that calls it and steps
+    every component.  The components are returned as layout indices.
     """
+    d = len(layout)
     form = getattr(rhs, "straight_line", None)
     if form is None or len(form.roles) != d:
-        return _rk4_call_loop(d)
-    if "rk4" not in form.loops:
-        form.loops["rk4"] = _generate_rk4(d, form)
-    return form.loops["rk4"]
+        return _rk4_call_loop(d), range(d)
+    stepped = form.roles
+    if keep is not None:
+        stepped = form.live(role for name, role in zip(layout, form.roles) if name in keep)
+    key = "rk4" if stepped == form.roles else f"rk4, steps ({', '.join(stepped)})"
+    if key not in form.loops:
+        form.loops[key] = _generate_rk4(
+            len(stepped), form if stepped == form.roles else form.restricted(stepped))
+    return form.loops[key], [form.roles.index(role) for role in stepped]
 
 
 # Fehlberg RK4(5) coefficients
@@ -495,6 +522,7 @@ def integrate_fixed(
     layout: Sequence[str],
     sample_every: int = DEFAULT_SAMPLE_EVERY,
     meta: dict | None = None,
+    keep: Sequence[str] | None = None,
 ) -> Trajectory:
     """Classical 4th-order Runge-Kutta with a shortened final step onto T.
 
@@ -506,6 +534,20 @@ def integrate_fixed(
     A compiled catalog field is stepped with its arithmetic inlined into a
     loop generated for it (see `_rk4_loop`); any other `rhs` is called four
     times per step.  Both give bit-identical trajectories.
+
+    `keep` names the layout components that the caller reads besides its
+    chart's G and terms; None, the default, keeps every component.  With a
+    compiled catalog field only the live roles are stepped: the kept ones
+    and those that G, the terms, the domain check or the field components
+    of live roles read (`StraightLine.live`).  So a virial report of a chart
+    whose (q, p) rows read no s steps (q, p) alone, with every stepped
+    component bit-identical to the full run's.  The trajectory's layout then
+    names the stepped components, and its meta's "chart_layout" the full
+    `layout`.  A reduced run that fails is stepped again with every
+    component, and that aborted trajectory is returned, so an abort reads as
+    it does with `keep=None`.  A component that is not stepped is not tested
+    for finiteness either: a run whose only non-finite component is one
+    that nothing reads completes.  Any other `rhs` steps every component.
 
     Parameters
     ----------
@@ -524,6 +566,9 @@ def integrate_fixed(
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     y = _initial_state(y0, layout)
+    layout = tuple(layout)
+    if keep is not None and not set(keep) <= set(layout):
+        raise ValueError(f"keep names {sorted(set(keep) - set(layout))}, not in layout {layout}")
 
     n_full = int(math.floor(T / dt + 1e-12))
     rem = T - n_full * dt
@@ -531,13 +576,20 @@ def integrate_fixed(
         rem = 0.0
     n_steps = n_full + (1 if rem > 0 else 0)
 
-    loop = _rk4_loop(rhs, len(y))
-    times = [0.0]
-    states = array("d", y)  # samples, row after row
-    # an rhs computing in numpy overflows to inf/nan, which the loop's
-    # finiteness test catches, so its warnings are silenced
-    with np.errstate(all="ignore"):
-        failure = loop(y, n_full, n_steps, rem, dt, T, sample_every, times, states, rhs)
+    def run(keep):
+        loop, columns = _rk4_loop(rhs, layout, keep)
+        x = tuple(y[j] for j in columns)
+        times = [0.0]
+        states = array("d", x)  # samples, row after row
+        # an rhs computing in numpy overflows to inf/nan, which the loop's
+        # finiteness test catches, so its warnings are silenced
+        with np.errstate(all="ignore"):
+            failure = loop(x, n_full, n_steps, rem, dt, T, sample_every, times, states, rhs)
+        return columns, times, states, failure
+
+    columns, times, states, failure = run(keep)
+    if failure is not None and len(columns) < len(layout):
+        columns, times, states, failure = run(None)
     reason = ""
     if failure is not None:
         k, exc = failure
@@ -549,10 +601,12 @@ def integrate_fixed(
     info = dict(meta or {})
     info.setdefault("integrator", "rk4")
     info.update(dt=dt, T=T, sample_every=sample_every)
+    if len(columns) < len(layout):
+        info["chart_layout"] = layout
     return Trajectory(
         times=np.array(times),
-        states=np.frombuffer(states).reshape(-1, len(layout)),
-        layout=tuple(layout),
+        states=np.frombuffer(states).reshape(-1, len(columns)),
+        layout=tuple(layout[j] for j in columns),
         meta=info,
         aborted=failure is not None,
         abort_reason=reason,

@@ -141,17 +141,23 @@ class VirialReport:
 def _window(system: SystemSpec, traj: Trajectory, t0: float):
     """The chart the trajectory ran in, and its terms and G over the window [t0, end].
 
-    Each term and G is evaluated once, at every sample.  Returns (chart
-    name, chart, G at every sample, the window's times, G on the window,
-    one array of trapezoid contributions dt * 0.5 * (left + right) per
-    chart term); t0 must lie in the recorded span.
+    The chart is the one whose layout is the run's: its meta's
+    "chart_layout" when it recorded only some components (see
+    `integrate_fixed`'s `keep`), else its own.  Each term and G is evaluated
+    once, at every sample, on the recorded columns by name; a component that
+    was not recorded is passed as None, since G and the terms read only live
+    roles.  Returns (chart name, chart, G at every sample, the window's
+    times, G on the window, one array of trapezoid contributions
+    dt * 0.5 * (left + right) per chart term); t0 must lie in the recorded
+    span.
     """
+    layout = traj.meta.get("chart_layout", traj.layout)
     for chart_name, chart in system.charts.items():
-        if chart.layout == traj.layout:
+        if chart.layout == layout:
             break
     else:
         raise ValueError(
-            f"trajectory layout {traj.layout} matches no chart of "
+            f"trajectory layout {layout} matches no chart of "
             f"'{system.name}' (have {[c.layout for c in system.charts.values()]})"
         )
     times = traj.times
@@ -159,7 +165,8 @@ def _window(system: SystemSpec, traj: Trajectory, t0: float):
         raise ValueError(
             f"t0={t0:g} must lie inside the recorded span [{times[0]:g}, {times[-1]:g})"
         )
-    columns = traj.states.T
+    recorded = dict(zip(traj.layout, traj.states.T))
+    columns = [recorded.get(name) for name in chart.layout]
     g = np.asarray(chart.G(*columns), dtype=float)
     values = [g, *(np.asarray(b.value(*columns), dtype=float) for b in chart.terms)]
     if t0 > times[0]:
@@ -197,9 +204,9 @@ def virial_report(
     """Assemble the averaged-rate report of one deterministic trajectory.
 
     Reads the terms and G of the chart the trajectory was produced in
-    (matched by layout); the chart's signed term sum over rate_scale is the
-    rate of its G.  `t0` starts the averaging window late to skip
-    transients.
+    (matched by layout, see `_window`); the chart's signed term sum over
+    rate_scale is the rate of its G.  `t0` starts the averaging window late
+    to skip transients.
     """
     if traj.aborted:
         raise ValueError(

@@ -861,6 +861,90 @@ def test_identity_gate_on_simulate(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# virial and check-identity step only the roles their report reads
+
+
+def _artifacts(out: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_reduced_run_that_fails_aborts_as_the_full_run(tmp_path, capsys):
+    # virial steps (x, y) of the contact chart, not z; the run leaves the
+    # domain B + y > 0, so it is stepped again in full and its abort note,
+    # trajectory prefix and exit code are those of simulate, which steps z
+    argv = ["--system", "gierer_meinhardt", "--chart", "contact", "-p", "D=-5",
+            "--T", "30", "--dt", "0.01"]
+    results = {}
+    for command in ("simulate", "virial", "check-identity"):
+        out = tmp_path / command
+        code = run(command, *argv, "--out", str(out))
+        results[command] = code, _artifacts(out), capsys.readouterr().err.replace(str(out), "")
+    assert results["simulate"][0] == EXIT_ABORT
+    assert results["virial"] == results["simulate"] == results["check-identity"]
+    assert "violates B + p > 0" in results["virial"][2]
+    header = results["virial"][1]["trajectory.csv"].split(b"\n", 1)[0]
+    assert header == b"t,z,x,y"
+
+
+@pytest.mark.parametrize("chart", ["contact", "planar"])
+def test_report_names_the_chart_that_ran(tmp_path, chart):
+    # the contact chart reduced to (x, y) has the planar chart's layout; the
+    # report still names the chart that ran, and prints no meta line more
+    reports = {}
+    for command in ("simulate", "virial"):
+        out = tmp_path / command
+        assert run(command, "--system", "gierer_meinhardt", "--chart", chart,
+                   "--T", "5", "--out", str(out)) == EXIT_OK
+        reports[command] = (out / "report.txt").read_text(encoding="utf-8")
+    report = parse_report(reports["virial"])
+    assert report["chart"] == report["meta.chart"] == chart
+    assert reports["virial"] == reports["simulate"].replace("command = simulate",
+                                                            "command = virial")
+
+
+def test_traced_rhs_steps_every_role_and_gives_the_same_report(tmp_path, monkeypatch):
+    # a wrapper bound in place of a chart's rhs, as a tracer binds one,
+    # carries no form: the run calls it and steps every role
+    import contactdyn.cli as cli_mod
+
+    def traced(*args, **kwargs):
+        spec = make_system(*args, **kwargs)
+        for chart in spec.charts.values():
+            rhs = chart.rhs
+            object.__setattr__(chart, "rhs", lambda t, y, rhs=rhs: rhs(t, y))
+        return spec
+
+    argv = ["virial", "--system", "forced_oscillator", "--T", "20", "--t0", "5"]
+    assert run(*argv, "--out", str(tmp_path / "inlined")) == EXIT_OK
+    steps = []
+    stepper = cli_mod.integrate_fixed
+    monkeypatch.setattr(cli_mod, "make_system", traced)
+    monkeypatch.setattr(cli_mod, "integrate_fixed",
+                        lambda *a, **k: steps.append(stepper(*a, **k)) or steps[-1])
+    assert run(*argv, "--out", str(tmp_path / "traced")) == EXIT_OK
+    assert steps[0].layout == ("t", "s", "q[0]", "p[0]")
+    assert _artifacts(tmp_path / "traced") == _artifacts(tmp_path / "inlined")
+
+
+def test_run_whose_only_divergent_role_is_unread_completes(tmp_path, capsys):
+    # with C + K < 0 the contact chart's z grows like exp(-(C + K) t) and
+    # overflows first: simulate, which steps z, aborts at t = 283.4, while
+    # virial steps (x, y) alone to T; G then overflows, and the nan residual
+    # fails the identity gate
+    argv = ["--system", "gierer_meinhardt", "--chart", "contact", "-p", "C=-1",
+            "-p", "K=-1.5", "--T", "300", "--dt", "0.01", "--sample-every", "100"]
+    assert run("simulate", *argv, "--out", str(tmp_path / "simulate")) == EXIT_ABORT
+    assert "non-finite state at t=283.4" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow of G
+        code = run("virial", *argv, "--out", str(tmp_path / "virial"))
+    assert code == EXIT_VERIFY
+    assert "|residual_exact| = nan" in capsys.readouterr().err
+    report = parse_report((tmp_path / "virial" / "report.txt").read_text(encoding="utf-8"))
+    assert report["residual_exact"] == "nan"
+
+
+# ---------------------------------------------------------------------------
 # set-up
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -628,6 +628,87 @@ class TestInlinedField:
         text = "".join(traceback.format_exception(outside.value))
         assert '"<gierer_meinhardt.h>"' in text and "raise DomainError(" in text
 
+    @pytest.mark.parametrize("name, chart_name, stepped", [
+        ("damped_oscillator", "hamiltonian", ("q[0]", "p[0]")),
+        ("damped_oscillator", "lagrangian", ("q[0]", "qdot[0]", "s")),  # the v row reads L
+        ("parachute", "hamiltonian", ("s", "q[0]", "p[0]")),  # the velocity reads s
+        ("parachute", "lagrangian", ("q[0]", "qdot[0]", "s")),
+        ("forced_oscillator", "extended", ("t", "q[0]", "p[0]")),
+        ("gierer_meinhardt", "contact", ("x", "y")),
+        ("gierer_meinhardt", "planar", ("x", "y")),
+    ])
+    def test_a_run_that_keeps_nothing_steps_the_live_roles(self, name, chart_name, stepped):
+        chart = make_system(name).chart(chart_name)
+        traj = integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout,
+                               keep=())
+        assert traj.layout == stepped
+        assert traj.meta.get("chart_layout", traj.layout) == chart.layout
+        assert ("chart_layout" in traj.meta) == (stepped != chart.layout)
+        # a kept component is stepped and recorded
+        unread = [column for column in chart.layout if column not in stepped]
+        kept = integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout,
+                               keep=unread)
+        assert kept.layout == chart.layout
+
+    def test_reduced_loop_is_kept_under_the_roles_it_steps(self, monkeypatch):
+        made = []
+        generate = integrate_mod._generate_rk4
+        monkeypatch.setattr(integrate_mod, "_generate_rk4",
+                            lambda d, form: made.append(form.name) or generate(d, form))
+        chart = make_system("forced_oscillator").chart("extended")
+        for keep in ((), None, ("t", "p[0]"), ("s",), ()):
+            integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout, keep=keep)
+        label = "forced_oscillator.h/extended"
+        assert made == [f"{label}, steps (t, q, p)", label]
+        assert set(chart.form.loops) == {"rk4", "rk4, steps (t, q, p)"}
+        loop = chart.form.loops["rk4, steps (t, q, p)"]
+        assert loop.__code__.co_filename == f"<rk4 loop: {label}, steps (t, q, p)>"
+        tree = ast.parse(inspect.getsource(loop))
+        assigned = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        # no s and no H, which only the s row reads; three components per stage
+        assert {"t", "q", "p", "drive", "H_q", "H_p", "_k4_2"} <= assigned
+        assert not {"s", "H", "_k4_3"} & assigned
+
+    def test_keep_names_components_of_the_layout(self):
+        chart = make_system("damped_oscillator").chart("hamiltonian")
+        with pytest.raises(ValueError, match=r"keep names \['q'\], not in layout"):
+            integrate_fixed(chart.rhs, chart.x0, T=0.1, dt=0.01, layout=chart.layout,
+                            keep=("q",))
+
+    @pytest.mark.parametrize("params, reason", [
+        ({"D": -5.0}, "violates B + p > 0"),
+        ({"C": -50.0}, "non-finite state"),
+    ])
+    def test_reduced_run_that_fails_is_the_full_run(self, params, reason):
+        # the contact chart reduced to (x, y) leaves the domain or blows up;
+        # it is stepped again with z, and the abort is the full run's
+        chart = make_system("gierer_meinhardt", **params).chart("contact")
+        full, reduced = (integrate_fixed(chart.rhs, chart.x0, T=30.0, dt=0.01, sample_every=1,
+                                         layout=chart.layout, keep=keep)
+                         for keep in (None, ()))
+        assert reduced.aborted and reason in reduced.abort_reason
+        assert reduced.abort_reason == full.abort_reason
+        assert reduced.layout == full.layout == chart.layout
+        assert reduced.meta == full.meta
+        assert np.array_equal(reduced.times, full.times)
+        assert np.array_equal(reduced.states, full.states)
+
+    def test_reduced_run_completes_when_only_an_unread_role_diverges(self):
+        # with C + K < 0, z grows like exp(-(C + K) t) and overflows at
+        # t = 283.4, long before x and y; a run that steps (x, y) alone
+        # reaches T, and its columns are the full run's up to the abort
+        chart = make_system("gierer_meinhardt", C=-1.0, K=-1.5).chart("contact")
+        full, reduced = (integrate_fixed(chart.rhs, chart.x0, T=300.0, dt=0.01,
+                                         sample_every=100, layout=chart.layout, keep=keep)
+                         for keep in (None, ()))
+        assert full.aborted and "non-finite state at t=283.4" in full.abort_reason
+        assert not reduced.aborted and reduced.t_final == 300.0
+        n = full.n_samples
+        assert np.array_equal(reduced.times[:n], full.times)
+        for name in reduced.layout:
+            assert np.array_equal(reduced.column(name)[:n], full.column(name))
+
 
 class TestVolumeContraction:
     def test_box_contraction_matches_divergence(self):

@@ -1,5 +1,6 @@
 """Catalog systems: schemas, oracles at construction, charts, term algebra."""
 
+import io
 import math
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from contactdyn.systems import (
     make_system,
     z_equation_residual,
 )
+from contactdyn.virial import report_text, virial_report, write_running_averages
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +425,46 @@ def test_inlined_rk4_is_bit_identical_to_calling_the_field(name, chart_name):
         assert np.array_equal(inline.times, called.times)
         assert np.array_equal(inline.states, called.states)
         assert (inline.aborted, inline.abort_reason) == (called.aborted, called.abort_reason)
+
+    agrees()
+
+
+@pytest.mark.parametrize("name, chart_name", _RK4_CHARTS)
+def test_reduced_rk4_gives_the_full_runs_columns_and_report(name, chart_name):
+    # keep=() steps only the live roles: each stepped column, the report and
+    # the running averages must come out as the full run's, bit for bit
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(st.fixed_dictionaries(_MODERATE[name]),
+           st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           st.integers(20, 150), st.floats(0.1, 0.9), st.sampled_from([1, 7]),
+           st.floats(0.0, 0.9))
+    def agrees(params, offsets, n_full, fraction, sample_every, window_start):
+        spec = make_system(name, **params)
+        chart = spec.chart(chart_name)
+        y0 = chart.x0 + offsets[:len(chart.layout)]
+        if name == "gierer_meinhardt":
+            y0[-1] = 0.05 + abs(y0[-1])  # inside the domain B + y > 0, as B >= 0
+        dt = 0.01
+        full, reduced = (integrate_fixed(chart.rhs, y0, (n_full + fraction) * dt, dt,
+                                         layout=chart.layout, sample_every=sample_every,
+                                         keep=keep)
+                         for keep in (None, ()))
+        live = chart.form.live(())
+        assert reduced.layout == tuple(column for column, role in zip(chart.layout, chart.form.roles)
+                                       if role in live or reduced.aborted)
+        assert np.array_equal(reduced.times, full.times)
+        for column in reduced.layout:
+            assert np.array_equal(reduced.column(column), full.column(column))
+        assert (reduced.aborted, reduced.abort_reason) == (full.aborted, full.abort_reason)
+        if full.aborted:
+            return
+        t0 = window_start * full.t_final
+        texts = []
+        for traj in (full, reduced):
+            averages = io.StringIO()
+            write_running_averages(spec, traj, averages, t0=t0)
+            texts.append((report_text(virial_report(spec, traj, t0=t0)), averages.getvalue()))
+        assert texts[0] == texts[1]
 
     agrees()
 

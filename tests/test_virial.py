@@ -195,6 +195,24 @@ def test_gierer_meinhardt_report_at_fixed_point():
     assert rep.verdict == "bounded"
 
 
+def test_reduced_contact_run_reports_the_contact_chart():
+    # stepped without z, the contact chart's run has the planar chart's
+    # layout and the same (x, y) numbers; its report still names the
+    # contact chart, and differs from the planar one in that line alone
+    spec = make_system("gierer_meinhardt")
+    texts = {}
+    for name in ("contact", "planar"):
+        chart = spec.chart(name)
+        traj = integrate_fixed(chart.rhs, chart.x0, T=5.0, dt=1e-3, layout=chart.layout,
+                               keep=())
+        assert traj.layout == ("x", "y")
+        rep = virial_report(spec, traj, t0=1.0)
+        assert rep.chart == name
+        texts[name] = report_text(rep)
+    assert texts["contact"] == texts["planar"].replace("chart = planar", "chart = contact")
+    assert texts["contact"] != texts["planar"]
+
+
 def test_custom_observable_and_terms():
     # half-square observable G = q^2/2 depends on q alone, so its exact
     # rate along the flow is q qdot = q p / m (no Reeb correction: the
