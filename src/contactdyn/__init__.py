@@ -77,6 +77,7 @@ from .virial import (
     ensemble_report,
     growth_verdict,
     parse_report,
+    reduce_trajectory,
     report_text,
     virial_report,
     write_running_averages,

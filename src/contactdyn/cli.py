@@ -39,6 +39,7 @@ from .integrate import (
     euler_maruyama_langevin,
     integrate_adaptive,
     integrate_fixed,
+    write_csv,
     write_trajectory_csv,
 )
 from .systems import (
@@ -52,9 +53,10 @@ from .systems import (
 from .virial import (
     _fmt,
     ensemble_report,
+    reduce_trajectory,
     report_text,
     virial_report,
-    write_running_averages,
+    write_running_averages,  # noqa: F401  (perfbench/tracing.py wraps this name here)
 )
 
 EXIT_OK = 0
@@ -63,7 +65,10 @@ EXIT_ABORT = 3
 EXIT_VERIFY = 4
 
 _INTEGRATORS = ("rk4", "rkf45")
-# samples one run may keep: 10**8 samples of a 4-vector take 3.2 GB
+# samples one run may keep: peak memory grew by 48 bytes per sample for an
+# RK4 `virial` run and by 56 for an rkf45 `simulate` run (damped
+# oscillator, T = 100 -> 1000 and 200 -> 1000), so 10**8 samples take some
+# 5 GB
 _MAX_SAMPLES = 10**8
 # fixed steps one run may take: an inlined RK4 step took 1.2 to 2.8 us
 # across the catalog's charts (10**5 steps, every role stepped, Python
@@ -366,8 +371,8 @@ def _run_and_report(args) -> int:
         print("stochastic system: use `ensemble` for the averaged-rate report")
         return EXIT_OK
 
-    report = virial_report(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
     if args.command == "check-identity":
+        report = virial_report(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
         residual = abs(report.residual_exact)
         ok = residual <= cfg.identity_tol
         print(
@@ -375,9 +380,10 @@ def _run_and_report(args) -> int:
             f"(tol {cfg.identity_tol:.1e}) {'PASS' if ok else 'FAIL'}"
         )
         return EXIT_OK if ok else EXIT_VERIFY
+    report, running = reduce_trajectory(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
     _write_report_file(outdir / "report.txt", report,
                        _preamble(cfg, args.command, stepping))
-    write_running_averages(spec, traj, outdir / "running_averages.csv", t0=cfg.t0)
+    write_csv(outdir / "running_averages.csv", list(running), list(running.values()))
     print(f"wrote {outdir / 'report.txt'}")
     print(f"wrote {outdir / 'running_averages.csv'}")
     print(f"theorem_residual = {_fmt(report.theorem_residual)}")

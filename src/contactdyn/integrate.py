@@ -136,9 +136,10 @@ class Trajectory:
             )
         if times.size == 0:
             raise ValueError("trajectory must contain at least the initial sample")
-        if times.size > 1 and not (np.diff(times) > 0).all():
+        # no float temporary the size of the samples: min/max propagate nan
+        if times.size > 1 and not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
-        if not (np.isfinite(times).all() and np.isfinite(states).all()):
+        if not all(np.isfinite((a.min(), a.max())).all() for a in (times, states) if a.size):
             raise NonFiniteError("trajectory samples must be finite")
 
     @property
@@ -382,6 +383,7 @@ def _generate_rk4(d: int, form: StraightLine | None):
         "def loop(_y, _n_full, _n, _rem, _dt, _T, _every, _times, _states, _rhs):",
         f"    {tup(ys)} = _y",
         "    _k = 0",
+        "    _last = _times[-1]",
         "    try:",
         "        while _k < _n:",
         "            if _k < _n_full:",
@@ -395,7 +397,8 @@ def _generate_rk4(d: int, form: StraightLine | None):
         "            _k = _stop",
         "            if _k % _every == 0 or _k == _n:",
         "                _t = _T if _k == _n else _k * _dt",
-        "                if _t > _times[-1]:",
+        "                if _t > _last:",
+        "                    _last = _t",
         "                    _times.append(_t)",
         f"                    _states.extend({tup(ys)})",
         "    except _FIELD_ERRORS as _exc:",
@@ -579,7 +582,7 @@ def integrate_fixed(
     def run(keep):
         loop, columns = _rk4_loop(rhs, layout, keep)
         x = tuple(y[j] for j in columns)
-        times = [0.0]
+        times = array("d", [0.0])
         states = array("d", x)  # samples, row after row
         # an rhs computing in numpy overflows to inf/nan, which the loop's
         # finiteness test catches, so its warnings are silenced
@@ -604,7 +607,7 @@ def integrate_fixed(
     if len(columns) < len(layout):
         info["chart_layout"] = layout
     return Trajectory(
-        times=np.array(times),
+        times=np.frombuffer(times),
         states=np.frombuffer(states).reshape(-1, len(columns)),
         layout=tuple(layout[j] for j in columns),
         meta=info,
@@ -1222,30 +1225,36 @@ def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
 _CSV_BLOCK_ROWS = 8192
 
 
-def write_csv(path_or_file, names: Sequence[str], rows: np.ndarray) -> None:
+def write_csv(path_or_file, names: Sequence[str], columns) -> None:
     """Write a header of `names` and one line per row, every number as %.17g.
 
-    17 significant digits round-trip every double, so the file reproduces
-    `rows` exactly.  `path_or_file` is a path or an open text stream.  Rows
-    are formatted in blocks of _CSV_BLOCK_ROWS; each block is one `%` of
-    the row template repeated over the block's values, which gives the same
-    text as formatting row by row.  The blocks are formatted by `_forked`,
-    on every CPU of this process's affinity set, and this process writes
-    them in order, so the text does not depend on how many CPUs there are.
-    Memory stays flat in the row count: beyond the pipes' buffers, each
-    process holds one block at a time.
+    `columns` are the table's columns, 1-D arrays of one length (views of
+    the caller's arrays serve), or a 2-D array of its rows.  17 significant
+    digits round-trip every double, so the file reproduces the table
+    exactly.  `path_or_file` is a path or an open text stream.  Rows are
+    formatted in blocks of _CSV_BLOCK_ROWS: each block's rows are stacked
+    from the columns, and one `%` of the row template repeated over the
+    block's values gives the same text as formatting row by row.  The
+    blocks are formatted by `_forked`, on every CPU of this process's
+    affinity set, and this process writes them in order, so the text does
+    not depend on how many CPUs there are.  No copy of the whole table is
+    made, so memory stays flat in the row count: beyond the pipes' buffers,
+    each process holds one block at a time.
     """
+    if isinstance(columns, np.ndarray) and columns.ndim == 2:
+        columns = columns.T
+    columns = list(columns)
     template = ",".join(["%.17g"] * len(names)) + "\n"
 
     def block(start):
-        chunk = rows[start:start + _CSV_BLOCK_ROWS]
+        chunk = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
         return (template * len(chunk)) % tuple(chunk.ravel().tolist())
 
     if hasattr(path_or_file, "write"):
         target = nullcontext(path_or_file)
     else:
         target = open(path_or_file, "w", encoding="utf-8", newline="\n")
-    with target as out, closing(_forked(block, range(0, len(rows), _CSV_BLOCK_ROWS))) as blocks:
+    with target as out, closing(_forked(block, range(0, len(columns[0]), _CSV_BLOCK_ROWS))) as blocks:
         out.write(",".join(names) + "\n")
         for text in blocks:
             out.write(text)
@@ -1256,4 +1265,4 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
     Every emitted number round-trips to the same double.
     """
-    write_csv(path, ["t", *traj.layout], np.column_stack([traj.times, traj.states]))
+    write_csv(path, ["t", *traj.layout], [traj.times, *traj.states.T])

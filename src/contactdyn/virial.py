@@ -25,17 +25,18 @@ is its report's ``boundary``, and ``report_text`` is the report's text
 form; the pointwise rate of G = q.p is the catalog's stated balance, proved
 symbolically in the test suite.
 
-A deterministic report and its running averages share one window: the
-terms and G are evaluated once on the samples, the window [t0, end] is cut
-once (starting at t0 with the linear interpolant of each value when t0
-falls between samples, so shifting the window start does not quantize to
-the sample grid), and the averages use trapezoidal quadrature under
-compensated summation so that horizons of 10^5+ samples do not accumulate
-roundoff.
+A deterministic report and its running averages come from one pass over
+the samples (`reduce_trajectory`): G and each term are evaluated once, on
+the window [t0, end] (starting at t0 with the linear interpolant of each
+value when t0 falls between samples, so shifting the window start does not
+quantize to the sample grid), and the averages use trapezoidal quadrature
+under compensated summation so that horizons of 10^5+ samples do not
+accumulate roundoff.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -54,6 +55,7 @@ __all__ = [
     "ensemble_report",
     "report_text",
     "parse_report",
+    "reduce_trajectory",
     "write_running_averages",
 ]
 
@@ -79,18 +81,21 @@ def growth_verdict(times, g_values, t0: float = 0.0,
     needs the rate to clear GROWTH_FACTOR * residual_tol AND the trailing
     max to genuinely exceed the leading one (by > 5%), so bounded
     oscillations whose sampled peaks jitter at discretization level stay
-    "bounded".
+    "bounded".  A trailing max that is not finite (G overflowed) reads
+    "growing" at rate inf.  `times` increase, so each half is a slice.
     """
     times = np.asarray(times, dtype=float)
-    g = np.abs(np.asarray(g_values, dtype=float))
+    g = np.asarray(g_values, dtype=float)
     t_end = times[-1]
     t_mid = t0 + 0.5 * (t_end - t0)
-    lead = (times >= t0) & (times <= t_mid)
-    trail = times >= t_mid
-    if int(lead.sum()) < 1 or int(trail.sum()) < 2:
+    lead = slice(np.searchsorted(times, t0, "left"), np.searchsorted(times, t_mid, "right"))
+    trail = slice(np.searchsorted(times, t_mid, "left"), len(times))
+    if lead.stop - lead.start < 1 or trail.stop - trail.start < 2:
         return "bounded", 0.0
-    m_lead = float(np.max(g[lead]))
-    m_trail = float(np.max(g[trail]))
+    # max |G| without an array the size of G: max and min propagate nan too
+    m_lead, m_trail = (float(max(abs(g[part].max()), abs(g[part].min()))) for part in (lead, trail))
+    if not math.isfinite(m_trail):
+        return "growing", math.inf
     half = t_end - t_mid
     growth_rate = max(0.0, (m_trail - m_lead) / half)
     significant = (m_trail - m_lead) > 0.05 * max(m_trail, m_lead)
@@ -135,22 +140,51 @@ class VirialReport:
 
 
 # ---------------------------------------------------------------------------
-# the chart's terms and G along a trajectory
+# the one reduction pass over a deterministic trajectory
+
+# samples handed to math.fsum as Python floats at a time
+_FSUM_BLOCK = 8192
 
 
-def _window(system: SystemSpec, traj: Trajectory, t0: float):
-    """The chart the trajectory ran in, and its terms and G over the window [t0, end].
+def _scalar_meta(source: dict) -> dict:
+    return {
+        k: v for k, v in source.items()
+        if isinstance(v, (str, bool, int, float, np.integer, np.floating))
+    }
 
-    The chart is the one whose layout is the run's: its meta's
-    "chart_layout" when it recorded only some components (see
-    `integrate_fixed`'s `keep`), else its own.  Each term and G is evaluated
-    once, at every sample, on the recorded columns by name; a component that
-    was not recorded is passed as None, since G and the terms read only live
-    roles.  Returns (chart name, chart, G at every sample, the window's
-    times, G on the window, one array of trapezoid contributions
-    dt * 0.5 * (left + right) per chart term); t0 must lie in the recorded
-    span.
+
+def reduce_trajectory(
+    system: SystemSpec,
+    traj: Trajectory,
+    *,
+    t0: float = 0.0,
+    residual_tol: float = RESIDUAL_TOL,
+):
+    """The report of one deterministic run and its running averages, from one pass.
+
+    Returns (report, running): the `VirialReport` of the window [t0, end]
+    of the chart the trajectory ran in, and the kept rows of
+    `write_running_averages` as a dict from column name to values.  G is
+    evaluated once; its window ends, kept rows and verdict (over the
+    samples at or after t0) are read before it is dropped.  Then each term
+    in turn is evaluated, its trapezoid contributions are formed in one
+    scratch array, fed to math.fsum a block at a time and summed
+    cumulatively in place, so beside the trajectory the pass holds a few
+    columns of samples.  A component that was not recorded is passed as
+    None, since G and the terms read only live roles.  The arithmetic runs
+    unwarned, as the steppers' does: an overflowed G reads "growing".
     """
+    if traj.aborted:
+        raise ValueError(
+            f"trajectory aborted ({traj.abort_reason}); no report assembled"
+        )
+    if system.noise is not None:
+        raise ValueError(
+            f"'{system.name}' is stochastic: its runs have no pathwise rate; "
+            "use ensemble_report"
+        )
+    # the chart whose layout is the run's: its meta's "chart_layout" when it
+    # recorded only some components (see `integrate_fixed`'s `keep`)
     layout = traj.meta.get("chart_layout", traj.layout)
     for chart_name, chart in system.charts.items():
         if chart.layout == layout:
@@ -165,29 +199,84 @@ def _window(system: SystemSpec, traj: Trajectory, t0: float):
         raise ValueError(
             f"t0={t0:g} must lie inside the recorded span [{times[0]:g}, {times[-1]:g})"
         )
+    # the window is its start at t0 and then the samples from `start` on;
+    # its first value is the sample at t0, or the interpolant at weight w
+    start, w = 1, None
+    if t0 > times[0]:
+        start = int(np.searchsorted(times, t0, side="left"))
+        if times[start] > t0:
+            w = (t0 - times[start - 1]) / (times[start] - times[start - 1])
+        else:
+            start += 1
+
+    def first(v):
+        return v[start - 1] if w is None else (1 - w) * v[start - 1] + w * v[start]
+
+    t_end = float(times[-1])
+    window = t_end - t0
+    n = len(times) - start  # trapezoids in the window, one running-average row each
+    stride = -(-n // _AVERAGE_ROWS)
+    kept = slice((n - 1) % stride, None, stride)
+    t_kept = times[start:][kept].copy()
+    elapsed = t_kept - t0
+    half_steps = np.subtract(times[start:], times[start - 1:-1])
+    half_steps[0] = times[start] - t0
+    half_steps *= 0.5
+
     recorded = dict(zip(traj.layout, traj.states.T))
     columns = [recorded.get(name) for name in chart.layout]
-    g = np.asarray(chart.G(*columns), dtype=float)
-    values = [g, *(np.asarray(b.value(*columns), dtype=float) for b in chart.terms)]
-    if t0 > times[0]:
-        i = int(np.searchsorted(times, t0, side="left"))
-        if times[i] > t0:
-            w = (t0 - times[i - 1]) / (times[i] - times[i - 1])
-            times = np.concatenate(([t0], times[i:]))
-            values = [np.concatenate(([(1 - w) * v[i - 1] + w * v[i]], v[i:])) for v in values]
-        else:
-            times = times[i:]
-            values = [v[i:] for v in values]
-    half_steps = np.diff(times) * 0.5
-    return (chart_name, chart, g, times, values[0],
-            [half_steps * (v[1:] + v[:-1]) for v in values[1:]])
+    with np.errstate(all="ignore"):
+        g = np.asarray(chart.G(*columns), dtype=float)
+        g0, gT = float(first(g)), float(g[-1])
+        g_kept = g[start:][kept].copy()
+        verdict, growth_rate = growth_verdict(times, g, t0, residual_tol)
+        del g
+        term_avgs, running = [], {"t": t_kept}
+        signed_sum = np.zeros(len(t_kept))
+        c = np.empty(n)
+        for b in chart.terms:
+            v = np.asarray(b.value(*columns), dtype=float)
+            np.add(v[start:], v[start - 1:-1], out=c)
+            c[0] = v[start] + first(v)
+            del v
+            c *= half_steps
+            total = math.fsum(itertools.chain.from_iterable(
+                c[i:i + _FSUM_BLOCK].tolist() for i in range(0, n, _FSUM_BLOCK)))
+            term_avgs.append(float(total / window))
+            avg = np.cumsum(c, out=c)[kept] / elapsed
+            signed_sum = signed_sum + int(b.sign) * avg
+            running[f"avg[{b.name}]"] = avg
+        running["theorem_residual"] = signed_sum
+        running["boundary"] = (g_kept - g0) / elapsed
 
-
-def _scalar_meta(source: dict) -> dict:
-    return {
-        k: v for k, v in source.items()
-        if isinstance(v, (str, bool, int, float, np.integer, np.floating))
-    }
+    signs = tuple(int(b.sign) for b in chart.terms)
+    theorem_residual = math.fsum(sign * avg for sign, avg in zip(signs, term_avgs))
+    rate_avg = theorem_residual / chart.rate_scale
+    boundary = (gT - g0) / window
+    meta = _scalar_meta(traj.meta)
+    meta.update({f"param.{k}": v for k, v in system.params.items()})
+    return VirialReport(
+        system=system.name,
+        chart=chart_name,
+        T=t_end,
+        t0=float(t0),
+        window=window,
+        term_names=tuple(b.name for b in chart.terms),
+        term_signs=signs,
+        term_averages=tuple(term_avgs),
+        term_errors=None,
+        theorem_residual=theorem_residual,
+        theorem_error=None,
+        rate_average=rate_avg,
+        boundary=boundary,
+        residual_exact=rate_avg - boundary,
+        rate_scale=chart.rate_scale,
+        G_initial=g0,
+        G_final=gT,
+        verdict=verdict,
+        growth_rate=growth_rate,
+        meta=meta,
+    ), running
 
 
 # ---------------------------------------------------------------------------
@@ -203,64 +292,10 @@ def virial_report(
 ) -> VirialReport:
     """Assemble the averaged-rate report of one deterministic trajectory.
 
-    Reads the terms and G of the chart the trajectory was produced in
-    (matched by layout, see `_window`); the chart's signed term sum over
-    rate_scale is the rate of its G.  `t0` starts the averaging window late
-    to skip transients.
+    The report of `reduce_trajectory`'s pass, which says what it reads;
+    `t0` starts the averaging window late to skip transients.
     """
-    if traj.aborted:
-        raise ValueError(
-            f"trajectory aborted ({traj.abort_reason}); no report assembled"
-        )
-    if system.noise is not None:
-        raise ValueError(
-            f"'{system.name}' is stochastic: its runs have no pathwise rate; "
-            "use ensemble_report"
-        )
-    chart_name, chart, g, times, g_window, contributions = _window(system, traj, t0)
-    t_end = float(times[-1])
-    window = t_end - t0
-
-    names = tuple(b.name for b in chart.terms)
-    signs = tuple(int(b.sign) for b in chart.terms)
-    term_avgs = tuple(
-        float(math.fsum(c.tolist()) / (times[-1] - times[0])) for c in contributions
-    )
-    theorem_residual = math.fsum(
-        sign * avg for sign, avg in zip(signs, term_avgs)
-    )
-    rate_avg = theorem_residual / chart.rate_scale
-    g0 = float(g_window[0])
-    gT = float(g_window[-1])
-    boundary = (gT - g0) / window
-    # the verdict reads the samples at or after t0, not the interpolated start
-    verdict, growth_rate = growth_verdict(traj.times, g, t0, residual_tol)
-
-    meta = _scalar_meta(traj.meta)
-    meta.update({f"param.{k}": v for k, v in system.params.items()})
-
-    return VirialReport(
-        system=system.name,
-        chart=chart_name,
-        T=t_end,
-        t0=float(t0),
-        window=window,
-        term_names=names,
-        term_signs=signs,
-        term_averages=term_avgs,
-        term_errors=None,
-        theorem_residual=theorem_residual,
-        theorem_error=None,
-        rate_average=rate_avg,
-        boundary=boundary,
-        residual_exact=rate_avg - boundary,
-        rate_scale=chart.rate_scale,
-        G_initial=g0,
-        G_final=gT,
-        verdict=verdict,
-        growth_rate=growth_rate,
-        meta=meta,
-    )
+    return reduce_trajectory(system, traj, t0=t0, residual_tol=residual_tol)[0]
 
 
 def ensemble_report(
@@ -322,7 +357,8 @@ def ensemble_report(
     b_m, b_se = mean_se(boundary_i)
 
     rate_avg = res_m / chart.rate_scale
-    growing = abs(b_m) > max(3 * b_se, GROWTH_FACTOR * residual_tol)
+    # a mean boundary that overflowed grows, though inf > inf is False
+    growing = not math.isfinite(b_m) or abs(b_m) > max(3 * b_se, GROWTH_FACTOR * residual_tol)
 
     meta = {
         "dt": dt,
@@ -430,26 +466,12 @@ def write_running_averages(
     Columns: t, one running average per term, the running theorem residual
     (signed sum), and the running boundary term (G(t) - G(t0)) / (t - t0).
     The window and its trapezoid contributions are the report's, summed
-    cumulatively over every sample past t0.  Of those n rows at most
-    `_AVERAGE_ROWS` are written: with stride k = ceil(n / _AVERAGE_ROWS),
-    row i is kept when (n - 1 - i) % k == 0.  The row at the final sample is
-    always written, a window of at most `_AVERAGE_ROWS` samples writes every
-    row, and a written row is the same line whatever the stride.
+    cumulatively over every sample past t0, in the same pass
+    (`reduce_trajectory`).  Of those n rows at most `_AVERAGE_ROWS` are
+    written: with stride k = ceil(n / _AVERAGE_ROWS), row i is kept when
+    (n - 1 - i) % k == 0.  The row at the final sample is always written, a
+    window of at most `_AVERAGE_ROWS` samples writes every row, and a
+    written row is the same line whatever the stride.
     """
-    _, chart, _, t_w, g_w, contributions = _window(system, traj, t0)
-    elapsed = t_w[1:] - t_w[0]
-    n = len(elapsed)
-    stride = -(-n // _AVERAGE_ROWS)
-    kept = slice((n - 1) % stride, None, stride)
-
-    columns = [("t", t_w[1:])]
-    signed_sum = np.zeros(n)
-    for b, c in zip(chart.terms, contributions):
-        avg = np.cumsum(c) / elapsed
-        signed_sum = signed_sum + int(b.sign) * avg
-        columns.append((f"avg[{b.name}]", avg))
-    columns.append(("theorem_residual", signed_sum))
-    columns.append(("boundary", (g_w[1:] - g_w[0]) / elapsed))
-
-    write_csv(path_or_file, [name for name, _ in columns],
-              np.column_stack([vals[kept] for _, vals in columns]))
+    running = reduce_trajectory(system, traj, t0=t0)[1]
+    write_csv(path_or_file, list(running), list(running.values()))

@@ -944,6 +944,20 @@ def test_run_whose_only_divergent_role_is_unread_completes(tmp_path, capsys):
     assert report["residual_exact"] == "nan"
 
 
+def test_an_overflowed_G_reads_growing_and_warns_nothing(tmp_path, capsys):
+    # G overflows to inf well before T, where inf > inf would read "bounded";
+    # the reduction runs unwarned, as the steppers do, and the nan residual
+    # still fails the identity gate
+    argv = ["virial", "--system", "gierer_meinhardt", "--chart", "contact", "-p", "C=-1",
+            "-p", "K=-1.5", "--T", "400", "--dt", "0.01", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv) == EXIT_VERIFY
+    assert "verdict = growing" in capsys.readouterr().out
+    report = parse_report((tmp_path / "report.txt").read_text(encoding="utf-8"))
+    assert (report["G_final"], report["verdict"], report["growth_rate"]) == ("inf", "growing", "inf")
+
+
 # ---------------------------------------------------------------------------
 # set-up
 

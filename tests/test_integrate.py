@@ -999,6 +999,29 @@ class TestAveraging:
             virial_report(spec, traj, t0=2.0)
 
 
+class TestFixedStepMemory:
+    @pytest.mark.parametrize("keep", [None, ()])
+    def test_bytes_per_sample_are_the_recorded_doubles(self, keep):
+        # times and states grow as array('d') buffers that the trajectory
+        # wraps without a copy: 8 bytes per recorded double, plus at most 1/16
+        # for the buffers' over-allocation and the one boolean per time of
+        # the trajectory's check that times increase.  Times kept as a list of
+        # Python floats took some 40 bytes each instead of 8
+        chart = make_system("forced_oscillator").chart("extended")
+        # the first run generates the loop, which is kept on the chart's form
+        integrate_fixed(chart.rhs, chart.x0, T=1.0, dt=1e-3, layout=chart.layout, keep=keep)
+        tracemalloc.start()
+        try:
+            traj = integrate_fixed(chart.rhs, chart.x0, T=50.0, dt=1e-3,
+                                   layout=chart.layout, sample_every=1, keep=keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, width = traj.n_samples, len(traj.layout)
+        assert width == (4 if keep is None else 3)
+        assert peak <= 8 * (1 + width) * n * 17 / 16 + n + 16 * 1024
+
+
 class TestTrajectoryType:
     def test_monotonic_times_enforced(self):
         with pytest.raises(ValueError):
@@ -1069,6 +1092,50 @@ class TestCsv:
             path = tmp_path / f"{n}.csv"
             integrate_mod.write_csv(path, ["x", "y"], rows[:n])
             assert path.read_bytes() == expected.encode(), n
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_columns_give_the_bytes_of_their_stacked_rows(self, monkeypatch, cpus):
+        # the columns, views of one array among them, are stacked a block at a
+        # time; the text is that of the rows stacked whole, at the block edges
+        monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: cpus)
+        block = integrate_mod._CSV_BLOCK_ROWS
+        rng = np.random.default_rng(17)
+        times, states = rng.standard_normal(block + 1), rng.standard_normal((block + 1, 3))
+        for n in (0, 1, block - 1, block, block + 1):
+            stacked, columns = io.StringIO(), io.StringIO()
+            integrate_mod.write_csv(stacked, ["t", "a", "b", "c"],
+                                    np.column_stack([times[:n], states[:n]]))
+            integrate_mod.write_csv(columns, ["t", "a", "b", "c"],
+                                    [times[:n], *states[:n].T])
+            assert columns.getvalue() == stacked.getvalue(), n
+            assert columns.getvalue().count("\n") == n + 1
+
+    def test_trajectory_csv_memory_does_not_grow_with_the_rows(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc.  The rows are stacked one
+        # block at a time, so writing 4 times the rows raises the traced peak
+        # by less than one block of the stacked doubles; stacking the whole
+        # trajectory first raised it by the added rows' stacked copy.  One CPU
+        # formats every block in this process, where tracemalloc sees it
+        monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: 1)
+
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        block = integrate_mod._CSV_BLOCK_ROWS
+        chart = DAMPED.chart("hamiltonian")
+        peaks = []
+        for n in (2 * block, 8 * block):
+            traj = integrate_fixed(chart.rhs, chart.x0, T=(n - 1) * 1e-3, dt=1e-3,
+                                   layout=chart.layout, sample_every=1)
+            assert traj.n_samples == n
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(traj, Discard())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * (1 + len(chart.layout)) * block
 
 
 class TestForked:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -609,3 +610,123 @@ def test_one_report_evaluates_each_term_and_G_once():
     assert calls == {"G": 1, **{b.name: 1 for b in chart.terms}}
     write_running_averages(spec, traj, io.StringIO(), t0=1.234)
     assert calls == {"G": 2, **{b.name: 2 for b in chart.terms}}
+
+
+# ---------------------------------------------------------------------------
+# the one reduction pass, against the references it replaced
+
+
+def _reference_verdict(times, g_values, t0, residual_tol=virial_mod.RESIDUAL_TOL):
+    """`growth_verdict` by boolean masks over |G|, the form the slices replaced."""
+    g = np.abs(g_values)
+    t_end = times[-1]
+    t_mid = t0 + 0.5 * (t_end - t0)
+    lead = (times >= t0) & (times <= t_mid)
+    trail = times >= t_mid
+    if int(lead.sum()) < 1 or int(trail.sum()) < 2:
+        return "bounded", 0.0
+    m_lead, m_trail = float(np.max(g[lead])), float(np.max(g[trail]))
+    if not math.isfinite(m_trail):
+        return "growing", math.inf
+    growth_rate = max(0.0, (m_trail - m_lead) / (t_end - t_mid))
+    growing = ((m_trail - m_lead) > 0.05 * max(m_trail, m_lead)
+               and growth_rate > virial_mod.GROWTH_FACTOR * residual_tol)
+    return ("growing" if growing else "bounded"), growth_rate
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.floats(1e-3, 10.0),
+                          st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))),
+                min_size=1, max_size=40),
+       st.floats(0.0, 1.0))
+def test_growth_verdict_equals_its_mask_reference(rows, fraction):
+    times = np.cumsum([gap for gap, _ in rows])
+    g = np.array([value for _, value in rows])
+    assume((np.diff(times) > 0).all())
+    t0 = float(times[0] + fraction * (times[-1] - times[0]))
+    assert growth_verdict(times, g, t0) == _reference_verdict(times, g, t0)
+
+
+def test_an_overflowed_G_reads_growing():
+    t = np.linspace(0.0, 10.0, 101)
+    for g in (np.where(t > 7.0, np.inf, np.sin(t)), np.full_like(t, -np.inf)):
+        assert growth_verdict(t, g) == ("growing", math.inf)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_an_overflowed_ensemble_boundary_reads_growing(monkeypatch):
+    # every member's boundary term is finite, but their mean overflows
+    spec = make_system("brownian_oscillator")
+    stats = virial_mod.langevin_ensemble(spec.chart(), spec.noise, 1.0, 1e-2, 2)
+    huge = replace(stats, G_initial=np.zeros(2), G_final=np.full(2, 1.5e308))
+    monkeypatch.setattr(virial_mod, "langevin_ensemble", lambda *args: huge)
+    rep = ensemble_report(spec, n_traj=2, T=1.0, dt=1e-2)
+    assert rep.boundary == math.inf
+    assert (rep.verdict, rep.growth_rate) == ("growing", math.inf)
+
+
+@pytest.mark.parametrize("keep", [None, ()])
+@pytest.mark.parametrize("where", ["first sample", "on a sample", "between samples"])
+def test_the_pass_equals_the_references_bit_for_bit(keep, where):
+    # a run of 2000 steps keeps every other running-average row; the report
+    # and the kept rows equal the one-array references that the pass
+    # replaced, at a t0 on the grid and off it, on a full run and on one
+    # that stepped only the live roles
+    spec = make_system("forced_oscillator")
+    chart = spec.chart("extended")
+    traj = integrate_fixed(chart.rhs, chart.x0, T=20.0, dt=1e-2, layout=chart.layout,
+                           sample_every=1, keep=keep)
+    t0 = {"first sample": 0.0, "on a sample": float(traj.times[500]),
+          "between samples": float(traj.times[500]) + 0.3e-2}[where]
+    report, running = virial_mod.reduce_trajectory(spec, traj, t0=t0)
+
+    times = traj.times
+    recorded = dict(zip(traj.layout, traj.states.T))
+    columns = [recorded.get(name) for name in chart.layout]
+    t_w, g_w, _ = _reference_window(times, chart.G(*columns), t0)
+    elapsed = t_w[1:] - t_w[0]
+    n = len(elapsed)
+    stride = -(-n // 1000)
+    kept = slice((n - 1) % stride, None, stride)
+    averages, expected, signed_sum = [], [t_w[1:]], np.zeros(n)
+    for b in chart.terms:
+        _, _, contributions = _reference_window(times, b.value(*columns), t0)
+        averages.append(math.fsum(contributions.tolist()) / (t_w[-1] - t_w[0]))
+        avg = np.cumsum(contributions) / elapsed
+        signed_sum = signed_sum + int(b.sign) * avg
+        expected.append(avg)
+    expected += [signed_sum, (g_w[1:] - g_w[0]) / elapsed]
+
+    assert stride == 2
+    assert list(report.term_averages) == averages
+    assert (report.G_initial, report.G_final) == (g_w[0], g_w[-1])
+    assert report.boundary == (g_w[-1] - g_w[0]) / (times[-1] - t0)
+    assert (report.verdict, report.growth_rate) == _reference_verdict(
+        times, chart.G(*columns), t0)
+    assert list(running) == ["t", *(f"avg[{b.name}]" for b in chart.terms),
+                             "theorem_residual", "boundary"]
+    assert np.array_equal(np.column_stack(list(running.values())),
+                          np.column_stack([c[kept] for c in expected]))
+    assert report_text(report) == report_text(virial_report(spec, traj, t0=t0))
+
+
+@pytest.mark.parametrize("t0", [0.0, 10.0005])
+def test_the_pass_holds_a_few_columns_beside_the_trajectory(t0):
+    # numpy reports its buffers to tracemalloc.  Beside the trajectory, the
+    # pass holds G or one term at a time, the half steps and one scratch
+    # array of contributions, and a term's evaluation makes a temporary or
+    # two: at most 5 arrays of one double per sample, with 4.07 measured on
+    # this chart.  Two passes, each evaluating every term over all samples
+    # and listing its contributions as Python floats, held 8 to 9.
+    spec = make_system("parachute")
+    chart = spec.chart("lagrangian")
+    traj = integrate_fixed(chart.rhs, chart.x0, T=100.0, dt=1e-3, layout=chart.layout,
+                           sample_every=1, keep=())
+    column = 8 * traj.n_samples
+    tracemalloc.start()
+    try:
+        virial_report(spec, traj, t0=t0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * column
