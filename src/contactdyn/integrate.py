@@ -25,11 +25,13 @@ seed), runs a loop that inlines the drift, the terms, G, the noise entry,
 the trapezoid sums and the sample rows.  It reads the form from the chart,
 never through the rhs, and steps only the live roles, those that the run's
 outputs read: an ensemble of a chart whose (q, p) rows do not read s steps
-(q, p) alone.  It keeps each member's term averages as running trapezoid
-sums and stores no block of states, so an ensemble needs O(n_traj) memory
-plus a fixed noise buffer whatever the horizon, and a single run
-O(samples kept).  The embedded RK4(5) pair steps through a straight-line
-kernel generated once per state width, and its cubic-Hermite dense output
+(q, p) alone.  Per step it only advances the state, into buffers of one
+block of _BLOCK_STEPS steps; the terms, their running trapezoid sums, the
+noise sum and the kept samples are taken once per block over those rows,
+so an ensemble needs O(n_traj) memory plus a fixed noise buffer and the
+block buffers whatever the horizon, and a single run O(samples kept).
+The embedded RK4(5) pair steps through a straight-line kernel generated
+once per state width, and its cubic-Hermite dense output
 is evaluated in numpy passes over chunks of accepted steps.  Chart packing
 (which component is s, q, p, ...) is the caller's business and is recorded
 in the trajectory's ``layout``.
@@ -942,6 +944,10 @@ _NOISE_MEMBER_STEPS = 1 << 19
 # steps per partial sum of the term averages: roundoff grows with about
 # _SUM_STEPS + n_steps / _SUM_STEPS additions instead of n_steps
 _SUM_STEPS = 1024
+# steps per block of the Euler-Maruyama loop: the terms, the noise sum and
+# the kept samples are taken once per block over (_BLOCK_STEPS + 1)-row
+# buffers of the stepped roles; it divides _SUM_STEPS
+_BLOCK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -952,7 +958,8 @@ class LangevinEnsembleStats:
     chart's k-th term.  `noise_virial` is (1/T) * sum of q * dW -- the Ito
     integral (1/T)∫q η dt realized by the discretization, which no post-hoc
     resampling of states can recover.  The other arrays have length n_traj.
-    All of them are running sums kept while stepping; no states are stored.
+    All of them are running sums kept while stepping, each gaining one
+    step at a time; only the current block of _BLOCK_STEPS states is held.
     """
 
     n_traj: int
@@ -965,6 +972,16 @@ class LangevinEnsembleStats:
     G_final: np.ndarray
 
 
+def _sum_rows(rows):
+    """rows[0] + rows[1] + ... + rows[-1], added in that order.
+
+    numpy reduces the rows of a C-contiguous 2-D array one after another,
+    each over all of its columns at once; over a lone contiguous axis it
+    sums pairwise, so rows of one value each are accumulated instead.
+    """
+    return np.add.reduce(rows, 0) if rows.size > len(rows) else np.add.accumulate(rows)[-1]
+
+
 def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
     """Euler-Maruyama over one stochastic chart as one generated loop function.
 
@@ -972,15 +989,26 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
     of `stepped`, in layout order.  The function is loop(x, n, dt, T,
     every, times, kept, draw).  From x, the values of the stepped roles
     (floats, or equal-shape arrays with one entry per member), it takes n
-    steps of length dt; draw(k) gives the
-    noise increments of the block of steps after step k, one float or
-    member row per step.  Per step, with the drift evaluated at the old
-    state: the noise sum gains q * dW, s gains dt * (drift + q * (dW/dt)),
-    q gains dt * drift and p gains dt * drift + dW.  Then every term is
-    evaluated on the new state and (previous + current) * (dt/2) is added to
-    its partial sum, which is folded into its total every _SUM_STEPS steps.
-    When `sampled`, the time and state after every `every`-th step and
-    after the last one go into row i of `times` and `kept`, for i = 1, 2, ...
+    steps of length dt; draw(k) gives the noise increments of the noise
+    block of steps after step k, one float or member row per step.  Per
+    step, with the drift evaluated at the old state: s gains dt * (drift +
+    q * (dW/dt)), q gains dt * drift and p gains dt * drift + dW, and the
+    new value of each stepped role goes into the role's buffer,
+    _BLOCK_STEPS + 1 rows of the role's shape, whose row 0 holds the state
+    that the block of steps started from.
+
+    Everything else runs once per block, which ends at every multiple of
+    _BLOCK_STEPS and at the end of a noise block, over the buffer rows:
+    the noise sum gains the Ito products q * dW of the block's old states,
+    and every term is evaluated on the rows, whose (previous + current) *
+    (dt/2) is added to its partial sum, folded into its total every
+    _SUM_STEPS steps (a multiple of _BLOCK_STEPS, so between blocks).
+    Each sum gains one step at a time, in step order (`_sum_rows`), so
+    every sum is the one that a per-step loop would make.  When `sampled`,
+    the rows of every `every`-th step go into `times` and `kept` (rows of
+    the roles' shape) at rows 1, 2, ..., and at the end the time T and the
+    last state go into their last row.  Then the block's last row is
+    carried into row 0.
 
     It returns (term sums, noise sum, G at x, G at the end): floats or
     member arrays.  The loop calls no function of the chart: it runs inline
@@ -997,40 +1025,66 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
         p: f"{p} = {p} + _dt * _d_{p} + _dW",
     }
     ks = range(len(form.terms))
-    body = [*form.statements(drift, stepped, check="if not all({}):"),
+    step = [*form.statements(drift, stepped, check="if not all({}):"),
             *(f"_d_{role} = {expr}" for role, expr in zip(stepped, drift)),
-            f"_noise += {q} * _dW",
-            *(update[role] for role in stepped)]
+            *(update[role] for role in stepped),
+            *(f"_b_{role}[_r] = {role}" for role in stepped)]
+    # the roles name the block's rows (0 to _r) from here to the carry
+    block = [*(f"{role} = _b_{role}[:_r + 1]" for role in stepped),
+             f"_c = {q}[:-1] * _dWs",
+             "_c[0] = _noise + _c[0]",
+             "_noise = _sum_rows(_c)"]
     for k, term in zip(ks, form.terms):
-        body += [f"_cur = {term}",
-                 f"_part{k} += (_prev{k} + _cur) * _half_dt",
-                 f"_prev{k} = _cur"]
-    body += [f"if _step % {_SUM_STEPS} == 0:",
-             *(f"    _sum{k} += _part{k}" for k in ks),
-             "    " + "".join(f"_part{k} = " for k in ks) + "0.0"]
+        block += [f"_c = {term}",
+                  "_c = (_c[:-1] + _c[1:]) * _half_dt",
+                  f"_c[0] = _part{k} + _c[0]",
+                  f"_part{k} = _sum_rows(_c)"]
+    block += [f"if _step % {_SUM_STEPS} == 0:",
+              *(f"    _sum{k} += _part{k}" for k in ks),
+              "    " + "".join(f"_part{k} = " for k in ks) + "0.0"]
     if sampled:
-        body += ["if _step % _every == 0 or _step == _n:",
-                 "    _times[_n_kept] = _step * _dt if _step < _n else _T",
-                 *(f"    _kept[_n_kept, {i}] = {role}" for i, role in enumerate(form.roles)),
-                 "    _n_kept += 1"]
+        # rows _j, _j + every, ... are the steps of the block that are multiples of every
+        block += ["_j = _every - (_step - _r) % _every",
+                  "_m = _n_kept + (_r - _j + _every) // _every",
+                  "_times[_n_kept:_m] = _arange(_step - _r + _j, _step + 1, _every) * _dt",
+                  *(f"_kept[_n_kept:_m, {i}] = {role}[_j::_every]"
+                    for i, role in enumerate(form.roles)),
+                  "_n_kept = _m"]
+    block += [line for role in stepped
+              for line in (f"_b_{role}[0] = {role}[-1]", f"{role} = _b_{role}[0]")]
     lines = [
         "def loop(_x, _n, _dt, _T, _every, _times, _kept, _draw):",
         f"    {''.join(f'{role}, ' for role in stepped)}= _x",
+        *(f"    _b_{role} = _empty(({_BLOCK_STEPS + 1}, *_shape({role})))" for role in stepped),
+        *(f"    _b_{role}[0] = {role}" for role in stepped),
         f"    _G0 = {form.G}",
-        *(f"    _prev{k} = {term}" for k, term in zip(ks, form.terms)),
         "    " + "".join(f"_sum{k} = _part{k} = " for k in ks) + "_noise = 0.0",
         "    _half_dt = _dt * 0.5",
         "    _step = 0",
-        "    _n_kept = 1",
+        *(["    _n_kept = 1"] if sampled else []),
         "    while _step < _n:",
-        "        for _dW in _draw(_step):",
-        "            _step += 1",
-        *(" " * 12 + line for line in body),
-        f"    return ({''.join(f'_sum{k} + _part{k}, ' for k in ks)}), _noise, _G0, {form.G}",
+        "        _noises = _draw(_step)",
+        "        _start = 0",
+        "        while _start < len(_noises):",
+        f"            _dWs = _noises[_start:_start + {_BLOCK_STEPS} - _step % {_BLOCK_STEPS}]",
+        "            _r = 0",
+        "            for _dW in _dWs:",
+        "                _r += 1",
+        *(" " * 16 + line for line in step),
+        "            _start += _r",
+        "            _step += _r",
+        *(" " * 12 + line for line in block),
     ]
+    if sampled:
+        lines += ["    _times[-1] = _T",
+                  *(f"    _kept[-1, {i}] = {role}" for i, role in enumerate(form.roles))]
+    sums = "".join(f"_sum{k} + _part{k}, " for k in ks)
+    lines += [f"    return ({sums}), _noise, _G0, {form.G}"]
     source = "\n".join(lines) + "\n"
     label = f"{form.name}, steps ({', '.join(stepped)}){', samples' if sampled else ''}"
-    namespace = {**NUMPY, "all": np.all, "DomainError": DomainError}
+    namespace = {**NUMPY, "all": np.all, "DomainError": DomainError,
+                 "_sum_rows": _sum_rows, "_arange": np.arange, "_empty": np.empty,
+                 "_shape": np.shape}
     return exec_generated(source, f"<em loop: {label}>", namespace, form.constants)["loop"]
 
 
@@ -1057,15 +1111,17 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     Each fills its row of one noise buffer per block of steps, and a
     stream's numbers do not depend on the block length.
 
-    The term averages are running trapezoid sums: after each step every
-    term is evaluated once on the new state, and (previous + current) *
-    (dt/2) is added to a partial sum that is folded into the total every
-    _SUM_STEPS steps, so a member's sums do not depend on n_traj or on
-    which members share its run.  Memory is O(len(members)) plus two noise
-    buffers of len(members) * block doubles each, whatever T is; the block
-    of steps is sized from the whole ensemble's n_traj, so that the
-    buffers of all of its member ranges hold _NOISE_MEMBER_STEPS doubles
-    each between them.
+    The term averages are running trapezoid sums: once per block of steps
+    (at most _BLOCK_STEPS) every term is evaluated on the block's states,
+    and each step's (previous + current) * (dt/2) is added in step order to
+    a partial sum that is folded into the total every _SUM_STEPS steps, so
+    a member's sums do not depend on n_traj, on which members share its
+    run or on where the blocks end.  Memory is O(len(members)) plus two
+    noise buffers of len(members) * block doubles each and one buffer of
+    (_BLOCK_STEPS + 1) * len(members) doubles per stepped role, whatever T
+    is; the noise block is sized from the whole ensemble's n_traj, so that
+    the noise buffers of all of its member ranges hold _NOISE_MEMBER_STEPS
+    doubles each between them.
 
     Returns the stats of `members` and, when `sample_every` is set, the
     times (N,) and states (N, 3, len(members)) at step 0, every
@@ -1124,6 +1180,8 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         kept = np.empty((n_samples, len(chart.layout), n))
         kept[0] = chart.x0[:, None]
         samples = (times, kept)
+        if n == 1:  # the loop's rows of one member are floats
+            kept = kept[..., 0]
     # stiff parameter choices blow up through inf/nan; callers detect that
     # in the returned stats and samples, so the arithmetic runs unwarned
     with np.errstate(all="ignore"):
@@ -1197,8 +1255,9 @@ def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
     at once, and the ranges' stats are joined in member order.  A member's
     numbers do not depend on its range, so the stats do not depend on W.
     Only the per-member running sums that ensemble reports need are kept:
-    memory is O(n_traj) plus a fixed noise buffer, whatever T is, summed
-    over the processes (this one holds its own range's share).
+    memory is O(n_traj) plus a fixed noise buffer and the (_BLOCK_STEPS +
+    1)-row state buffers of one block of steps, whatever T is, summed over
+    the processes (this one holds its own range's share).
     """
     if n_traj < 1:
         raise ValueError("need n_traj >= 1")

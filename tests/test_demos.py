@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# the Brownian and forced-sweep demos take 10-20 s each and are left out;
-# the workflow runs them in a step of their own
+# the Brownian demo takes 3-4 s and the forced sweep about 6 s on a shared
+# 2-vCPU host; they are left out, and the workflow runs them in a step of
+# their own
 QUICK_DEMOS = [
     "activator_inhibitor_projection",
     "damped_oscillator_balance",

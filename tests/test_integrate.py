@@ -739,8 +739,10 @@ _LANGEVIN_CASES = [
     (1000, 0.6, None, {}),
     (3, 1.5, 1000, {"k_BT": 0.0}),
     (4, 1.0, 900, {"omega": 2000.0}),
+    (2, 2.5, 666, {}),
+    (1, 2.048, None, {}),
 ]
-_LANGEVIN_IDS = ["n1", "n3", "n1000", "k_BT0", "diverging"]
+_LANGEVIN_IDS = ["n1", "n3", "n1000", "k_BT0", "diverging", "n2", "n1-fold-end"]
 
 
 class TestLangevin:
@@ -791,22 +793,29 @@ class TestLangevin:
 
     @pytest.mark.parametrize(
         "n_traj, T, noise_steps, params, sample_every",
-        [(*case, every) for every in (7, None) for case in _LANGEVIN_CASES],
-        ids=[*_LANGEVIN_IDS, *(f"{name}-no-samples" for name in _LANGEVIN_IDS)])
+        [*((*case, every) for every in (7, None) for case in _LANGEVIN_CASES),
+         (1, 2.5, 700, {}, 1), (2, 2.5, 666, {}, 50), (3, 0.5, 1000, {}, 500)],
+        ids=[*_LANGEVIN_IDS, *(f"{name}-no-samples" for name in _LANGEVIN_IDS),
+             "n1-every-step", "n2-every-50", "n3-every-500"])
     def test_running_sums_bit_match_block_records(self, monkeypatch, n_traj, T,
                                                   noise_steps, params, sample_every):
-        # every case ends inside a noise block (steps = blocks * length +
-        # rest): 2500 = 3 * 700 + 400, 2500 = 7 * 333 + 169, 600 = 524 + 76
-        # at the default buffer, 1500 = 4 * 333 + 168, 1000 = 4 * 225 + 100.
-        # Without samples the loop steps only (q, p), which the terms, G and
-        # the noise sum read; the reference steps all of (s, q, p)
+        # every case but the last ends inside a noise block (steps = blocks
+        # * length + rest): 2500 = 3 * 700 + 400, 2500 = 7 * 333 + 169, 600 =
+        # 524 + 76 at the default buffer, 1500 = 4 * 333 + 168, 1000 = 4 *
+        # 225 + 100, 2500 = 7 * 333 + 169 for two members; the 333-step noise
+        # blocks cut the loop's blocks of _BLOCK_STEPS short.  Those runs also
+        # end inside a block of the loop, and 2048 steps end on a partial-sum
+        # flush.  Samples are kept every step, every 7 and every 50 steps,
+        # and every 500 of 500 steps (no row but the last).  Without samples
+        # the loop steps only (q, p), which the terms, G and the noise sum
+        # read; the reference steps all of (s, q, p)
         if noise_steps is not None:
             monkeypatch.setattr(integrate_mod, "_NOISE_MEMBER_STEPS", noise_steps)
         chart, noise = self.system(seed=4242, **params)
         stats, samples = integrate_mod._langevin_core(chart, noise, T, 1e-3, n_traj,
                                                       sample_every)
         *expected, expected_times, expected_samples = block_record_langevin(
-            chart, noise, T, 1e-3, n_traj, 7)
+            chart, noise, T, 1e-3, n_traj, sample_every or 7)
         got = (stats.term_averages, stats.noise_virial, stats.G_initial, stats.G_final)
         for name, a, b in zip(("term_averages", "noise_virial", "G_initial", "G_final"),
                               got, expected):
@@ -845,8 +854,43 @@ class TestLangevin:
         assert {"q", "p", "H_q", "H_p"} <= assigned(ensemble)
         assert not {"s", "H"} & assigned(ensemble)
         assert {"s", "q", "p", "H", "H_q", "H_p"} <= assigned(single)
-        assert "_kept[" in inspect.getsource(single)
+        # the single run keeps every role's rows of the block's multiples of
+        # `every`, and the ensemble keeps none
+        for i, role in enumerate(form.roles):
+            assert f"_kept[_n_kept:_m, {i}] = {role}[_j::_every]" in inspect.getsource(single)
         assert "_kept[" not in inspect.getsource(ensemble)
+        # per step each loop runs the drift and the update and writes the
+        # new state into the block buffers; the terms, the noise sum, the
+        # partial sums and the samples are taken once per block
+        for loop, stepped in ((ensemble, ("q", "p")), (single, form.roles)):
+            tree = ast.parse(inspect.getsource(loop))
+            per_step, = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+            assert ast.unparse(per_step.iter) == "_dWs"
+            names = {node.id for node in ast.walk(per_step) if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Store)}
+            drift = [c for role, c in zip(form.roles, form.field) if role in stepped]
+            assert names == {"_dW", "_r", *stepped, *form.reads(drift) & set(form.defs),
+                             *(f"_d_{role}" for role in stepped)}
+            stored = {ast.unparse(node.value) for node in ast.walk(per_step)
+                      if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
+            assert stored == {f"_b_{role}" for role in stepped}
+            read = {node.id for node in ast.walk(per_step) if isinstance(node, ast.Name)}
+            assert not {"_noise", "_kept", "_times", "_every", "_step"} & read
+
+    def test_block_rows_are_summed_in_row_order(self):
+        # partial sums gain one step at a time: rows of one value are
+        # accumulated (np.add.reduce would sum them pairwise) and rows of
+        # members are reduced one row after another
+        rng = np.random.default_rng(3)
+        for shape in [(33,), (32,), (9,), (1,), (32, 1), (32, 2), (17, 3), (33, 500)]:
+            rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape)
+            expected = rows[0]
+            for row in rows[1:]:
+                expected = expected + row
+            assert np.array_equal(integrate_mod._sum_rows(rows), expected), shape
+        rows = rng.standard_normal(32) * 10.0 ** rng.integers(-9, 9, 32)
+        assert integrate_mod._sum_rows(rows) != np.add.reduce(rows)  # pairwise differs
+        assert _SUM_STEPS % integrate_mod._BLOCK_STEPS == 0
 
     def test_domain_check_stays_and_keeps_its_roles_live(self, monkeypatch):
         import contactdyn.systems as systems_mod
@@ -920,7 +964,9 @@ class TestLangevin:
     def test_ensemble_memory_is_noise_buffers_plus_per_member(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; the two noise buffers
         # hold at most _NOISE_MEMBER_STEPS doubles each, and the rest
-        # (generators, member arrays, sums) is a few kB per member.  One
+        # (generators, member arrays, sums, and the block of steps: a
+        # buffer of _BLOCK_STEPS + 1 doubles per stepped role and a few
+        # temporaries of that size per member) is a few kB per member.  One
         # CPU keeps every member range in this process, where tracemalloc
         # sees it
         monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: 1)
