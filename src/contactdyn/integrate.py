@@ -36,11 +36,10 @@ is evaluated in numpy passes over chunks of accepted steps.  Chart packing
 (which component is s, q, p, ...) is the caller's business and is recorded
 in the trajectory's ``layout``.
 
-Two phases split into independent pieces: the row blocks of a CSV and the
-member ranges of an ensemble.  Both run on every CPU of the process's
-affinity set through one fork-join helper (`_forked`), and their outputs
-do not depend on how many CPUs there are; ``taskset -c 0`` pins a run to
-one.
+The member ranges of an ensemble are independent: they run on every CPU
+of the process's affinity set through a fork-join helper (`_forked`), and
+the outputs do not depend on how many CPUs there are; ``taskset -c 0``
+pins a run to one.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import signal
 import sys
 import traceback
 from array import array
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -1281,7 +1280,7 @@ def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
 # ---------------------------------------------------------------------------
 # CSV export
 
-_CSV_BLOCK_ROWS = 8192
+_CSV_BLOCK_ROWS = 1024
 
 
 def write_csv(path_or_file, names: Sequence[str], columns) -> None:
@@ -1290,38 +1289,34 @@ def write_csv(path_or_file, names: Sequence[str], columns) -> None:
     `columns` are the table's columns, 1-D arrays of one length (views of
     the caller's arrays serve), or a 2-D array of its rows.  17 significant
     digits round-trip every double, so the file reproduces the table
-    exactly.  `path_or_file` is a path or an open text stream.  Rows are
-    formatted in blocks of _CSV_BLOCK_ROWS: each block's rows are stacked
-    from the columns, and one `%` of the row template repeated over the
-    block's values gives the same text as formatting row by row.  The
-    blocks are formatted by `_forked`, on every CPU of this process's
-    affinity set, and this process writes them in order, so the text does
-    not depend on how many CPUs there are.  No copy of the whole table is
-    made, so memory stays flat in the row count: beyond the pipes' buffers,
-    each process holds one block at a time.
+    exactly.  `path_or_file` is a path, written in binary, or an open text
+    stream, which is given the text.  Rows are formatted and written in
+    blocks of _CSV_BLOCK_ROWS: each block's rows are stacked from the
+    columns, and `_g17.format_rows` gives their text, the bytes of '%.17g'
+    value by value, from integer arithmetic in numpy (one '%' per block
+    formats the values it does not cover).  No copy of the whole table is
+    made, so memory stays flat in the row count: one block is held at a
+    time.
     """
     if isinstance(columns, np.ndarray) and columns.ndim == 2:
         columns = columns.T
     columns = list(columns)
-    template = ",".join(["%.17g"] * len(names)) + "\n"
+    from . import _g17  # here, so that importing the package does not compile it
 
-    def block(start):
-        chunk = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-        return (template * len(chunk)) % tuple(chunk.ravel().tolist())
-
-    if hasattr(path_or_file, "write"):
-        target = nullcontext(path_or_file)
-    else:
-        target = open(path_or_file, "w", encoding="utf-8", newline="\n")
-    with target as out, closing(_forked(block, range(0, len(columns[0]), _CSV_BLOCK_ROWS))) as blocks:
-        out.write(",".join(names) + "\n")
-        for text in blocks:
-            out.write(text)
+    header = ",".join(names) + "\n"
+    text = hasattr(path_or_file, "write")
+    with nullcontext(path_or_file) if text else open(path_or_file, "wb") as out:
+        out.write(header if text else header.encode())
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            rows = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            chunk = _g17.format_rows(rows)
+            out.write(chunk.decode("ascii") if text else chunk)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write `t,<components>` rows with 17 significant digits.
+    """Write `t,<components>` rows with 17 significant digits, through `write_csv`.
 
-    Every emitted number round-trips to the same double.
+    Every number is the text of '%.17g' and round-trips to the same double;
+    `path` is a path or an open text stream.
     """
     write_csv(path, ["t", *traj.layout], [traj.times, *traj.states.T])

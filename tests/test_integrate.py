@@ -1107,11 +1107,12 @@ class TestCsv:
         assert outs[0] == outs[1]
 
     def test_block_format_equals_row_by_row(self):
-        # write_csv formats each block of rows with one `%`; the text must be
-        # that of formatting row by row, across block edges and at the ends
-        # of the doubles
+        # write_csv formats a block of rows at a time with _g17.format_rows;
+        # the text must be that of formatting row by row with `%`, across
+        # block edges and at the ends of the doubles.  At least 16 385 rows,
+        # so that the logspace scales are dense in every decade
         block = integrate_mod._CSV_BLOCK_ROWS
-        n = 2 * block + 1
+        n = 2 * max(block, 8192) + 1
         scales = np.logspace(-300, 300, n)[:, None]
         rows = np.random.default_rng(5).standard_normal((n, 3)) * scales
         extremes = [-0.0, 5e-324, 1.7976931348623157e308, -5e-324, math.inf, math.nan]
@@ -1125,11 +1126,12 @@ class TestCsv:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_text_does_not_depend_on_the_cpu_count(self, monkeypatch, tmp_path, cpus):
-        # the blocks are formatted by one process per CPU and written in order
+        # the blocks are written in order whatever the CPU count
         monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: cpus)
         block = integrate_mod._CSV_BLOCK_ROWS
-        rows = np.random.default_rng(11).standard_normal((3 * block + 1, 2))
-        for n in (0, 1, block - 1, block, block + 1, 3 * block + 1):
+        n_rows = 3 * max(block, 8192) + 1
+        rows = np.random.default_rng(11).standard_normal((n_rows, 2))
+        for n in (0, 1, block - 1, block, block + 1, n_rows):
             expected = "x,y\n" + "".join("%.17g,%.17g\n" % tuple(row)
                                          for row in rows[:n].tolist())
             buf = io.StringIO()
@@ -1145,9 +1147,10 @@ class TestCsv:
         # time; the text is that of the rows stacked whole, at the block edges
         monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: cpus)
         block = integrate_mod._CSV_BLOCK_ROWS
+        n_rows = max(block, 8192) + 1
         rng = np.random.default_rng(17)
-        times, states = rng.standard_normal(block + 1), rng.standard_normal((block + 1, 3))
-        for n in (0, 1, block - 1, block, block + 1):
+        times, states = rng.standard_normal(n_rows), rng.standard_normal((n_rows, 3))
+        for n in (0, 1, block - 1, block, block + 1, n_rows):
             stacked, columns = io.StringIO(), io.StringIO()
             integrate_mod.write_csv(stacked, ["t", "a", "b", "c"],
                                     np.column_stack([times[:n], states[:n]]))
@@ -1156,13 +1159,11 @@ class TestCsv:
             assert columns.getvalue() == stacked.getvalue(), n
             assert columns.getvalue().count("\n") == n + 1
 
-    def test_trajectory_csv_memory_does_not_grow_with_the_rows(self, monkeypatch):
+    def test_trajectory_csv_memory_does_not_grow_with_the_rows(self):
         # numpy reports its buffers to tracemalloc.  The rows are stacked one
         # block at a time, so writing 4 times the rows raises the traced peak
         # by less than one block of the stacked doubles; stacking the whole
-        # trajectory first raised it by the added rows' stacked copy.  One CPU
-        # formats every block in this process, where tracemalloc sees it
-        monkeypatch.setattr(integrate_mod, "_cpu_count", lambda: 1)
+        # trajectory first raised it by the added rows' stacked copy
 
         class Discard:
             def write(self, text):
@@ -1171,7 +1172,7 @@ class TestCsv:
         block = integrate_mod._CSV_BLOCK_ROWS
         chart = DAMPED.chart("hamiltonian")
         peaks = []
-        for n in (2 * block, 8 * block):
+        for n in (2 * max(block, 8192), 8 * max(block, 8192)):
             traj = integrate_fixed(chart.rhs, chart.x0, T=(n - 1) * 1e-3, dt=1e-3,
                                    layout=chart.layout, sample_every=1)
             assert traj.n_samples == n
@@ -1185,7 +1186,7 @@ class TestCsv:
 
 
 class TestForked:
-    """The fork-join helper behind the CSV blocks and the ensemble's member ranges."""
+    """The fork-join helper behind the ensemble's member ranges."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
