@@ -49,8 +49,12 @@ from .herglotz import (
 from .integrate import (
     LangevinEnsembleStats,
     NoiseSpec,
+    RunSummary,
     Trajectory,
+    TrajectoryCsv,
+    adaptive_samples_after,
     euler_maruyama_langevin,
+    fixed_samples_after,
     integrate_adaptive,
     integrate_fixed,
     langevin_ensemble,
@@ -73,6 +77,7 @@ from .systems import (
 from .virial import (
     GROWTH_FACTOR,
     RESIDUAL_TOL,
+    Reduction,
     VirialReport,
     ensemble_report,
     growth_verdict,

@@ -26,7 +26,8 @@ nearest 1e-14 is below it and prints as 1e-14) becomes 10**16 with X + 1.
 Every other value (subnormals, nan, +-inf, 1e15 <= |x| < 1e17 and the
 undecided ones) is formatted with '%': one '%' of a '%-24.17g' template
 per block gives all of that block's, padded to 24 bytes, and each text is
-copied into its row.
+copied into its row.  A block none of whose values can take the fast path
+skips the integer arithmetic: one '%' of the row template gives it all.
 
 Each value's text is one contiguous range of a row of ROW_BYTES bytes, ten
 4-byte words gathered from one table: the integer part as 16 digits (|x| <
@@ -160,15 +161,26 @@ def tables() -> Tables:
     )
 
 
-def _decimal(x: np.ndarray, t: Tables):
+def _exponents(x: np.ndarray, t: Tables):
+    """(bits, eb, X): |x|'s bits, its biased binary exponent and its decimal exponent before rounding."""
+    bits = x.view(np.uint64) & _ABS
+    eb = (bits >> _S52).view(np.int64)
+    return bits, eb, t.est.take(eb) + (bits >= t.above.take(eb))
+
+
+def _may_be_fast(bits, eb, X) -> np.ndarray:
+    """Zero and the normal values whose unrounded X leaves 15 and 16 out: all that `_decimal` may take."""
+    return ((eb > 0) & (eb < 2047) & ((X < 15) | (X > 16))) | (bits == 0)
+
+
+def _decimal(x: np.ndarray, t: Tables, exponents=None):
     """(D, X, fast): x's 17 significant digits as an integer and its decimal exponent.
 
     Where `fast` is False, D and X are 0, which keeps the digit arithmetic
-    in range; so they are for zeros, which `fast` takes.
+    in range; so they are for zeros, which `fast` takes.  `exponents` are
+    x's `_exponents`, when the caller has them.
     """
-    bits = x.view(np.uint64) & _ABS
-    eb = (bits >> _S52).view(np.int64)
-    X = t.est.take(eb) + (bits >= t.above.take(eb))
+    bits, eb, X = _exponents(x, t) if exponents is None else exponents
     i = X - X_MIN
     # P = M * F in 32-bit limbs: l0, l1, l2, then hi = P >> 96
     M = (bits & _FRACTION) | _HIDDEN
@@ -197,10 +209,10 @@ def _decimal(x: np.ndarray, t: Tables):
     # a value just below 10**(X + 1) may round up to it
     rolled = D == 10 ** 17
     D[rolled] = 10 ** 16
-    X += rolled
+    X = X + rolled
     # short of 10**(16 - X): round bit 0 and every bit under it 1 is undecided
     undecided = ~exact & (below + (_ONE << (_S32 - sh)) == _HALF)
-    fast = (eb > 0) & (eb < 2047) & ((X < 15) | (X > 16)) & ~undecided
+    fast = _may_be_fast(bits, eb, X) & (bits != 0) & ~undecided
     return np.where(fast, D, 0), np.where(fast, X, 0), fast | (bits == 0)
 
 
@@ -233,7 +245,13 @@ def format_rows(block: np.ndarray) -> bytes:
     block = np.asarray(block, np.float64)  # '%.17g' formats other numbers as doubles too
     n_rows, n_cols = block.shape
     x = block.ravel()
-    D, X, fast = _decimal(x, t)
+    exponents = _exponents(x, t)
+    if not _may_be_fast(*exponents).any():
+        # every value is inf, nan, subnormal or 1e15 <= |x| < 1e17 (a run
+        # that diverged, say): one '%' of the row template gives the block
+        template = ",".join(["%.17g"] * n_cols) + "\n"
+        return (template * n_rows % tuple(x.tolist())).encode()
+    D, X, fast = _decimal(x, t, exponents)
     # %g: 16 - X fraction digits when -4 <= X < 17, else one integer digit,
     # 16 and the exponent
     expo = (X < -4) | (X > 16)

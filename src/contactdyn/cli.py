@@ -36,7 +36,10 @@ from pathlib import Path
 from . import __version__ as TOOL_VERSION  # report metadata
 from .core import NonFiniteError
 from .integrate import (
+    TrajectoryCsv,
+    adaptive_samples_after,
     euler_maruyama_langevin,
+    fixed_samples_after,
     integrate_adaptive,
     integrate_fixed,
     write_csv,
@@ -51,11 +54,11 @@ from .systems import (
     make_system,
 )
 from .virial import (
+    Reduction,
     _fmt,
     ensemble_report,
-    reduce_trajectory,
     report_text,
-    virial_report,
+    virial_report,  # noqa: F401  (perfbench/tracing.py wraps this name here)
     write_running_averages,  # noqa: F401  (perfbench/tracing.py wraps this name here)
 )
 
@@ -65,10 +68,10 @@ EXIT_ABORT = 3
 EXIT_VERIFY = 4
 
 _INTEGRATORS = ("rk4", "rkf45")
-# samples one run may keep: peak memory grew by 48 bytes per sample for an
-# RK4 `virial` run and by 56 for an rkf45 `simulate` run (damped
-# oscillator, T = 100 -> 1000 and 200 -> 1000), so 10**8 samples take some
-# 5 GB
+# samples one run may record: a deterministic run streams them, so its
+# memory does not grow with them, but `simulate` writes some 70 bytes of
+# CSV per sample (7 GB at 10**8), and rkf45's dense output evaluates every
+# one, which nothing else bounds (1e300 samples would never end)
 _MAX_SAMPLES = 10**8
 # fixed steps one run may take: an inlined RK4 step took 1.2 to 2.8 us
 # across the catalog's charts (10**5 steps, every role stepped, Python
@@ -229,8 +232,9 @@ def _make_spec(cfg: ExperimentConfig, command: str):
     """Build the system and decide how the run steps; return (spec, stepping).
 
     Refuses a command that does not run the system's stepping, each given
-    setting the run would not read, and a fixed-step run over the sample or
-    step cap, before anything is stepped or written.
+    setting the run would not read, a step or sample interval longer than
+    T, and a run over the sample or step cap, before anything is stepped or
+    written.
     """
     try:
         spec = make_system(cfg.system, **cfg.params)
@@ -248,7 +252,13 @@ def _make_spec(cfg: ExperimentConfig, command: str):
         raise ConfigError(f"`{command}` on '{spec.name}' steps {stepping} and does not "
                           f"read {flags} (flag or config key)")
     if stepping == "rkf45":
+        if not (cfg.sample_interval <= cfg.T):
+            raise ConfigError(f"sample_interval={cfg.sample_interval!r} "
+                              f"must not exceed T={cfg.T!r}")
+        _check_sample_count(cfg.T, cfg.sample_interval, 1, "T / sample_interval")
         return spec, stepping
+    if stepping == "rk4" and not (cfg.dt <= cfg.T):
+        raise ConfigError(f"dt={cfg.dt!r} must not exceed T={cfg.T!r}")
     if "sample_every" in reads:  # the ensemble keeps no samples
         _check_sample_count(cfg.T, cfg.dt, cfg.sample_every, "T / (dt * sample_every)")
     if cfg.T / cfg.dt > _MAX_STEPS:
@@ -271,7 +281,9 @@ def _check_sample_count(T: float, spacing: float, every: int, grid: str) -> None
                           f"a run keeps at most {_MAX_SAMPLES:.0e}")
 
 
-def _integrate(cfg: ExperimentConfig, command: str, stepping: str, spec, chart_name, chart):
+def _integrate(cfg: ExperimentConfig, stepping: str, spec, chart_name, chart, *,
+               keep=None, sink=None):
+    """Step the run that `_make_spec` checked; `keep` and `sink` are integrate_fixed's."""
     meta = {"system": spec.name, "chart": chart_name}
     if stepping == "euler-maruyama":
         try:
@@ -282,21 +294,30 @@ def _integrate(cfg: ExperimentConfig, command: str, stepping: str, spec, chart_n
         except ValueError as exc:  # step checks against T and gamma
             raise ConfigError(str(exc)) from exc
     if stepping == "rk4":
-        if not (cfg.dt <= cfg.T):
-            raise ConfigError(f"dt={cfg.dt!r} must not exceed T={cfg.T!r}")
-        # only simulate writes the trajectory; a report reads G and the terms
         return integrate_fixed(
             chart.rhs, chart.x0, cfg.T, cfg.dt,
             layout=chart.layout, sample_every=cfg.sample_every, meta=meta,
-            keep=None if command == "simulate" else (),
+            keep=keep, sink=sink,
         )
-    if not (cfg.sample_interval <= cfg.T):
-        raise ConfigError(f"sample_interval={cfg.sample_interval!r} must not exceed T={cfg.T!r}")
-    _check_sample_count(cfg.T, cfg.sample_interval, 1, "T / sample_interval")
     return integrate_adaptive(
         chart.rhs, chart.x0, cfg.T, cfg.rel_tol, cfg.abs_tol,
-        layout=chart.layout, sample_interval=cfg.sample_interval, meta=meta,
+        layout=chart.layout, sample_interval=cfg.sample_interval, meta=meta, sink=sink,
     )
+
+
+def _window_samples(cfg: ExperimentConfig, stepping: str) -> int:
+    """The samples a completed deterministic run records after t0, known before it steps."""
+    if stepping == "rk4":
+        return fixed_samples_after(cfg.t0, cfg.T, cfg.dt, cfg.sample_every)
+    return adaptive_samples_after(cfg.t0, cfg.T, cfg.sample_interval)
+
+
+def _tee(*sinks):
+    """A sink that hands every block to each of `sinks` in turn."""
+    def sink(times, states, layout):
+        for each in sinks:
+            each(times, states, layout)
+    return sink
 
 
 def _preamble(cfg: ExperimentConfig, command: str, stepping: str) -> list[str]:
@@ -323,18 +344,14 @@ def _write_report_file(path: Path, report, preamble: list[str]) -> None:
         fh.write(report_text(report))
 
 
-def _write_trajectory(outdir: Path, traj) -> None:
-    write_trajectory_csv(traj, outdir / "trajectory.csv")
-    print(f"wrote {outdir / 'trajectory.csv'} ({traj.n_samples} samples)")
+def _wrote_trajectory(outdir: Path, run) -> None:
+    print(f"wrote {outdir / 'trajectory.csv'} ({run.n_samples} samples)")
 
 
-def _abort(outdir: Path, what: str, reason: str, traj=None) -> int:
-    """Leave abort.txt (and an aborted trajectory's valid prefix); return EXIT_ABORT."""
+def _abort(outdir: Path, what: str, reason: str, run=None) -> int:
+    """Leave abort.txt, after the valid prefix of an aborted `run` is written; return EXIT_ABORT."""
     outdir.mkdir(parents=True, exist_ok=True)
-    at = ""
-    if traj is not None:
-        _write_trajectory(outdir, traj)
-        at = f" at t = {_fmt(float(traj.times[-1]))}"
+    at = "" if run is None else f" at t = {_fmt(run.t_final)}"
     note = outdir / "abort.txt"
     note.write_text(f"aborted{at}: {reason}\n", encoding="utf-8")
     print(f"{what} aborted: {reason} (see {note})", file=sys.stderr)
@@ -354,25 +371,47 @@ def _identity_gate(report, tol: float) -> int:
 
 
 def _run_and_report(args) -> int:
-    """simulate, virial and check-identity: step one run, then report on it."""
+    """simulate, virial and check-identity: step one run, reducing it as it steps.
+
+    A deterministic run feeds its samples, a block at a time, to a
+    `Reduction` and, under simulate, to trajectory.csv, so no command holds
+    the run.  virial and check-identity step only what the report reads;
+    when such a run aborts, it is stepped again in full into
+    trajectory.csv, so that its prefix is simulate's.
+    """
     cfg = build_config(args)
     spec, stepping = _make_spec(cfg, args.command)
     chart_name, chart = _resolve_chart(spec, cfg)
     outdir = Path(cfg.out)
 
-    traj = _integrate(cfg, args.command, stepping, spec, chart_name, chart)
-    if traj.aborted:
-        return _abort(outdir, "integration", traj.abort_reason, traj)
-    if args.command != "check-identity":  # which writes a verdict line and no artifacts
-        outdir.mkdir(parents=True, exist_ok=True)
-    if args.command == "simulate" or stepping == "euler-maruyama":
-        _write_trajectory(outdir, traj)
     if stepping == "euler-maruyama":  # no pathwise rate to report
+        traj = _integrate(cfg, stepping, spec, chart_name, chart)
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_trajectory_csv(traj, outdir / "trajectory.csv")
+        _wrote_trajectory(outdir, traj)
+        if traj.aborted:
+            return _abort(outdir, "integration", traj.abort_reason, traj)
         print("stochastic system: use `ensemble` for the averaged-rate report")
         return EXIT_OK
 
-    if args.command == "check-identity":
-        report = virial_report(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
+    reduction = Reduction(spec, chart_name, t0=cfg.t0, t_end=cfg.T,
+                          n_window=_window_samples(cfg, stepping),
+                          residual_tol=cfg.identity_tol)
+    if args.command == "simulate":
+        with TrajectoryCsv(outdir / "trajectory.csv") as csv:
+            run = _integrate(cfg, stepping, spec, chart_name, chart, sink=_tee(csv, reduction))
+        _wrote_trajectory(outdir, run)
+    else:  # the report reads only G and the terms
+        run = _integrate(cfg, stepping, spec, chart_name, chart, keep=(), sink=reduction)
+        if run.aborted:
+            with TrajectoryCsv(outdir / "trajectory.csv") as csv:
+                run = _integrate(cfg, stepping, spec, chart_name, chart, sink=csv)
+            _wrote_trajectory(outdir, run)
+    if run.aborted:
+        return _abort(outdir, "integration", run.abort_reason, run)
+    report, running = reduction.result(run.meta)
+
+    if args.command == "check-identity":  # which writes a verdict line and no artifacts
         residual = abs(report.residual_exact)
         ok = residual <= cfg.identity_tol
         print(
@@ -380,7 +419,7 @@ def _run_and_report(args) -> int:
             f"(tol {cfg.identity_tol:.1e}) {'PASS' if ok else 'FAIL'}"
         )
         return EXIT_OK if ok else EXIT_VERIFY
-    report, running = reduce_trajectory(spec, traj, t0=cfg.t0, residual_tol=cfg.identity_tol)
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_report_file(outdir / "report.txt", report,
                        _preamble(cfg, args.command, stepping))
     write_csv(outdir / "running_averages.csv", list(running), list(running.values()))

@@ -32,7 +32,14 @@ so an ensemble needs O(n_traj) memory plus a fixed noise buffer and the
 block buffers whatever the horizon, and a single run O(samples kept).
 The embedded RK4(5) pair steps through a straight-line kernel generated
 once per state width, and its cubic-Hermite dense output
-is evaluated in numpy passes over chunks of accepted steps.  Chart packing
+is evaluated in numpy passes over chunks of accepted steps.
+
+The deterministic steppers hand their samples to a sink a block at a
+time (`_Feed`): RK4 every _SINK_ROWS samples and at the end, RKF45 each
+dense-output pass and then T.  Given a sink, such as a report's
+`virial.Reduction` or `TrajectoryCsv`, a run holds one block whatever T
+is and returns a `RunSummary`; given none, a collecting sink keeps the
+samples and the run returns its `Trajectory`.  Chart packing
 (which component is s, q, p, ...) is the caller's business and is recorded
 in the trajectory's ``layout``.
 
@@ -56,6 +63,7 @@ import traceback
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,6 +72,8 @@ from .core import NonFiniteError, DomainError
 
 __all__ = [
     "Trajectory",
+    "RunSummary",
+    "TrajectoryCsv",
     "NoiseSpec",
     "LangevinEnsembleStats",
     "integrate_fixed",
@@ -71,6 +81,8 @@ __all__ = [
     "euler_maruyama_langevin",
     "langevin_ensemble",
     "write_trajectory_csv",
+    "fixed_samples_after",
+    "adaptive_samples_after",
 ]
 
 # fixed-step samples are recorded every this many steps unless overridden
@@ -154,6 +166,95 @@ class Trajectory:
     def column(self, name: str) -> np.ndarray:
         """All samples of one named component."""
         return self.states[:, self.layout.index(name)]
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """What a deterministic run that fed a sink returns: its Trajectory without the samples.
+
+    `n_samples` and `t_final` count and end the samples handed to the
+    sink; the other fields mean what they mean on a `Trajectory`.
+    """
+
+    n_samples: int
+    t_final: float
+    layout: tuple
+    meta: dict = field(default_factory=dict)
+    aborted: bool = False
+    abort_reason: str = ""
+
+
+# ---------------------------------------------------------------------------
+# sinks: where a deterministic run's samples go, a block at a time
+
+# samples that a stepping loop gathers before it hands them to its sink
+_SINK_ROWS = 4096
+
+
+class _Feed:
+    """Hands the samples of one run to `sink` a block at a time, and counts them.
+
+    A sink is a callable sink(times, states, layout): `times` (n,) and
+    `states` (n, len(layout)) are float64 arrays of the block's samples in
+    time order, which the sink may keep, and `layout` names the columns of
+    `states`, the same for every block of the run.
+    """
+
+    def __init__(self, sink, layout: tuple):
+        self.sink = sink
+        self.layout = layout
+        self.n_samples = 0
+        self.t_final = math.nan
+
+    def block(self, times: np.ndarray, states: np.ndarray) -> None:
+        self.n_samples += len(times)
+        self.t_final = float(times[-1])
+        self.sink(times, states, self.layout)
+
+    def arrays(self, times: array, states: array):
+        """The flush of a generated loop: hand on its array('d')s; return fresh ones."""
+        if times:
+            self.block(np.frombuffer(times), np.frombuffer(states).reshape(len(times), -1))
+        return array("d"), array("d")
+
+    def result(self, meta: dict, reason: str) -> RunSummary:
+        return RunSummary(n_samples=self.n_samples, t_final=self.t_final, layout=self.layout,
+                          meta=meta, aborted=bool(reason), abort_reason=reason)
+
+
+class _Collect(_Feed):
+    """The feed of a run that returns its Trajectory: it keeps every sample.
+
+    A generated loop's arrays are kept and grown in place (the flush hands
+    back the same arrays), and a block is appended to them, so the samples
+    are held once, 8 bytes a double, and the Trajectory wraps them.
+    """
+
+    def __init__(self, layout: tuple):
+        super().__init__(self._append, layout)
+        self.times, self.states = array("d"), array("d")
+
+    def _append(self, times, states, layout):
+        self.times.frombytes(times.tobytes())
+        self.states.frombytes(states.tobytes())
+
+    def arrays(self, times, states):
+        self.times, self.states = times, states
+        return times, states
+
+    def result(self, meta, reason) -> Trajectory:
+        return Trajectory(
+            times=np.frombuffer(self.times),
+            states=np.frombuffer(self.states).reshape(-1, len(self.layout)),
+            layout=self.layout,
+            meta=meta,
+            aborted=bool(reason),
+            abort_reason=reason,
+        )
+
+
+def _discard(times, states, layout) -> None:
+    """A sink that keeps nothing."""
 
 
 @dataclass(frozen=True)
@@ -332,14 +433,17 @@ class StraightLine:
 def _generate_rk4(d: int, form: StraightLine | None):
     """Classical RK4 on d-component states as one generated loop function.
 
-    The function is loop(y, n_full, n, rem, dt, T, every, times, states, rhs):
-    it takes n steps from the state tuple y, n_full of length dt and, when
-    n > n_full, a last one of length rem onto T, and appends the time and
-    state after every `every`-th step and after the last one to `times` and
-    `states` unless that time does not pass times[-1].  Step k starts at
-    time k * dt; the last step ends at T.  It returns None, or (k, exc) when
-    step k failed: exc is the field error it raised, or None when the new
-    state is not finite.
+    The function is loop(y, n_full, n, rem, dt, T, every, times, states,
+    rhs, flush, rows): it takes n steps from the state tuple y, n_full of
+    length dt and, when n > n_full, a last one of length rem onto T, and
+    appends the time and state after every `every`-th step and after the
+    last one to the array('d')s `times` and `states` unless that time does
+    not pass the last one appended.  Step k starts at time k * dt; the last
+    step ends at T.  Whenever `times` holds `rows` samples, and once more
+    when the loop ends, it calls flush(times, states), which hands them on
+    and returns the arrays to append to from then on (`_Feed.arrays`).  It
+    returns None, or (k, exc) when step k failed: exc is the field error it
+    raised, or None when the new state is not finite.
 
     The state is held in scalars, and each stage evaluates the field in one
     of two forms: with `form`, it assigns the stage state to the form's
@@ -377,11 +481,12 @@ def _generate_rk4(d: int, form: StraightLine | None):
     # x - x is 0.0 for finite x and nan for an inf or nan, so the sum is 0.0
     # exactly when every component is finite; it costs no call
     body += ["if not (" + " + ".join(f"({y} - {y})" for y in ys) + " == 0.0):",
+             "    _flush(_times, _states)",
              "    return _k, None"]
     if form is None:
         body.insert(0, "_t = _k * _dt")
     source = [
-        "def loop(_y, _n_full, _n, _rem, _dt, _T, _every, _times, _states, _rhs):",
+        "def loop(_y, _n_full, _n, _rem, _dt, _T, _every, _times, _states, _rhs, _flush, _rows):",
         f"    {tup(ys)} = _y",
         "    _k = 0",
         "    _last = _times[-1]",
@@ -402,8 +507,12 @@ def _generate_rk4(d: int, form: StraightLine | None):
         "                    _last = _t",
         "                    _times.append(_t)",
         f"                    _states.extend({tup(ys)})",
+        "                    if len(_times) == _rows:",
+        "                        _times, _states = _flush(_times, _states)",
         "    except _FIELD_ERRORS as _exc:",
+        "        _flush(_times, _states)",
         "        return _k, _exc",
+        "    _flush(_times, _states)",
         "    return None",
     ]
     namespace = {"_FIELD_ERRORS": _FIELD_ERRORS}
@@ -517,6 +626,36 @@ def _initial_state(y0: Sequence[float], layout: Sequence[str]) -> tuple:
     return tuple(y.tolist())
 
 
+def _fixed_steps(T: float, dt: float) -> tuple:
+    """(n_full, rem, n): n_full steps of dt, a last step of rem onto T when rem > 0, n steps in all."""
+    n_full = int(math.floor(T / dt + 1e-12))
+    rem = T - n_full * dt
+    if rem < 1e-12 * dt:
+        rem = 0.0
+    return n_full, rem, n_full + (1 if rem > 0 else 0)
+
+
+def fixed_samples_after(after: float, T: float, dt: float, sample_every: int) -> int:
+    """The number of samples that a completed `integrate_fixed` run records at times > `after`.
+
+    Its samples are time 0, the times k * dt of the steps k < n that are
+    multiples of `sample_every`, and T after the last step n, so the count
+    follows from the step counts alone, before a step is taken.
+    """
+    n = _fixed_steps(T, dt)[2]
+    last = (n - 1) // sample_every  # the multiples of sample_every below n
+
+    def time(j):
+        return (j * sample_every) * dt
+
+    j = max(1, int(after / (sample_every * dt)))  # then the first j whose time passes `after`
+    while j > 1 and time(j - 1) > after:
+        j -= 1
+    while j <= last and time(j) <= after:
+        j += 1
+    return (0.0 > after) + max(0, last - j + 1) + (T > after)
+
+
 def integrate_fixed(
     rhs: Callable[[float, tuple], Sequence[float]],
     y0: Sequence[float],
@@ -527,13 +666,20 @@ def integrate_fixed(
     sample_every: int = DEFAULT_SAMPLE_EVERY,
     meta: dict | None = None,
     keep: Sequence[str] | None = None,
-) -> Trajectory:
+    sink=None,
+):
     """Classical 4th-order Runge-Kutta with a shortened final step onto T.
 
     Samples are recorded at the initial state, every `sample_every`-th step,
     and at the final time.  On the first non-finite state (or an evaluation
     error from `rhs`) the trajectory is truncated at the last good sample
     and returned with ``aborted=True`` and a machine-readable reason.
+
+    The samples go to `sink` (see `_Feed`) in blocks of _SINK_ROWS, and the
+    last block when the run ends, so the run holds one block whatever T is,
+    and a `RunSummary` is returned.  Without a sink the samples are
+    collected in place and the `Trajectory` is returned; either way the
+    same loop steps the run and flushes its blocks.
 
     A compiled catalog field is stepped with its arithmetic inlined into a
     loop generated for it (see `_rk4_loop`); any other `rhs` is called four
@@ -549,9 +695,12 @@ def integrate_fixed(
     names the stepped components, and its meta's "chart_layout" the full
     `layout`.  A reduced run that fails is stepped again with every
     component, and that aborted trajectory is returned, so an abort reads as
-    it does with `keep=None`.  A component that is not stepped is not tested
-    for finiteness either: a run whose only non-finite component is one
-    that nothing reads completes.  Any other `rhs` steps every component.
+    it does with `keep=None`; under a sink that second run feeds no sink,
+    so the sink has had the reduced run's prefix, and a caller that wants
+    the full prefix steps once more with `keep=None`.  A component that is
+    not stepped is not tested for finiteness either: a run whose only
+    non-finite component is one that nothing reads completes.  Any other
+    `rhs` steps every component.
 
     Parameters
     ----------
@@ -573,27 +722,23 @@ def integrate_fixed(
     layout = tuple(layout)
     if keep is not None and not set(keep) <= set(layout):
         raise ValueError(f"keep names {sorted(set(keep) - set(layout))}, not in layout {layout}")
+    n_full, rem, n_steps = _fixed_steps(T, dt)
 
-    n_full = int(math.floor(T / dt + 1e-12))
-    rem = T - n_full * dt
-    if rem < 1e-12 * dt:
-        rem = 0.0
-    n_steps = n_full + (1 if rem > 0 else 0)
-
-    def run(keep):
+    def run(keep, sink):
         loop, columns = _rk4_loop(rhs, layout, keep)
+        stepped = tuple(layout[j] for j in columns)
+        feed = _Collect(stepped) if sink is None else _Feed(sink, stepped)
         x = tuple(y[j] for j in columns)
-        times = array("d", [0.0])
-        states = array("d", x)  # samples, row after row
         # an rhs computing in numpy overflows to inf/nan, which the loop's
         # finiteness test catches, so its warnings are silenced
         with np.errstate(all="ignore"):
-            failure = loop(x, n_full, n_steps, rem, dt, T, sample_every, times, states, rhs)
-        return columns, times, states, failure
+            failure = loop(x, n_full, n_steps, rem, dt, T, sample_every, array("d", [0.0]),
+                           array("d", x), rhs, feed.arrays, _SINK_ROWS)
+        return feed, failure
 
-    columns, times, states, failure = run(keep)
-    if failure is not None and len(columns) < len(layout):
-        columns, times, states, failure = run(None)
+    feed, failure = run(keep, sink)
+    if failure is not None and len(feed.layout) < len(layout):
+        feed, failure = run(None, None if sink is None else _discard)
     reason = ""
     if failure is not None:
         k, exc = failure
@@ -605,16 +750,9 @@ def integrate_fixed(
     info = dict(meta or {})
     info.setdefault("integrator", "rk4")
     info.update(dt=dt, T=T, sample_every=sample_every)
-    if len(columns) < len(layout):
+    if len(feed.layout) < len(layout):
         info["chart_layout"] = layout
-    return Trajectory(
-        times=np.frombuffer(times),
-        states=np.frombuffer(states).reshape(-1, len(columns)),
-        layout=tuple(layout[j] for j in columns),
-        meta=info,
-        aborted=failure is not None,
-        abort_reason=reason,
-    )
+    return feed.result(info, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -625,61 +763,94 @@ def integrate_fixed(
 _DENSE_CHUNK = 4096
 
 
-def _dense_output(steps: list, t_end: float, y_end, d_end, next_sample: float,
-                  interval: float, T: float, times: array, states: array) -> float:
-    """Append the cubic Hermite samples inside accepted `steps`; return the next grid time.
+def _sample_times(interval: float, T: float):
+    """The dense-output grid in chunks of at most _DENSE_CHUNK times, below T - 1e-14*T.
 
-    `steps` is a flat list of 2 + 2d floats per accepted step, in order: its
+    The grid runs interval, 2 * interval, ..., each time the previous one
+    plus `interval`: the chain of ``+=`` that a scalar loop builds, which
+    `np.add.accumulate` builds a chunk at a time and carries on from chunk
+    to chunk, so the times do not depend on where the chunks end.
+    `_dense_output` samples at these times, and `adaptive_samples_after`
+    counts them.
+    """
+    end, start = T - 1e-14 * T, interval
+    while start < end:
+        n = int(min(_DENSE_CHUNK, (end - start) / interval + 2))
+        grid = np.full(n, interval)
+        grid[0] = start
+        np.add.accumulate(grid, out=grid)
+        stop = int(np.searchsorted(grid, end, "left"))
+        yield grid[:stop]
+        start = float(grid[stop] if stop < n else grid[-1] + interval)
+
+
+class _SampleGrid:
+    """The times of `_sample_times`, taken from the front as the steps reach them."""
+
+    def __init__(self, interval: float, T: float):
+        self._chunks = _sample_times(interval, T)
+        self._head = np.empty(0)
+
+    def take(self, last: float) -> np.ndarray:
+        """The next grid times up to `last`, at most one chunk of them; empty when there are none."""
+        if not self._head.size:
+            self._head = next(self._chunks, self._head)
+        stop = int(np.searchsorted(self._head, last, "right"))
+        times, self._head = self._head[:stop], self._head[stop:]
+        return times
+
+
+def adaptive_samples_after(after: float, T: float, sample_interval: float) -> int:
+    """The number of samples that a completed `integrate_adaptive` run records at times > `after`.
+
+    Its samples are time 0, every time of the grid (`_sample_times`) and T;
+    the grid is built here as the run builds it, before a step is taken.
+    """
+    return ((0.0 > after) + (T > after)
+            + sum(len(ts) - int(np.searchsorted(ts, after, "right"))
+                  for ts in _sample_times(sample_interval, T)))
+
+
+def _dense_output(steps: array, t_end: float, y_end, d_end, grid: _SampleGrid,
+                  T: float, feed: _Feed) -> None:
+    """Hand the cubic Hermite samples inside accepted `steps` to `feed`, a pass at a time.
+
+    `steps` is an array('d') of 2 + 2d floats per accepted step, in order: its
     start time t, its length h, and the d components of the state and then
     of the derivative at its start.  Each step ends where the next one
     starts, and the last at t_end with state y_end and derivative d_end.
-    The grid runs next_sample, next_sample + interval, ..., each time the
-    previous one plus `interval`: the chain of ``+=`` a scalar loop builds,
-    carried on from call to call.  A grid time belongs to the first step
-    whose end plus 1e-14*T reaches it.  The grid times that some step
-    reaches, that lie below T - 1e-14*T and that pass times[-1] are
-    appended to `times`, and the interpolant there, at theta = (time - t) / h,
-    to `states`.
+    A grid time belongs to the first step whose end plus 1e-14*T reaches
+    it; the times of `grid` that some step reaches are taken from it, and
+    the interpolant there, at theta = (time - t) / h, is the sample.
 
     Each pass evaluates at most _DENSE_CHUNK grid times as columns, in the
-    operation order of the scalar formula w0*y0 + w1*d0 + w2*y1 + w3*d1.
-    numpy applies each operation per element in IEEE double, so every
-    sample equals the scalar loop's bit for bit.
+    operation order of the scalar formula w0*y0 + w1*d0 + w2*y1 + w3*d1,
+    and hands them to `feed` as one block.  numpy applies each operation
+    per element in IEEE double, so every sample equals the scalar loop's
+    bit for bit.
     """
     if not steps:
-        return next_sample
+        return
     d = len(y_end)
-    records = np.fromiter(steps, float, len(steps)).reshape(-1, 2 + 2 * d)
+    records = np.frombuffer(steps).reshape(-1, 2 + 2 * d)
     starts, hs = records[:, 0], records[:, 1]
     ends = np.append(starts[1:], t_end) + 1e-14 * T
     # row k: the state and derivative where step k starts
     ys = np.vstack((records[:, 2:2 + d], [y_end]))
     ds = np.vstack((records[:, 2 + d:], [d_end]))
-    last, sample_end = float(ends[-1]), T - 1e-14 * T
-    while next_sample <= last and next_sample < sample_end:
-        n = int(min(_DENSE_CHUNK, (min(last, sample_end) - next_sample) / interval + 2))
-        grid = np.full(n, interval)
-        grid[0] = next_sample
-        np.add.accumulate(grid, out=grid)
-        stop = min(np.searchsorted(grid, last, "right"),
-                   np.searchsorted(grid, sample_end, "left"))
-        ts = grid[np.searchsorted(grid, times[-1], "right"):stop]
-        if ts.size:
-            k = np.searchsorted(ends, ts, "left")
-            h = hs[k]
-            theta = (ts - starts[k]) / h
-            t2 = theta * theta
-            t3 = t2 * theta
-            w0 = 2 * t3 - 3 * t2 + 1
-            w1 = (t3 - 2 * t2 + theta) * h
-            w2 = -2 * t3 + 3 * t2
-            w3 = (t3 - t2) * h
-            rows = (w0[:, None] * ys[k] + w1[:, None] * ds[k]
-                    + w2[:, None] * ys[k + 1] + w3[:, None] * ds[k + 1])
-            times.frombytes(ts.tobytes())
-            states.frombytes(rows.tobytes())
-        next_sample = float(grid[stop] if stop < n else grid[-1] + interval)
-    return next_sample
+    last = float(ends[-1])
+    while (ts := grid.take(last)).size:
+        k = np.searchsorted(ends, ts, "left")
+        h = hs[k]
+        theta = (ts - starts[k]) / h
+        t2 = theta * theta
+        t3 = t2 * theta
+        w0 = 2 * t3 - 3 * t2 + 1
+        w1 = (t3 - 2 * t2 + theta) * h
+        w2 = -2 * t3 + 3 * t2
+        w3 = (t3 - t2) * h
+        feed.block(ts, w0[:, None] * ys[k] + w1[:, None] * ds[k]
+                   + w2[:, None] * ys[k + 1] + w3[:, None] * ds[k + 1])
 
 
 def integrate_adaptive(
@@ -692,7 +863,8 @@ def integrate_adaptive(
     layout: Sequence[str],
     sample_interval: float | None = None,
     meta: dict | None = None,
-) -> Trajectory:
+    sink=None,
+):
     """Embedded Runge-Kutta 4(5) with proportional step control.
 
     The 4th-order solution is propagated; the embedded 5th-order difference
@@ -704,6 +876,12 @@ def integrate_adaptive(
     them have been taken or the run ends, and their samples are then
     evaluated together (`_dense_output`); they equal, bit for bit, those of
     a loop that interpolates sample by sample after each step.
+
+    The samples go to `sink` (see `_Feed`): the initial state, each dense
+    pass of at most _DENSE_CHUNK samples, then the endpoint T, so the run
+    holds at most _DENSE_CHUNK steps and one pass whatever T is, and a
+    `RunSummary` is returned.  Without a sink they are collected and the
+    `Trajectory` is returned, through the same calls.
 
     A step shrinking below 1e-12 * T aborts the trajectory (stiffness or
     singularity signal); evaluation failures shrink the step first and only
@@ -719,16 +897,17 @@ def integrate_adaptive(
     if not (0 < sample_interval <= T):
         raise ValueError("need 0 < sample_interval <= T")
     y = _initial_state(y0, layout)
+    layout = tuple(layout)
     step = _rkf45_kernel(len(y))
 
     h_min = _UNDERFLOW_FRACTION * T
     h = max(min(T / 100.0, 1.0), h_min)  # a horizon over 1e12 starts at h_min
 
-    times = array("d", [0.0])
-    states = array("d", y)  # samples, row after row
-    pending = []  # t, h, y and dy of each accepted step not yet sampled
+    feed = _Collect(layout) if sink is None else _Feed(sink, layout)
+    feed.block(np.zeros(1), np.array([y]))
+    grid = _SampleGrid(sample_interval, T)
+    pending = array("d")  # t, h, y and dy of each accepted step not yet sampled
     chunk_floats = _DENSE_CHUNK * (2 + 2 * len(y))
-    next_sample = sample_interval
     t = 0.0
     aborted = False
     reason = ""
@@ -777,18 +956,16 @@ def integrate_adaptive(
                 if t >= T * (1.0 - 1e-14):
                     break
                 if len(pending) == chunk_floats:
-                    next_sample = _dense_output(pending, t, y, d_left, next_sample,
-                                                sample_interval, T, times, states)
-                    pending = []
+                    _dense_output(pending, t, y, d_left, grid, T, feed)
+                    pending = array("d")
             else:
                 n_reject += 1
             factor = _SAFETY * err ** (-0.2) if err > 0 else _GROW_MAX
             h *= min(_GROW_MAX, max(_SHRINK_MIN, factor))
         # every exit, an abort included, keeps the samples of every accepted step
-        _dense_output(pending, t, y, d_left, next_sample, sample_interval, T, times, states)
-    if not aborted and T > times[-1]:
-        times.append(T)  # T itself, exactly, after the last step
-        states.extend(y)
+        _dense_output(pending, t, y, d_left, grid, T, feed)
+    if not aborted and T > feed.t_final:
+        feed.block(np.array([T]), np.array([y]))  # T itself, exactly, after the last step
 
     info = dict(meta or {})
     info.setdefault("integrator", "rkf45")
@@ -800,14 +977,7 @@ def integrate_adaptive(
         n_accepted=n_accept,
         n_rejected=n_reject,
     )
-    return Trajectory(
-        times=np.frombuffer(times),
-        states=np.frombuffer(states).reshape(-1, len(layout)),
-        layout=tuple(layout),
-        meta=info,
-        aborted=aborted,
-        abort_reason=reason,
-    )
+    return feed.result(info, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -1283,6 +1453,34 @@ def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
 _CSV_BLOCK_ROWS = 1024
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let the C heap keep what one CSV block frees for the next, once per process.
+
+    glibc's malloc hands the top of its heap back to the system whenever
+    more than its trim threshold lies free there: 128 KiB, until a block
+    that mmap served is freed, which raises it to twice that block's size.
+    `_g17.format_rows` frees about 1 MB of temporaries per block of 1024
+    rows of 4 columns, so without a raised threshold every block faults
+    them in again, page by page: 25 000 minor faults and some 0.1 s in an
+    rkf45 simulate run of 200 001 samples, none once a 1 MB block had been
+    freed.  An untouched 4 MiB array, made and dropped here, raises it;
+    other allocators ignore it.
+    """
+    np.empty(1 << 19)
+
+
+def _write_rows(out, columns, text: bool) -> None:
+    """Write the rows of `columns` to `out` in blocks of _CSV_BLOCK_ROWS, every number as %.17g."""
+    from . import _g17  # here, so that importing the package does not compile it
+
+    _keep_freed_heap()
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        rows = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+        chunk = _g17.format_rows(rows)
+        out.write(chunk.decode("ascii") if text else chunk)
+
+
 def write_csv(path_or_file, names: Sequence[str], columns) -> None:
     """Write a header of `names` and one line per row, every number as %.17g.
 
@@ -1296,21 +1494,16 @@ def write_csv(path_or_file, names: Sequence[str], columns) -> None:
     value by value, from integer arithmetic in numpy (one '%' per block
     formats the values it does not cover).  No copy of the whole table is
     made, so memory stays flat in the row count: one block is held at a
-    time.
+    time.  A run that is not held whole is written the same way, a sink
+    block at a time, by `TrajectoryCsv`.
     """
     if isinstance(columns, np.ndarray) and columns.ndim == 2:
         columns = columns.T
-    columns = list(columns)
-    from . import _g17  # here, so that importing the package does not compile it
-
     header = ",".join(names) + "\n"
     text = hasattr(path_or_file, "write")
     with nullcontext(path_or_file) if text else open(path_or_file, "wb") as out:
         out.write(header if text else header.encode())
-        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            rows = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
-            chunk = _g17.format_rows(rows)
-            out.write(chunk.decode("ascii") if text else chunk)
+        _write_rows(out, list(columns), text)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -1320,3 +1513,32 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     `path` is a path or an open text stream.
     """
     write_csv(path, ["t", *traj.layout], [traj.times, *traj.states.T])
+
+
+class TrajectoryCsv:
+    """A sink (see `_Feed`) that writes a run's samples to `path` as `write_trajectory_csv` does.
+
+    The file, and any missing directory above it, is made when the first
+    block arrives, with the header `t,<layout>`; each block's rows follow
+    as `write_csv` writes them, so the file is byte for byte that of the
+    run's Trajectory while only one block is held.  Use it as a context
+    manager, which closes the file.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._out = None
+
+    def __call__(self, times, states, layout) -> None:
+        if self._out is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._out = open(self.path, "wb")
+            self._out.write((",".join(["t", *layout]) + "\n").encode())
+        _write_rows(self._out, [times, *states.T], False)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._out is not None:
+            self._out.close()

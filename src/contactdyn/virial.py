@@ -25,18 +25,21 @@ is its report's ``boundary``, and ``report_text`` is the report's text
 form; the pointwise rate of G = q.p is the catalog's stated balance, proved
 symbolically in the test suite.
 
-A deterministic report and its running averages come from one pass over
-the samples (`reduce_trajectory`): G and each term are evaluated once, on
-the window [t0, end] (starting at t0 with the linear interpolant of each
-value when t0 falls between samples, so shifting the window start does not
-quantize to the sample grid), and the averages use trapezoidal quadrature
-under compensated summation so that horizons of 10^5+ samples do not
-accumulate roundoff.
+A deterministic report and its running averages come from a streaming
+reduction (`Reduction`), a sink that the steppers feed one block of samples
+at a time while they step, so a run of any horizon holds one block of
+samples and at most `_AVERAGE_ROWS` kept rows.  G and each term are
+evaluated once per sample, on the window [t0, end] (starting at t0 with
+the linear interpolant of each value when t0 falls between samples, so
+shifting the window start does not quantize to the sample grid); the
+averages are trapezoidal quadratures whose contributions are summed
+exactly (`_ExactSum`, rounded once, as math.fsum rounds), so horizons of
+10^5+ samples do not accumulate roundoff.  `reduce_trajectory` feeds a
+stored trajectory through the same reduction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -56,6 +59,7 @@ __all__ = [
     "report_text",
     "parse_report",
     "reduce_trajectory",
+    "Reduction",
     "write_running_averages",
 ]
 
@@ -71,6 +75,47 @@ GROWTH_FACTOR = 100.0
 _AVERAGE_ROWS = 1000
 
 
+class _HalfExtremes:
+    """The max and min of G over the two halves of the window [t0, t_end], fed in blocks.
+
+    The leading half holds the samples at times in [t0, t_mid], the
+    trailing half those in [t_mid, t_end], with t_mid = t0 + (t_end - t0)/2.
+    The running max and min propagate nan, as numpy's max and min do.
+    """
+
+    def __init__(self, t0: float, t_end: float):
+        self.t0, self.t_end = t0, t_end
+        self.t_mid = t0 + 0.5 * (t_end - t0)
+        self.lead = [0, None, None]  # count, max, min
+        self.trail = [0, None, None]
+
+    def add(self, times: np.ndarray, g: np.ndarray) -> None:
+        """Take the samples `g` at increasing `times`, which continue those taken before."""
+        lead = slice(np.searchsorted(times, self.t0, "left"),
+                     np.searchsorted(times, self.t_mid, "right"))
+        trail = slice(np.searchsorted(times, self.t_mid, "left"), len(times))
+        for half, part in ((self.lead, g[lead]), (self.trail, g[trail])):
+            if part.size:
+                hi, lo = part.max(), part.min()
+                half[0] += part.size
+                half[1] = hi if half[1] is None else np.maximum(half[1], hi)
+                half[2] = lo if half[2] is None else np.minimum(half[2], lo)
+
+    def verdict(self, residual_tol: float):
+        """(verdict, growth_rate) of `growth_verdict` from the extremes taken."""
+        if self.lead[0] < 1 or self.trail[0] < 2:
+            return "bounded", 0.0
+        # max |G| without an array the size of G: max and min propagate nan too
+        m_lead, m_trail = (float(max(abs(hi), abs(lo))) for _, hi, lo in (self.lead, self.trail))
+        if not math.isfinite(m_trail):
+            return "growing", math.inf
+        half = self.t_end - self.t_mid
+        growth_rate = max(0.0, (m_trail - m_lead) / half)
+        significant = (m_trail - m_lead) > 0.05 * max(m_trail, m_lead)
+        growing = significant and growth_rate > GROWTH_FACTOR * residual_tol
+        return ("growing" if growing else "bounded"), growth_rate
+
+
 def growth_verdict(times, g_values, t0: float = 0.0,
                    residual_tol: float = RESIDUAL_TOL):
     """Classify |G| over the averaging window as bounded or growing.
@@ -82,25 +127,13 @@ def growth_verdict(times, g_values, t0: float = 0.0,
     max to genuinely exceed the leading one (by > 5%), so bounded
     oscillations whose sampled peaks jitter at discretization level stay
     "bounded".  A trailing max that is not finite (G overflowed) reads
-    "growing" at rate inf.  `times` increase, so each half is a slice.
+    "growing" at rate inf.  `times` increase; the window ends at the last.
+    A `Reduction` reaches the same verdict from its blocks.
     """
     times = np.asarray(times, dtype=float)
-    g = np.asarray(g_values, dtype=float)
-    t_end = times[-1]
-    t_mid = t0 + 0.5 * (t_end - t0)
-    lead = slice(np.searchsorted(times, t0, "left"), np.searchsorted(times, t_mid, "right"))
-    trail = slice(np.searchsorted(times, t_mid, "left"), len(times))
-    if lead.stop - lead.start < 1 or trail.stop - trail.start < 2:
-        return "bounded", 0.0
-    # max |G| without an array the size of G: max and min propagate nan too
-    m_lead, m_trail = (float(max(abs(g[part].max()), abs(g[part].min()))) for part in (lead, trail))
-    if not math.isfinite(m_trail):
-        return "growing", math.inf
-    half = t_end - t_mid
-    growth_rate = max(0.0, (m_trail - m_lead) / half)
-    significant = (m_trail - m_lead) > 0.05 * max(m_trail, m_lead)
-    growing = significant and growth_rate > GROWTH_FACTOR * residual_tol
-    return ("growing" if growing else "bounded"), growth_rate
+    extremes = _HalfExtremes(t0, float(times[-1]))
+    extremes.add(times, np.asarray(g_values, dtype=float))
+    return extremes.verdict(residual_tol)
 
 
 @dataclass(frozen=True)
@@ -140,10 +173,70 @@ class VirialReport:
 
 
 # ---------------------------------------------------------------------------
-# the one reduction pass over a deterministic trajectory
+# the streaming reduction of a deterministic run
 
-# samples handed to math.fsum as Python floats at a time
-_FSUM_BLOCK = 8192
+# a double is m * 2**e with m in [0.5, 1) (np.frexp) and e >= -1073, so it
+# is the integer m * 2**53 times 2**(e + 1073) units of 2**-_UNIT_BITS
+_UNIT_BITS = 1126
+_HALF_BITS = 26
+# samples a stored trajectory is fed to its reduction at a time
+_REDUCE_ROWS = 4096
+
+
+class _ExactSum:
+    """The exact sum of float64 values added a block at a time, rounded once at the end.
+
+    math.fsum needs every value in one call; this takes them in blocks, as
+    a sink receives them, and keeps the sum as one Python int in units of
+    2**-1126, the least subnormal being 2**52 of them (a long accumulator:
+    Neal, "Fast exact summation using small and large superaccumulators",
+    arXiv:1505.05571).  A block's values are split by np.frexp into 53-bit
+    integer significands and exponents; the significands are summed per
+    exponent in two 26-bit halves (np.add.reduceat over the values sorted
+    by exponent), so no int64 sum can overflow, and each exponent's sums are
+    shifted into the int.  `value` divides the int by 2**1126, which Python
+    rounds correctly, so it is the sum that math.fsum gives, and an exact
+    zero is +0.0.  Non-finite values follow fsum's rules: any nan gives
+    nan, infinities of one sign give that infinity, and infinities of both
+    signs raise ValueError.  A finite sum beyond the doubles raises
+    OverflowError, as fsum's does.
+    """
+
+    def __init__(self):
+        self._acc = 0
+        self._nan = self._pos = self._neg = False
+
+    def add(self, values: np.ndarray) -> None:
+        x = np.asarray(values, dtype=float).ravel()
+        finite = np.isfinite(x)
+        if not finite.all():
+            odd = x[~finite]
+            self._nan |= bool(np.isnan(odd).any())
+            self._pos |= bool((odd > 0).any())
+            self._neg |= bool((odd < 0).any())
+            x = x[finite]
+        if not x.size:
+            return
+        m, e = np.frexp(x)
+        order = np.argsort(e, kind="stable")
+        e = e[order]
+        significand = (m[order] * 2.0 ** 53).astype(np.int64)
+        starts = np.flatnonzero(np.diff(e, prepend=e[0] - 1))
+        high = np.add.reduceat(significand >> _HALF_BITS, starts)
+        low = np.add.reduceat(significand & ((1 << _HALF_BITS) - 1), starts)
+        acc = 0
+        for shift, h, lo in zip((e[starts] + 1073).tolist(), high.tolist(), low.tolist()):
+            acc += ((h << _HALF_BITS) + lo) << shift
+        self._acc += acc
+
+    def value(self) -> float:
+        if self._pos and self._neg:
+            raise ValueError("-inf + inf in the exact sum")
+        if self._nan:
+            return math.nan
+        if self._pos or self._neg:
+            return math.inf if self._pos else -math.inf
+        return self._acc / (1 << _UNIT_BITS)
 
 
 def _scalar_meta(source: dict) -> dict:
@@ -153,6 +246,185 @@ def _scalar_meta(source: dict) -> dict:
     }
 
 
+class Reduction:
+    """The report of one deterministic run and its running averages, fed as the run steps.
+
+    A sink (see `integrate._Feed`): the stepper calls it with each block
+    of samples, and `result(meta)` then gives (report, running), the
+    `VirialReport` of the window [t0, t_end] of chart `chart_name` and the
+    kept rows of `write_running_averages` as a dict from column name to
+    values.  `n_window`, the number of samples at times after t0, fixes
+    the kept rows before the first block arrives: with stride k =
+    ceil(n_window / _AVERAGE_ROWS), window row i is kept when
+    (n_window - 1 - i) % k == 0.  The steppers give it
+    (`integrate.fixed_samples_after`, `integrate.adaptive_samples_after`);
+    `reduce_trajectory` counts a stored trajectory's.
+
+    Samples before the window are dropped as they come, but the last one,
+    from which the window starts.  On each block, G and each term are
+    evaluated once, on the block's window samples; the first window
+    sample's trapezoid reaches back to the previous block's last sample, or
+    to t0, where the value is the sample there or the linear interpolant of
+    the samples around it.  Per block the reduction keeps, for each term,
+    the trapezoid contributions' exact sum (`_ExactSum`) and their running
+    cumulative sum (the previous block's carried into the first
+    contribution, as `np.cumsum` would add it), read at the kept rows; G at
+    the kept rows and at the ends; and the extremes of G over each half of
+    the window for `growth_verdict`, whose middle comes from t_end.  So
+    the reduction holds one block and at most _AVERAGE_ROWS kept rows,
+    whatever the run's length, and every number is the one that a pass over
+    the stored samples gives.  A component that was not recorded is passed
+    as None, since G and the terms read only live roles.  The arithmetic
+    runs unwarned, as the steppers' does: an overflowed G reads "growing".
+    """
+
+    def __init__(self, system: SystemSpec, chart_name: str, *, t0: float, t_end: float,
+                 n_window: int, residual_tol: float = RESIDUAL_TOL):
+        if system.noise is not None:
+            raise ValueError(
+                f"'{system.name}' is stochastic: its runs have no pathwise rate; "
+                "use ensemble_report"
+            )
+        self.system, self.chart_name = system, chart_name
+        self.chart = system.charts[chart_name]
+        self.t0, self.t_end, self.n_window = float(t0), float(t_end), int(n_window)
+        self.residual_tol = residual_tol
+        self._stride = -(-self.n_window // _AVERAGE_ROWS)
+        self._columns = None  # per chart layout name: its column in the blocks, or None
+        self._before = None  # the last sample before the window started: (times, states)
+        self._rows = 0  # window samples taken
+        self._last = None  # time and term values at the last window sample taken (or at t0)
+        self._g0 = self._gT = None
+        self._extremes = _HalfExtremes(self.t0, self.t_end)
+        self._sums = [_ExactSum() for _ in self.chart.terms]
+        self._carry = [None] * len(self.chart.terms)
+        # the kept rows, filled in order: t, G, then each term's running average
+        self._kept = np.empty((2 + len(self.chart.terms), (self.n_window - 1) // self._stride + 1))
+        self._n_kept = 0
+
+    def __call__(self, times: np.ndarray, states: np.ndarray, layout: tuple) -> None:
+        if self._columns is None:
+            self._columns = [layout.index(n) if n in layout else None for n in self.chart.layout]
+        if self._last is None:
+            # the window starts at the first sample past t0, from the one before it
+            i = int(np.searchsorted(times, self.t0, "right"))
+            if i == 0 and self._before is None:
+                raise ValueError(f"t0={self.t0:g} lies before the first sample, "
+                                 f"at {float(times[0]):g}")
+            if i == len(times):
+                self._before = times[-1:].copy(), states[-1:].copy()
+                return
+            if i == 0:
+                times = np.concatenate((self._before[0], times))
+                states = np.concatenate((self._before[1], states))
+            else:
+                times, states = times[i - 1:], states[i - 1:]
+            self._before = None
+        with np.errstate(all="ignore"):
+            self._take(times, states)
+
+    def _values(self, states: np.ndarray):
+        """G and each term at the rows of `states`."""
+        columns = [None if j is None else states[:, j] for j in self._columns]
+        return (np.asarray(self.chart.G(*columns), dtype=float),
+                [np.asarray(b.value(*columns), dtype=float) for b in self.chart.terms])
+
+    def _take(self, times: np.ndarray, states: np.ndarray) -> None:
+        g, terms = self._values(states)
+        if self._last is None:
+            # row 0 is the last sample at or before t0: the window's first
+            # value is that sample at t0, or the interpolant at weight w
+            w = None
+            if times[0] != self.t0:
+                w = (self.t0 - times[0]) / (times[1] - times[0])
+
+            def first(v):
+                return v[0] if w is None else (1 - w) * v[0] + w * v[1]
+
+            self._g0 = float(first(g))
+            self._extremes.add(times[:1], g[:1])
+            self._last = self.t0, [first(v) for v in terms]
+            times, g, terms = times[1:], g[1:], [v[1:] for v in terms]
+        self._extremes.add(times, g)
+        t_prev, v_prev = self._last
+        m = len(times)
+        half_steps = np.empty(m)
+        np.subtract(times[1:], times[:-1], out=half_steps[1:])
+        half_steps[0] = times[0] - t_prev
+        half_steps *= 0.5
+        kept = slice((self.n_window - 1 - self._rows) % self._stride, None, self._stride)
+        rows = slice(self._n_kept, self._n_kept + len(range(m)[kept]))
+        self._n_kept = rows.stop
+        elapsed = times[kept] - self.t0
+        self._kept[0, rows] = times[kept]
+        self._kept[1, rows] = g[kept]
+        for k, v in enumerate(terms):
+            c = np.empty(m)
+            np.add(v[1:], v[:-1], out=c[1:])
+            c[0] = v[0] + v_prev[k]
+            c *= half_steps
+            self._sums[k].add(c)
+            if self._carry[k] is not None:
+                c[0] = self._carry[k] + c[0]
+            np.cumsum(c, out=c)
+            self._carry[k] = c[-1]
+            np.divide(c[kept], elapsed, out=self._kept[2 + k, rows])
+        self._rows += m
+        self._gT = float(g[-1])
+        self._last = float(times[-1]), [v[-1] for v in terms]
+
+    def result(self, meta: dict):
+        """(report, running) of the samples taken; `meta` is the run's, as a Trajectory's."""
+        if self._rows != self.n_window or self._last[0] != self.t_end:
+            raise ValueError(
+                f"the run fed {self._rows} samples after t0 = {self.t0:g} up to "
+                f"t = {self._last[0] if self._last else math.nan:g}; the reduction "
+                f"expected {self.n_window} up to {self.t_end:g}"
+            )
+        chart, window = self.chart, self.t_end - self.t0
+        t_kept, g_kept, *averages = self._kept
+        elapsed = t_kept - self.t0
+        term_avgs, running = [], {"t": t_kept}
+        signed_sum = np.zeros(len(elapsed))
+        with np.errstate(all="ignore"):
+            for b, total, avg in zip(chart.terms, self._sums, averages):
+                term_avgs.append(float(total.value() / window))
+                signed_sum = signed_sum + int(b.sign) * avg
+                running[f"avg[{b.name}]"] = avg
+            running["theorem_residual"] = signed_sum
+            running["boundary"] = (g_kept - self._g0) / elapsed
+        verdict, growth_rate = self._extremes.verdict(self.residual_tol)
+
+        signs = tuple(int(b.sign) for b in chart.terms)
+        theorem_residual = math.fsum(sign * avg for sign, avg in zip(signs, term_avgs))
+        rate_avg = theorem_residual / chart.rate_scale
+        boundary = (self._gT - self._g0) / window
+        info = _scalar_meta(meta)
+        info.update({f"param.{k}": v for k, v in self.system.params.items()})
+        return VirialReport(
+            system=self.system.name,
+            chart=self.chart_name,
+            T=self.t_end,
+            t0=self.t0,
+            window=window,
+            term_names=tuple(b.name for b in chart.terms),
+            term_signs=signs,
+            term_averages=tuple(term_avgs),
+            term_errors=None,
+            theorem_residual=theorem_residual,
+            theorem_error=None,
+            rate_average=rate_avg,
+            boundary=boundary,
+            residual_exact=rate_avg - boundary,
+            rate_scale=chart.rate_scale,
+            G_initial=self._g0,
+            G_final=self._gT,
+            verdict=verdict,
+            growth_rate=growth_rate,
+            meta=info,
+        ), running
+
+
 def reduce_trajectory(
     system: SystemSpec,
     traj: Trajectory,
@@ -160,31 +432,18 @@ def reduce_trajectory(
     t0: float = 0.0,
     residual_tol: float = RESIDUAL_TOL,
 ):
-    """The report of one deterministic run and its running averages, from one pass.
+    """The report of one stored deterministic run and its running averages.
 
-    Returns (report, running): the `VirialReport` of the window [t0, end]
-    of the chart the trajectory ran in, and the kept rows of
-    `write_running_averages` as a dict from column name to values.  G is
-    evaluated once; its window ends, kept rows and verdict (over the
-    samples at or after t0) are read before it is dropped.  Then each term
-    in turn is evaluated, its trapezoid contributions are formed in one
-    scratch array, fed to math.fsum a block at a time and summed
-    cumulatively in place, so beside the trajectory the pass holds a few
-    columns of samples.  A component that was not recorded is passed as
-    None, since G and the terms read only live roles.  The arithmetic runs
-    unwarned, as the steppers' does: an overflowed G reads "growing".
+    Returns (report, running), as `Reduction.result` does: the trajectory
+    is fed to a `Reduction` of the chart whose layout it has (its meta's
+    "chart_layout" when it recorded only some components, see
+    `integrate_fixed`'s `keep`), _REDUCE_ROWS samples at a time, so beside
+    the trajectory the pass holds one block's values.
     """
     if traj.aborted:
         raise ValueError(
             f"trajectory aborted ({traj.abort_reason}); no report assembled"
         )
-    if system.noise is not None:
-        raise ValueError(
-            f"'{system.name}' is stochastic: its runs have no pathwise rate; "
-            "use ensemble_report"
-        )
-    # the chart whose layout is the run's: its meta's "chart_layout" when it
-    # recorded only some components (see `integrate_fixed`'s `keep`)
     layout = traj.meta.get("chart_layout", traj.layout)
     for chart_name, chart in system.charts.items():
         if chart.layout == layout:
@@ -199,84 +458,12 @@ def reduce_trajectory(
         raise ValueError(
             f"t0={t0:g} must lie inside the recorded span [{times[0]:g}, {times[-1]:g})"
         )
-    # the window is its start at t0 and then the samples from `start` on;
-    # its first value is the sample at t0, or the interpolant at weight w
-    start, w = 1, None
-    if t0 > times[0]:
-        start = int(np.searchsorted(times, t0, side="left"))
-        if times[start] > t0:
-            w = (t0 - times[start - 1]) / (times[start] - times[start - 1])
-        else:
-            start += 1
-
-    def first(v):
-        return v[start - 1] if w is None else (1 - w) * v[start - 1] + w * v[start]
-
-    t_end = float(times[-1])
-    window = t_end - t0
-    n = len(times) - start  # trapezoids in the window, one running-average row each
-    stride = -(-n // _AVERAGE_ROWS)
-    kept = slice((n - 1) % stride, None, stride)
-    t_kept = times[start:][kept].copy()
-    elapsed = t_kept - t0
-    half_steps = np.subtract(times[start:], times[start - 1:-1])
-    half_steps[0] = times[start] - t0
-    half_steps *= 0.5
-
-    recorded = dict(zip(traj.layout, traj.states.T))
-    columns = [recorded.get(name) for name in chart.layout]
-    with np.errstate(all="ignore"):
-        g = np.asarray(chart.G(*columns), dtype=float)
-        g0, gT = float(first(g)), float(g[-1])
-        g_kept = g[start:][kept].copy()
-        verdict, growth_rate = growth_verdict(times, g, t0, residual_tol)
-        del g
-        term_avgs, running = [], {"t": t_kept}
-        signed_sum = np.zeros(len(t_kept))
-        c = np.empty(n)
-        for b in chart.terms:
-            v = np.asarray(b.value(*columns), dtype=float)
-            np.add(v[start:], v[start - 1:-1], out=c)
-            c[0] = v[start] + first(v)
-            del v
-            c *= half_steps
-            total = math.fsum(itertools.chain.from_iterable(
-                c[i:i + _FSUM_BLOCK].tolist() for i in range(0, n, _FSUM_BLOCK)))
-            term_avgs.append(float(total / window))
-            avg = np.cumsum(c, out=c)[kept] / elapsed
-            signed_sum = signed_sum + int(b.sign) * avg
-            running[f"avg[{b.name}]"] = avg
-        running["theorem_residual"] = signed_sum
-        running["boundary"] = (g_kept - g0) / elapsed
-
-    signs = tuple(int(b.sign) for b in chart.terms)
-    theorem_residual = math.fsum(sign * avg for sign, avg in zip(signs, term_avgs))
-    rate_avg = theorem_residual / chart.rate_scale
-    boundary = (gT - g0) / window
-    meta = _scalar_meta(traj.meta)
-    meta.update({f"param.{k}": v for k, v in system.params.items()})
-    return VirialReport(
-        system=system.name,
-        chart=chart_name,
-        T=t_end,
-        t0=float(t0),
-        window=window,
-        term_names=tuple(b.name for b in chart.terms),
-        term_signs=signs,
-        term_averages=tuple(term_avgs),
-        term_errors=None,
-        theorem_residual=theorem_residual,
-        theorem_error=None,
-        rate_average=rate_avg,
-        boundary=boundary,
-        residual_exact=rate_avg - boundary,
-        rate_scale=chart.rate_scale,
-        G_initial=g0,
-        G_final=gT,
-        verdict=verdict,
-        growth_rate=growth_rate,
-        meta=meta,
-    ), running
+    reduction = Reduction(system, chart_name, t0=t0, t_end=float(times[-1]),
+                          n_window=len(times) - int(np.searchsorted(times, t0, "right")),
+                          residual_tol=residual_tol)
+    for i in range(0, len(times), _REDUCE_ROWS):
+        reduction(times[i:i + _REDUCE_ROWS], traj.states[i:i + _REDUCE_ROWS], traj.layout)
+    return reduction.result(traj.meta)
 
 
 # ---------------------------------------------------------------------------

@@ -983,29 +983,35 @@ def test_import_leaves_yaml_unloaded():
     assert done.stdout.strip() == "[]"
 
 
-def test_forked_csv_writers_print_each_line_once(tmp_path):
-    # stdout to a pipe is block-buffered; the second run forks CSV writers
-    # while the first run's lines may still sit in the buffer, and no child
-    # may print them again.  Two CPUs are forced, so that it forks on any host
+def test_forked_ensemble_ranges_print_each_line_once(tmp_path, capsys):
+    # stdout to a pipe is block-buffered; the second ensemble forks a worker
+    # for its second member range while the first run's lines may still sit
+    # in the buffer, and no child may print them again.  Two CPUs are
+    # forced, so that it forks on any host; each run prints, once, what it
+    # prints on one CPU
+    argv = ["ensemble", "--system", "brownian_oscillator", "--n-traj", "4", "--T", "1"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     script = (
-        "import sys\n"
+        "import os, sys\n"
         "import contactdyn.cli as cli, contactdyn.integrate as integrate\n"
         "integrate._cpu_count = lambda: 2\n"
-        "for out in sys.argv[1:]:\n"
-        "    assert cli.main(['simulate', '--system', 'damped_oscillator', '--T', '10',\n"
-        "                     '--out', out]) == 0\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "for out in sys.argv[2:]:\n"
+        "    assert cli.main(sys.argv[1].split() + ['--out', out]) == 0\n"
+        "print(len(forks), file=sys.stderr)\n"
     )
     outs = [str(tmp_path / name) for name in ("a", "b")]
-    done = subprocess.run([sys.executable, "-c", script, *outs], cwd=ROOT, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    done = subprocess.run([sys.executable, "-c", script, " ".join(argv), *outs], cwd=ROOT,
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    wrote = [line for line in done.stdout.splitlines() if line.startswith("wrote ")]
-    assert sorted(wrote) == sorted(f"wrote {Path(out) / name}" + suffix
-                                   for out in outs
-                                   for name, suffix in (("trajectory.csv", " (10001 samples)"),
-                                                        ("report.txt", ""),
-                                                        ("running_averages.csv", "")))
+    assert done.stderr.split() == ["2"]  # one worker per run
+    expected = []
+    for out in outs:
+        assert run(*argv, "--out", out) == EXIT_OK
+        expected += capsys.readouterr().out.splitlines()
+    assert len(expected) == 10
+    assert done.stdout.splitlines() == expected

@@ -144,3 +144,26 @@ def test_zeros_and_normal_values_take_the_fast_path():
     assert _g17._decimal(x, _g17.tables())[2].all()
     x = np.array([5e-324, math.inf, math.nan, 1e15, math.nextafter(1e17, 0.0)])
     assert not _g17._decimal(x, _g17.tables())[2].any()
+
+
+def test_a_block_with_no_fast_value_is_one_percent(monkeypatch):
+    # infinities, nans, subnormals and 1e15 <= |x| < 1e17 (the values of a
+    # run that diverged) skip the integer arithmetic: the kernel is not run
+    rng = np.random.default_rng(29)
+    big = 10.0 ** rng.uniform(15, 17, 64) * rng.choice([-1.0, 1.0], 64)
+    blocks = [np.resize(np.array([math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1e15,
+                                  math.nextafter(1e17, 0.0), -1e16]), (16, 4)),
+              big.reshape(-1, 2), np.full((3, 1), math.nan)]
+    monkeypatch.setattr(_g17, "_decimal", None)  # any call of it would raise
+    for block in blocks:
+        assert _g17.format_rows(block) == percent(block)
+
+
+def test_one_fast_value_sends_the_block_through_the_kernel():
+    block = np.array([[math.inf, 1e16], [math.nan, 0.5]])
+    calls = []
+    decimal = _g17._decimal
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_g17, "_decimal", lambda *a: calls.append(1) or decimal(*a))
+        assert _g17.format_rows(block) == percent(block)
+    assert calls == [1]
