@@ -377,7 +377,7 @@ def _run_and_report(args) -> int:
     `Reduction` and, under simulate, to trajectory.csv, so no command holds
     the run.  virial and check-identity step only what the report reads;
     when such a run aborts, it is stepped again in full into
-    trajectory.csv, so that its prefix is simulate's.
+    trajectory.csv, so that its prefix and abort note are simulate's.
     """
     cfg = build_config(args)
     spec, stepping = _make_spec(cfg, args.command)

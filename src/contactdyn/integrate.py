@@ -253,10 +253,6 @@ class _Collect(_Feed):
         )
 
 
-def _discard(times, states, layout) -> None:
-    """A sink that keeps nothing."""
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Thermal-noise parameters of a stochastic chart.
@@ -695,12 +691,12 @@ def integrate_fixed(
     names the stepped components, and its meta's "chart_layout" the full
     `layout`.  A reduced run that fails is stepped again with every
     component, and that aborted trajectory is returned, so an abort reads as
-    it does with `keep=None`; under a sink that second run feeds no sink,
-    so the sink has had the reduced run's prefix, and a caller that wants
-    the full prefix steps once more with `keep=None`.  A component that is
-    not stepped is not tested for finiteness either: a run whose only
-    non-finite component is one that nothing reads completes.  Any other
-    `rhs` steps every component.
+    it does with `keep=None`.  Under a sink it is not: the sink has had the
+    reduced run's samples, the failure returned is the reduced run's, and a
+    caller that wants the full run's abort and prefix steps again with
+    `keep=None`.  A component that is not stepped is not tested for
+    finiteness either: a run whose only non-finite component is one that
+    nothing reads completes.  Any other `rhs` steps every component.
 
     Parameters
     ----------
@@ -737,8 +733,8 @@ def integrate_fixed(
         return feed, failure
 
     feed, failure = run(keep, sink)
-    if failure is not None and len(feed.layout) < len(layout):
-        feed, failure = run(None, None if sink is None else _discard)
+    if failure is not None and sink is None and len(feed.layout) < len(layout):
+        feed, failure = run(None, None)
     reason = ""
     if failure is not None:
         k, exc = failure

@@ -98,6 +98,48 @@ def test_random_vectors_at_4096_rows_equal_fsum():
 
 
 # ---------------------------------------------------------------------------
+# the sink: the blocks a run hands on are its Trajectory's samples
+
+
+def _blocks(run, **kwargs):
+    blocks = []
+    summary = run(**kwargs, sink=lambda times, states, layout: blocks.append(
+        (times.copy(), states.copy(), layout)))
+    return summary, blocks, run(**kwargs)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
+def test_a_sink_gets_the_trajectorys_samples_in_blocks(adaptive):
+    chart = make_system("damped_oscillator").chart("lagrangian")
+    if adaptive:
+        run = integrate_adaptive
+        kwargs = dict(rhs=chart.rhs, y0=chart.x0, T=30.0, sample_interval=1e-3)
+    else:
+        run = integrate_fixed
+        kwargs = dict(rhs=chart.rhs, y0=chart.x0, T=10.0003, dt=1e-3, sample_every=1)
+    summary, blocks, traj = _blocks(run, layout=chart.layout, **kwargs)
+    assert len(blocks) >= 3 and max(len(t) for t, _, _ in blocks) <= 4096
+    assert {layout for _, _, layout in blocks} == {traj.layout}
+    assert np.array_equal(np.concatenate([t for t, _, _ in blocks]), traj.times)
+    assert np.array_equal(np.concatenate([s for _, s, _ in blocks]), traj.states)
+    assert (summary.n_samples, summary.t_final, summary.layout, summary.meta, summary.aborted) == (
+        traj.n_samples, traj.t_final, traj.layout, traj.meta, traj.aborted)
+
+
+def test_a_reduced_run_that_fails_under_a_sink_is_not_stepped_again():
+    # without a sink the failed (x, y) run is stepped again in full for its
+    # abort; under one the caller does that (the CLI, into trajectory.csv)
+    chart = make_system("gierer_meinhardt", D=-5.0).chart("contact")
+    kwargs = dict(layout=chart.layout, sample_every=1, keep=())
+    summary, blocks, traj = _blocks(integrate_fixed, rhs=chart.rhs, y0=chart.x0, T=30.0,
+                                    dt=0.01, **kwargs)
+    assert summary.aborted and traj.aborted
+    assert traj.layout == chart.layout and len(summary.layout) < len(chart.layout)
+    assert {layout for _, _, layout in blocks} == {summary.layout}
+    assert summary.n_samples == sum(len(t) for t, _, _ in blocks)
+
+
+# ---------------------------------------------------------------------------
 # a Reduction gives the same numbers however its samples are split
 
 
