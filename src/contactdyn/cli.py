@@ -43,7 +43,7 @@ from .integrate import (
     integrate_adaptive,
     integrate_fixed,
     write_csv,
-    write_trajectory_csv,
+    write_trajectory_csv,  # noqa: F401  (perfbench/tracing.py wraps this name here)
 )
 from .systems import (
     ParameterError,
@@ -289,7 +289,7 @@ def _integrate(cfg: ExperimentConfig, stepping: str, spec, chart_name, chart, *,
         try:
             return euler_maruyama_langevin(
                 chart, replace(spec.noise, seed=cfg.seed), cfg.T, cfg.dt,
-                sample_every=cfg.sample_every, meta=meta,
+                sample_every=cfg.sample_every, meta=meta, sink=sink,
             )
         except ValueError as exc:  # step checks against T and gamma
             raise ConfigError(str(exc)) from exc
@@ -344,10 +344,6 @@ def _write_report_file(path: Path, report, preamble: list[str]) -> None:
         fh.write(report_text(report))
 
 
-def _wrote_trajectory(outdir: Path, run) -> None:
-    print(f"wrote {outdir / 'trajectory.csv'} ({run.n_samples} samples)")
-
-
 def _abort(outdir: Path, what: str, reason: str, run=None) -> int:
     """Leave abort.txt, after the valid prefix of an aborted `run` is written; return EXIT_ABORT."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -373,42 +369,35 @@ def _identity_gate(report, tol: float) -> int:
 def _run_and_report(args) -> int:
     """simulate, virial and check-identity: step one run, reducing it as it steps.
 
-    A deterministic run feeds its samples, a block at a time, to a
-    `Reduction` and, under simulate, to trajectory.csv, so no command holds
+    A run feeds its samples, a block at a time, to a `Reduction` and, under
+    simulate, to trajectory.csv through `TrajectoryCsv`, so no command holds
     the run.  virial and check-identity step only what the report reads;
     when such a run aborts, it is stepped again in full into
-    trajectory.csv, so that its prefix and abort note are simulate's.
+    trajectory.csv, so that its prefix and abort note are simulate's.  A
+    stochastic run, with no pathwise rate, has no `Reduction`.
     """
     cfg = build_config(args)
     spec, stepping = _make_spec(cfg, args.command)
     chart_name, chart = _resolve_chart(spec, cfg)
     outdir = Path(cfg.out)
 
-    if stepping == "euler-maruyama":  # no pathwise rate to report
-        traj = _integrate(cfg, stepping, spec, chart_name, chart)
-        outdir.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(traj, outdir / "trajectory.csv")
-        _wrote_trajectory(outdir, traj)
-        if traj.aborted:
-            return _abort(outdir, "integration", traj.abort_reason, traj)
-        print("stochastic system: use `ensemble` for the averaged-rate report")
-        return EXIT_OK
-
-    reduction = Reduction(spec, chart_name, t0=cfg.t0, t_end=cfg.T,
-                          n_window=_window_samples(cfg, stepping),
-                          residual_tol=cfg.identity_tol)
-    if args.command == "simulate":
-        with TrajectoryCsv(outdir / "trajectory.csv") as csv:
-            run = _integrate(cfg, stepping, spec, chart_name, chart, sink=_tee(csv, reduction))
-        _wrote_trajectory(outdir, run)
-    else:  # the report reads only G and the terms
+    reduction = None if stepping == "euler-maruyama" else Reduction(
+        spec, chart_name, t0=cfg.t0, t_end=cfg.T, n_window=_window_samples(cfg, stepping),
+        residual_tol=cfg.identity_tol)
+    run = None
+    if reduction is not None and args.command != "simulate":  # the report reads G and the terms
         run = _integrate(cfg, stepping, spec, chart_name, chart, keep=(), sink=reduction)
-        if run.aborted:
-            with TrajectoryCsv(outdir / "trajectory.csv") as csv:
-                run = _integrate(cfg, stepping, spec, chart_name, chart, sink=csv)
-            _wrote_trajectory(outdir, run)
+    if run is None or run.aborted:  # simulate, a stochastic run, or a reduced run that aborted
+        reduce = run is None and reduction is not None  # simulate reports as it writes
+        with TrajectoryCsv(outdir / "trajectory.csv") as csv:
+            run = _integrate(cfg, stepping, spec, chart_name, chart,
+                             sink=_tee(csv, reduction) if reduce else csv)
+        print(f"wrote {outdir / 'trajectory.csv'} ({run.n_samples} samples)")
     if run.aborted:
         return _abort(outdir, "integration", run.abort_reason, run)
+    if reduction is None:
+        print("stochastic system: use `ensemble` for the averaged-rate report")
+        return EXIT_OK
     report, running = reduction.result(run.meta)
 
     if args.command == "check-identity":  # which writes a verdict line and no artifacts

@@ -17,8 +17,8 @@ loop inlines the form's statements into every stage with the parameters as
 constants, so it calls nothing; any other rhs is called once per stage.
 A run that records no trajectory (`keep=()`: a report reads only G and
 the terms) steps only the live roles, so a virial report of a chart whose
-(q, p) rows read no s steps (q, p) alone; a run that fails that way is
-stepped again in full, so that its abort is the full run's.
+(q, p) rows read no s steps (q, p) alone; without a sink, a run that fails
+that way is stepped again in full, so that its abort is the full run's.
 Euler-Maruyama over a stochastic chart, shared by single runs and
 ensembles (member 0 is bit-identical to the single run with the same
 seed), runs a loop that inlines the drift, the terms, G, the noise entry,
@@ -28,15 +28,15 @@ outputs read: an ensemble of a chart whose (q, p) rows do not read s steps
 (q, p) alone.  Per step it only advances the state, into buffers of one
 block of _BLOCK_STEPS steps; the terms, their running trapezoid sums, the
 noise sum and the kept samples are taken once per block over those rows,
-so an ensemble needs O(n_traj) memory plus a fixed noise buffer and the
-block buffers whatever the horizon, and a single run O(samples kept).
+so a run needs O(n_traj) memory plus a fixed noise buffer and the block
+buffers whatever the horizon.
 The embedded RK4(5) pair steps through a straight-line kernel generated
 once per state width, and its cubic-Hermite dense output
 is evaluated in numpy passes over chunks of accepted steps.
 
-The deterministic steppers hand their samples to a sink a block at a
-time (`_Feed`): RK4 every _SINK_ROWS samples and at the end, RKF45 each
-dense-output pass and then T.  Given a sink, such as a report's
+The steppers hand their samples to a sink a block at a time (`_Feed`):
+RK4 and Euler-Maruyama at most _SINK_ROWS at a time and at the end, RKF45
+each dense-output pass and then T.  Given a sink, such as a report's
 `virial.Reduction` or `TrajectoryCsv`, a run holds one block whatever T
 is and returns a `RunSummary`; given none, a collecting sink keeps the
 samples and the run returns its `Trajectory`.  Chart packing
@@ -170,7 +170,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """What a deterministic run that fed a sink returns: its Trajectory without the samples.
+    """What a run that fed a sink returns: its Trajectory without the samples.
 
     `n_samples` and `t_final` count and end the samples handed to the
     sink; the other fields mean what they mean on a `Trajectory`.
@@ -185,7 +185,7 @@ class RunSummary:
 
 
 # ---------------------------------------------------------------------------
-# sinks: where a deterministic run's samples go, a block at a time
+# sinks: where a run's samples go, a block at a time
 
 # samples that a stepping loop gathers before it hands them to its sink
 _SINK_ROWS = 4096
@@ -1152,7 +1152,8 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
 
     The form's roles are, by position, s, q and p; the loop advances those
     of `stepped`, in layout order.  The function is loop(x, n, dt, T,
-    every, times, kept, draw).  From x, the values of the stepped roles
+    every, times, kept, draw), with flush after draw when `sampled`.  From
+    x, the values of the stepped roles
     (floats, or equal-shape arrays with one entry per member), it takes n
     steps of length dt; draw(k) gives the noise increments of the noise
     block of steps after step k, one float or member row per step.  Per
@@ -1170,10 +1171,12 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
     _SUM_STEPS steps (a multiple of _BLOCK_STEPS, so between blocks).
     Each sum gains one step at a time, in step order (`_sum_rows`), so
     every sum is the one that a per-step loop would make.  When `sampled`,
-    the rows of every `every`-th step go into `times` and `kept` (rows of
-    the roles' shape) at rows 1, 2, ..., and at the end the time T and the
-    last state go into their last row.  Then the block's last row is
-    carried into row 0.
+    x is one member's floats, `times` (rows,) and `kept` (rows, 3) hold
+    step 0 in row 0, and every `every`-th step goes into their next rows;
+    where a block could overfill them, flush(times[:m], kept[:m]) first
+    hands on the m rows so far and returns the buffers to go on in, as the
+    RK4 loop's does.  Then the block's last row is carried into row 0.  At
+    the end T takes step n's row, or one of its own, and the rows are flushed.
 
     It returns (term sums, noise sum, G at x, G at the end): floats or
     member arrays.  The loop calls no function of the chart: it runs inline
@@ -1208,8 +1211,12 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
               *(f"    _sum{k} += _part{k}" for k in ks),
               "    " + "".join(f"_part{k} = " for k in ks) + "0.0"]
     if sampled:
-        # rows _j, _j + every, ... are the steps of the block that are multiples of every
-        block += ["_j = _every - (_step - _r) % _every",
+        # a block of steps keeps at most _BLOCK_STEPS rows, and T may take one more
+        block += [f"if _n_kept > len(_times) - {_BLOCK_STEPS + 1}:",
+                  "    _times, _kept = _flush(_times[:_n_kept], _kept[:_n_kept])",
+                  "    _n_kept = 0",
+                  # rows _j, _j + every, ... are the steps of the block that are multiples of every
+                  "_j = _every - (_step - _r) % _every",
                   "_m = _n_kept + (_r - _j + _every) // _every",
                   "_times[_n_kept:_m] = _arange(_step - _r + _j, _step + 1, _every) * _dt",
                   *(f"_kept[_n_kept:_m, {i}] = {role}[_j::_every]"
@@ -1218,7 +1225,7 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
     block += [line for role in stepped
               for line in (f"_b_{role}[0] = {role}[-1]", f"{role} = _b_{role}[0]")]
     lines = [
-        "def loop(_x, _n, _dt, _T, _every, _times, _kept, _draw):",
+        f"def loop(_x, _n, _dt, _T, _every, _times, _kept, _draw{', _flush' if sampled else ''}):",
         f"    {''.join(f'{role}, ' for role in stepped)}= _x",
         *(f"    _b_{role} = _empty(({_BLOCK_STEPS + 1}, *_shape({role})))" for role in stepped),
         *(f"    _b_{role}[0] = {role}" for role in stepped),
@@ -1240,9 +1247,12 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
         "            _step += _r",
         *(" " * 12 + line for line in block),
     ]
-    if sampled:
-        lines += ["    _times[-1] = _T",
-                  *(f"    _kept[-1, {i}] = {role}" for i, role in enumerate(form.roles))]
+    if sampled:  # T takes the row of step n, or one of its own
+        lines += ["    if _n % _every:",
+                  "        _n_kept += 1",
+                  "    _times[_n_kept - 1] = _T",
+                  *(f"    _kept[_n_kept - 1, {i}] = {role}" for i, role in enumerate(form.roles)),
+                  "    _flush(_times[:_n_kept], _kept[:_n_kept])"]
     sums = "".join(f"_sum{k} + _part{k}, " for k in ks)
     lines += [f"    return ({sums}), _noise, _G0, {form.G}"]
     source = "\n".join(lines) + "\n"
@@ -1254,7 +1264,7 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
 
 
 def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
-                   sample_every: int | None, members: range | None = None):
+                   members: range | None = None, sample_every: int | None = None, flush=None):
     """Euler-Maruyama over the members, a range of n_traj noise streams, of one chart.
 
     The chart's layout is (s, q[0], p[0]) and its `form`, read from the
@@ -1286,11 +1296,11 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     (_BLOCK_STEPS + 1) * len(members) doubles per stepped role, whatever T
     is; the noise block is sized from the whole ensemble's n_traj, so that
     the noise buffers of all of its member ranges hold _NOISE_MEMBER_STEPS
-    doubles each between them.
+    doubles each between them.  Given `flush`, one member keeps samples
+    (step 0, every sample_every-th step and T) in buffers of _SINK_ROWS
+    rows that the loop flushes, so memory stays as flat.
 
-    Returns the stats of `members` and, when `sample_every` is set, the
-    times (N,) and states (N, 3, len(members)) at step 0, every
-    sample_every-th step and T.
+    Returns the stats of `members`.
     """
     if chart.layout != ("s", "q[0]", "p[0]"):
         raise ValueError(f"Euler-Maruyama steps (s, q[0], p[0]), not {chart.layout}")
@@ -1308,7 +1318,7 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise ValueError("T must be an integer number of Langevin steps (T = n*dt)")
 
-    sampled = sample_every is not None
+    sampled = flush is not None
     # the noise sum reads q; kept samples read every role
     stepped = form.live(form.roles if sampled else form.roles[1:2])
     key = "em, samples" if sampled else "em"
@@ -1337,23 +1347,16 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
     # one member steps numpy float64 scalars, the entries of chart.x0
     x = [v if n == 1 else np.full(n, v)
          for role, v in zip(form.roles, chart.x0) if role in stepped]
-    times = kept = samples = None
-    if sampled:
-        # step 0, every sample_every-th step and T
-        n_samples = 1 + -(-n_steps // sample_every)
-        times = np.zeros(n_samples)
-        kept = np.empty((n_samples, len(chart.layout), n))
-        kept[0] = chart.x0[:, None]
-        samples = (times, kept)
-        if n == 1:  # the loop's rows of one member are floats
-            kept = kept[..., 0]
+    args = (x, n_steps, dt, T, None, None, None, draw)
+    if sampled:  # the first buffers, which start with step 0
+        times, kept = np.empty(_SINK_ROWS), np.empty((_SINK_ROWS, len(chart.layout)))
+        times[0], kept[0] = 0.0, chart.x0
+        args = (x, n_steps, dt, T, sample_every, times, kept, draw, flush)
     # stiff parameter choices blow up through inf/nan; callers detect that
-    # in the returned stats and samples, so the arithmetic runs unwarned
+    # in the returned stats and the flushed samples, so the arithmetic runs unwarned
     with np.errstate(all="ignore"):
-        sums, noise_sum, G_initial, G_final = loop(x, n_steps, dt, T, sample_every,
-                                                   times, kept, draw)
-
-    stats = LangevinEnsembleStats(
+        sums, noise_sum, G_initial, G_final = loop(*args)
+    return LangevinEnsembleStats(
         n_traj=n,
         T=T,
         dt=dt,
@@ -1363,7 +1366,6 @@ def _langevin_core(chart, noise: NoiseSpec, T: float, dt: float, n_traj: int,
         G_initial=np.full(n, G_initial),
         G_final=np.full(n, G_final),
     )
-    return stats, samples
 
 
 def euler_maruyama_langevin(
@@ -1374,7 +1376,8 @@ def euler_maruyama_langevin(
     *,
     sample_every: int = DEFAULT_SAMPLE_EVERY,
     meta: dict | None = None,
-) -> Trajectory:
+    sink=None,
+):
     """One realization of a stochastic chart with additive thermal noise.
 
     State layout (s, q[0], p[0]), the chart's; the sample times come from
@@ -1383,30 +1386,34 @@ def euler_maruyama_langevin(
     dt stands in for the noise in the s equation (left-point q); q and s
     advance by Euler drift.  Identical seed => bit-identical trajectory.
 
-    The trajectory's meta carries `stats`, the realized horizon averages
-    including the Ito noise-virial integral (1/T)∫ q dW, which downstream
-    reports need and cannot rebuild from samples.  Only the kept samples
-    (step 0, every `sample_every`-th step and T) are stored.  A run that
-    diverges is truncated at its last finite sample and returned with
-    ``aborted=True``, as `integrate_fixed` does.
+    The samples (step 0, every `sample_every`-th step and T) go to `sink`
+    as `integrate_fixed`'s do, in blocks of at most _SINK_ROWS, and so
+    does a diverging run's up to its first non-finite one, with
+    ``aborted=True``.  The meta carries `stats`, the realized horizon
+    averages including the Ito noise-virial integral (1/T)∫ q dW, which
+    downstream reports need and cannot rebuild from samples.  The step
+    checks raise ValueError before a sample is handed on.
     """
-    stats, (times, samples) = _langevin_core(chart, noise, T, dt, 1, sample_every)
-    rows = samples[:, :, 0]
-    finite = np.isfinite(rows).all(axis=1)
-    aborted = not finite.all()
-    n_finite = int(finite.argmin()) if aborted else len(rows)
-    reason = f"non-finite state at t={times[n_finite]:.6g}" if aborted else ""
+    feed = _Collect(chart.layout) if sink is None else _Feed(sink, chart.layout)
+    reason = ""
+
+    def flush(times, states):
+        """Hand on the rows before the first non-finite one; return fresh buffers."""
+        nonlocal reason
+        if not reason:
+            finite = np.isfinite(states).all(axis=1)
+            n = len(times) if finite.all() else int(finite.argmin())
+            if n:
+                feed.block(times[:n], states[:n])
+            if n < len(times):
+                reason = f"non-finite state at t={times[n]:.6g}"
+        return np.empty(_SINK_ROWS), np.empty((_SINK_ROWS, len(chart.layout)))
+
+    stats = _langevin_core(chart, noise, T, dt, 1, sample_every=sample_every, flush=flush)
     info = dict(meta or {})
     info.setdefault("integrator", "euler-maruyama")
     info.update(dt=dt, T=T, seed=noise.seed, sample_every=sample_every, stats=stats)
-    return Trajectory(
-        times=times[:n_finite],
-        states=rows[:n_finite],
-        layout=chart.layout,
-        meta=info,
-        aborted=aborted,
-        abort_reason=reason,
-    )
+    return feed.result(info, reason)
 
 
 def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
@@ -1429,8 +1436,8 @@ def langevin_ensemble(chart, noise: NoiseSpec, T: float, dt: float,
     n_ranges = min(_cpu_count(), n_traj)
     ranges = [range(i * n_traj // n_ranges, (i + 1) * n_traj // n_ranges)
               for i in range(n_ranges)]
-    parts = list(_forked(lambda members: _langevin_core(chart, noise, T, dt, n_traj, None,
-                                                        members)[0], ranges))
+    parts = list(_forked(lambda members: _langevin_core(chart, noise, T, dt, n_traj, members),
+                         ranges))
     return LangevinEnsembleStats(
         n_traj=n_traj,
         T=T,

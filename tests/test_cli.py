@@ -30,6 +30,7 @@ from contactdyn.cli import (
     build_parser,
     main,
 )
+from contactdyn.integrate import euler_maruyama_langevin
 from contactdyn.systems import ParameterError, make_system
 from contactdyn.virial import ensemble_report, parse_report, report_text
 
@@ -221,11 +222,17 @@ def test_simulate_brownian_divergence_exits_3(tmp_path, capsys):
     code = run("simulate", "--system", "brownian_oscillator", "-p", "omega=2000",
                "--T", "2", "--out", str(out))
     assert code == EXIT_ABORT
-    assert "aborted at t" in (out / "abort.txt").read_text(encoding="utf-8")
+    note = (out / "abort.txt").read_text(encoding="utf-8")
+    assert "aborted at t" in note
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
     assert 1 < len(rows) < 2001
     assert np.isfinite(rows).all()
     assert "aborted" in capsys.readouterr().err
+    # the file is the finite prefix that the run without a sink returns
+    spec = make_system("brownian_oscillator", omega=2000.0)
+    traj = euler_maruyama_langevin(spec.chart(), spec.noise, 2.0, 1e-3, sample_every=1)
+    assert traj.aborted and note.endswith(f": {traj.abort_reason}\n")
+    assert np.array_equal(rows, np.column_stack([traj.times, traj.states]))
 
 
 @pytest.mark.parametrize("dt, T", [("0.5", "2"), ("0.03", "1")])
@@ -235,6 +242,8 @@ def test_simulate_brownian_bad_step_exits_2(tmp_path, capsys, dt, T):
                "--T", T, "--out", str(tmp_path / "run"))
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    # the step checks run before the first block of samples opens the file
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -806,28 +806,38 @@ class TestLangevin:
         # blocks cut the loop's blocks of _BLOCK_STEPS short.  Those runs also
         # end inside a block of the loop, and 2048 steps end on a partial-sum
         # flush.  Samples are kept every step, every 7 and every 50 steps,
-        # and every 500 of 500 steps (no row but the last).  Without samples
-        # the loop steps only (q, p), which the terms, G and the noise sum
-        # read; the reference steps all of (s, q, p)
+        # and every 500 of 500 steps (no row but the last), by member 0 alone,
+        # stepped with the noise blocks of n_traj members into buffers of 40
+        # rows.  Without samples the loop steps only (q, p), which the terms,
+        # G and the noise sum read; the reference steps all of (s, q, p)
         if noise_steps is not None:
             monkeypatch.setattr(integrate_mod, "_NOISE_MEMBER_STEPS", noise_steps)
         chart, noise = self.system(seed=4242, **params)
-        stats, samples = integrate_mod._langevin_core(chart, noise, T, 1e-3, n_traj,
-                                                      sample_every)
         *expected, expected_times, expected_samples = block_record_langevin(
             chart, noise, T, 1e-3, n_traj, sample_every or 7)
-        got = (stats.term_averages, stats.noise_virial, stats.G_initial, stats.G_final)
-        for name, a, b in zip(("term_averages", "noise_virial", "G_initial", "G_final"),
-                              got, expected):
-            assert np.array_equal(a, b, equal_nan=True), name
-        if sample_every is None:
-            assert samples is None
-        else:
-            times, states = samples
-            assert np.array_equal(times, expected_times)
-            assert np.array_equal(states, expected_samples, equal_nan=True)
+        names = ("term_averages", "noise_virial", "G_initial", "G_final")
+        stats = integrate_mod._langevin_core(chart, noise, T, 1e-3, n_traj)
+        for name, b in zip(names, expected):
+            assert np.array_equal(getattr(stats, name), b, equal_nan=True), name
         if "omega" in params:
             assert not np.isfinite(stats.G_final).any()
+        if sample_every is None:
+            return
+        monkeypatch.setattr(integrate_mod, "_SINK_ROWS", 40)
+        blocks = []
+
+        def flush(times, states):
+            blocks.append((times.copy(), states.copy()))
+            return np.empty(40), np.empty((40, 3))
+
+        single = integrate_mod._langevin_core(chart, noise, T, 1e-3, n_traj, range(1),
+                                              sample_every, flush)
+        for name, b in zip(names, expected):
+            assert np.array_equal(getattr(single, name), b[..., :1], equal_nan=True), name
+        assert max(len(t) for t, _ in blocks) <= 40
+        assert np.array_equal(np.concatenate([t for t, _ in blocks]), expected_times)
+        assert np.array_equal(np.concatenate([s for _, s in blocks]), expected_samples[..., 0],
+                              equal_nan=True)
 
     def test_generated_loops_step_only_the_live_roles(self):
         # the ensemble's loop steps (q, p): no s and no H, which only the s
@@ -859,6 +869,8 @@ class TestLangevin:
         for i, role in enumerate(form.roles):
             assert f"_kept[_n_kept:_m, {i}] = {role}[_j::_every]" in inspect.getsource(single)
         assert "_kept[" not in inspect.getsource(ensemble)
+        assert "_flush(" in inspect.getsource(single)
+        assert "_flush" not in inspect.getsource(ensemble)
         # per step each loop runs the drift and the update and writes the
         # new state into the block buffers; the terms, the noise sum, the
         # partial sums and the samples are taken once per block

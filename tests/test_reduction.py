@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contactdyn import integrate_adaptive, integrate_fixed, make_system
+import contactdyn.integrate as integrate_mod
+from contactdyn import euler_maruyama_langevin, integrate_adaptive, integrate_fixed, make_system
 from contactdyn.cli import main
 from contactdyn.integrate import adaptive_samples_after, fixed_samples_after
 from contactdyn.virial import Reduction, _ExactSum, reduce_trajectory
@@ -108,22 +109,35 @@ def _blocks(run, **kwargs):
     return summary, blocks, run(**kwargs)
 
 
-@pytest.mark.parametrize("adaptive", [False, True], ids=["rk4", "rkf45"])
-def test_a_sink_gets_the_trajectorys_samples_in_blocks(adaptive):
+@pytest.mark.parametrize("stepper", ["rk4", "rkf45", "euler-maruyama"])
+def test_a_sink_gets_the_trajectorys_samples_in_blocks(stepper):
     chart = make_system("damped_oscillator").chart("lagrangian")
-    if adaptive:
+    kwargs = dict(rhs=chart.rhs, y0=chart.x0, layout=chart.layout)
+    if stepper == "rkf45":
         run = integrate_adaptive
-        kwargs = dict(rhs=chart.rhs, y0=chart.x0, T=30.0, sample_interval=1e-3)
-    else:
+        kwargs.update(T=30.0, sample_interval=1e-3)
+    elif stepper == "rk4":
         run = integrate_fixed
-        kwargs = dict(rhs=chart.rhs, y0=chart.x0, T=10.0003, dt=1e-3, sample_every=1)
-    summary, blocks, traj = _blocks(run, layout=chart.layout, **kwargs)
+        kwargs.update(T=10.0003, dt=1e-3, sample_every=1)
+    else:  # 10 001 samples: step 0, every step but the last, and T
+        spec = make_system("brownian_oscillator")
+        run = euler_maruyama_langevin
+        kwargs = dict(chart=spec.chart(), noise=spec.noise, T=10.0, dt=1e-3, sample_every=1)
+    summary, blocks, traj = _blocks(run, **kwargs)
     assert len(blocks) >= 3 and max(len(t) for t, _, _ in blocks) <= 4096
     assert {layout for _, _, layout in blocks} == {traj.layout}
     assert np.array_equal(np.concatenate([t for t, _, _ in blocks]), traj.times)
     assert np.array_equal(np.concatenate([s for _, s, _ in blocks]), traj.states)
-    assert (summary.n_samples, summary.t_final, summary.layout, summary.meta, summary.aborted) == (
-        traj.n_samples, traj.t_final, traj.layout, traj.meta, traj.aborted)
+    assert (summary.n_samples, summary.t_final, summary.layout, summary.aborted) == (
+        traj.n_samples, traj.t_final, traj.layout, traj.aborted)
+    # Euler-Maruyama's meta holds its stats, whose arrays compare element by element
+    assert summary.meta.keys() == traj.meta.keys()
+    for key, value in summary.meta.items():
+        if key == "stats":
+            for name in ("term_averages", "noise_virial", "G_initial", "G_final"):
+                assert np.array_equal(getattr(value, name), getattr(traj.meta[key], name))
+        else:
+            assert value == traj.meta[key], key
 
 
 def test_a_reduced_run_that_fails_under_a_sink_is_not_stepped_again():
@@ -230,6 +244,18 @@ def test_virial_memory_is_flat_in_T(tmp_path):
     main([*argv, "--T", "10", "--out", str(tmp_path / "warm")])  # generates the loop
     short = _traced_peak([*argv, "--T", "1000"], tmp_path / "short")
     long = _traced_peak([*argv, "--T", "10000"], tmp_path / "long")  # 10**6 samples
+    assert long < short + _MARGIN, (short, long)
+
+
+def test_brownian_simulate_memory_is_flat_in_T(tmp_path, monkeypatch):
+    # two noise buffers of min(steps, _NOISE_MEMBER_STEPS) doubles are the
+    # same size at both horizons; the samples go to trajectory.csv a block
+    # at a time, where a run that held them added 32 bytes a sample
+    monkeypatch.setattr(integrate_mod, "_NOISE_MEMBER_STEPS", 1000)
+    argv = ["simulate", "--system", "brownian_oscillator", "--dt", "0.01"]
+    main([*argv, "--T", "10", "--out", str(tmp_path / "warm")])  # generates the loop
+    short = _traced_peak([*argv, "--T", "50"], tmp_path / "short")
+    long = _traced_peak([*argv, "--T", "500"], tmp_path / "long")  # 50 001 samples
     assert long < short + _MARGIN, (short, long)
 
 
