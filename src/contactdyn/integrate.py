@@ -1153,15 +1153,14 @@ def _generate_langevin(form: StraightLine, stepped: tuple, sampled: bool):
     The form's roles are, by position, s, q and p; the loop advances those
     of `stepped`, in layout order.  The function is loop(x, n, dt, T,
     every, times, kept, draw), with flush after draw when `sampled`.  From
-    x, the values of the stepped roles
-    (floats, or equal-shape arrays with one entry per member), it takes n
-    steps of length dt; draw(k) gives the noise increments of the noise
-    block of steps after step k, one float or member row per step.  Per
-    step, with the drift evaluated at the old state: s gains dt * (drift +
-    q * (dW/dt)), q gains dt * drift and p gains dt * drift + dW, and the
-    new value of each stepped role goes into the role's buffer,
-    _BLOCK_STEPS + 1 rows of the role's shape, whose row 0 holds the state
-    that the block of steps started from.
+    x, the values of the stepped roles (floats, or equal-shape arrays with
+    one entry per member), it takes n steps of length dt; draw(k) gives the
+    noise increments of the noise block of steps after step k, one float or
+    member row per step.  Per step, with the drift evaluated at the old
+    state: s gains dt * (drift + q * (dW/dt)), q gains dt * drift and p
+    gains dt * drift + dW, and the new value of each stepped role goes into
+    the role's buffer, _BLOCK_STEPS + 1 rows of the role's shape, whose row
+    0 holds the state that the block of steps started from.
 
     Everything else runs once per block, which ends at every multiple of
     _BLOCK_STEPS and at the end of a noise block, over the buffer rows:
